@@ -1,7 +1,8 @@
 """Bloom filter for SSTable key membership.
 
 Uses the standard double-hashing scheme (Kirsch & Mitzenmacher): two base
-hashes derived from one 64-bit digest generate all ``k`` probe positions.
+hashes derived from one 64-bit digest generate all ``k`` probe positions,
+``(h1 + i * h2) mod num_bits``.
 False positives are possible; false negatives are not — compaction and
 reads rely on that invariant, and the property tests enforce it.
 """
@@ -32,31 +33,47 @@ class BloomFilter:
         """Build a filter sized for ``keys`` at ``bits_per_key`` density.
 
         10 bits/key gives a ~1% false-positive rate, LevelDB's default.
+        ``keys`` may repeat (a table lists a key once per version, the
+        versions next to each other): every entry counts towards the
+        size, and a run of equal keys is hashed once.
         """
         if bits_per_key < 1:
             raise ValueError(f"bits_per_key must be >= 1, got {bits_per_key}")
-        num_bits = max(64, len(keys) * bits_per_key)
-        num_bytes = (num_bits + 7) // 8
+        num_bytes = (max(64, len(keys) * bits_per_key) + 7) // 8
+        num_bits = num_bytes * 8
         num_probes = max(1, min(30, round(bits_per_key * math.log(2))))
-        filt = cls(bytearray(num_bytes), num_probes)
+        # Probes mark one byte per bit, as the digits "0"/"1" of a binary
+        # numeral; the numeral is packed into the bit array at the end.
+        # A probe is then a single item store.
+        digits = bytearray(b"0") * num_bits
+        probes = range(num_probes)
+        previous = None
         for key in keys:
-            filt._insert(key)
-        return filt
-
-    def _probe_positions(self, key: bytes):
-        digest = _hash64(key)
-        h1 = digest & 0xFFFFFFFF
-        h2 = (digest >> 32) & 0xFFFFFFFF
-        for i in range(self._num_probes):
-            yield (h1 + i * h2) % self._num_bits
-
-    def _insert(self, key: bytes) -> None:
-        for pos in self._probe_positions(key):
-            self._bits[pos // 8] |= 1 << (pos % 8)
+            if key == previous:
+                continue
+            previous = key
+            digest = _hash64(key)
+            pos = digest & 0xFFFFFFFF
+            step = digest >> 32
+            for _ in probes:
+                digits[pos % num_bits] = 0x31
+                pos += step
+        digits.reverse()  # bit 0 is the numeral's last digit
+        return cls(bytearray(int(digits, 2).to_bytes(num_bytes, "little")), num_probes)
 
     def may_contain(self, key: bytes) -> bool:
         """False means definitely absent; True means probably present."""
-        return all(self._bits[pos // 8] & (1 << (pos % 8)) for pos in self._probe_positions(key))
+        digest = _hash64(key)
+        pos = digest & 0xFFFFFFFF
+        step = digest >> 32
+        bits = self._bits
+        num_bits = self._num_bits
+        for _ in range(self._num_probes):
+            bit = pos % num_bits
+            if not bits[bit >> 3] & (1 << (bit & 7)):
+                return False
+            pos += step
+        return True
 
     # -- serialisation -----------------------------------------------------
 

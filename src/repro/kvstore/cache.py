@@ -67,14 +67,15 @@ class LRUCache:
         self._entries[key] = (value, charge)
         self._used += charge
 
-    def evict_prefix(self, prefix: tuple) -> None:
-        """Drop all entries whose tuple key starts with ``prefix``.
+    def discard(self, key: Hashable) -> None:
+        """Drop ``key`` if cached (not counted as an eviction).
 
-        Used when an SSTable file is deleted by compaction.
+        Used when compaction deletes an SSTable file: its reader discards
+        the blocks its index lists.
         """
-        doomed = [k for k in self._entries if isinstance(k, tuple) and k[: len(prefix)] == prefix]
-        for key in doomed:
-            self._used -= self._entries.pop(key)[1]
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._used -= entry[1]
 
     def clear(self) -> None:
         self._entries.clear()

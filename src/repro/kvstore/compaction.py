@@ -14,10 +14,11 @@ Policy (LevelDB-flavoured):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from repro.kvstore.record import InternalRecord
+from repro.kvstore.record import InternalRecord, ValueType
 from repro.kvstore.version import FileMetadata, NUM_LEVELS, VersionSet
 
 
@@ -94,21 +95,22 @@ def prune_versions(
     """
     boundaries = sorted(set(live_snapshots))
     current_key: bytes | None = None
-    # Snapshot boundaries (ascending) not yet "satisfied" for current key.
-    remaining: list[int] = []
-
+    # ``boundaries[:unclaimed]`` are the snapshots that have not yet seen
+    # their newest version of the current key.  Each kept version claims
+    # the ones at or above its sequence, so what is left is always a
+    # prefix; outside a snapshot it is one boundary, claimed by the first
+    # version of every key.
+    total = unclaimed = len(boundaries)
+    deletion = ValueType.DELETION
     for record in records:
-        if record.user_key != current_key:
-            current_key = record.user_key
-            remaining = list(boundaries)
-        # Which snapshots see this record as their newest version?  All
-        # boundaries >= record.sequence that weren't claimed by a newer
-        # version of the same key.
-        claimed = [b for b in remaining if b >= record.sequence]
-        if not claimed:
+        user_key, sequence, kind, _value = record
+        if user_key != current_key:
+            current_key = user_key
+            unclaimed = total
+        if not unclaimed or boundaries[unclaimed - 1] < sequence:
             continue  # shadowed for every remaining snapshot
-        remaining = [b for b in remaining if b < record.sequence]
-        if record.is_deletion and drop_tombstones and not remaining:
+        unclaimed = bisect_left(boundaries, sequence, 0, unclaimed)
+        if drop_tombstones and not unclaimed and kind == deletion:
             # Nothing deeper can resurrect the key, and every older version
             # in this compaction is being dropped anyway.
             continue

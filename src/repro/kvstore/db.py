@@ -22,7 +22,7 @@ from repro.kvstore.compaction import (
 )
 from repro.kvstore.iterator import merge_records, visible_items
 from repro.kvstore.memtable import MemTable
-from repro.kvstore.record import MAX_SEQUENCE, ValueType
+from repro.kvstore.record import MAX_SEQUENCE
 from repro.kvstore.sstable import SSTableReader, SSTableWriter
 from repro.obs.registry import MetricsRegistry, StatsView
 from repro.kvstore.version import (
@@ -151,7 +151,7 @@ class DB:
             for payload in read_wal(os.path.join(self._dir, log_file_name(number))):
                 start_sequence = int.from_bytes(payload[:8], "big")
                 batch = WriteBatch.decode(payload[8:])
-                sequence = self._apply_to_memtable(batch, start_sequence)
+                sequence, _puts = self._apply_to_memtable(batch, start_sequence)
             self._versions.next_file_number = max(self._versions.next_file_number, number + 1)
         self._versions.last_sequence = max(self._versions.last_sequence, sequence)
         self._new_wal()
@@ -217,22 +217,25 @@ class DB:
         start_sequence = self._versions.last_sequence + 1
         assert self._wal is not None
         self._wal.append(start_sequence.to_bytes(8, "big") + batch.encode())
-        self._versions.last_sequence = self._apply_to_memtable(batch, start_sequence)
-        for kind, _key, _value in batch.items():
-            if kind == ValueType.VALUE:
-                self.stats.puts += 1
-            else:
-                self.stats.deletes += 1
+        self._versions.last_sequence, puts = self._apply_to_memtable(batch, start_sequence)
+        if puts:
+            self.stats.puts += puts
+        if puts != len(batch):
+            self.stats.deletes += len(batch) - puts
         if self._mem.approximate_size >= self.options.memtable_size_bytes:
             self._flush_memtable()
             self._maybe_compact()
 
-    def _apply_to_memtable(self, batch: WriteBatch, start_sequence: int) -> int:
+    def _apply_to_memtable(self, batch: WriteBatch, start_sequence: int) -> tuple[int, int]:
+        """Insert ``batch``; returns (last sequence used, number of puts)."""
+        add = self._mem.add
         sequence = start_sequence
+        puts = 0
         for kind, key, value in batch.items():
-            self._mem.add(sequence, kind, key, value)
+            add(sequence, kind, key, value)
             sequence += 1
-        return sequence - 1
+            puts += kind  # ValueType.VALUE is 1, DELETION 0
+        return sequence - 1, puts
 
     # -- reads ------------------------------------------------------------
 
@@ -324,27 +327,45 @@ class DB:
         else:
             self._flush_memtable_inner()
 
-    def _flush_memtable_inner(self) -> None:
+    def _write_table(self, records) -> Optional[FileMetadata]:
+        """Write ``records`` (in sort order) to a new table file.
+
+        Returns its metadata, or ``None``, with no file left behind, when
+        there were no records.  A failure removes the partial file before
+        it propagates.
+        """
         number = self._versions.new_file_number()
         path = os.path.join(self._dir, table_file_name(number))
         writer = SSTableWriter(path, bits_per_key=self.options.bloom_bits_per_key)
-        for record in self._mem:
-            writer.add(record)
-        table = writer.finish()
-        meta = FileMetadata(
+        try:
+            add = writer.add
+            for record in records:
+                add(record)
+            table = writer.finish() if writer.entry_count else None
+        except BaseException:
+            writer.abandon()
+            raise
+        if table is None:
+            writer.abandon()
+            return None
+        return FileMetadata(
             number=number,
             smallest=table.smallest,
             largest=table.largest,
             size_bytes=table.size_bytes,
             entry_count=table.entry_count,
         )
-        self._mem = MemTable(rng_seed=number)
+
+    def _flush_memtable_inner(self) -> None:
+        meta = self._write_table(self._mem)
+        assert meta is not None  # callers flush only a non-empty memtable
+        self._mem = MemTable(rng_seed=meta.number)
         old_wal_number = self._wal_number
         self._new_wal()
         edit = VersionEdit(added=[(0, meta)], log_number=self._wal_number)
         self._versions.log_and_apply(edit)
         self.stats.flushes += 1
-        self.stats.bytes_flushed += table.size_bytes
+        self.stats.bytes_flushed += meta.size_bytes
         try:
             os.remove(os.path.join(self._dir, log_file_name(old_wal_number)))
         except FileNotFoundError:
@@ -405,33 +426,12 @@ class DB:
         merged = merge_records(sources)
         pruned = prune_versions(merged, self._live_snapshot_sequences(), drop_tombstones)
 
-        number = self._versions.new_file_number()
-        path = os.path.join(self._dir, table_file_name(number))
-        writer = SSTableWriter(path, bits_per_key=self.options.bloom_bits_per_key)
-        wrote_any = False
-        for record in pruned:
-            writer.add(record)
-            wrote_any = True
-
         edit = VersionEdit()
-        if wrote_any:
-            table = writer.finish()
-            edit.added.append(
-                (
-                    compaction.output_level,
-                    FileMetadata(
-                        number=number,
-                        smallest=table.smallest,
-                        largest=table.largest,
-                        size_bytes=table.size_bytes,
-                        entry_count=table.entry_count,
-                    ),
-                )
-            )
-            self.stats.bytes_compacted += table.size_bytes
-        else:
-            # Everything was pruned; abandon the (empty) output file.
-            writer.abandon()
+        # ``None`` when everything was pruned: the compaction only deletes.
+        meta = self._write_table(pruned)
+        if meta is not None:
+            edit.added.append((compaction.output_level, meta))
+            self.stats.bytes_compacted += meta.size_bytes
         edit.deleted = [(compaction.level, f.number) for f in compaction.inputs_upper]
         edit.deleted += [(compaction.output_level, f.number) for f in compaction.inputs_lower]
         self._versions.log_and_apply(edit)
@@ -442,10 +442,11 @@ class DB:
         live = self._versions.live_file_numbers()
         for number in _numbered_files(self._dir, ".sst"):
             if number not in live:
+                # Only an opened reader can have put blocks in the cache.
                 reader = self._tables.pop(number, None)
                 if reader is not None:
+                    reader.discard_cached_blocks()
                     reader.close()
-                self._block_cache.evict_prefix((number,))
                 os.remove(os.path.join(self._dir, table_file_name(number)))
 
     # -- integrity ---------------------------------------------------------
@@ -467,11 +468,12 @@ class DB:
                 count = 0
                 last_key = None
                 for record in reader:
-                    if last_key is not None and record.sort_key() <= last_key:
+                    sort_key = record.sort_key()
+                    if last_key is not None and sort_key <= last_key:
                         raise CorruptionError(
                             f"table {meta.number:06d} has out-of-order records"
                         )
-                    last_key = record.sort_key()
+                    last_key = sort_key
                     if not meta.smallest <= record.user_key <= meta.largest:
                         raise CorruptionError(
                             f"table {meta.number:06d} record outside manifest range"

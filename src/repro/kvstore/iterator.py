@@ -7,10 +7,10 @@ of each user key visible to the snapshot, and drop deletion tombstones.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heapreplace
 from typing import Iterable, Iterator, Optional
 
-from repro.kvstore.record import InternalRecord
+from repro.kvstore.record import InternalRecord, ValueType
 
 
 def merge_records(sources: list[Iterable[InternalRecord]]) -> Iterator[InternalRecord]:
@@ -21,18 +21,26 @@ def merge_records(sources: list[Iterable[InternalRecord]]) -> Iterator[InternalR
     compaction of overlapping inputs), the earlier source wins — callers
     order sources newest-first.
     """
-    heap: list[tuple[tuple[bytes, int], int, InternalRecord, Iterator[InternalRecord]]] = []
+    # Entries order by (user key, -sequence, source priority); priorities
+    # are unique, so a comparison never reaches the record.
+    heap = []
     for priority, source in enumerate(sources):
-        iterator = iter(source)
-        first = next(iterator, None)
-        if first is not None:
-            heapq.heappush(heap, (first.sort_key(), priority, first, iterator))
+        advance = iter(source).__next__
+        try:
+            first = advance()
+        except StopIteration:
+            continue
+        heap.append((first[0], -first[1], priority, first, advance))
+    heapify(heap)
     while heap:
-        _key, priority, record, iterator = heapq.heappop(heap)
+        _key, _negated, priority, record, advance = heap[0]
         yield record
-        following = next(iterator, None)
-        if following is not None:
-            heapq.heappush(heap, (following.sort_key(), priority, following, iterator))
+        try:
+            following = advance()
+        except StopIteration:
+            heappop(heap)
+        else:
+            heapreplace(heap, (following[0], -following[1], priority, following, advance))
 
 
 def visible_items(
@@ -48,15 +56,15 @@ def visible_items(
     deletion tombstones, and bounds output to ``[start, end)``.
     """
     current_key: Optional[bytes] = None
-    for record in records:
-        if record.sequence > snapshot_sequence:
+    for user_key, sequence, kind, value in records:
+        if sequence > snapshot_sequence:
             continue
-        if record.user_key == current_key:
+        if user_key == current_key:
             continue  # an older, shadowed version
-        current_key = record.user_key
-        if start is not None and record.user_key < start:
+        current_key = user_key
+        if start is not None and user_key < start:
             continue
-        if end is not None and record.user_key >= end:
+        if end is not None and user_key >= end:
             return
-        if not record.is_deletion:
-            yield record.user_key, record.value
+        if kind != ValueType.DELETION:
+            yield user_key, value

@@ -11,10 +11,10 @@ from __future__ import annotations
 import random
 from typing import Iterator, Optional
 
-from repro.kvstore.record import InternalRecord, ValueType, record_sort_key
+from repro.kvstore.record import InternalRecord, ValueType, make_record, record_sort_key
 
 _MAX_HEIGHT = 12
-_BRANCHING = 4
+_BRANCHING_BITS = 2  # a node reaches the next level up with probability 1/4
 
 
 class _Node:
@@ -48,13 +48,16 @@ class MemTable:
 
     def add(self, sequence: int, kind: ValueType, user_key: bytes, value: bytes = b"") -> None:
         """Insert one internal record."""
-        record = InternalRecord(bytes(user_key), sequence, kind, bytes(value))
-        key = record.sort_key()
+        user_key = bytes(user_key)
+        record = make_record(InternalRecord, (user_key, sequence, kind, bytes(value)))
+        key = (user_key, -sequence)
         update: list[_Node] = [self._head] * _MAX_HEIGHT
         node = self._head
         for level in range(self._height - 1, -1, -1):
-            while node.next[level] is not None and node.next[level].key < key:
-                node = node.next[level]
+            following = node.next[level]
+            while following is not None and following.key < key:
+                node = following
+                following = node.next[level]
             update[level] = node
 
         height = self._random_height()
@@ -71,8 +74,11 @@ class MemTable:
         self._approximate_bytes += len(user_key) + len(value) + 24
 
     def _random_height(self) -> int:
+        # One draw decides every level: climb while the next bit group is zero.
+        bits = self._rng.getrandbits(_BRANCHING_BITS * _MAX_HEIGHT)
         height = 1
-        while height < _MAX_HEIGHT and self._rng.randrange(_BRANCHING) == 0:
+        while height < _MAX_HEIGHT and not bits & ((1 << _BRANCHING_BITS) - 1):
+            bits >>= _BRANCHING_BITS
             height += 1
         return height
 
@@ -81,10 +87,13 @@ class MemTable:
     def _seek(self, key) -> Optional[_Node]:
         """First node whose sort key is >= ``key``."""
         node = self._head
+        following = None
         for level in range(self._height - 1, -1, -1):
-            while node.next[level] is not None and node.next[level].key < key:
-                node = node.next[level]
-        return node.next[0]
+            following = node.next[level]
+            while following is not None and following.key < key:
+                node = following
+                following = node.next[level]
+        return following
 
     def get(self, user_key: bytes, sequence: int) -> Optional[InternalRecord]:
         """Newest record for ``user_key`` visible at ``sequence``.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class ValueType(IntEnum):
@@ -25,12 +25,19 @@ class ValueType(IntEnum):
 #: Sequence number given to reads that want "latest committed".
 MAX_SEQUENCE = (1 << 56) - 1
 
-_SEQ_TYPE = struct.Struct(">QB")
+#: sequence + type as stored in an SSTable entry (9 bytes)
+SEQ_TYPE = struct.Struct(">QB")
+#: ``KINDS[byte]`` is the value type an SSTable entry stores as ``byte``
+KINDS = (ValueType.DELETION, ValueType.VALUE)
 
 
-@dataclass(frozen=True, order=False)
-class InternalRecord:
-    """One versioned entry in the LSM tree."""
+class InternalRecord(NamedTuple):
+    """One versioned entry in the LSM tree.
+
+    A plain tuple underneath: the flush and compaction loops unpack it
+    and index it (``record[0]`` is the user key, ``record[1]`` the
+    sequence) without a Python-level call per field.
+    """
 
     user_key: bytes
     sequence: int
@@ -39,35 +46,22 @@ class InternalRecord:
 
     def sort_key(self) -> tuple[bytes, int]:
         """Total-order key: user key ascending, newest version first."""
-        return (self.user_key, -self.sequence)
+        return (self[0], -self[1])
 
     @property
     def is_deletion(self) -> bool:
-        return self.kind == ValueType.DELETION
+        return self[2] == ValueType.DELETION
+
+
+#: ``make_record(InternalRecord, (user_key, sequence, kind, value))``
+#: builds a record without entering the generated ``__new__``.
+make_record = tuple.__new__
 
 
 def record_sort_key(user_key: bytes, sequence: int) -> tuple[bytes, int]:
     """Sort key for a (user key, sequence) probe, matching
     :meth:`InternalRecord.sort_key`."""
     return (user_key, -sequence)
-
-
-def encode_seq_type(sequence: int, kind: ValueType) -> bytes:
-    """Pack sequence + type into 9 bytes (used in SSTable entries)."""
-    if not 0 <= sequence <= MAX_SEQUENCE:
-        raise ValueError(f"sequence {sequence} out of range")
-    return _SEQ_TYPE.pack(sequence, int(kind))
-
-
-def decode_seq_type(data: bytes) -> tuple[int, ValueType]:
-    """Inverse of :func:`encode_seq_type`."""
-    sequence, kind = _SEQ_TYPE.unpack(data)
-    return sequence, ValueType(kind)
-
-
-def visible(record: InternalRecord, snapshot_sequence: int) -> bool:
-    """Whether a snapshot taken at ``snapshot_sequence`` can see ``record``."""
-    return record.sequence <= snapshot_sequence
 
 
 @dataclass(frozen=True)

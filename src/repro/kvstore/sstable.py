@@ -17,7 +17,8 @@ import bisect
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import chain
+from typing import Iterator, NamedTuple, Optional
 
 from repro.errors import CorruptionError
 from repro.kvstore.block import Block, BlockBuilder
@@ -29,10 +30,10 @@ from repro.kvstore.varint import decode_varint, encode_varint
 MAGIC = 0x4C616D626461_4F62  # "Lambda Ob"
 _FOOTER = struct.Struct(">QQQQQ")  # filter off/size, index off/size, magic
 TARGET_BLOCK_SIZE = 4096
+_INDEX_TAIL = struct.Struct(">QQQ")  # last sequence, block offset, block size
 
 
-@dataclass(frozen=True)
-class _IndexEntry:
+class _IndexEntry(NamedTuple):
     last_user_key: bytes
     last_sequence: int
     offset: int
@@ -40,12 +41,10 @@ class _IndexEntry:
 
 
 def _encode_index(entries: list[_IndexEntry]) -> bytes:
-    out = bytearray(encode_varint(len(entries)))
-    for entry in entries:
-        out += encode_varint(len(entry.last_user_key))
-        out += entry.last_user_key
-        out += struct.pack(">QQQ", entry.last_sequence, entry.offset, entry.size)
-    return bytes(out)
+    parts = [encode_varint(len(entries))]
+    for key, sequence, offset, size in entries:
+        parts += (encode_varint(len(key)), key, _INDEX_TAIL.pack(sequence, offset, size))
+    return b"".join(parts)
 
 
 def _decode_index(data: bytes) -> list[_IndexEntry]:
@@ -53,16 +52,12 @@ def _decode_index(data: bytes) -> list[_IndexEntry]:
     count, pos = decode_varint(data, 0)
     for _ in range(count):
         key_len, pos = decode_varint(data, pos)
-        key = bytes(data[pos : pos + key_len])
-        if len(key) != key_len:
-            raise CorruptionError("index entry truncated (key)")
-        pos += key_len
-        tail = data[pos : pos + 24]
-        if len(tail) != 24:
-            raise CorruptionError("index entry truncated (offsets)")
-        sequence, offset, size = struct.unpack(">QQQ", tail)
-        pos += 24
-        entries.append(_IndexEntry(key, sequence, offset, size))
+        tail_at = pos + key_len
+        if tail_at + _INDEX_TAIL.size > len(data):
+            raise CorruptionError("index entry truncated")
+        key = bytes(data[pos:tail_at])
+        entries.append(_IndexEntry(key, *_INDEX_TAIL.unpack_from(data, tail_at)))
+        pos = tail_at + _INDEX_TAIL.size
     if pos != len(data):
         raise CorruptionError("index block has trailing garbage")
     return entries
@@ -81,41 +76,33 @@ class SSTableWriter:
         self._last_record: Optional[InternalRecord] = None
         self._first_record: Optional[InternalRecord] = None
         self._bits_per_key = bits_per_key
-        self._count = 0
 
     @property
     def entry_count(self) -> int:
-        return self._count
+        return len(self._keys)
 
     def add(self, record: InternalRecord) -> None:
         """Append one record; must be called in internal sort order."""
-        if self._last_record is not None and record.sort_key() <= self._last_record.sort_key():
-            raise CorruptionError(
-                f"records added out of order: {record.user_key!r} after "
-                f"{self._last_record.user_key!r}"
-            )
-        if self._first_record is None:
+        user_key = record[0]
+        last = self._last_record
+        if last is None:
             self._first_record = record
-        self._block.add(record)
-        self._keys.append(record.user_key)
+        elif user_key <= last[0] and (user_key != last[0] or record[1] >= last[1]):
+            raise CorruptionError(
+                f"records added out of order: {user_key!r} after {last[0]!r}"
+            )
         self._last_record = record
-        self._count += 1
-        if self._block.size_estimate >= TARGET_BLOCK_SIZE:
+        self._keys.append(user_key)
+        if self._block.add(record) >= TARGET_BLOCK_SIZE:
             self._flush_block()
 
     def _flush_block(self) -> None:
         if not len(self._block):
             return
         data = self._block.finish()
-        assert self._last_record is not None
-        self._index.append(
-            _IndexEntry(
-                self._last_record.user_key,
-                self._last_record.sequence,
-                self._offset,
-                len(data),
-            )
-        )
+        last = self._last_record
+        assert last is not None
+        self._index.append(_IndexEntry(last[0], last[1], self._offset, len(data)))
         self._file.write(data)
         self._offset += len(data)
         self._block.reset()
@@ -128,8 +115,7 @@ class SSTableWriter:
     def finish(self) -> "TableMeta":
         """Flush remaining data, write filter/index/footer, close the file."""
         if self._first_record is None:
-            self._file.close()
-            os.remove(self._path)
+            self.abandon()
             raise CorruptionError("refusing to write an empty SSTable")
         self._flush_block()
 
@@ -153,10 +139,10 @@ class SSTableWriter:
         assert self._last_record is not None
         return TableMeta(
             path=self._path,
-            smallest=self._first_record.user_key,
-            largest=self._last_record.user_key,
+            smallest=self._first_record[0],
+            largest=self._last_record[0],
             size_bytes=self._offset + _FOOTER.size,
-            entry_count=self._count,
+            entry_count=len(self._keys),
         )
 
 
@@ -192,18 +178,37 @@ class SSTableReader:
         )
         if magic != MAGIC:
             raise CorruptionError(f"{self._path}: bad magic number")
+        # The writer lays the sections end to end; anything else would
+        # send the reads below (and every block read) outside the file.
+        if (
+            filter_off + filter_size != index_off
+            or index_off + index_size + _FOOTER.size != file_size
+        ):
+            raise CorruptionError(f"{self._path}: footer disagrees with the file layout")
         self._file.seek(filter_off)
         self._filter = BloomFilter.decode(self._file.read(filter_size))
-        self._file.seek(index_off)
         self._index = _decode_index(self._file.read(index_size))
+        block_offset = 0
+        for entry in self._index:
+            if entry.offset != block_offset:
+                raise CorruptionError(f"{self._path}: index blocks are not contiguous")
+            block_offset += entry.size
+        if block_offset != filter_off:
+            raise CorruptionError(f"{self._path}: index does not cover the data blocks")
         self._index_keys = [record_sort_key(e.last_user_key, e.last_sequence) for e in self._index]
 
     def close(self) -> None:
         self._file.close()
 
+    def discard_cached_blocks(self) -> None:
+        """Drop this table's blocks from the cache (its file is going away)."""
+        if self._cache is not None:
+            for entry in self._index:
+                self._cache.discard((self._table_id, entry.offset))
+
     # -- block access ----------------------------------------------------
 
-    def _read_block(self, entry: _IndexEntry) -> Block:
+    def _read_block(self, entry: _IndexEntry, fill_cache: bool = True) -> Block:
         cache_key = (self._table_id, entry.offset)
         if self._cache is not None:
             cached = self._cache.get(cache_key)
@@ -211,7 +216,7 @@ class SSTableReader:
                 return cached
         self._file.seek(entry.offset)
         block = Block.decode(self._file.read(entry.size))
-        if self._cache is not None:
+        if fill_cache and self._cache is not None:
             self._cache.put(cache_key, block, charge=entry.size)
         return block
 
@@ -239,8 +244,16 @@ class SSTableReader:
         return None
 
     def __iter__(self) -> Iterator[InternalRecord]:
-        for entry in self._index:
-            yield from self._read_block(entry)
+        """Every record in sort order, one block in memory at a time.
+
+        This is the scan compaction and verification make: it uses blocks
+        that are already cached but leaves the ones it reads out of the
+        cache (LevelDB's ``fill_cache=false``), so a merge of whole tables
+        does not evict the blocks point reads are using.
+        """
+        return chain.from_iterable(
+            self._read_block(entry, fill_cache=False) for entry in self._index
+        )
 
     def iterate_from(self, user_key: bytes, sequence: int) -> Iterator[InternalRecord]:
         """Records at/after ``(user_key, sequence)`` in sort order."""

@@ -4,20 +4,22 @@ from __future__ import annotations
 
 from repro.errors import CorruptionError
 
+#: the one-byte encodings; lengths on disk are almost always below 128
+_ONE_BYTE = tuple(bytes((value,)) for value in range(0x80))
+
 
 def encode_varint(value: int) -> bytes:
     """Encode a non-negative integer as a little-endian base-128 varint."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]
     if value < 0:
         raise ValueError(f"varint cannot encode negative value {value}")
     out = bytearray()
-    while True:
-        byte = value & 0x7F
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    out.append(value)
+    return bytes(out)
 
 
 def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
@@ -25,17 +27,20 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
 
     Returns ``(value, next_offset)``.
     """
-    result = 0
-    shift = 0
-    pos = offset
-    while True:
-        if pos >= len(data):
-            raise CorruptionError("truncated varint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-        if shift > 63:
-            raise CorruptionError("varint too long")
+    try:
+        result = data[offset]
+        if result < 0x80:
+            return result, offset + 1
+        result &= 0x7F
+        shift = 7
+        pos = offset + 1
+        while shift <= 63:
+            byte = data[pos]
+            pos += 1
+            result |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                return result, pos
+            shift += 7
+    except IndexError:
+        raise CorruptionError("truncated varint") from None
+    raise CorruptionError("varint too long")

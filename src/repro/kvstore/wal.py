@@ -19,6 +19,7 @@ from typing import BinaryIO, Iterator
 from repro.errors import CorruptionError, DBClosedError
 
 _HEADER = struct.Struct(">II")
+_LENGTH = struct.Struct(">I")
 
 
 class WALWriter:
@@ -37,8 +38,7 @@ class WALWriter:
         """Durably append one record."""
         if self._file is None:
             raise DBClosedError(f"WAL {self._path} is closed")
-        body = _HEADER.pack(zlib.crc32(_frame_body(payload)), len(payload))
-        self._file.write(body)
+        self._file.write(_HEADER.pack(_frame_crc(payload), len(payload)))
         self._file.write(payload)
         self._file.flush()
         if self._sync:
@@ -62,9 +62,9 @@ class WALWriter:
         self.close()
 
 
-def _frame_body(payload: bytes) -> bytes:
+def _frame_crc(payload: bytes) -> int:
     # CRC covers length + payload so a frame with a corrupted length fails too.
-    return struct.pack(">I", len(payload)) + payload
+    return zlib.crc32(payload, zlib.crc32(_LENGTH.pack(len(payload))))
 
 
 def read_wal(path: str, strict: bool = False) -> Iterator[bytes]:
@@ -88,7 +88,7 @@ def read_wal(path: str, strict: bool = False) -> Iterator[bytes]:
                 if strict:
                     raise CorruptionError(f"{path}: truncated WAL payload")
                 return
-            if zlib.crc32(_frame_body(payload)) != crc:
+            if _frame_crc(payload) != crc:
                 if strict:
                     raise CorruptionError(f"{path}: WAL record failed CRC check")
                 return

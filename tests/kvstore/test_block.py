@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import CorruptionError
-from repro.kvstore.block import Block, BlockBuilder
+from repro.kvstore.block import Block, BlockBuilder, shared_prefix_length
 from repro.kvstore.record import InternalRecord, MAX_SEQUENCE, ValueType
 
 
@@ -113,3 +113,87 @@ def test_roundtrip_property(pairs):
     for record in records:
         found = block.get(record.user_key, MAX_SEQUENCE)
         assert found is not None and found.value == record.value
+
+
+def byte_loop_prefix_length(a, b):
+    """The slow reference :func:`shared_prefix_length` is pinned to."""
+    limit = min(len(a), len(b))
+    i = 0
+    while i < limit and a[i] == b[i]:
+        i += 1
+    return i
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (b"", b""),
+        (b"", b"abc"),
+        (b"same", b"same"),
+        (b"pre", b"prefix"),
+        (b"prefix", b"pre"),
+        (b"\x80\xff\x80", b"\x80\xff\x81"),
+        (b"\xff" * 40, b"\xff" * 39 + b"\xfe"),
+        (b"\x00\x00a", b"\x00\x00b"),
+        (b"\x00", b"\x00\x00"),
+    ],
+)
+def test_shared_prefix_known_cases(a, b):
+    assert shared_prefix_length(a, b) == byte_loop_prefix_length(a, b)
+
+
+@given(st.binary(max_size=24), st.binary(max_size=24), st.binary(max_size=24))
+def test_shared_prefix_matches_byte_loop(common, tail_a, tail_b):
+    a, b = common + tail_a, common + tail_b
+    expected = byte_loop_prefix_length(a, b)
+    assert expected >= len(common)
+    assert shared_prefix_length(a, b) == expected
+    assert shared_prefix_length(b, a) == expected
+
+
+# Sizes on both sides of the one-, two- and three-byte varint boundaries,
+# so every header encoding the builder and the decoder special-case occurs.
+_sizes = st.sampled_from([0, 1, 127, 128, 129, 3300, 16_383, 16_384, 20_000])
+_mixed_records = st.lists(
+    st.tuples(
+        st.sampled_from([b"", b"o/user:0001/f/", b"k" * 127, b"k" * 130]),
+        st.binary(max_size=6),
+        st.booleans(),
+        _sizes,
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(_mixed_records, st.integers(min_value=1, max_value=20))
+def test_roundtrip_across_restart_boundaries(specs, restart_interval):
+    records = sorted(
+        (
+            InternalRecord(
+                prefix + suffix,
+                sequence + 1,
+                ValueType.DELETION if deleted else ValueType.VALUE,
+                b"" if deleted else bytes([sequence % 251]) * size,
+            )
+            for sequence, (prefix, suffix, deleted, size) in enumerate(specs)
+        ),
+        key=lambda r: r.sort_key(),
+    )
+    builder = BlockBuilder(restart_interval=restart_interval)
+    sizes = [builder.add(record) for record in records]
+    encoded = builder.finish()
+    # add() reports what finish() then writes, minus the 4-byte CRC.
+    assert sizes[-1] == len(encoded) - 4
+    assert sizes == sorted(sizes)
+    decoded = list(Block.decode(encoded))
+    assert decoded == records
+    assert all(type(r) is InternalRecord and type(r.kind) is ValueType for r in decoded)
+
+
+def test_out_of_range_sequence_rejected():
+    builder = BlockBuilder()
+    with pytest.raises(ValueError):
+        builder.add(InternalRecord(b"k", MAX_SEQUENCE + 1, ValueType.VALUE, b""))
+    with pytest.raises(ValueError):
+        builder.add(InternalRecord(b"k", -1, ValueType.VALUE, b""))

@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import CorruptionError
-from repro.kvstore.bloom import BloomFilter
+import math
+
+from repro.kvstore.bloom import BloomFilter, _hash64
 
 
 def test_contains_all_inserted_keys():
@@ -66,3 +68,39 @@ def test_serialisation_preserves_membership(keys):
     decoded = BloomFilter.decode(filt.encode())
     for key in keys:
         assert decoded.may_contain(key)
+
+
+def reference_filter_bytes(keys, bits_per_key):
+    """The filter block the per-key insert loop produces: every key, a
+    duplicate as often as it is listed, set bit by bit."""
+    bits = bytearray((max(64, len(keys) * bits_per_key) + 7) // 8)
+    num_bits = len(bits) * 8
+    num_probes = max(1, min(30, round(bits_per_key * math.log(2))))
+    for key in keys:
+        digest = _hash64(key)
+        h1 = digest & 0xFFFFFFFF
+        h2 = (digest >> 32) & 0xFFFFFFFF
+        for i in range(num_probes):
+            pos = (h1 + i * h2) % num_bits
+            bits[pos // 8] |= 1 << (pos % 8)
+    return bytes([num_probes]) + bytes(bits)
+
+
+_keys_with_runs = st.lists(
+    st.tuples(st.binary(max_size=16), st.integers(min_value=1, max_value=4)), max_size=80
+).map(lambda runs: [key for key, repeat in runs for _ in range(repeat)])
+
+
+@given(_keys_with_runs, st.integers(min_value=1, max_value=20))
+def test_build_matches_per_key_insert_loop(keys, bits_per_key):
+    filt = BloomFilter.build(keys, bits_per_key=bits_per_key)
+    assert filt.encode() == reference_filter_bytes(keys, bits_per_key)
+    for key in keys:
+        assert filt.may_contain(key)
+
+
+def test_consecutive_duplicates_count_towards_size():
+    once = BloomFilter.build([b"k"] * 1)
+    often = BloomFilter.build([b"k"] * 200)
+    assert often.size_bytes > once.size_bytes
+    assert often.may_contain(b"k")

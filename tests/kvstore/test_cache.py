@@ -44,15 +44,19 @@ def test_replace_updates_charge():
     assert cache.get("k") == "v2"
 
 
-def test_evict_prefix_drops_matching_tuple_keys():
+def test_discard_drops_one_entry_and_its_charge():
     cache = LRUCache(100)
     cache.put((1, 0), "a", charge=10)
     cache.put((1, 4096), "b", charge=10)
     cache.put((2, 0), "c", charge=10)
-    cache.evict_prefix((1,))
+    cache.discard((1, 0))
+    cache.discard((1, 4096))
+    cache.discard((3, 0))  # absent: a no-op
     assert cache.get((1, 0)) is None
     assert cache.get((1, 4096)) is None
     assert cache.get((2, 0)) == "c"
+    assert cache.used_bytes == 10
+    assert cache.stats.evictions == 0
 
 
 def test_clear_resets():

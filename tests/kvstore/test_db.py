@@ -215,3 +215,118 @@ def test_large_values_roundtrip(tmp_path):
         db.put(b"big", big)
         db.flush()
         assert db.get(b"big") == big
+
+
+def test_stats_count_puts_and_deletes_per_batch_item(tmp_path):
+    with DB.open(str(tmp_path / "db")) as db:
+        batch = WriteBatch()
+        batch.put(b"a", b"1").put(b"b", b"2").delete(b"a").put(b"c", b"3")
+        db.write(batch)
+        only_deletes = WriteBatch()
+        only_deletes.delete(b"b").delete(b"nothing")
+        db.write(only_deletes)
+        assert (db.stats.puts, db.stats.deletes) == (3, 3)
+    # Recovery replays the WAL without counting: stats reset at open.
+    with DB.open(str(tmp_path / "db")) as db:
+        assert (db.stats.puts, db.stats.deletes) == (0, 0)
+        assert db.get(b"c") == b"3" and db.get(b"a") is None
+
+
+class _WriterSpy:
+    """Makes every SSTableWriter the DB creates fail, and remembers them."""
+
+    def __init__(self, monkeypatch, fail_in):
+        from repro.kvstore import db as db_module
+        from repro.kvstore.sstable import SSTableWriter
+
+        self.writers = []
+        spy = self
+
+        class FailingWriter(SSTableWriter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spy.writers.append(self)
+
+            def add(self, record):
+                if fail_in == "add" and self.entry_count == 3:
+                    raise OSError("disk full (injected)")
+                super().add(record)
+
+            def finish(self):
+                if fail_in == "finish":
+                    raise OSError("fsync failed (injected)")
+                return super().finish()
+
+        monkeypatch.setattr(db_module, "SSTableWriter", FailingWriter)
+
+
+def table_files(directory):
+    return sorted(name for name in os.listdir(directory) if name.endswith(".sst"))
+
+
+@pytest.mark.parametrize("fail_in", ["add", "finish"])
+def test_failed_flush_leaves_no_partial_table(tmp_path, monkeypatch, fail_in):
+    directory = str(tmp_path / "db")
+    with DB.open(directory) as db:
+        for i in range(20):
+            db.put(b"key%02d" % i, b"v" * 100)
+        with monkeypatch.context() as patch:
+            spy = _WriterSpy(patch, fail_in)
+            with pytest.raises(OSError, match="injected"):
+                db.flush()
+        assert len(spy.writers) == 1 and spy.writers[0]._file.closed
+        assert table_files(directory) == []
+        # Nothing was lost: the memtable is intact and a retry succeeds.
+        assert db.get(b"key07") == b"v" * 100
+        db.flush()
+        assert len(table_files(directory)) == 1
+        assert db.get(b"key07") == b"v" * 100
+        assert db.verify_integrity()["records"] == 20
+
+
+@pytest.mark.parametrize("fail_in", ["add", "finish"])
+def test_failed_compaction_leaves_no_partial_table(tmp_path, monkeypatch, fail_in):
+    directory = str(tmp_path / "db")
+    with DB.open(directory, small_options(l0_compaction_trigger=100)) as db:
+        for round_number in range(3):
+            for i in range(10):
+                db.put(b"key%02d" % i, b"round-%d" % round_number)
+            db.flush()
+        before = table_files(directory)
+        assert len(before) == 3
+        with monkeypatch.context() as patch:
+            spy = _WriterSpy(patch, fail_in)
+            with pytest.raises(OSError, match="injected"):
+                db.compact_range(0)
+        assert len(spy.writers) == 1 and spy.writers[0]._file.closed
+        assert table_files(directory) == before
+        assert db.level_file_counts()[:2] == [3, 0]
+        db.compact_range(0)
+        assert db.level_file_counts()[:2] == [0, 1]
+        assert db.get(b"key03") == b"round-2"
+
+
+def test_compaction_reads_bypass_the_block_cache(tmp_path):
+    """A merge uses cached blocks but adds none (LevelDB's fill_cache=false),
+    and deleting its inputs drops exactly their blocks."""
+    options = small_options(l0_compaction_trigger=100, block_cache_bytes=1 << 20)
+    with DB.open(str(tmp_path / "db"), options) as db:
+        for round_number in range(3):
+            for i in range(200):
+                db.put(b"key%03d" % i, b"%d" % round_number * 40)
+            db.flush()
+        for i in range(0, 200, 7):
+            assert db.get(b"key%03d" % i) == b"2" * 40
+        cache = db._block_cache
+        cached_before = len(cache)
+        assert cached_before > 0
+        misses_before = cache.stats.misses
+        db.verify_integrity()
+        assert len(cache) == cached_before  # the scan decoded many blocks, kept none
+        assert cache.stats.misses > misses_before
+        hits_before = cache.stats.hits
+        db.compact_range(0)
+        assert cache.stats.hits > hits_before  # cached input blocks were used
+        assert len(cache) == 0 and cache.used_bytes == 0  # all inputs are gone
+        assert db.get(b"key007") == b"2" * 40
+        assert len(cache) == 1

@@ -49,3 +49,22 @@ def test_roundtrip(value):
     decoded, consumed = decode_varint(encoded)
     assert decoded == value
     assert consumed == len(encoded)
+
+
+_BOUNDARIES = [0, 127, 128, 16_383, 16_384, 2**63 - 1]
+
+
+@pytest.mark.parametrize("value", _BOUNDARIES)
+def test_roundtrip_at_length_boundaries(value):
+    encoded = encode_varint(value)
+    assert len(encoded) == max(1, (value.bit_length() + 6) // 7)
+    assert decode_varint(encoded) == (value, len(encoded))
+    assert decode_varint(b"\xff" + encoded, 1) == (value, 1 + len(encoded))
+
+
+@pytest.mark.parametrize("value", _BOUNDARIES)
+def test_every_truncation_raises_corruption(value):
+    encoded = encode_varint(value)
+    for cut in range(len(encoded)):
+        with pytest.raises(CorruptionError):
+            decode_varint(encoded[:cut])
