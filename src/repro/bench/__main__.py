@@ -101,9 +101,10 @@ def main(argv: list[str] | None = None) -> int:
         "--simperf-baseline",
         metavar="PATH",
         default=None,
-        help="after running the simperf experiment, compare its headline "
-        "events/sec against the baseline JSON at PATH and exit non-zero "
-        "on a >30%% regression (skippable via SIMPERF_GUARD_SKIP=1)",
+        help="after running the simperf experiment, compare each row's wall "
+        "time and the headline invocations/sec against the baseline JSON at "
+        "PATH and exit non-zero on a >30%% regression (skippable via "
+        "SIMPERF_GUARD_SKIP=1)",
     )
     parser.add_argument(
         "--profile",

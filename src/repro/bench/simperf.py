@@ -3,9 +3,14 @@
 Every other experiment in :mod:`repro.bench` measures the *modelled*
 systems; ``simperf`` measures the *simulator itself* — how many scheduler
 events, network messages, and end-to-end invocations one wall-clock
-second buys.  The rows are fixed-seed and fixed-size, so the JSON
-artifact (``BENCH_simperf.json``) is comparable across commits and the
-CI guard can flag throughput regressions.
+second buys.  The rows are fixed-seed and fixed-size, so each row's
+``wall_s`` in the JSON artifact (``BENCH_simperf.json``) is comparable
+across commits and the CI guard can flag slowdowns.  ``events`` and
+``events_per_sec`` are kept as information only: the event count is a
+property of the scheduler, not of the work, so a change that wakes the
+same processes through fewer scheduler entries finishes a row sooner
+while its events/s *falls* (DESIGN.md §5m halved the ``timers`` row's
+events and cut its wall time by a third).
 
 Four rows, from micro to macro:
 
@@ -18,7 +23,7 @@ Four rows, from micro to macro:
 - ``retwis_invoke`` — one quick aggregated run of the mutation-heavy
   REPLICATION_MIX end to end: the whole stack (cluster, locks, cache,
   group-commit replication) as the workloads exercise it.  Its
-  events/sec is the headline number.
+  invocations/sec is the headline number.
 - ``retwis_invoke_nogc`` — the same run with group commit disabled (one
   replication round per mutating invocation): the reference that shows
   what pipelining saves in messages per invocation.
@@ -32,10 +37,10 @@ Four rows, from micro to macro:
   buys back) across commits.
 
 Wall-clock numbers are machine-dependent; the guard therefore compares
-against a committed same-machine baseline with a generous (30%) margin
-— per row, so a regression in one path cannot hide behind a win in
-another — and can be skipped via ``SIMPERF_GUARD_SKIP=1`` on
-incomparable hardware.
+each row's ``wall_s`` (and the headline's invocations/sec) against a
+committed same-machine baseline with a generous (30%) margin — per row,
+so a regression in one path cannot hide behind a win in another — and
+can be skipped via ``SIMPERF_GUARD_SKIP=1`` on incomparable hardware.
 """
 
 from __future__ import annotations
@@ -55,7 +60,8 @@ from repro.workload.retwis_load import RetwisWorkload
 #: default artifact path (repo-root relative; CI uploads it)
 DEFAULT_OUT = "BENCH_simperf.json"
 
-#: fraction of baseline headline events/sec below which the guard fails
+#: share of its baseline by which a row's wall time may rise, or the
+#: headline's invocations/sec fall, before the guard fails
 GUARD_TOLERANCE = 0.30
 
 #: environment variable that disables the guard (incomparable hardware)
@@ -293,7 +299,7 @@ def simperf(cal=None, out_path: Optional[str] = DEFAULT_OUT, profile: bool = Fal
         "messages_per_invocation": headline_row["messages_per_invocation"],
     }
     payload = {
-        "schema": 4,
+        "schema": 5,
         "seed": cal.seed,
         "sizes": sizes,
         "rows": rows,
@@ -305,9 +311,9 @@ def simperf(cal=None, out_path: Optional[str] = DEFAULT_OUT, profile: bool = Fal
             fh.write("\n")
     text = format_comparison("Simperf: simulator throughput (fixed-seed)", rows)
     text += (
-        f"\n  headline (retwis_invoke): {headline['events_per_sec']:,.0f} events/s, "
-        f"{headline['messages_per_sec']:,.0f} messages/s, "
-        f"{headline['invocations_per_sec']:,.0f} invocations/s"
+        f"\n  headline (retwis_invoke): {headline['invocations_per_sec']:,.0f} "
+        f"invocations/s, {headline['messages_per_sec']:,.0f} messages/s "
+        f"({headline['events_per_sec']:,.0f} scheduler entries/s, information only)"
     )
     saved = 1.0 - (
         headline_row["messages_per_invocation"]
@@ -326,14 +332,14 @@ def simperf(cal=None, out_path: Optional[str] = DEFAULT_OUT, profile: bool = Fal
         f"\n  coalescing: {coalesced_row['messages_per_invocation']:.2f} "
         f"messages/invocation vs {headline_row['messages_per_invocation']:.2f} "
         f"without ({coalesce_saved:.1%} fewer; "
-        f"{coalesced_row['events_per_sec']:,.0f} events/s)"
+        f"{coalesced_row['invocations_per_sec']:,.0f} invocations/s)"
     )
-    traced_eps = traced_row["events_per_sec"]
-    sampled_eps = sampled_row["events_per_sec"]
-    recovered = (sampled_eps / traced_eps - 1.0) if traced_eps else 0.0
+    traced_ips = traced_row["invocations_per_sec"]
+    sampled_ips = sampled_row["invocations_per_sec"]
+    recovered = (sampled_ips / traced_ips - 1.0) if traced_ips else 0.0
     text += (
-        f"\n  tracing A/B: {traced_eps:,.0f} events/s at sample rate 1.0 vs "
-        f"{sampled_eps:,.0f} at 0.1 ({recovered:+.1%}; "
+        f"\n  tracing A/B: {traced_ips:,.0f} invocations/s at sample rate 1.0 vs "
+        f"{sampled_ips:,.0f} at 0.1 ({recovered:+.1%}; "
         f"{traced_row['spans_recorded']:,} vs "
         f"{sampled_row['spans_recorded']:,} spans recorded)"
     )
@@ -355,14 +361,17 @@ def simperf(cal=None, out_path: Optional[str] = DEFAULT_OUT, profile: bool = Fal
 def check_guard(result: dict, baseline_path: str) -> tuple[bool, str]:
     """Compare a simperf result against a committed baseline.
 
-    Returns ``(ok, message)``.  Every row present in both the result and
-    the baseline must hold ``events_per_sec`` at or above ``(1 -
-    GUARD_TOLERANCE)`` of its baseline — per row, so a regression in one
-    scheduler path (e.g. the timer heap) cannot hide behind a win in
-    another — plus the same check on the headline aggregate.  Rows only
-    on one side (schema growth) are ignored.  Skipped (ok) when
-    ``SIMPERF_GUARD_SKIP`` is set or the baseline file is missing (first
-    run on a new machine).
+    Returns ``(ok, message)``.  The rows are fixed-size, so the guarded
+    quantity is wall time: every row present in both the result and the
+    baseline must keep ``wall_s`` at or below ``(1 + GUARD_TOLERANCE)``
+    of its baseline — per row, so a regression in one scheduler path
+    (e.g. the timer heap) cannot hide behind a win in another — and the
+    headline must hold ``invocations_per_sec`` at or above ``(1 -
+    GUARD_TOLERANCE)`` of its baseline.  ``events_per_sec`` is not
+    compared: it falls when a change removes scheduler entries, however
+    much faster the row got.  Rows only on one side (schema growth) are
+    ignored.  Skipped (ok) when ``SIMPERF_GUARD_SKIP`` is set or the
+    baseline file is missing (first run on a new machine).
     """
     if os.environ.get(GUARD_SKIP_ENV):
         return True, f"simperf guard skipped ({GUARD_SKIP_ENV} set)"
@@ -380,21 +389,21 @@ def check_guard(result: dict, baseline_path: str) -> tuple[bool, str]:
         reference_row = baseline_rows.get(row.get("bench"))
         if reference_row is None:
             continue
-        reference = float(reference_row["events_per_sec"])
-        measured = float(row["events_per_sec"])
-        floor = reference * (1.0 - GUARD_TOLERANCE)
+        reference = float(reference_row["wall_s"])
+        measured = float(row["wall_s"])
+        ceiling = reference * (1.0 + GUARD_TOLERANCE)
         checked += 1
-        if measured < floor:
+        if measured > ceiling:
             failures.append(
-                f"{row['bench']}: {measured:,.0f} events/s is below "
-                f"{floor:,.0f} (baseline {reference:,.0f})"
+                f"{row['bench']}: {measured:.4f} s is above "
+                f"{ceiling:.4f} s (baseline {reference:.4f} s)"
             )
-    reference = float(baseline["headline"]["events_per_sec"])
-    measured = float(result["headline"]["events_per_sec"])
+    reference = float(baseline["headline"]["invocations_per_sec"])
+    measured = float(result["headline"]["invocations_per_sec"])
     floor = reference * (1.0 - GUARD_TOLERANCE)
     if measured < floor:
         failures.append(
-            f"headline: {measured:,.0f} events/s is below "
+            f"headline: {measured:,.0f} invocations/s is below "
             f"{floor:,.0f} (baseline {reference:,.0f})"
         )
     if failures:
@@ -403,7 +412,7 @@ def check_guard(result: dict, baseline_path: str) -> tuple[bool, str]:
             f"simperf guard FAILED (tolerance {GUARD_TOLERANCE:.0%}): {detail}"
         )
     return True, (
-        f"simperf guard ok: {checked} rows within {GUARD_TOLERANCE:.0%} of "
-        f"baseline; headline {measured:,.0f} events/s vs {reference:,.0f} "
-        f"(floor {floor:,.0f})"
+        f"simperf guard ok: wall time of {checked} rows within "
+        f"{GUARD_TOLERANCE:.0%} of baseline; headline {measured:,.0f} "
+        f"invocations/s vs {reference:,.0f} (floor {floor:,.0f})"
     )

@@ -63,6 +63,9 @@ class PrimaryReplicationLog:
         #: every sequence <= this has finished replicating and been pruned
         self.completed_through = 0
         self.stats = ReplicationStats(registry, labels)
+        # per-round counters: preresolved cells, one slot add each
+        self._c_shipped = self.stats.cell("shipped")
+        self._c_acked = self.stats.cell("acked")
         if registry is not None:
             registry.gauge(
                 "replication_inflight_rounds", labels, fn=lambda: len(self.history)
@@ -74,7 +77,7 @@ class PrimaryReplicationLog:
         self._next_sequence += 1
         self._acks[sequence] = set()
         self.history[sequence] = batches
-        self.stats.shipped += 1
+        self._c_shipped.inc()
         return sequence
 
     @property
@@ -87,7 +90,7 @@ class PrimaryReplicationLog:
             # Count only first-time acks: duplicate re-acks (retransmission
             # crossings) used to inflate the counter.
             acks.add(backup)
-            self.stats.acked += 1
+            self._c_acked.inc()
         if self.acked_through.get(backup, 0) < sequence:
             # Backups apply (and therefore ack) strictly in order, so a
             # per-sequence ack is implicitly cumulative.
@@ -106,7 +109,7 @@ class PrimaryReplicationLog:
                 acks = self._acks[sequence]
                 if backup not in acks:
                     acks.add(backup)
-                    self.stats.acked += 1
+                    self._c_acked.inc()
         return True
 
     def acked_by(self, sequence: int) -> set[str]:
@@ -171,6 +174,8 @@ class BackupApplier:
         self.applied_through = start_sequence
         self._pending: dict[int, list[bytes]] = {}
         self.stats = ReplicationStats(registry, labels)
+        self._c_applied = self.stats.cell("applied")
+        self._c_buffered = self.stats.cell("buffered_out_of_order")
         if registry is not None:
             registry.gauge(
                 "replication_pending_buffer", labels, fn=lambda: len(self._pending)
@@ -198,10 +203,10 @@ class BackupApplier:
                 # frame payloads; the memoised batch is applied read-only.
                 self._apply(decode_shared(payload))
             self.applied_through = next_sequence
-            self.stats.applied += 1
+            self._c_applied.inc()
             applied.append((next_sequence, next_batches))
         if not applied:
-            self.stats.buffered_out_of_order += 1
+            self._c_buffered.inc()
         return applied
 
     @property

@@ -105,6 +105,7 @@ class DB:
         self._snapshots: dict[int, int] = {}  # sequence -> refcount
         self._closed = False
         self.stats = DBStats(registry, labels)
+        self._c_gets = self.stats.cell("gets")
         #: optional span tracer: flush/compaction become child spans of
         #: whatever invocation is active when they happen
         self.tracer = None
@@ -242,7 +243,7 @@ class DB:
     def get(self, key: bytes, snapshot: Optional[Snapshot] = None) -> Optional[bytes]:
         """Return the value for ``key`` or ``None`` if absent."""
         self._check_open()
-        self.stats.gets += 1
+        self._c_gets.inc()
         key = bytes(key)
         sequence = snapshot.sequence if snapshot is not None else MAX_SEQUENCE
 

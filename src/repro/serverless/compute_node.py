@@ -11,6 +11,7 @@ evaluation, which has no load balancer) but pay a per-dispatch overhead.
 from __future__ import annotations
 
 from repro.core.runtime import LocalRuntime
+from repro.core.storage import MemoryBackend
 from repro.cluster.messages import ClientReply, ClientRequest
 from repro.errors import InvocationError, UnknownObjectError, WasmError
 from repro.obs.registry import StatsView
@@ -48,8 +49,6 @@ class BaselineStorageNode:
         self.name = name
         self.cpu = Resource(sim, cores)
         self.ms_per_fuel = ms_per_fuel
-        from repro.core.storage import MemoryBackend
-
         self.backend = MemoryBackend()
         self.busy_ms = 0.0
 
@@ -219,8 +218,12 @@ class ComputeNode:
                 self.cpu.release()
 
             # Replay each storage access as a round trip.
-            for op in trace:
-                yield from self._storage_round_trip(op, parent=root)
+            if tracer is None:
+                for op in trace:
+                    yield from self._storage_round_trip(op)
+            else:
+                for op in trace:
+                    yield from self._traced_round_trip(tracer, op, root)
 
             reply = ClientReply(request.request_id, True, value=result.value)
             self.endpoint.send(request.client, reply)
@@ -229,19 +232,16 @@ class ComputeNode:
             if self._request_hist is not None:
                 self._request_hist.observe(self.sim.now - arrived)
 
-    def _storage_round_trip(self, op: StorageOp, parent=None):
-        tracer = self.tracer
-        if tracer is None:
-            return (yield from self._storage_round_trip_inner(op))
+    def _traced_round_trip(self, tracer, op: StorageOp, parent):
         span = tracer.start(
             "storage.round_trip", parent=parent, node=self.name, op=op.kind
         )
         try:
-            return (yield from self._storage_round_trip_inner(op))
+            yield from self._storage_round_trip(op)
         finally:
             tracer.end(span)
 
-    def _storage_round_trip_inner(self, op: StorageOp):
+    def _storage_round_trip(self, op: StorageOp):
         self._c_storage_round_trips.inc()
         if op.replica_ok and self._read_any:
             target = self._rng.choice(self.storage_nodes)

@@ -9,7 +9,7 @@ from operator import itemgetter
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import AllOf, AnyOf, Event
+from repro.sim.events import _PENDING, AllOf, AnyOf, Event
 from repro.sim.process import Process
 from repro.sim.rand import RandomStreams
 
@@ -57,17 +57,36 @@ class _Timeout(Event):
 
     A dedicated subclass so the scheduler can hold a bound method instead
     of a fresh closure per timeout — timeouts are the single most common
-    scheduled callback.
+    scheduled callback — and so the timeout can fire *in place*: its heap
+    entry sets the state and runs the listeners itself instead of hopping
+    through the now lane like :meth:`Event._trigger`.  Listeners therefore
+    run at the timeout's own ``(time, seq)`` position, which differs from
+    a now-lane hop only relative to other entries queued at exactly the
+    same instant between the timeout's creation and its firing.
     """
 
     __slots__ = ("_timeout_value",)
 
     def __init__(self, sim: "Simulation", value: Any) -> None:
-        super().__init__(sim, name="timeout")
+        # Event.__init__, spelled out: one call fewer per timeout.
+        self._sim = sim
+        self._name = "timeout"
+        self._value = _PENDING
+        self._ok = None
+        self._callbacks = []
+        self._defused = False
         self._timeout_value = value
 
     def _fire(self) -> None:
-        self.succeed(self._timeout_value)
+        if self._value is not _PENDING:
+            raise SimulationError(f"event {self!r} triggered twice")
+        self._ok = True
+        self._value = self._timeout_value
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            for callback in callbacks:
+                callback(self)
 
 
 class Simulation:
@@ -77,12 +96,18 @@ class Simulation:
     repository (network latencies and CPU costs are all expressed in ms).
 
     Scheduling uses two structures sharing one (time, seq) order: a heap
-    for future work and a FIFO "now lane" (a deque) for zero-delay work.
-    Most dispatches are zero-delay — every event trigger routes through
-    :meth:`_schedule_now` — so the common case is an O(1) append/popleft
-    instead of a heap push/pop.  Both lanes store ``(when, seq, fn)``
-    entries and the run loops always execute the globally smallest
-    (when, seq), so observable ordering is identical to a single heap.
+    for future work and a FIFO "now lane" (a deque) for zero-delay work —
+    an O(1) append/popleft instead of a heap push/pop.  Both lanes store
+    ``(when, seq, fn)`` entries and the run loops always execute the
+    globally smallest (when, seq), so observable ordering is identical to
+    a single heap.
+
+    The unit of scheduling is the *wake-up*, not the trigger.  An event
+    that triggers with listeners takes one now-lane entry that runs them
+    all; one that triggers with nobody listening takes none, and a
+    listener that arrives later takes its own; a timeout takes its one
+    heap entry and runs its listeners from it (:class:`_Timeout`); a
+    process start, an interrupt and a network delivery take one each.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -126,10 +151,13 @@ class Simulation:
 
     @property
     def events_scheduled(self) -> int:
-        """Total callbacks scheduled so far (the ``simperf`` event count).
+        """Total scheduler entries so far (the ``simperf`` event count).
 
-        After a run drains the queue this equals the number of callbacks
-        *executed*; reading it costs nothing on the hot path.
+        An entry is a wake-up — every one runs at least one listener,
+        process step or delivery; a trigger nobody waits for is not
+        counted (see the class docstring).  After a run drains the queue
+        this equals the number of entries *executed*; reading it costs
+        nothing on the hot path.
         """
         return self._seq
 
@@ -157,8 +185,12 @@ class Simulation:
 
     def timeout(self, delay: float, value: Any = None) -> Event:
         """An event that succeeds ``delay`` ms from now with ``value``."""
+        # _schedule, spelled out: timeouts are the hottest thing scheduled.
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
         event = _Timeout(self, value)
-        self._schedule(delay, event._fire)
+        self._seq += 1
+        heapq.heappush(self._queue, (self._now + delay, self._seq, event._fire))
         return event
 
     def process(self, generator: Generator[Event, Any, Any], name: str = "") -> Process:
@@ -245,7 +277,7 @@ class Simulation:
         queue = self._queue
         heappop = heapq.heappop
         popleft = lane.popleft
-        while stop_event is None or not stop_event.triggered:
+        while stop_event is None or stop_event._value is _PENDING:
             if lane:
                 if queue and queue[0] < lane[0]:
                     entry = heappop(queue)
@@ -267,34 +299,41 @@ class Simulation:
         ``bound`` stays queued and the clock does not advance to it —
         ``run(until=...)`` returns, ``run_until_triggered`` raises, and
         either way a caller can keep running without losing an event.
+
+        Lane entries sit at the current instant, and a heap entry that
+        precedes one is due at that instant too, so the clock advances
+        only when the heap is popped with the lane empty: that pop is the
+        one place the bound is checked.
         """
         lane = self._now_lane
         queue = self._queue
         heappop = heapq.heappop
         popleft = lane.popleft
-        while stop_event is None or not stop_event.triggered:
-            if lane and not (queue and queue[0] < lane[0]):
-                entry = lane[0]
-                from_lane = True
+        if bound < self._now:
+            # The bound is already behind the clock: route what the lane
+            # holds through the heap's check, under the same (when, seq).
+            while lane:
+                heapq.heappush(queue, popleft())
+        while stop_event is None or stop_event._value is _PENDING:
+            if lane:
+                if queue and queue[0] < lane[0]:
+                    entry = heappop(queue)
+                else:
+                    entry = popleft()
             elif queue:
                 entry = queue[0]
-                from_lane = False
+                if entry[0] > bound:
+                    if stop_event is None:
+                        return
+                    raise SimulationError(f"simulated time limit {bound} ms exceeded")
+                heappop(queue)
             elif stop_event is None:
                 return
             else:
                 raise SimulationError(
                     "deadlock: event queue drained before target event triggered"
                 )
-            when = entry[0]
-            if when > bound:
-                if stop_event is None:
-                    return
-                raise SimulationError(f"simulated time limit {bound} ms exceeded")
-            if from_lane:
-                popleft()
-            else:
-                heappop(queue)
-            self._now = when
+            self._now = entry[0]
             entry[2]()
 
     def _drain_policy(

@@ -72,8 +72,12 @@ class Event:
         self._ok = ok
         self._value = value
         # Callbacks run at the *current* simulated instant, but through the
-        # scheduler so triggering is re-entrancy safe.
-        self._sim._schedule_now(self._dispatch)
+        # scheduler so triggering is re-entrancy safe.  With nobody
+        # listening there is nothing to run and no entry to schedule: the
+        # event is already dispatched, and ``add_callback`` schedules each
+        # late listener by itself.
+        if self._callbacks:
+            self._sim._schedule_now(self._dispatch)
 
     def _dispatch(self) -> None:
         callbacks, self._callbacks = self._callbacks, []
@@ -85,8 +89,11 @@ class Event:
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(event)`` once the event triggers.
 
-        If the event already triggered, the callback runs at the current
-        instant (still via the scheduler, preserving FIFO ordering).
+        If the event was already dispatched — it triggered and its
+        listeners, if it had any, have run — the callback gets a scheduler
+        entry of its own at the current instant, preserving FIFO ordering.
+        Between trigger and dispatch it joins the listeners the pending
+        dispatch entry will run.
         """
         if self._value is not _PENDING and not self._callbacks:
             self._sim._schedule_now(partial(callback, self))

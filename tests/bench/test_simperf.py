@@ -74,13 +74,14 @@ def test_simperf_writes_artifact(tmp_path, monkeypatch):
         "retwis_invoke_traced",
         "retwis_invoke_sampled",
     ]
-    assert result["headline"]["events_per_sec"] == 10_000.0
+    assert result["headline"]["invocations_per_sec"] == 500.0
+    assert "headline (retwis_invoke): 500 invocations/s" in result["text"]
     assert result["headline"]["messages_per_invocation"] == 4.0
     assert "50.0% fewer" in result["text"]
     assert "coalescing: 2.00 messages/invocation vs 4.00 without" in result["text"]
     assert "tracing A/B" in result["text"]
     payload = json.loads(out.read_text())
-    assert payload["schema"] == 4
+    assert payload["schema"] == 5
     assert payload["headline"] == result["headline"]
     by_bench = {row["bench"]: row for row in payload["rows"]}
     assert by_bench["retwis_invoke_sampled"]["trace_sample_rate"] == 0.1
@@ -102,45 +103,66 @@ def test_simperf_profile_writes_report(tmp_path, monkeypatch):
     assert str(report) in result["text"]
 
 
-def _result(events_per_sec: float, rows=()) -> dict:
-    return {"headline": {"events_per_sec": events_per_sec}, "rows": list(rows)}
+def _result(invocations_per_sec: float, rows=()) -> dict:
+    return {"headline": {"invocations_per_sec": invocations_per_sec}, "rows": list(rows)}
 
 
-def _baseline(tmp_path, events_per_sec: float, rows=()) -> str:
+def _baseline(tmp_path, invocations_per_sec: float, rows=()) -> str:
     path = tmp_path / "baseline.json"
-    path.write_text(
-        json.dumps(
-            {"headline": {"events_per_sec": events_per_sec}, "rows": list(rows)}
-        )
-    )
+    path.write_text(json.dumps(_result(invocations_per_sec, rows)))
     return str(path)
 
 
+def _timers(events: int, wall_s: float) -> dict:
+    return sp._row("timers", events=events, wall_s=wall_s)
+
+
 def test_guard_passes_within_tolerance(tmp_path):
-    ok, message = sp.check_guard(_result(80_000), _baseline(tmp_path, 100_000))
+    ok, message = sp.check_guard(_result(400), _baseline(tmp_path, 500))
     assert ok
     assert "ok" in message
 
 
 def test_guard_fails_below_tolerance(tmp_path):
-    ok, message = sp.check_guard(_result(50_000), _baseline(tmp_path, 100_000))
+    ok, message = sp.check_guard(_result(300), _baseline(tmp_path, 500))
     assert not ok
     assert "FAILED" in message
+    assert "headline" in message
+
+
+def test_guard_is_on_wall_time_not_events_per_sec(tmp_path):
+    # The committed baseline row, and the row as measured once the
+    # scheduler stopped taking an entry per trigger: half the events in
+    # three quarters of the time.  Events/s fell by a third — below the
+    # old guard's floor — yet the row got faster, and the wall-time guard
+    # passes it ...
+    before, after = _timers(60_401, 0.1008), _timers(30_400, 0.0759)
+    assert after["events_per_sec"] < before["events_per_sec"] * (1 - sp.GUARD_TOLERANCE)
+    baseline = _baseline(tmp_path, 500, [before])
+    ok, message = sp.check_guard(_result(500, [after]), baseline)
+    assert ok, message
+    # ... while the same code made 40% slower fails against its own
+    # baseline, whatever its event count says.
+    baseline = _baseline(tmp_path, 500, [after])
+    slower = _timers(30_400, round(0.0759 * 1.4, 4))
+    ok, message = sp.check_guard(_result(500, [slower]), baseline)
+    assert not ok
+    assert "timers" in message and "is above" in message
 
 
 def test_guard_checks_every_row(tmp_path):
     # A regression in one micro row fails the guard even when the headline
     # (and every other row) improved.
     rows = [
-        {"bench": "event_lane", "events_per_sec": 50_000.0},
-        {"bench": "timers", "events_per_sec": 200_000.0},
+        {"bench": "event_lane", "wall_s": 0.2},
+        {"bench": "timers", "wall_s": 0.05},
     ]
     baseline_rows = [
-        {"bench": "event_lane", "events_per_sec": 100_000.0},
-        {"bench": "timers", "events_per_sec": 100_000.0},
+        {"bench": "event_lane", "wall_s": 0.1},
+        {"bench": "timers", "wall_s": 0.1},
     ]
     ok, message = sp.check_guard(
-        _result(120_000, rows), _baseline(tmp_path, 100_000, baseline_rows)
+        _result(600, rows), _baseline(tmp_path, 500, baseline_rows)
     )
     assert not ok
     assert "event_lane" in message
@@ -149,12 +171,10 @@ def test_guard_checks_every_row(tmp_path):
 
 def test_guard_ignores_rows_missing_from_baseline(tmp_path):
     # Schema growth: new rows without a baseline counterpart are skipped.
-    rows = [{"bench": "retwis_invoke_sampled", "events_per_sec": 1.0}]
-    ok, message = sp.check_guard(
-        _result(100_000, rows), _baseline(tmp_path, 100_000)
-    )
+    rows = [{"bench": "retwis_invoke_sampled", "wall_s": 1e9}]
+    ok, message = sp.check_guard(_result(500, rows), _baseline(tmp_path, 500))
     assert ok
-    assert "1 rows" not in message  # zero rows checked, headline only
+    assert "of 0 rows" in message  # zero rows checked, headline only
 
 
 def test_guard_skipped_without_baseline(tmp_path):
@@ -165,7 +185,7 @@ def test_guard_skipped_without_baseline(tmp_path):
 
 def test_guard_skipped_via_env(tmp_path, monkeypatch):
     monkeypatch.setenv(sp.GUARD_SKIP_ENV, "1")
-    ok, message = sp.check_guard(_result(1.0), _baseline(tmp_path, 100_000))
+    ok, message = sp.check_guard(_result(1.0), _baseline(tmp_path, 500))
     assert ok
     assert "skipped" in message
 

@@ -10,6 +10,15 @@ If a later change *legitimately* alters scheduling (a new protocol
 message, a reordered process), re-capture these constants in that PR and
 say so in its description; an unexplained diff here is a determinism
 regression.
+
+``events_scheduled`` counts scheduler entries, and since the scheduler's
+unit became the wake-up (DESIGN.md §5m) an entry exists only where
+somebody is woken: a trigger with no listener takes none and a timeout
+runs its listeners from its own heap entry.  That change re-captured
+*only* this field (72,917 -> 54,392 aggregated, 32,131 -> 16,417
+disaggregated); the other six fields of both cells are the constants
+committed before it, which is the evidence that no remaining entry
+changed places.
 """
 
 from dataclasses import replace
@@ -27,7 +36,7 @@ CAL = replace(preset("quick"), duration_ms=400.0, warmup_ms=50.0, num_clients=8)
 GOLDEN = {
     AGGREGATED: {
         "completed": 894,
-        "events_scheduled": 72917,
+        "events_scheduled": 54392,
         "median_ms": 3.141919,
         "messages_delivered": 6395,
         "messages_sent": 6395,
@@ -36,7 +45,7 @@ GOLDEN = {
     },
     DISAGGREGATED: {
         "completed": 88,
-        "events_scheduled": 32131,
+        "events_scheduled": 16417,
         "median_ms": 34.332138,
         "messages_delivered": 194,
         "messages_sent": 194,

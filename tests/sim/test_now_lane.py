@@ -103,6 +103,35 @@ def test_run_until_limit_applies_to_now_lane_entries():
     assert sim.now == 50.0
 
 
+def test_bounded_run_checks_the_bound_only_when_the_clock_would_advance():
+    """Same-instant work never trips the bound, however it is interleaved
+    between the lane and the heap; the first later entry does."""
+    sim = Simulation()
+    order = []
+    sim._schedule(5.0, lambda: sim._schedule_now(lambda: order.append("lane@5")))
+    sim._schedule(5.0, lambda: order.append("heap@5"))
+    sim._schedule(5.000001, lambda: order.append("late"))
+    sim.run(until=5.0)
+    assert order == ["heap@5", "lane@5"] and sim.now == 5.0
+    sim.run()
+    assert order == ["heap@5", "lane@5", "late"]
+
+
+def test_bound_behind_the_clock_runs_nothing_not_even_the_now_lane():
+    sim = Simulation()
+    sim.run(until=10.0)
+    ran = []
+    sim._schedule_now(lambda: ran.append("lane"))
+    sim._schedule(0.0, lambda: ran.append("heap"))
+    sim.run(until=5.0)
+    assert ran == [] and sim.now == 10.0
+    with pytest.raises(SimulationError, match="limit"):
+        sim.run_until_triggered(sim.event(), limit=5.0)
+    assert ran == []
+    sim.run()
+    assert ran == ["lane", "heap"]
+
+
 def test_events_scheduled_counts_both_lanes():
     sim = Simulation()
     before = sim.events_scheduled
