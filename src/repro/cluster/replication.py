@@ -199,8 +199,9 @@ class BackupApplier:
             next_sequence = self.applied_through + 1
             next_batches = self._pending.pop(next_sequence)
             for payload in next_batches:
-                # decode_shared: all backups of a shard decode the same
-                # frame payloads; the memoised batch is applied read-only.
+                # decode_shared: the commit that produced this payload
+                # entered its batch in the memo, so every backup of the
+                # shard applies that one read-only batch without parsing.
                 self._apply(decode_shared(payload))
             self.applied_through = next_sequence
             self._c_applied.inc()

@@ -30,6 +30,10 @@ class ReplicaSet:
     def members(self) -> list[str]:
         return [self.primary] + self.backups
 
+    def has_member(self, node: str) -> bool:
+        """``node in self.members``, without building the list."""
+        return node == self.primary or node in self.backups
+
     def read_replicas(self) -> list[str]:
         """Nodes eligible to serve lease-based replica reads: the backups
         when there are any, otherwise the primary itself."""
@@ -46,11 +50,12 @@ class ShardMap:
     replica_sets: list[ReplicaSet] = field(default_factory=list)
     #: objects explicitly placed off their hash-default replica set
     overrides: dict[str, int] = field(default_factory=dict)
-    #: memoised rendezvous hashes plus the shard-id layout they were
-    #: computed under; invalidated when replica sets are added or removed
-    #: (membership changes within a set do not move hash-default objects)
+    #: memoised rendezvous hashes plus the replica sets they were computed
+    #: over; invalidated when replica sets are added, removed or replaced
+    #: (membership changes within a set do not move hash-default objects,
+    #: and nothing renumbers a set that is in a map)
     _hash_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _hash_cache_ids: tuple = field(default=(), init=False, repr=False, compare=False)
+    _hash_cache_sets: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def copy(self) -> "ShardMap":
         return ShardMap(
@@ -78,17 +83,18 @@ class ShardMap:
         """The replica set owning ``object_id``."""
         if not self.replica_sets:
             raise ShardUnavailableError("shard map has no replica sets")
-        override = self.overrides.get(str(object_id))
+        override = self.overrides.get(str(object_id)) if self.overrides else None
         if override is not None:
             return self.replica_set(override)
         return self.replica_set(self.default_shard_id(object_id))
 
     def default_shard_id(self, object_id: ObjectId) -> int:
         """Rendezvous hash of the object over all replica sets (memoised)."""
-        ids = tuple(rs.shard_id for rs in self.replica_sets)
-        if ids != self._hash_cache_ids:
+        # List equality stops at element identity, so checking that the
+        # memo still describes this list allocates nothing.
+        if self.replica_sets != self._hash_cache_sets:
             self._hash_cache = {}
-            self._hash_cache_ids = ids
+            self._hash_cache_sets = list(self.replica_sets)
         shard = self._hash_cache.get(object_id)
         if shard is None:
             best_shard = -1
@@ -131,6 +137,6 @@ class ShardMap:
     def shard_of_node(self, node: str) -> Optional[ReplicaSet]:
         """The replica set ``node`` belongs to, if any."""
         for replica_set in self.replica_sets:
-            if node in replica_set.members:
+            if replica_set.has_member(node):
                 return replica_set
         return None

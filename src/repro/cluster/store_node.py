@@ -20,6 +20,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.core import keyspace
 from repro.core.invocation import InvocationResult
 from repro.core.runtime import LocalRuntime
 from repro.core.ids import ObjectId
@@ -47,7 +48,7 @@ from repro.cluster.replication import (
 from repro.cluster.scheduler import ObjectLockTable
 from repro.core.fields import value_digest
 from repro.errors import InvocationError, UnknownObjectError
-from repro.kvstore.batch import WriteBatch, decode_shared
+from repro.kvstore.batch import WriteBatch, decode_shared, encode_shared
 from repro.obs.registry import StatsView
 from repro.rpc import RetryAfter, RpcEndpoint
 from repro.sim.core import Simulation
@@ -143,8 +144,9 @@ _ABSENT_DIGEST = b"\x00" * 8
 
 
 def _object_id_bytes(key: bytes) -> bytes:
-    """The object-id prefix a storage key belongs to (the key itself for
-    keys outside the ``o/<oid>/...`` layout, conservatively)."""
+    """The object-id prefix a storage key, or its leading ``o/<oid>/``,
+    belongs to (the argument itself for keys outside the ``o/<oid>/...``
+    layout, conservatively)."""
     if key.startswith(b"o/"):
         end = key.find(b"/", 2)
         if end >= 0:
@@ -262,16 +264,17 @@ class ExecutionCapture:
     #: encoded batches committed per node name
     batches: dict[str, list[bytes]] = field(default_factory=dict)
     #: object-id prefixes written per node name (per-object read barriers
-    #: and backup dirtiness tracking, extracted pre-encode for free)
+    #: and backup dirtiness tracking), from the walk that encodes
     objects: dict[str, set] = field(default_factory=dict)
     #: (owner node name, sub InvocationResult) for remote nested calls
     remote_dispatches: list[tuple[str, InvocationResult]] = field(default_factory=list)
 
     def record_batch(self, node_name: str, batch: WriteBatch) -> None:
-        self.batches.setdefault(node_name, []).append(batch.encode())
-        ids = self.objects.setdefault(node_name, set())
-        for _kind, key, _value in batch.items():
-            ids.add(_object_id_bytes(key))
+        # encode_shared: the backups of this process apply this very batch
+        # when its payload reaches them, instead of parsing it back.
+        payload, prefixes = encode_shared(batch, keyspace.OBJECT_PREFIX_WIDTH)
+        self.batches.setdefault(node_name, []).append(payload)
+        self.objects.setdefault(node_name, set()).update(map(_object_id_bytes, prefixes))
 
 
 class StoreNode:
@@ -511,8 +514,6 @@ class StoreNode:
     def dump_object_state(self, object_id: ObjectId) -> list[tuple[bytes, bytes]]:
         """Sorted (key, value) dump of one object's microshard, for the
         consistency checker's replica-convergence comparison."""
-        from repro.core import keyspace
-
         prefix = keyspace.object_prefix(object_id)
         return sorted(self.runtime.storage.iterate(prefix, keyspace.prefix_end(prefix)))
 
@@ -609,7 +610,7 @@ class StoreNode:
             # promotes a backup, which restarts numbering at 1).
             applier = BackupApplier(
                 shard_id,
-                lambda batch: self.runtime.storage.apply(batch),
+                self.runtime.storage.apply,
                 registry=self._registry,
                 labels={
                     **self._metric_labels,
@@ -1249,7 +1250,7 @@ class StoreNode:
             return
 
         replica_set = self.shard_map.shard_for(request.object_id)
-        if self.name not in replica_set.members:
+        if not replica_set.has_member(self.name):
             # Stale routing (e.g. the object migrated away): retryable.
             self.stats.rejected_wrong_epoch += 1
             self._reply(
@@ -1574,7 +1575,7 @@ class StoreNode:
             if (
                 current.shard_id != shard_id
                 or current.primary != primary
-                or self.name not in current.members
+                or not current.has_member(self.name)
             ):
                 # Reconfigured while parked: the lease state no longer
                 # describes this shard's primaryship.
@@ -1826,8 +1827,6 @@ class StoreNode:
         yield self.locks.acquire(object_key)
         try:
             self._frozen.add(object_key)
-            from repro.core import keyspace
-
             prefix = keyspace.object_prefix(message.object_id)
             entries = list(self.runtime.storage.iterate(prefix, keyspace.prefix_end(prefix)))
             reply = FreezeReply(message.freeze_id, entries)
@@ -1838,8 +1837,6 @@ class StoreNode:
     def _drop_object(self, object_id: ObjectId):
         """Delete a migrated-away object's local data and replicate the
         deletion to this shard's backups."""
-        from repro.core import keyspace
-
         prefix = keyspace.object_prefix(object_id)
         batch = WriteBatch()
         for key, _value in self.runtime.storage.iterate(prefix, keyspace.prefix_end(prefix)):

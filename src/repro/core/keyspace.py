@@ -56,6 +56,12 @@ def object_prefix(oid: ObjectId) -> bytes:
     return f"o/{oid}/".encode()
 
 
+#: length of ``o/<oid>/``.  :class:`~repro.core.storage.MemoryBackend`
+#: buckets its ordered index by this many leading key bytes, so that one
+#: bucket holds one microshard; nothing but speed depends on the value.
+OBJECT_PREFIX_WIDTH = len(object_prefix(ObjectId.from_name("")))
+
+
 def append_entry_key(counter: int) -> str:
     """Entry key for append number ``counter`` (zero-padded, sortable)."""
     return f"{counter:0{APPEND_KEY_WIDTH}d}"

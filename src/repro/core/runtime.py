@@ -372,8 +372,11 @@ class LocalRuntime:
         writeset = ctx.writeset
         if not writeset.has_writes:
             return self.storage.last_sequence
-        with self._span("commit", reason=reason, keys=len(writeset.written_keys())):
-            written = writeset.written_keys()
+        written = writeset.written_keys()
+        span = _NULL_SPAN
+        if self.tracer is not None:
+            span = self._span("commit", reason=reason, keys=len(written))
+        with span:
             batch = writeset.to_batch()
             sequence = self.storage.apply(batch)
             if self.commit_hook is not None:

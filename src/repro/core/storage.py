@@ -2,9 +2,10 @@
 
 Two implementations share one protocol:
 
-- :class:`MemoryBackend` — an ordered in-memory map.  Fast and allocation
-  free; the cluster simulator uses it so benchmark runs are not dominated
-  by host disk I/O.
+- :class:`MemoryBackend` — an ordered in-memory map (a dict plus a
+  per-object key index that is sorted only when a scan needs it).  The
+  cluster simulator uses it so benchmark runs are not dominated by host
+  disk I/O.
 - :class:`KVBackend` — the real LSM database from :mod:`repro.kvstore`
   (the paper persists through LevelDB).  Integration tests and the
   durability examples use it.
@@ -15,9 +16,10 @@ which the replication layer uses for ordering.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from typing import Iterator, Optional, Protocol
 
+from repro.core.keyspace import OBJECT_PREFIX_WIDTH
 from repro.kvstore.batch import WriteBatch
 from repro.kvstore.db import DB
 from repro.kvstore.record import ValueType
@@ -44,26 +46,31 @@ class StorageBackend(Protocol):
         ...
 
 
-#: target block size of the blocked key index; blocks split at twice this
-_INDEX_BLOCK = 512
-
-
 class MemoryBackend:
-    """Ordered in-memory storage (dict + blocked sorted key index).
+    """Ordered in-memory storage: a dict plus a lazily sorted key index.
 
-    The key index is a B-tree-leaf-style list of bounded sorted blocks
-    (split at ``2 * _INDEX_BLOCK`` entries) instead of one flat sorted
-    list: an insert memmoves at most one block, not the whole keyspace,
-    which keeps ``apply`` cheap at benchmark scale (hundreds of thousands
-    of keys per node) while ``iterate`` still walks keys in order.
+    Keys are bucketed by their first ``OBJECT_PREFIX_WIDTH`` bytes: one
+    bucket per object under the ``o/<oid>/`` layout, and whatever a key
+    starts with otherwise — truncation preserves order, so buckets in
+    prefix order, each in key order, are all keys in key order whatever
+    they look like (DESIGN.md §5n).  ``apply`` appends a new key to its
+    bucket unsorted; a bucket is sorted when an ``iterate`` or a delete
+    reaches it, the prefix list when a scan follows a new bucket.
+
+    ``iterate`` snapshots each bucket's pairs as it reaches the bucket and
+    looks the next bucket up afresh, so a generator left suspended across
+    an ``apply`` still yields strictly increasing keys: the rest of its
+    bucket as it was, every later bucket as it is when reached.
     """
 
     def __init__(self) -> None:
         self._data: dict[bytes, bytes] = {}
-        #: sorted, bounded key blocks; globally ordered end to end
-        self._blocks: list[list[bytes]] = []
-        #: first key of each block (the block routing index)
-        self._firsts: list[bytes] = []
+        #: bucket prefix -> its keys, in key order unless in ``_unsorted``
+        self._buckets: dict[bytes, list[bytes]] = {}
+        self._unsorted: set[bytes] = set()
+        #: every bucket prefix, in order unless ``_prefixes_sorted`` is off
+        self._prefixes: list[bytes] = []
+        self._prefixes_sorted = True
         self._sequence = 0
         # Plain ints, not registry instruments: `get` is the hottest call in
         # the simulator, so platforms expose these via callback gauges.
@@ -76,78 +83,70 @@ class MemoryBackend:
         self.gets += 1
         return self._data.get(key)
 
-    def _block_for(self, key: bytes) -> int:
-        """Index of the block whose range covers ``key``."""
-        index = bisect.bisect_right(self._firsts, key) - 1
-        return index if index > 0 else 0
+    def _ordered_prefixes(self) -> list[bytes]:
+        if not self._prefixes_sorted:
+            self._prefixes.sort()
+            self._prefixes_sorted = True
+        return self._prefixes
 
-    def _insert_key(self, key: bytes) -> None:
-        blocks = self._blocks
-        if not blocks:
-            blocks.append([key])
-            self._firsts.append(key)
-            return
-        at = self._block_for(key)
-        block = blocks[at]
-        bisect.insort(block, key)
-        if block[0] is key:  # new smallest: refresh the routing index
-            self._firsts[at] = key
-        if len(block) > 2 * _INDEX_BLOCK:
-            half = len(block) // 2
-            tail = block[half:]
-            del block[half:]
-            blocks.insert(at + 1, tail)
-            self._firsts.insert(at + 1, tail[0])
-
-    def _remove_key(self, key: bytes) -> None:
-        blocks = self._blocks
-        if not blocks:
-            return
-        at = self._block_for(key)
-        block = blocks[at]
-        index = bisect.bisect_left(block, key)
-        if index < len(block) and block[index] == key:
-            del block[index]
-            if not block:
-                del blocks[at]
-                del self._firsts[at]
-            elif index == 0:
-                self._firsts[at] = block[0]
+    def _ordered_bucket(self, prefix: bytes) -> list[bytes]:
+        keys = self._buckets[prefix]
+        if prefix in self._unsorted:
+            keys.sort()
+            self._unsorted.discard(prefix)
+        return keys
 
     def apply(self, batch: WriteBatch) -> int:
-        self.applies += 1
         data = self._data
+        buckets = self._buckets
+        put = ValueType.VALUE
+        puts = deletes = 0
         for kind, key, value in batch.items():
-            if kind == ValueType.VALUE:
-                self.puts += 1
+            if kind is put:
+                puts += 1
                 if key not in data:
-                    self._insert_key(key)
+                    prefix = key[:OBJECT_PREFIX_WIDTH]
+                    bucket = buckets.get(prefix)
+                    if bucket is None:
+                        buckets[prefix] = [key]
+                        self._prefixes.append(prefix)
+                        self._prefixes_sorted = False
+                    else:
+                        bucket.append(key)
+                        self._unsorted.add(prefix)
                 data[key] = value
-            else:
-                self.deletes += 1
-                if key in data:
-                    del data[key]
-                    self._remove_key(key)
-            self._sequence += 1
+                continue
+            deletes += 1
+            if key in data:
+                del data[key]
+                prefix = key[:OBJECT_PREFIX_WIDTH]
+                keys = self._ordered_bucket(prefix)
+                del keys[bisect_left(keys, key)]
+                if not keys:
+                    del buckets[prefix]
+                    prefixes = self._ordered_prefixes()
+                    del prefixes[bisect_left(prefixes, prefix)]
+        self.applies += 1
+        self.puts += puts
+        self.deletes += deletes
+        self._sequence += puts + deletes
         return self._sequence
 
     def iterate(self, start: bytes, end: Optional[bytes]) -> Iterator[tuple[bytes, bytes]]:
-        blocks = self._blocks
-        if not blocks:
-            return
-        at = self._block_for(start)
         data = self._data
-        index = bisect.bisect_left(blocks[at], start)
-        while at < len(blocks):
-            block = blocks[at]
-            while index < len(block):
-                key = block[index]
-                if end is not None and key >= end:
-                    return
-                yield key, data[key]
-                index += 1
-            at += 1
-            index = 0
+        first = start[:OBJECT_PREFIX_WIDTH]
+        last = None if end is None else end[:OBJECT_PREFIX_WIDTH]
+        at = bisect_left(self._ordered_prefixes(), first)
+        while at < len(self._prefixes):
+            prefix = self._prefixes[at]
+            if last is not None and prefix > last:
+                return
+            keys = self._ordered_bucket(prefix)
+            low = bisect_left(keys, start) if prefix == first else 0
+            high = bisect_left(keys, end) if prefix == last else len(keys)
+            yield from [(key, data[key]) for key in keys[low:high]]
+            # an apply may have run while this generator was suspended
+            at = bisect_right(self._ordered_prefixes(), prefix)
 
     @property
     def last_sequence(self) -> int:

@@ -11,10 +11,11 @@ to backups.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.core.fields import value_digest
 from repro.kvstore.batch import WriteBatch
+from repro.kvstore.record import ValueType
 
 _TOMBSTONE = object()
 _ABSENT_DIGEST = b"\x00" * 8
@@ -29,8 +30,8 @@ class WriteSet:
         track_reads: bool = True,
     ) -> None:
         self._backing_get = backing_get
+        #: key -> bytes or ``_TOMBSTONE``; a dict keeps first-write order
         self._writes: dict[bytes, object] = {}
-        self._write_order: list[bytes] = []
         self._reads: dict[bytes, bytes] = {}
         #: read-set digests feed the consistent cache; runtimes with the
         #: cache disabled turn tracking off to skip the per-read hashing
@@ -54,14 +55,10 @@ class WriteSet:
 
     def put(self, key: bytes, value: bytes) -> None:
         """Buffer a write; visible to this invocation's own reads."""
-        if key not in self._writes:
-            self._write_order.append(key)
         self._writes[key] = bytes(value)
 
     def delete(self, key: bytes) -> None:
         """Buffer a deletion."""
-        if key not in self._writes:
-            self._write_order.append(key)
         self._writes[key] = _TOMBSTONE
 
     def note_read(self, key: bytes, value: Optional[bytes]) -> None:
@@ -98,33 +95,27 @@ class WriteSet:
 
     def written_keys(self) -> list[bytes]:
         """Keys this invocation wrote, in first-write order."""
-        return list(self._write_order)
+        return list(self._writes)
 
     def read_set(self) -> dict[bytes, bytes]:
         """Committed-state observations: key -> value digest (absent keys
         digest to a fixed sentinel)."""
         return dict(self._reads)
 
-    def items(self) -> Iterator[tuple[bytes, Optional[bytes]]]:
-        """Buffered writes in first-write order (``None`` = deletion)."""
-        for key in self._write_order:
-            buffered = self._writes[key]
-            yield key, (None if buffered is _TOMBSTONE else buffered)  # type: ignore[misc]
-
     # -- commit ------------------------------------------------------------
 
     def to_batch(self) -> WriteBatch:
-        """Materialise the buffer as one atomic write batch."""
-        batch = WriteBatch()
-        for key, value in self.items():
-            if value is None:
-                batch.delete(key)
+        """Materialise the buffer as one atomic write batch (first-write
+        order; :meth:`put` already made every value real ``bytes``)."""
+        ops = []
+        for key, value in self._writes.items():
+            if value is _TOMBSTONE:
+                ops.append((ValueType.DELETION, key, b""))
             else:
-                batch.put(key, value)
-        return batch
+                ops.append((ValueType.VALUE, key, value))
+        return WriteBatch.from_ops(ops)
 
     def clear(self) -> None:
         """Drop buffered writes and the read set (used at commit points)."""
         self._writes.clear()
-        self._write_order.clear()
         self._reads.clear()

@@ -74,7 +74,7 @@ class RecordingStorage:
         total_bytes = sum(len(k) + len(v) for _kind, k, v in batch.items())
         sequence = 0
         for backend in self._backends:
-            sequence = backend.apply(_copy_batch(batch))
+            sequence = backend.apply(batch)  # read, never kept: one batch serves all
         self._record(
             "commit",
             self._costs.kv_put * max(len(batch), 1) + self._costs.payload(total_bytes),
@@ -99,11 +99,3 @@ class RecordingStorage:
     @property
     def last_sequence(self) -> int:
         return self._primary.last_sequence
-
-
-def _copy_batch(batch: WriteBatch) -> WriteBatch:
-    # Backends keep references; a fresh batch per backend avoids aliasing
-    # surprises if a backend ever mutates entries.
-    clone = WriteBatch()
-    clone.extend(batch)
-    return clone

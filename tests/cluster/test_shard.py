@@ -88,3 +88,61 @@ def test_primary_for_matches_shard():
     shard_map = make_map()
     oid = ObjectId.from_name("p")
     assert shard_map.primary_for(oid) == shard_map.shard_for(oid).primary
+
+
+def _placement(shard_map, oids):
+    return [shard_map.shard_for(oid).shard_id for oid in oids]
+
+
+def test_memo_follows_replica_sets_added_removed_and_replaced():
+    # The rendezvous memo is validated against the replica-set list on
+    # every lookup; a map mutated in place must place objects exactly as
+    # a map that never memoised anything.
+    rng = random.Random(3)
+    oids = [ObjectId.generate(rng) for _ in range(300)]
+    shard_map = make_map(num_shards=2)
+    assert _placement(shard_map, oids) == _placement(make_map(num_shards=2), oids)
+
+    shard_map.replica_sets.append(ReplicaSet(2, "n4", ["n5"]))
+    grown = _placement(shard_map, oids)
+    assert grown == _placement(make_map(num_shards=3), oids)
+    assert 2 in grown
+
+    removed = shard_map.replica_sets.pop(0)
+    fresh = ShardMap(replica_sets=[rs.copy() for rs in shard_map.replica_sets])
+    assert _placement(shard_map, oids) == _placement(fresh, oids)
+    assert removed.shard_id not in _placement(shard_map, oids)
+
+    shard_map.replica_sets[0] = ReplicaSet(7, "n1", ["n0"])  # same length, new id
+    fresh = ShardMap(replica_sets=[rs.copy() for rs in shard_map.replica_sets])
+    assert _placement(shard_map, oids) == _placement(fresh, oids)
+    assert 7 in _placement(shard_map, oids)
+
+
+def test_memo_survives_membership_change_within_a_set():
+    shard_map = make_map()
+    oid = ObjectId.from_name("failover")
+    home = shard_map.shard_for(oid)
+    home.primary, home.backups = home.backups[0], [home.primary]  # promote in place
+    assert shard_map.shard_for(oid) is home
+    assert shard_map.primary_for(oid) == home.primary
+
+
+def test_override_wins_over_a_warm_memo():
+    shard_map = make_map()
+    oid = ObjectId.from_name("warm")
+    home = shard_map.shard_for(oid).shard_id  # memoised
+    target = (home + 1) % 3
+    shard_map.move_override(oid, target)
+    assert shard_map.shard_for(oid).shard_id == target
+    assert shard_map.default_shard_id(oid) == home
+    shard_map.move_override(oid, home)
+    assert shard_map.overrides == {}
+    assert shard_map.shard_for(oid).shard_id == home
+
+
+def test_has_member_agrees_with_members():
+    replica_set = ReplicaSet(0, "p", ["b1", "b2"])
+    for node in ("p", "b1", "b2", "ghost", ""):
+        assert replica_set.has_member(node) == (node in replica_set.members)
+    assert ReplicaSet(1, "solo").has_member("solo")

@@ -16,9 +16,7 @@ def legacy_on_replicate(self, message):
     """
     applier = self.backup_appliers.get(message.shard_id)
     if applier is None or getattr(applier, "primary", None) != message.primary:
-        applier = BackupApplier(
-            message.shard_id, lambda batch: self.runtime.storage.apply(batch)
-        )
+        applier = BackupApplier(message.shard_id, self.runtime.storage.apply)
         applier.primary = message.primary
         self.backup_appliers[message.shard_id] = applier
     applied = applier.receive(message.sequence, message.batches)
