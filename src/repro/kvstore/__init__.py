@@ -4,13 +4,14 @@ This is the durability substrate LambdaStore persists objects through
 (the paper uses LevelDB; see DESIGN.md §2 for the substitution notes).
 It is a from-scratch LSM tree:
 
-- writes go to a CRC-framed write-ahead log and a skiplist memtable;
+- writes go to a CRC-framed write-ahead log and a sorted-list memtable;
 - full memtables flush to immutable SSTables (sorted blocks with prefix
   compression, a block index, and a bloom filter);
-- a leveled compactor merges tables down the tree and drops shadowed
-  versions not needed by any live snapshot;
-- reads consult memtables, then level files newest-first, through an LRU
-  block cache;
+- a leveled compactor merges tables down the tree in bounded (2 MiB)
+  tables, moves a table that overlaps nothing below it, and drops
+  shadowed versions not needed by any live snapshot;
+- point reads at the head consult a row cache, then the memtable, then
+  level files newest-first, through an LRU block cache;
 - a manifest records the live file set so ``DB.open`` recovers after a
   crash (WAL replay + manifest reload).
 

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.kvstore stats  <dir>          # levels, files, sequence
+    python -m repro.kvstore stats  <dir>          # sequence; tables and bytes per level
     python -m repro.kvstore verify <dir>          # full-scan integrity check
     python -m repro.kvstore get    <dir> <key>    # point lookup (utf-8 key)
     python -m repro.kvstore scan   <dir> [--start S] [--end E] [--limit N]
@@ -33,9 +33,9 @@ def _display(data: bytes) -> str:
 def cmd_stats(db: DB, _args) -> int:
     counts = db.level_file_counts()
     print(f"last sequence: {db.last_sequence}")
-    for level, count in enumerate(counts):
+    for level, (count, size) in enumerate(zip(counts, db.level_size_bytes())):
         if count:
-            print(f"level {level}: {count} table(s)")
+            print(f"level {level}: {count} table(s), {size} bytes")
     if not any(counts):
         print("no tables (all data in WAL/memtable)")
     return 0

@@ -16,7 +16,12 @@ import struct
 from repro.errors import CorruptionError
 
 
-def _hash64(key: bytes) -> int:
+def hash_key(key: bytes) -> int:
+    """The 64-bit digest every filter derives its probes from.
+
+    A point read computes it once and hands it to the filter of every
+    table it reaches (:meth:`BloomFilter.may_contain_hash`).
+    """
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "little")
 
 
@@ -52,7 +57,7 @@ class BloomFilter:
             if key == previous:
                 continue
             previous = key
-            digest = _hash64(key)
+            digest = hash_key(key)
             pos = digest & 0xFFFFFFFF
             step = digest >> 32
             for _ in probes:
@@ -63,7 +68,10 @@ class BloomFilter:
 
     def may_contain(self, key: bytes) -> bool:
         """False means definitely absent; True means probably present."""
-        digest = _hash64(key)
+        return self.may_contain_hash(hash_key(key))
+
+    def may_contain_hash(self, digest: int) -> bool:
+        """:meth:`may_contain` for a key whose :func:`hash_key` is ``digest``."""
         pos = digest & 0xFFFFFFFF
         step = digest >> 32
         bits = self._bits

@@ -5,7 +5,13 @@ Policy (LevelDB-flavoured):
 - L0 compacts into L1 once it accumulates ``l0_trigger`` files (L0 files
   overlap each other, so all overlapping L0 files join one compaction);
 - level *i* (>=1) compacts into level *i+1* once its total size exceeds
-  ``base_bytes * multiplier**(i-1)``;
+  ``base_bytes * multiplier**(i-1)``, one table at a time: the table after
+  the level's cursor (``VersionSet.compaction_cursor``), so that successive
+  compactions sweep the key space;
+- outputs are cut at ``MAX_TABLE_BYTES`` between user keys, so a merge
+  rewrites the tables its inputs overlap and no others, and a single input
+  table with nothing under it in the next level is *moved* there by a
+  manifest edit, not rewritten;
 - during the merge, versions shadowed by a newer record *and* not needed
   by any live snapshot are dropped; deletion tombstones are additionally
   dropped when the compaction writes to the bottom-most level that could
@@ -20,6 +26,10 @@ from typing import Iterable, Iterator
 
 from repro.kvstore.record import InternalRecord, ValueType
 from repro.kvstore.version import FileMetadata, NUM_LEVELS, VersionSet
+
+#: a compaction starts a new output table at the first user key after this
+#: many bytes of data blocks (LevelDB's ``max_file_size``)
+MAX_TABLE_BYTES = 2 * 1024 * 1024
 
 
 @dataclass
@@ -36,6 +46,11 @@ class Compaction:
 
     def all_inputs(self) -> list[FileMetadata]:
         return self.inputs_upper + self.inputs_lower
+
+    @property
+    def is_move(self) -> bool:
+        """One table with nothing under it: relink it, rewrite nothing."""
+        return len(self.inputs_upper) == 1 and not self.inputs_lower
 
 
 def pick_compaction(
@@ -56,12 +71,17 @@ def pick_compaction(
     for level in range(1, NUM_LEVELS - 1):
         limit = base_bytes * multiplier ** (level - 1)
         if versions.level_size_bytes(level) > limit:
-            # Compact the file with the smallest key first (round-robin by
-            # key space would need persisted cursors; smallest-first is
-            # deterministic and sufficient here).
-            upper = [versions.levels[level][0]]
-            lower = versions.files_overlapping(level + 1, upper[0].smallest, upper[0].largest)
-            return Compaction(level, upper, lower)
+            # Round-robin by key space.  Always taking the first table
+            # would keep level + 1 to the low end of the key space and
+            # merge every new table into all of it.
+            files = versions.levels[level]
+            cursor = versions.compaction_cursor[level]
+            table = files[0]
+            if cursor is not None:
+                table = next((f for f in files if f.largest > cursor), table)
+            versions.compaction_cursor[level] = table.largest
+            lower = versions.files_overlapping(level + 1, table.smallest, table.largest)
+            return Compaction(level, [table], lower)
     return None
 
 

@@ -7,14 +7,17 @@ background threads), snapshots, and point-in-time range scans.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.errors import CorruptionError, DBClosedError
 from repro.kvstore.batch import WriteBatch
+from repro.kvstore.bloom import hash_key
 from repro.kvstore.cache import LRUCache
 from repro.kvstore.compaction import (
+    MAX_TABLE_BYTES,
     Compaction,
     is_bottom_most_for_range,
     pick_compaction,
@@ -23,7 +26,7 @@ from repro.kvstore.compaction import (
 from repro.kvstore.iterator import merge_records, visible_items
 from repro.kvstore.memtable import MemTable
 from repro.kvstore.record import MAX_SEQUENCE
-from repro.kvstore.sstable import SSTableReader, SSTableWriter
+from repro.kvstore.sstable import SSTableReader, SSTableWriter, TableMeta
 from repro.obs.registry import MetricsRegistry, StatsView
 from repro.kvstore.version import (
     FileMetadata,
@@ -33,6 +36,14 @@ from repro.kvstore.version import (
     table_file_name,
 )
 from repro.kvstore.wal import WALWriter, read_wal
+
+
+#: budget of the row cache: keys and values of point reads at the head
+#: sequence, ``ROW_CHARGE`` bytes of bookkeeping apiece
+ROW_CACHE_BYTES = 1024 * 1024
+ROW_CHARGE = 64
+#: what the row cache holds for a key that is not in the database
+_ABSENT = object()
 
 
 @dataclass
@@ -101,6 +112,12 @@ class DB:
         self._mem = MemTable()
         self._wal: Optional[WALWriter] = None
         self._block_cache = LRUCache(self.options.block_cache_bytes)
+        # Point reads at the head sequence, found or not.  It sits in front
+        # of the whole descent (memtable, L0 filters, one table per level)
+        # and every write drops the keys it touches, so an entry is always
+        # what the descent would return.  Flush and compaction move
+        # records, never the newest version of a key, and need not touch it.
+        self._row_cache = LRUCache(ROW_CACHE_BYTES)
         self._tables: dict[int, SSTableReader] = {}
         self._snapshots: dict[int, int] = {}  # sequence -> refcount
         self._closed = False
@@ -230,10 +247,12 @@ class DB:
     def _apply_to_memtable(self, batch: WriteBatch, start_sequence: int) -> tuple[int, int]:
         """Insert ``batch``; returns (last sequence used, number of puts)."""
         add = self._mem.add
+        invalidate = self._row_cache.discard
         sequence = start_sequence
         puts = 0
         for kind, key, value in batch.items():
             add(sequence, kind, key, value)
+            invalidate(key)
             sequence += 1
             puts += kind  # ValueType.VALUE is 1, DELETION 0
         return sequence - 1, puts
@@ -245,24 +264,39 @@ class DB:
         self._check_open()
         self._c_gets.inc()
         key = bytes(key)
-        sequence = snapshot.sequence if snapshot is not None else MAX_SEQUENCE
+        if snapshot is not None:
+            return self._lookup(key, snapshot.sequence)
+        rows = self._row_cache
+        value = rows.get(key)
+        if value is None:
+            value = self._lookup(key, MAX_SEQUENCE)
+            if value is None:
+                rows.put(key, _ABSENT, len(key) + ROW_CHARGE)
+            else:
+                rows.put(key, value, len(key) + len(value) + ROW_CHARGE)
+            return value
+        return None if value is _ABSENT else value
 
+    def _lookup(self, key: bytes, sequence: int) -> Optional[bytes]:
+        """Descend the tree for the version of ``key`` visible at ``sequence``."""
         record = self._mem.get(key, sequence)
         if record is not None:
             return None if record.is_deletion else record.value
 
+        key_hash = hash_key(key)
+        versions = self._versions
         # L0: newest file first; files overlap, so order matters.
-        for meta in reversed(self._versions.levels[0]):
-            if not meta.key_range.contains(key):
-                continue
-            record = self._table(meta).get(key, sequence)
-            if record is not None:
-                return None if record.is_deletion else record.value
+        for meta in reversed(versions.levels[0]):
+            if meta.smallest <= key <= meta.largest:
+                record = self._table(meta).get(key, sequence, key_hash)
+                if record is not None:
+                    return None if record.is_deletion else record.value
 
         # Deeper levels: at most one file per level can contain the key.
-        for level in range(1, len(self._versions.levels)):
-            for meta in self._versions.files_overlapping(level, key, key):
-                record = self._table(meta).get(key, sequence)
+        for level in range(1, len(versions.levels)):
+            meta = versions.file_containing(level, key)
+            if meta is not None:
+                record = self._table(meta).get(key, sequence, key_hash)
                 if record is not None:
                     return None if record.is_deletion else record.value
         return None
@@ -328,39 +362,47 @@ class DB:
         else:
             self._flush_memtable_inner()
 
-    def _write_table(self, records) -> Optional[FileMetadata]:
-        """Write ``records`` (in sort order) to a new table file.
+    def _write_tables(self, records, cut_bytes: float = math.inf) -> list[FileMetadata]:
+        """Write ``records`` (in sort order) to new table files.
 
-        Returns its metadata, or ``None``, with no file left behind, when
-        there were no records.  A failure removes the partial file before
-        it propagates.
+        A new table starts at the first user key after ``cut_bytes`` of
+        data blocks; all versions of a user key stay in one table, which
+        keeps the tables of a level disjoint.  Returns the tables' metadata
+        (none, and no file, when there were no records).  A failure removes
+        every file written before it propagates.
         """
-        number = self._versions.new_file_number()
-        path = os.path.join(self._dir, table_file_name(number))
-        writer = SSTableWriter(path, bits_per_key=self.options.bloom_bits_per_key)
+        tables: list[FileMetadata] = []
+        writer: Optional[SSTableWriter] = None
+        number = 0
+        last_key = None
         try:
-            add = writer.add
             for record in records:
+                user_key = record[0]
+                if writer is None or (writer.file_bytes >= cut_bytes and user_key != last_key):
+                    if writer is not None:
+                        tables.append(_file_metadata(number, writer.finish()))
+                        writer = None
+                    number = self._versions.new_file_number()
+                    writer = SSTableWriter(
+                        os.path.join(self._dir, table_file_name(number)),
+                        bits_per_key=self.options.bloom_bits_per_key,
+                    )
+                    add = writer.add
                 add(record)
-            table = writer.finish() if writer.entry_count else None
+                last_key = user_key
+            if writer is not None:
+                tables.append(_file_metadata(number, writer.finish()))
         except BaseException:
-            writer.abandon()
+            if writer is not None:
+                writer.abandon()
+            for meta in tables:
+                os.remove(os.path.join(self._dir, table_file_name(meta.number)))
             raise
-        if table is None:
-            writer.abandon()
-            return None
-        return FileMetadata(
-            number=number,
-            smallest=table.smallest,
-            largest=table.largest,
-            size_bytes=table.size_bytes,
-            entry_count=table.entry_count,
-        )
+        return tables
 
     def _flush_memtable_inner(self) -> None:
-        meta = self._write_table(self._mem)
-        assert meta is not None  # callers flush only a non-empty memtable
-        self._mem = MemTable(rng_seed=meta.number)
+        (meta,) = self._write_tables(self._mem)  # callers flush only a non-empty memtable
+        self._mem = MemTable()
         old_wal_number = self._wal_number
         self._new_wal()
         edit = VersionEdit(added=[(0, meta)], log_number=self._wal_number)
@@ -412,6 +454,24 @@ class DB:
             self._run_compaction_inner(compaction)
 
     def _run_compaction_inner(self, compaction: Compaction) -> None:
+        if compaction.is_move:
+            # The table keeps its number, its file and its open reader; the
+            # edit only says which level it now belongs to.
+            outputs = compaction.inputs_upper
+            retired = []
+        else:
+            outputs = self._merge_tables(compaction)
+            self.stats.bytes_compacted += sum(meta.size_bytes for meta in outputs)
+            retired = [meta.number for meta in compaction.all_inputs()]
+        edit = VersionEdit(added=[(compaction.output_level, meta) for meta in outputs])
+        edit.deleted = [(compaction.level, f.number) for f in compaction.inputs_upper]
+        edit.deleted += [(compaction.output_level, f.number) for f in compaction.inputs_lower]
+        self._versions.log_and_apply(edit)
+        self.stats.compactions += 1
+        self._remove_tables(retired)
+
+    def _merge_tables(self, compaction: Compaction) -> list[FileMetadata]:
+        """Merge the inputs into new tables (none when everything was pruned)."""
         inputs = compaction.all_inputs()
         smallest = min(f.smallest for f in inputs)
         largest = max(f.largest for f in inputs)
@@ -426,29 +486,24 @@ class DB:
 
         merged = merge_records(sources)
         pruned = prune_versions(merged, self._live_snapshot_sequences(), drop_tombstones)
+        return self._write_tables(pruned, MAX_TABLE_BYTES)
 
-        edit = VersionEdit()
-        # ``None`` when everything was pruned: the compaction only deletes.
-        meta = self._write_table(pruned)
-        if meta is not None:
-            edit.added.append((compaction.output_level, meta))
-            self.stats.bytes_compacted += meta.size_bytes
-        edit.deleted = [(compaction.level, f.number) for f in compaction.inputs_upper]
-        edit.deleted += [(compaction.output_level, f.number) for f in compaction.inputs_lower]
-        self._versions.log_and_apply(edit)
-        self.stats.compactions += 1
-        self._remove_obsolete_files()
+    def _remove_tables(self, numbers) -> None:
+        """Close, uncache and delete table files no version names any more."""
+        for number in numbers:
+            # Only an opened reader can have put blocks in the cache.
+            reader = self._tables.pop(number, None)
+            if reader is not None:
+                reader.discard_cached_blocks()
+                reader.close()
+            os.remove(os.path.join(self._dir, table_file_name(number)))
 
     def _remove_obsolete_files(self) -> None:
+        """Recovery's sweep: tables a crash left behind that no version names."""
         live = self._versions.live_file_numbers()
-        for number in _numbered_files(self._dir, ".sst"):
-            if number not in live:
-                # Only an opened reader can have put blocks in the cache.
-                reader = self._tables.pop(number, None)
-                if reader is not None:
-                    reader.discard_cached_blocks()
-                    reader.close()
-                os.remove(os.path.join(self._dir, table_file_name(number)))
+        self._remove_tables(
+            number for number in _numbered_files(self._dir, ".sst") if number not in live
+        )
 
     # -- integrity ---------------------------------------------------------
 
@@ -501,6 +556,11 @@ class DB:
         """Number of live SSTables per level."""
         return [len(level) for level in self._versions.levels]
 
+    def level_size_bytes(self) -> list[int]:
+        """Bytes of live SSTables per level, as the manifest records them."""
+        versions = self._versions
+        return [versions.level_size_bytes(level) for level in range(len(versions.levels))]
+
     @property
     def last_sequence(self) -> int:
         return self._versions.last_sequence
@@ -508,6 +568,20 @@ class DB:
     @property
     def block_cache_stats(self):
         return self._block_cache.stats
+
+    @property
+    def row_cache_stats(self):
+        return self._row_cache.stats
+
+
+def _file_metadata(number: int, table: TableMeta) -> FileMetadata:
+    return FileMetadata(
+        number=number,
+        smallest=table.smallest,
+        largest=table.largest,
+        size_bytes=table.size_bytes,
+        entry_count=table.entry_count,
+    )
 
 
 def _numbered_files(directory: str, suffix: str) -> list[int]:

@@ -71,9 +71,6 @@ class KeyRange:
     smallest: bytes
     largest: bytes
 
-    def contains(self, user_key: bytes) -> bool:
-        return self.smallest <= user_key <= self.largest
-
     def overlaps(self, start: Optional[bytes], end: Optional[bytes]) -> bool:
         """Overlap test against a [start, end) user-key range.
 

@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from repro.errors import CorruptionError
 from repro.kvstore.block import Block, BlockBuilder
-from repro.kvstore.bloom import BloomFilter
+from repro.kvstore.bloom import BloomFilter, hash_key
 from repro.kvstore.cache import LRUCache
 from repro.kvstore.record import InternalRecord, record_sort_key
 from repro.kvstore.varint import decode_varint, encode_varint
@@ -72,7 +72,9 @@ class SSTableWriter:
         self._block = BlockBuilder()
         self._index: list[_IndexEntry] = []
         self._keys: list[bytes] = []
-        self._offset = 0
+        #: bytes written to the file so far (finished blocks only), which
+        #: is what compaction cuts its output tables by
+        self.file_bytes = 0
         self._last_record: Optional[InternalRecord] = None
         self._first_record: Optional[InternalRecord] = None
         self._bits_per_key = bits_per_key
@@ -102,9 +104,9 @@ class SSTableWriter:
         data = self._block.finish()
         last = self._last_record
         assert last is not None
-        self._index.append(_IndexEntry(last[0], last[1], self._offset, len(data)))
+        self._index.append(_IndexEntry(last[0], last[1], self.file_bytes, len(data)))
         self._file.write(data)
-        self._offset += len(data)
+        self.file_bytes += len(data)
         self._block.reset()
 
     def abandon(self) -> None:
@@ -120,14 +122,14 @@ class SSTableWriter:
         self._flush_block()
 
         filter_data = BloomFilter.build(self._keys, self._bits_per_key).encode()
-        filter_offset = self._offset
+        filter_offset = self.file_bytes
         self._file.write(filter_data)
-        self._offset += len(filter_data)
+        self.file_bytes += len(filter_data)
 
         index_data = _encode_index(self._index)
-        index_offset = self._offset
+        index_offset = self.file_bytes
         self._file.write(index_data)
-        self._offset += len(index_data)
+        self.file_bytes += len(index_data)
 
         self._file.write(
             _FOOTER.pack(filter_offset, len(filter_data), index_offset, len(index_data), MAGIC)
@@ -141,7 +143,7 @@ class SSTableWriter:
             path=self._path,
             smallest=self._first_record[0],
             largest=self._last_record[0],
-            size_bytes=self._offset + _FOOTER.size,
+            size_bytes=self.file_bytes + _FOOTER.size,
             entry_count=len(self._keys),
         )
 
@@ -226,9 +228,17 @@ class SSTableReader:
         """Bloom-filter membership check (no I/O beyond the loaded filter)."""
         return self._filter.may_contain(user_key)
 
-    def get(self, user_key: bytes, sequence: int) -> Optional[InternalRecord]:
-        """Newest record for ``user_key`` visible at ``sequence``, if any."""
-        if not self._filter.may_contain(user_key):
+    def get(
+        self, user_key: bytes, sequence: int, key_hash: Optional[int] = None
+    ) -> Optional[InternalRecord]:
+        """Newest record for ``user_key`` visible at ``sequence``, if any.
+
+        ``key_hash`` is ``hash_key(user_key)`` when the caller already has
+        it (a read that descends several tables hashes the key once).
+        """
+        if key_hash is None:
+            key_hash = hash_key(user_key)
+        if not self._filter.may_contain_hash(key_hash):
             return None
         probe = record_sort_key(user_key, sequence)
         block_index = bisect.bisect_left(self._index_keys, probe)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -110,6 +111,15 @@ class VersionSet:
     def __init__(self, directory: str) -> None:
         self._dir = directory
         self.levels: list[list[FileMetadata]] = [[] for _ in range(NUM_LEVELS)]
+        #: ``smallest`` of every file of a level, in level order; levels
+        #: >= 1 are sorted and disjoint, so one ``bisect`` finds a key's file
+        self._smallest: list[list[bytes]] = [[] for _ in range(NUM_LEVELS)]
+        #: per level >= 1, the largest key of the table compacted last:
+        #: the next compaction takes the table after it, so successive
+        #: compactions sweep the key space instead of rewriting its low
+        #: end again and again.  In memory only: a reopened DB starts its
+        #: sweep over, which costs nothing and leaves the manifest as it is.
+        self.compaction_cursor: list[Optional[bytes]] = [None] * NUM_LEVELS
         self.log_number = 0
         self.last_sequence = 0
         self.next_file_number = 1
@@ -127,16 +137,24 @@ class VersionSet:
 
     def apply(self, edit: VersionEdit) -> None:
         """Apply an edit to the in-memory state (no manifest write)."""
+        # One filter and one sort per touched level, however many tables
+        # the edit names.  Deletions go first: a moved table is deleted
+        # from one level and added to the next by the same edit.
+        deleted: dict[int, set[int]] = {}
         for level, number in edit.deleted:
-            self.levels[level] = [f for f in self.levels[level] if f.number != number]
+            deleted.setdefault(level, set()).add(number)
+        added: dict[int, list[FileMetadata]] = {}
         for level, meta in edit.added:
-            self.levels[level].append(meta)
-            if level > 0:
-                # Non-overlapping sorted levels stay ordered by smallest key.
-                self.levels[level].sort(key=lambda f: f.smallest)
-            else:
-                # L0 keeps newest-file-last; reads walk it in reverse.
-                self.levels[level].sort(key=lambda f: f.number)
+            added.setdefault(level, []).append(meta)
+        for level in deleted.keys() | added.keys():
+            gone = deleted.get(level, ())
+            files = [f for f in self.levels[level] if f.number not in gone]
+            files += added.get(level, ())
+            # L0 keeps newest-file-last (reads walk it in reverse); the
+            # disjoint levels below stay ordered by smallest key.
+            files.sort(key=_by_smallest if level else _by_number)
+            self.levels[level] = files
+            self._smallest[level] = [f.smallest for f in files]
         if edit.log_number is not None:
             self.log_number = edit.log_number
         if edit.last_sequence is not None:
@@ -221,11 +239,38 @@ class VersionSet:
         self, level: int, start: Optional[bytes], end_inclusive: Optional[bytes]
     ) -> list[FileMetadata]:
         """Files in ``level`` overlapping the inclusive key range."""
-        result = []
-        for meta in self.levels[level]:
-            if end_inclusive is not None and meta.smallest > end_inclusive:
-                continue
-            if start is not None and meta.largest < start:
-                continue
-            result.append(meta)
-        return result
+        files = self.levels[level]
+        if level == 0:
+            return [
+                meta
+                for meta in files
+                if (end_inclusive is None or meta.smallest <= end_inclusive)
+                and (start is None or meta.largest >= start)
+            ]
+        smallest = self._smallest[level]
+        first = 0
+        if start is not None:
+            # The last file starting at or below ``start`` is the only
+            # one below it that can still reach it.
+            first = max(bisect_right(smallest, start) - 1, 0)
+            if first < len(files) and files[first].largest < start:
+                first += 1
+        last = len(files) if end_inclusive is None else bisect_right(smallest, end_inclusive)
+        return files[first:last]
+
+    def file_containing(self, level: int, user_key: bytes) -> Optional[FileMetadata]:
+        """The one file of ``level`` (>= 1) whose range holds ``user_key``."""
+        index = bisect_right(self._smallest[level], user_key) - 1
+        if index >= 0:
+            meta = self.levels[level][index]
+            if user_key <= meta.largest:
+                return meta
+        return None
+
+
+def _by_number(meta: FileMetadata) -> int:
+    return meta.number
+
+
+def _by_smallest(meta: FileMetadata) -> bytes:
+    return meta.smallest

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import CorruptionError
 import math
 
-from repro.kvstore.bloom import BloomFilter, _hash64
+from repro.kvstore.bloom import BloomFilter, hash_key
 
 
 def test_contains_all_inserted_keys():
@@ -77,7 +77,7 @@ def reference_filter_bytes(keys, bits_per_key):
     num_bits = len(bits) * 8
     num_probes = max(1, min(30, round(bits_per_key * math.log(2))))
     for key in keys:
-        digest = _hash64(key)
+        digest = hash_key(key)
         h1 = digest & 0xFFFFFFFF
         h2 = (digest >> 32) & 0xFFFFFFFF
         for i in range(num_probes):

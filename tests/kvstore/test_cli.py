@@ -23,6 +23,29 @@ def test_stats(db_dir, capsys):
     assert "level 0: 1 table(s)" in out
 
 
+def test_stats_prints_tables_and_bytes_per_level(tmp_path, capsys):
+    import os
+
+    directory = str(tmp_path / "db")
+    with DB.open(directory) as db:
+        for i in range(50):
+            db.put(b"key%02d" % i, b"v" * 100)
+        db.flush()
+        db.compact_range(0)
+        db.put(b"key00", b"newer")
+        db.flush()
+    sizes = sorted(
+        os.path.getsize(os.path.join(directory, name))
+        for name in os.listdir(directory)
+        if name.endswith(".sst")
+    )
+    assert len(sizes) == 2
+    assert main(["stats", directory]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"level 0: 1 table(s), {sizes[0]} bytes" in lines
+    assert f"level 1: 1 table(s), {sizes[1]} bytes" in lines
+
+
 def test_verify_ok(db_dir, capsys):
     assert main(["verify", db_dir]) == 0
     assert "ok:" in capsys.readouterr().out

@@ -328,5 +328,64 @@ def test_compaction_reads_bypass_the_block_cache(tmp_path):
         db.compact_range(0)
         assert cache.stats.hits > hits_before  # cached input blocks were used
         assert len(cache) == 0 and cache.used_bytes == 0  # all inputs are gone
-        assert db.get(b"key007") == b"2" * 40
+        assert db.get(b"key008") == b"2" * 40  # not read above: past the row cache
         assert len(cache) == 1
+
+
+def test_row_cache_never_serves_a_stale_row(tmp_path):
+    with DB.open(str(tmp_path / "db"), small_options()) as db:
+        rows = db.row_cache_stats
+        assert db.get(b"k") is None and db.get(b"k") is None  # a miss is cached too
+        assert (rows.hits, rows.misses) == (1, 1)
+        db.put(b"k", b"v1")
+        assert db.get(b"k") == b"v1" and db.get(b"k") == b"v1"
+        assert (rows.hits, rows.misses) == (2, 2)
+        db.put(b"k", b"v2")  # overwrite
+        assert db.get(b"k") == b"v2"
+        batch = WriteBatch()
+        batch.put(b"k", b"v3").put(b"other", b"x").delete(b"k").put(b"k", b"")
+        db.write(batch)
+        assert db.get(b"k") == b"" and db.get(b"k") == b""  # an empty value is a value
+        db.delete(b"k")
+        assert db.get(b"k") is None
+        # Flush and compaction move records, never what a key reads as.
+        db.put(b"k", b"v4")
+        assert db.get(b"k") == b"v4"
+        for i in range(400):
+            db.put(b"fill%04d" % i, b"x" * 64)
+        db.flush()
+        assert db.stats.compactions > 0
+        hits = rows.hits
+        assert db.get(b"k") == b"v4" and rows.hits == hits + 1
+        assert db.stats.gets == 10  # a cached read is still a read
+
+
+def test_snapshot_reads_bypass_the_row_cache(tmp_path):
+    with DB.open(str(tmp_path / "db")) as db:
+        db.put(b"k", b"old")
+        with db.snapshot() as snap:
+            db.put(b"k", b"new")
+            assert db.get(b"k") == b"new"  # cached at the head
+            rows = db.row_cache_stats
+            before = (rows.hits, rows.misses)
+            assert db.get(b"k", snapshot=snap) == b"old"
+            assert db.get(b"absent", snapshot=snap) is None
+            assert (rows.hits, rows.misses) == before
+            db.put(b"absent", b"now here")
+            assert db.get(b"absent", snapshot=snap) is None
+            assert db.get(b"absent") == b"now here"
+
+
+def test_row_cache_starts_empty_after_recovery(tmp_path):
+    path = str(tmp_path / "db")
+    with DB.open(path) as db:
+        db.put(b"a", b"1")
+        db.put(b"b", b"2")
+        assert db.get(b"a") == b"1" and db.get(b"gone") is None
+        db.delete(b"a")
+        db.put(b"gone", b"back")
+    with DB.open(path) as db:
+        rows = db.row_cache_stats
+        assert (rows.hits, rows.misses) == (0, 0) and len(db._row_cache) == 0
+        assert db.get(b"a") is None and db.get(b"gone") == b"back" and db.get(b"b") == b"2"
+        assert (rows.hits, rows.misses) == (0, 3)

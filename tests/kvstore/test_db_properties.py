@@ -1,7 +1,8 @@
 """Property-based model tests: the DB must behave like a dict with order.
 
-Random operation sequences (puts, deletes, flushes, compactions, reopens)
-run against both the DB and a plain dict; every observable read must agree.
+Random operation sequences (puts, deletes, gets, flushes, compactions,
+reopens) run against both the DB and a plain dict; every observable read
+must agree, the second read of a key (served by the row cache) included.
 """
 
 import pytest
@@ -16,6 +17,7 @@ _values = st.binary(max_size=40)
 _op = st.one_of(
     st.tuples(st.just("put"), _keys, _values),
     st.tuples(st.just("delete"), _keys, st.just(b"")),
+    st.tuples(st.just("get"), _keys, st.just(b"")),
     st.tuples(st.just("flush"), st.just(b""), st.just(b"")),
     st.tuples(st.just("reopen"), st.just(b""), st.just(b"")),
 )
@@ -44,12 +46,16 @@ def test_db_matches_dict_model(tmp_path_factory, ops):
             elif op == "delete":
                 db.delete(key)
                 model.pop(key, None)
+            elif op == "get":
+                assert db.get(key) == model.get(key)
+                assert db.get(key) == model.get(key)
             elif op == "flush":
                 db.flush()
             elif op == "reopen":
                 db.close()
                 db = DB.open(directory, tiny_options())
         for key, expected in model.items():
+            assert db.get(key) == expected
             assert db.get(key) == expected
         assert dict(db.iterate()) == model
         assert [k for k, _ in db.iterate()] == sorted(model)

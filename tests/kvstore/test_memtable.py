@@ -1,6 +1,6 @@
-"""Unit and property tests for the skiplist memtable."""
+"""Unit and property tests for the sorted-list memtable."""
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kvstore.memtable import MemTable
@@ -97,3 +97,73 @@ def test_iteration_sorted_property(keys):
         mem.add(sequence, ValueType.VALUE, key, b"")
     sort_keys = [r.sort_key() for r in mem]
     assert sort_keys == sorted(sort_keys)
+
+
+def test_suspended_iterator_survives_adds_on_both_sides():
+    mem = MemTable()
+    mem.add(1, ValueType.VALUE, b"b", b"")
+    mem.add(2, ValueType.VALUE, b"d", b"")
+    iterator = mem.iterate_from(b"b", MAX_SEQUENCE)
+    mem.add(3, ValueType.VALUE, b"a", b"")  # before the seek key, before the first next()
+    assert next(iterator).user_key == b"b"
+    mem.add(4, ValueType.VALUE, b"a", b"")  # behind the iterator: shifts the list under it
+    mem.add(5, ValueType.VALUE, b"c", b"")  # ahead of it: must be seen
+    assert [r.user_key for r in iterator] == [b"c", b"d"]
+
+
+_add = st.tuples(st.just("add"), st.binary(max_size=2), st.booleans())
+_next = st.tuples(st.just("next"), st.integers(0, 3), st.just(0))
+_model_ops = st.lists(
+    st.one_of(
+        _add,
+        _add,
+        _next,
+        _next,
+        st.tuples(st.just("get"), st.binary(max_size=2), st.integers(0, 80)),
+        st.tuples(st.just("open"), st.binary(max_size=2), st.integers(0, 80)),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_model_ops)
+def test_matches_sorted_reference_with_suspended_iterators(ops):
+    """Interleaved adds, gets and steps of iterators left suspended across
+    the adds agree with ``sorted()`` over everything added so far: an
+    iterator's output is strictly increasing, starts at its seek key and
+    skips nothing that was in the table when it passed."""
+    mem = MemTable()
+    model = []  # every record added, unsorted
+    iterators = []  # [iterator, sort key it must next exceed, inclusive?]
+    sequence = 0
+    for op, first, second in ops:
+        if op == "add":
+            sequence += 1
+            kind = ValueType.VALUE if second else ValueType.DELETION
+            mem.add(sequence, kind, first, b"v%d" % sequence)
+            model.append((first, sequence, kind, b"v%d" % sequence))
+            assert len(mem) == len(model)
+        elif op == "get":
+            visible = [r for r in model if r[0] == first and r[1] <= second]
+            expected = max(visible, key=lambda r: r[1]) if visible else None
+            assert mem.get(first, second) == expected
+        elif op == "open":
+            iterators.append([mem.iterate_from(first, second), (first, -second), True])
+        elif iterators:
+            state = iterators[first % len(iterators)]
+            iterator, bound, inclusive = state
+            ahead = sorted(
+                (r[0], -r[1])
+                for r in model
+                if (r[0], -r[1]) > bound or (inclusive and (r[0], -r[1]) == bound)
+            )
+            record = next(iterator, None)
+            if ahead:
+                assert record is not None and record.sort_key() == ahead[0]
+                state[1:] = [ahead[0], False]
+            else:
+                assert record is None
+                iterators.remove(state)  # a finished generator stays finished
+    assert [r.sort_key() for r in mem] == sorted((r[0], -r[1]) for r in model)
+    assert list(mem) == sorted(model, key=lambda r: (r[0], -r[1]))
