@@ -12,7 +12,7 @@ same processes through fewer scheduler entries finishes a row sooner
 while its events/s *falls* (DESIGN.md §5m halved the ``timers`` row's
 events and cut its wall time by a third).
 
-Four rows, from micro to macro:
+The rows, from micro to macro:
 
 - ``event_lane`` — processes ping-ponging through :class:`Store` mailboxes
   at one simulated instant: the zero-delay scheduling path (event trigger,
@@ -20,6 +20,11 @@ Four rows, from micro to macro:
 - ``timers`` — concurrent ``timeout`` chains: the time-ordered heap path.
 - ``network`` — host pairs streaming messages: ``Network.send`` plus
   delivery scheduling and mailbox handoff.
+- ``deadline_waits`` — processes parked on an event that always beats its
+  1,000 ms deadline (``Simulation.wait``, the RPC reply wait): the
+  cancelled-timeout path.  Its ``peak_pending`` is the point of the row —
+  the deadlines must not stay in the heap until they would have fired
+  (one per wait ever made), DESIGN.md §5p.
 - ``retwis_invoke`` — one quick aggregated run of the mutation-heavy
   REPLICATION_MIX end to end: the whole stack (cluster, locks, cache,
   group-commit replication) as the workloads exercise it.  Its
@@ -35,6 +40,11 @@ Four rows, from micro to macro:
   with the span tracer on at sample rate 1.0 vs 0.1: the observability
   A/B pair that tracks the tracing-overhead gap (and what head sampling
   buys back) across commits.
+
+``peak_pending`` is the most entries the scheduler held at the points a
+row samples ``Simulation.pending`` — before and after its run, and in
+``deadline_waits`` after every wait of one waiter — from outside, so it
+costs the timed run nothing; it is not a high-water mark of every instant.
 
 Wall-clock numbers are machine-dependent; the guard therefore compares
 each row's ``wall_s`` (and the headline's invocations/sec) against a
@@ -91,10 +101,11 @@ def _bench_event_lane(iterations: int) -> dict:
 
     sim.process(pinger())
     done = sim.process(ponger())
+    peak = sim.pending
     started = time.perf_counter()
     sim.run_until_triggered(done, limit=1.0)
     wall = time.perf_counter() - started
-    return _row("event_lane", events=sim.events_scheduled, wall_s=wall)
+    return _row("event_lane", sim, wall, peak)
 
 
 def _bench_timers(chains: int, steps: int) -> dict:
@@ -107,10 +118,37 @@ def _bench_timers(chains: int, steps: int) -> dict:
 
     processes = [sim.process(chain(i * 1e-4)) for i in range(chains)]
     gate = sim.all_of(processes)
+    peak = sim.pending
     started = time.perf_counter()
     sim.run_until_triggered(gate, limit=float("inf"))
     wall = time.perf_counter() - started
-    return _row("timers", events=sim.events_scheduled, wall_s=wall)
+    return _row("timers", sim, wall, peak)
+
+
+def _bench_deadline_waits(waiters: int, rounds: int) -> dict:
+    """Waits on an event that wins against a 1,000 ms deadline, the shape
+    of every RPC reply wait: ``waiters * rounds`` deadlines are set and
+    none is reached, in 0.5 ms rounds that end long before the first
+    would have fired."""
+    sim = Simulation(seed=7)
+    peak = 0
+
+    def waiter(index: int):
+        nonlocal peak
+        for _ in range(rounds):
+            reply = sim.event()
+            sim.timeout(0.5 + index * 1e-4).add_callback(
+                lambda _timer, reply=reply: reply.succeed()
+            )
+            yield from sim.wait(reply, 1_000.0)
+            if index == 0:
+                peak = max(peak, sim.pending)
+
+    gate = sim.all_of([sim.process(waiter(index)) for index in range(waiters)])
+    started = time.perf_counter()
+    sim.run_until_triggered(gate, limit=float("inf"))
+    wall = time.perf_counter() - started
+    return _row("deadline_waits", sim, wall, peak)
 
 
 def _bench_network(pairs: int, messages: int) -> dict:
@@ -135,10 +173,11 @@ def _bench_network(pairs: int, messages: int) -> dict:
     for index in range(pairs):
         sim.process(sender(index))
     gate = sim.all_of(receivers)
+    peak = sim.pending
     started = time.perf_counter()
     sim.run_until_triggered(gate, limit=float("inf"))
     wall = time.perf_counter() - started
-    row = _row("network", events=sim.events_scheduled, wall_s=wall)
+    row = _row("network", sim, wall, peak)
     sent = net.stats.messages_sent
     row["messages"] = sent
     row["messages_per_sec"] = round(sent / wall, 1) if wall > 0 else 0.0
@@ -166,7 +205,7 @@ def _bench_retwis(
     )
     wall = time.perf_counter() - started
     completed = sum(r.completed for r in result.reports.values())
-    row = _row(bench, events=sim.events_scheduled, wall_s=wall)
+    row = _row(bench, sim, wall, 0)
     row["invocations"] = completed
     row["invocations_per_sec"] = round(completed / wall, 1) if wall > 0 else 0.0
     sent = platform.net.stats.messages_sent
@@ -179,10 +218,14 @@ def _bench_retwis(
     return row
 
 
-def _row(bench: str, events: int, wall_s: float) -> dict:
+def _row(bench: str, sim: Simulation, wall_s: float, peak_pending: int) -> dict:
+    """One artifact row; ``peak_pending`` is what the row sampled while it
+    ran, to which the scheduler's size now that it has ended is added."""
+    events = sim.events_scheduled
     return {
         "bench": bench,
         "events": events,
+        "peak_pending": max(peak_pending, sim.pending),
         "wall_s": round(wall_s, 4),
         "events_per_sec": round(events / wall_s, 1) if wall_s > 0 else 0.0,
     }
@@ -194,8 +237,24 @@ def _row(bench: str, events: int, wall_s: float) -> dict:
 
 #: micro-row sizes per preset (fixed, so artifacts are comparable)
 _SIZES = {
-    "quick": {"ping_iters": 30_000, "chains": 200, "steps": 150, "pairs": 8, "messages": 2_500},
-    "full": {"ping_iters": 150_000, "chains": 500, "steps": 400, "pairs": 16, "messages": 10_000},
+    "quick": {
+        "ping_iters": 30_000,
+        "chains": 200,
+        "steps": 150,
+        "pairs": 8,
+        "messages": 2_500,
+        "waiters": 200,
+        "rounds": 50,
+    },
+    "full": {
+        "ping_iters": 150_000,
+        "chains": 500,
+        "steps": 400,
+        "pairs": 16,
+        "messages": 10_000,
+        "waiters": 500,
+        "rounds": 100,
+    },
 }
 
 
@@ -249,6 +308,7 @@ def simperf(cal=None, out_path: Optional[str] = DEFAULT_OUT, profile: bool = Fal
     specs: list[tuple[str, Callable[[], dict]]] = [
         ("event_lane", lambda: _bench_event_lane(sizes["ping_iters"])),
         ("timers", lambda: _bench_timers(sizes["chains"], sizes["steps"])),
+        ("deadline_waits", lambda: _bench_deadline_waits(sizes["waiters"], sizes["rounds"])),
         ("network", lambda: _bench_network(sizes["pairs"], sizes["messages"])),
         ("retwis_invoke", lambda: _bench_retwis(retwis_cal)),
         (
@@ -299,7 +359,7 @@ def simperf(cal=None, out_path: Optional[str] = DEFAULT_OUT, profile: bool = Fal
         "messages_per_invocation": headline_row["messages_per_invocation"],
     }
     payload = {
-        "schema": 5,
+        "schema": 6,
         "seed": cal.seed,
         "sizes": sizes,
         "rows": rows,

@@ -848,7 +848,7 @@ class StoreNode:
         event = self.sim.event()
         state.waiters.append(event)
         try:
-            yield self.sim.any_of([event, self.sim.timeout(remaining)])
+            yield from self.sim.wait(event, remaining)
         finally:
             if not event.triggered and event in state.waiters:
                 state.waiters.remove(event)
@@ -1141,8 +1141,7 @@ class StoreNode:
         delay_cap = self._ack_timeout * 8
         try:
             while needed:
-                timeout = self.sim.timeout(delay)
-                yield self.sim.any_of([event, timeout])
+                yield from self.sim.wait(event, delay)
                 if not needed:
                     break
                 # Timed out: drop backups no longer in the (possibly
@@ -1760,7 +1759,7 @@ class StoreNode:
                 if attempt:
                     self.stats.remote_charge_retries += 1
                 self.endpoint.send(owner_name, charge)
-                yield self.sim.any_of([event, self.sim.timeout(timeout_ms)])
+                yield from self.sim.wait(event, timeout_ms)
                 if event.triggered:
                     return True
                 timeout_ms *= 2

@@ -242,7 +242,7 @@ class TransactionParticipant:
             readonly=method_def.readonly,
         )
         instance = Instance(object_type.module, ctx, fuel=fuel)
-        ctx.bind_instance(instance)
+        ctx.bind_memory(instance.memory)
         try:
             value = instance.call(method, *args)
         except Trap as trap:

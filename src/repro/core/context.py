@@ -26,9 +26,8 @@ from repro.core.fields import FieldKind, decode_value, encode_value
 from repro.core.ids import ObjectId
 from repro.core.object_type import ObjectType
 from repro.core.writeset import WriteSet
-from repro.wasm.fuel import FuelMeter
+from repro.wasm.fuel import FuelMeter, MemoryMeter
 from repro.wasm.host_api import HostAPI, OpCosts
-from repro.wasm.instance import Instance
 
 
 class InvocationContext(HostAPI):
@@ -63,13 +62,15 @@ class InvocationContext(HostAPI):
         self.sub_results: list[Any] = []
         #: keys committed across every segment of this invocation
         self.all_written_keys: list[bytes] = []
-        self._instance: Optional[Instance] = None
+        self._memory: Optional[MemoryMeter] = None
 
     # -- wiring ------------------------------------------------------------
 
-    def bind_instance(self, instance: Instance) -> None:
-        """Attach the sandbox instance (for memory accounting)."""
-        self._instance = instance
+    def bind_memory(self, memory: MemoryMeter) -> None:
+        """Attach the sandbox instance's memory meter.  The meter, not the
+        instance: the instance holds this context as its host API, and a
+        reference back would tie the two into a cycle per invocation."""
+        self._memory = memory
 
     @property
     def writeset(self) -> WriteSet:
@@ -83,8 +84,8 @@ class InvocationContext(HostAPI):
         self._fuel.consume(units + self._costs.payload(payload_bytes))
 
     def _charge_memory(self, num_bytes: int) -> None:
-        if self._instance is not None:
-            self._instance.charge_memory(num_bytes)
+        if self._memory is not None:
+            self._memory.charge(num_bytes)
 
     def _forbid_write(self, what: str) -> None:
         if self._readonly:
@@ -206,15 +207,15 @@ class InvocationContext(HostAPI):
         consume = self._fuel.consume
         per_item = self._costs.collection_scan_per_item
         payload = self._costs.payload
-        instance = self._instance
+        memory = self._memory
         for storage_key, data in entries:
             if data is None:
                 continue  # buffered deletion
             if limit is not None and count >= limit:
                 return
             consume(per_item + payload(len(data)))
-            if instance is not None:
-                instance.charge_memory(len(data))
+            if memory is not None:
+                memory.charge(len(data))
             yield keyspace.entry_key_from_storage_key(storage_key, prefix), decode_value(data)
             count += 1
 

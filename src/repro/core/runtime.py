@@ -76,6 +76,9 @@ class LocalRuntime:
     ) -> None:
         self.storage: StorageBackend = storage if storage is not None else MemoryBackend()
         self._types: dict[str, ObjectType] = {}
+        #: encoded meta value -> the type name it decodes to (one entry
+        #: per type name ever stored; ``type_of`` runs per invocation)
+        self._type_names: dict[bytes, str] = {}
         self._id_rng = random.Random(seed)
         #: PRNG exposed to guests via ctx.random()
         self.guest_rng = random.Random(seed + 1)
@@ -209,7 +212,10 @@ class LocalRuntime:
         data = self.storage.get(keyspace.meta_key(object_id))
         if data is None:
             raise UnknownObjectError(f"object {object_id.short} does not exist")
-        return self.type_named(decode_value(data))
+        name = self._type_names.get(data)
+        if name is None:
+            name = self._type_names[data] = decode_value(data)
+        return self.type_named(name)
 
     # -- invocation ----------------------------------------------------------
 
@@ -286,7 +292,7 @@ class LocalRuntime:
             instance = Instance(
                 object_type.module, ctx, fuel=fuel, memory_limit_bytes=self._memory_limit
             )
-            ctx.bind_instance(instance)
+            ctx.bind_memory(instance.memory)
             fuel.consume(self.costs.call_base)
 
             try:

@@ -227,7 +227,7 @@ class TransactionManager:
             depth=depth,
         )
         instance = Instance(object_type.module, ctx, fuel=fuel)
-        ctx.bind_instance(instance)
+        ctx.bind_memory(instance.memory)
         txn.invocations += 1
         try:
             return instance.call(method, *args)

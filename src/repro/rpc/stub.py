@@ -8,7 +8,8 @@ pump/scan/await machinery each used to carry.
 
 The await loop is scheduling-identical to the historical hand-rolled
 pattern — scan the mailbox, optionally discard unmatched payloads, then
-park on ``any_of([signal, timeout(remaining)])`` — with one deliberate
+park on the signal or the remaining deadline (``sim.wait``, which retires
+the deadline timer once the signal has won) — with one deliberate
 fix: waiters are kept in a *list* that each waiter leaves on a timeout
 wake.  The old single-``_mail_signal`` slot left a consumed event behind
 after a timeout, so a message arriving before the next await was missed
@@ -157,7 +158,7 @@ class RpcStub:
             signal = self.sim.event()
             self._waiters.append(signal)
             try:
-                yield self.sim.any_of([signal, self.sim.timeout(remaining)])
+                yield from self.sim.wait(signal, remaining)
             finally:
                 if not signal.triggered and signal in self._waiters:
                     self._waiters.remove(signal)

@@ -20,7 +20,7 @@ ordinary coroutine code::
 
 from repro.sim.events import Event, AllOf, AnyOf
 from repro.sim.process import Process
-from repro.sim.core import RECOLLECT, FifoPolicy, SchedulerPolicy, Simulation
+from repro.sim.core import RECOLLECT, FifoPolicy, SchedulerPolicy, Simulation, Timeout
 from repro.sim.resources import Resource, Store
 from repro.sim.network import (
     BimodalLatency,
@@ -51,5 +51,6 @@ __all__ = [
     "SchedulerPolicy",
     "Simulation",
     "Store",
+    "Timeout",
     "UniformLatency",
 ]

@@ -52,17 +52,27 @@ class FifoPolicy(SchedulerPolicy):
         return 0
 
 
-class _Timeout(Event):
-    """An event that succeeds after a fixed delay (``Simulation.timeout``).
+#: cancelled timeouts the heap may carry before it is rebuilt without
+#: them; past it, a rebuild also waits until they are more than half the
+#: heap, so its cost is at most that of the cancellations that caused it
+CANCELLED_TIMEOUTS_FLOOR = 64
 
-    A dedicated subclass so the scheduler can hold a bound method instead
-    of a fresh closure per timeout — timeouts are the single most common
-    scheduled callback — and so the timeout can fire *in place*: its heap
-    entry sets the state and runs the listeners itself instead of hopping
-    through the now lane like :meth:`Event._trigger`.  Listeners therefore
-    run at the timeout's own ``(time, seq)`` position, which differs from
-    a now-lane hop only relative to other entries queued at exactly the
-    same instant between the timeout's creation and its firing.
+_CANCELLED = object()
+
+
+class Timeout(Event):
+    """An event that succeeds after a fixed delay (``Simulation.timeout``),
+    unless it is cancelled first.
+
+    A dedicated subclass so the scheduler can hold the timeout itself
+    instead of a fresh closure per timeout — timeouts are the single most
+    common scheduled callback — and so the timeout can fire *in place*:
+    its heap entry sets the state and runs the listeners itself instead
+    of hopping through the now lane like :meth:`Event._trigger`.
+    Listeners therefore run at the timeout's own ``(time, seq)`` position,
+    which differs from a now-lane hop only relative to other entries
+    queued at exactly the same instant between the timeout's creation and
+    its firing.
     """
 
     __slots__ = ("_timeout_value",)
@@ -77,7 +87,33 @@ class _Timeout(Event):
         self._defused = False
         self._timeout_value = value
 
-    def _fire(self) -> None:
+    @property
+    def cancelled(self) -> bool:
+        """Whether :meth:`cancel` retired the timeout before it fired."""
+        return self._timeout_value is _CANCELLED
+
+    def cancel(self) -> None:
+        """Retire the timeout: it never triggers and its listeners are
+        dropped at once.  Idempotent, and a no-op once it has fired.
+
+        The scheduler entry is not removed: it keeps its ``(when, seq)``
+        place and runs as a no-op if the clock reaches it, so every other
+        entry runs exactly where it would have.  The heap is rebuilt
+        without its cancelled entries once there are enough of them
+        (:meth:`Simulation._compact`).
+        """
+        if self._value is not _PENDING or self._timeout_value is _CANCELLED:
+            return
+        self._timeout_value = _CANCELLED
+        self._callbacks = []
+        self._sim._cancelled += 1
+        self._sim._compact()
+
+    def __call__(self) -> None:
+        """The scheduler entry: fire, or count a cancelled entry out."""
+        if self._timeout_value is _CANCELLED:
+            self._sim._cancelled -= 1
+            return
         if self._value is not _PENDING:
             raise SimulationError(f"event {self!r} triggered twice")
         self._ok = True
@@ -106,7 +142,9 @@ class Simulation:
     that triggers with listeners takes one now-lane entry that runs them
     all; one that triggers with nobody listening takes none, and a
     listener that arrives later takes its own; a timeout takes its one
-    heap entry and runs its listeners from it (:class:`_Timeout`); a
+    heap entry and runs its listeners from it (:class:`Timeout`), or
+    nothing if it was cancelled first — the entry is still taken, and is
+    either reached and skipped or dropped by a rebuild of the heap; a
     process start, an interrupt and a network delivery take one each.
     """
 
@@ -117,6 +155,8 @@ class Simulation:
         #: times, so the deque is itself sorted by (when, seq)
         self._now_lane: deque[tuple[float, int, Callable[[], None]]] = deque()
         self._seq = 0
+        #: cancelled timeouts whose entries have not run yet
+        self._cancelled = 0
         self._streams = RandomStreams(seed)
         self._running = False
         #: None = built-in FIFO fast loops; a SchedulerPolicy routes every
@@ -153,13 +193,21 @@ class Simulation:
     def events_scheduled(self) -> int:
         """Total scheduler entries so far (the ``simperf`` event count).
 
-        An entry is a wake-up — every one runs at least one listener,
-        process step or delivery; a trigger nobody waits for is not
-        counted (see the class docstring).  After a run drains the queue
-        this equals the number of entries *executed*; reading it costs
-        nothing on the hot path.
+        An entry is a wake-up — every one was scheduled to run at least
+        one listener, process step or delivery; a trigger nobody waits for
+        is not counted (see the class docstring).  A timeout counts when
+        it is created, so cancelling it later changes nothing here: after
+        a run drains the queue this is the number of entries executed
+        *plus* the cancelled ones a heap rebuild dropped unreached.
+        Reading it costs nothing on the hot path.
         """
         return self._seq
+
+    @property
+    def pending(self) -> int:
+        """Entries the scheduler holds right now, both lanes, cancelled
+        timeouts not yet reached or rebuilt away included."""
+        return len(self._queue) + len(self._now_lane)
 
     def rng(self, name: str) -> random.Random:
         """The named deterministic PRNG stream for a component."""
@@ -183,15 +231,59 @@ class Simulation:
         """A fresh untriggered event."""
         return Event(self, name=name)
 
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """An event that succeeds ``delay`` ms from now with ``value``."""
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        """An event that succeeds ``delay`` ms from now with ``value``,
+        unless :meth:`Timeout.cancel` retires it first."""
         # _schedule, spelled out: timeouts are the hottest thing scheduled.
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        event = _Timeout(self, value)
+        event = Timeout(self, value)
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event._fire))
+        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
         return event
+
+    def _compact(self) -> None:
+        """Rebuild the heap without its cancelled timeouts once they pass
+        :data:`CANCELLED_TIMEOUTS_FLOOR` and are more than half of it —
+        so a rebuild costs no more than the cancellations that caused it,
+        and the heap holds at most floor + 2 × its live entries.
+
+        Checked when a timeout is cancelled and when a run returns (live
+        entries leaving can tip the balance too).  In place — the drain
+        loops hold the list — and entries keep their ``(when, seq)`` keys,
+        so what remains runs in the order it would have.  A cancelled
+        entry a policy drain holds outside the heap as a candidate stays
+        counted until it is pushed back and reached.
+        """
+        queue = self._queue
+        cancelled = self._cancelled
+        if cancelled <= CANCELLED_TIMEOUTS_FLOOR or cancelled * 2 <= len(queue):
+            return
+        before = len(queue)
+        queue[:] = [
+            entry
+            for entry in queue
+            if type(entry[2]) is not Timeout or entry[2]._timeout_value is not _CANCELLED
+        ]
+        heapq.heapify(queue)
+        self._cancelled -= before - len(queue)
+
+    def wait(self, event: Event, deadline_ms: float):
+        """Simulation process step (``yield from``): park until ``event``
+        triggers or ``deadline_ms`` pass, whichever comes first.
+
+        The one spelling of "this event or that deadline".  The deadline
+        timer is retired as soon as the wait is over — the event won, or
+        the waiting process was interrupted or dropped — so a deadline
+        far beyond the usual reply time does not sit in the heap, holding
+        the waiter, until it passes.  Callers tell the two outcomes apart
+        by ``event.triggered``.
+        """
+        deadline = self.timeout(deadline_ms)
+        try:
+            yield AnyOf(self, (event, deadline))
+        finally:
+            deadline.cancel()
 
     def process(self, generator: Generator[Event, Any, Any], name: str = "") -> Process:
         """Start a new process from ``generator`` at the current instant."""
@@ -230,6 +322,7 @@ class Simulation:
                 self._now = until
         finally:
             self._running = False
+            self._compact()
         return self._now
 
     def run_until_triggered(self, event: Event, limit: float = float("inf")) -> Any:
@@ -253,6 +346,7 @@ class Simulation:
                 self._drain_bounded(limit, event)
         finally:
             self._running = False
+            self._compact()
         if event.ok:
             return event.value
         event._defused = True

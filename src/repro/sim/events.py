@@ -109,18 +109,27 @@ class Event:
 
 
 class _Condition(Event):
-    """Base for events that trigger based on a set of child events."""
+    """Base for events that trigger based on a set of child events.
 
-    __slots__ = ("_events", "_results")
+    A condition listens to its children and keeps no reference to them:
+    a child that never triggers (the signal that lost to its deadline)
+    then holds the condition through its listener list, but nothing holds
+    the child back, so both are freed by reference count.
+    """
+
+    #: distinct children not heard from yet (``AllOf`` counts it down)
+    __slots__ = ("_missing",)
 
     def __init__(self, sim: Any, events: Iterable[Event]) -> None:
         super().__init__(sim)
-        self._events = list(events)
-        self._results: dict[Event, Any] = {}
-        if not self._events:
+        # Distinct children, in first-seen order: the same event listed
+        # twice is one child.
+        children = dict.fromkeys(events)
+        if not children:
             self.succeed({})
             return
-        for event in self._events:
+        self._missing = len(children)
+        for event in children:
             event.add_callback(self._on_child)
 
     def _on_child(self, event: Event) -> None:
@@ -133,18 +142,25 @@ class AllOf(_Condition):
     The success value is a dict mapping each child event to its value.
     """
 
-    __slots__ = ()
+    __slots__ = ("_results",)
+
+    def __init__(self, sim: Any, events: Iterable[Event]) -> None:
+        self._results: Optional[dict[Event, Any]] = {}
+        super().__init__(sim, events)
 
     def _on_child(self, event: Event) -> None:
         if self._value is not _PENDING:
             return
         if not event._ok:
             event._defused = True
+            self._results = None
             self.fail(event._value)
             return
         self._results[event] = event._value
-        if len(self._results) == len(self._events):
-            self.succeed(dict(self._results))
+        self._missing -= 1
+        if not self._missing:
+            results, self._results = self._results, None
+            self.succeed(results)
 
 
 class AnyOf(_Condition):

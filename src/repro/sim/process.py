@@ -84,6 +84,15 @@ class Process(Event):
         self._waiting_on = target
         target.add_callback(self._on_event_cb)
 
+    def _trigger(self, ok: bool, value: Any) -> None:
+        # The body has ended: drop the generator and the callbacks bound
+        # to it and to this process.  ``_on_event_cb`` is a method of the
+        # process stored on the process — a reference cycle while it
+        # stays, which would leave every finished process to the cycle
+        # collector.
+        self._generator = self._gen_send = self._gen_throw = self._on_event_cb = None
+        super()._trigger(ok, value)
+
     def _on_event(self, event: Event) -> None:
         if self._waiting_on is not event:
             return  # we were interrupted while waiting; stale wakeup

@@ -18,9 +18,9 @@ Fuel doubles as the execution-cost model: the cluster simulator converts
 fuel consumed into simulated CPU milliseconds.
 """
 
-from repro.wasm.fuel import FuelMeter
+from repro.wasm.fuel import FuelMeter, MemoryMeter
 from repro.wasm.host_api import HostAPI, OpCosts
 from repro.wasm.instance import Instance
 from repro.wasm.module import GuestFunction, Module
 
-__all__ = ["FuelMeter", "GuestFunction", "HostAPI", "Instance", "Module", "OpCosts"]
+__all__ = ["FuelMeter", "GuestFunction", "HostAPI", "Instance", "MemoryMeter", "Module", "OpCosts"]

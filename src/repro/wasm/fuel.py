@@ -1,8 +1,8 @@
-"""Fuel metering: bounded computation for guest code."""
+"""Fuel and memory metering: bounded computation and bounded guest memory."""
 
 from __future__ import annotations
 
-from repro.errors import FuelExhausted
+from repro.errors import FuelExhausted, MemoryLimitExceeded
 
 
 class FuelMeter:
@@ -38,4 +38,32 @@ class FuelMeter:
         if self._used > self._budget:
             raise FuelExhausted(
                 f"fuel exhausted: used {self._used:.0f} of {self._budget:.0f}"
+            )
+
+
+class MemoryMeter:
+    """Counts the bytes marshalled into a guest and traps past the allowance.
+
+    Like the fuel meter it is shared by the instance, which owns the
+    allowance, and the host API object, which does the marshalling — so
+    the host API needs no reference to the instance that calls it.
+    """
+
+    def __init__(self, limit_bytes: int) -> None:
+        self._limit = limit_bytes
+        self._used = 0
+
+    @property
+    def used(self) -> int:
+        """Bytes charged so far."""
+        return self._used
+
+    def charge(self, num_bytes: int) -> None:
+        """Account guest memory growth; raises
+        :class:`MemoryLimitExceeded` past the allowance."""
+        self._used += num_bytes
+        if self._used > self._limit:
+            raise MemoryLimitExceeded(
+                f"instance exceeded memory limit "
+                f"({self._used} > {self._limit} bytes)"
             )

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import MemoryLimitExceeded, Trap, WasmError
-from repro.wasm.fuel import FuelMeter
+from repro.errors import Trap, WasmError
+from repro.wasm.fuel import FuelMeter, MemoryMeter
 from repro.wasm.host_api import HostAPI
 from repro.wasm.module import Module
 
@@ -32,25 +32,10 @@ class Instance:
         self.module = module
         self.host = host
         self.fuel = fuel or FuelMeter()
-        self._memory_limit = memory_limit_bytes
-        self._memory_used = 0
+        #: shared with the host API, which charges it when marshalling
+        #: values into the guest
+        self.memory = MemoryMeter(memory_limit_bytes)
         self._consumed = False
-
-    @property
-    def memory_used(self) -> int:
-        return self._memory_used
-
-    def charge_memory(self, num_bytes: int) -> None:
-        """Account guest memory growth; traps past the allowance.
-
-        The host calls this when marshalling values into the guest.
-        """
-        self._memory_used += num_bytes
-        if self._memory_used > self._memory_limit:
-            raise MemoryLimitExceeded(
-                f"instance exceeded memory limit "
-                f"({self._memory_used} > {self._memory_limit} bytes)"
-            )
 
     def call(self, function_name: str, *args: Any) -> Any:
         """Run an exported function to completion; single use.

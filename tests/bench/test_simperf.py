@@ -20,6 +20,21 @@ def test_timers_row_counts_events():
     assert row["events"] >= 25
 
 
+def test_deadline_waits_row_does_not_carry_the_deadlines_it_beat():
+    from repro.sim.core import CANCELLED_TIMEOUTS_FLOOR
+
+    waiters, rounds = 10, 100
+    row = sp._bench_deadline_waits(waiters=waiters, rounds=rounds)
+    assert row["bench"] == "deadline_waits"
+    # per wait: the trigger, the deadline, the signal's and the condition's
+    # wake-up; per waiter: its start and its end (the gate listens)
+    assert row["events"] == 4 * waiters * rounds + 2 * waiters
+    # Each waiter has at most a trigger and a deadline in the heap and two
+    # wake-ups in the now lane: the heap stays within floor + 2 x live,
+    # where one deadline per wait ever made would be 1,000.
+    assert row["peak_pending"] <= CANCELLED_TIMEOUTS_FLOOR + 6 * waiters
+
+
 def test_network_row_reports_messages():
     row = sp._bench_network(pairs=2, messages=20)
     assert row["bench"] == "network"
@@ -37,6 +52,7 @@ def _fake_retwis(cal, bench="retwis_invoke", trace_sample_rate=None):
     row = {
         "bench": bench,
         "events": 1000,
+        "peak_pending": 10,
         "wall_s": 0.1,
         "events_per_sec": 10_000.0,
         "invocations": 50,
@@ -53,7 +69,17 @@ def _fake_retwis(cal, bench="retwis_invoke", trace_sample_rate=None):
 
 def _tiny_sizes(monkeypatch):
     monkeypatch.setitem(
-        sp._SIZES, "quick", {"ping_iters": 100, "chains": 3, "steps": 3, "pairs": 2, "messages": 5}
+        sp._SIZES,
+        "quick",
+        {
+            "ping_iters": 100,
+            "chains": 3,
+            "steps": 3,
+            "pairs": 2,
+            "messages": 5,
+            "waiters": 3,
+            "rounds": 3,
+        },
     )
 
 
@@ -67,6 +93,7 @@ def test_simperf_writes_artifact(tmp_path, monkeypatch):
     assert [row["bench"] for row in result["rows"]] == [
         "event_lane",
         "timers",
+        "deadline_waits",
         "network",
         "retwis_invoke",
         "retwis_invoke_nogc",
@@ -81,9 +108,10 @@ def test_simperf_writes_artifact(tmp_path, monkeypatch):
     assert "coalescing: 2.00 messages/invocation vs 4.00 without" in result["text"]
     assert "tracing A/B" in result["text"]
     payload = json.loads(out.read_text())
-    assert payload["schema"] == 5
+    assert payload["schema"] == 6
     assert payload["headline"] == result["headline"]
     by_bench = {row["bench"]: row for row in payload["rows"]}
+    assert by_bench["timers"]["peak_pending"] == 3  # the three chains' starts
     assert by_bench["retwis_invoke_sampled"]["trace_sample_rate"] == 0.1
     assert by_bench["retwis_invoke_traced"]["trace_sample_rate"] == 1.0
 
@@ -97,7 +125,7 @@ def test_simperf_profile_writes_report(tmp_path, monkeypatch):
     assert report.exists()
     text = report.read_text()
     # One section per row, sorted by cumulative time, truncated to 25.
-    for bench in ("event_lane", "timers", "network", "retwis_invoke_sampled"):
+    for bench in ("event_lane", "timers", "deadline_waits", "network", "retwis_invoke_sampled"):
         assert f"=== {bench} " in text
     assert "cumulative" in text
     assert str(report) in result["text"]
@@ -114,7 +142,12 @@ def _baseline(tmp_path, invocations_per_sec: float, rows=()) -> str:
 
 
 def _timers(events: int, wall_s: float) -> dict:
-    return sp._row("timers", events=events, wall_s=wall_s)
+    return {
+        "bench": "timers",
+        "events": events,
+        "wall_s": wall_s,
+        "events_per_sec": round(events / wall_s, 1),
+    }
 
 
 def test_guard_passes_within_tolerance(tmp_path):

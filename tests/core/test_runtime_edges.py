@@ -34,6 +34,64 @@ def test_memory_limit_trap_aborts_cleanly():
     assert runtime.storage.get(keyspace.value_key(oid, "blob")) is None
 
 
+def test_an_invocation_is_freed_by_reference_count():
+    """The context gets the instance's memory meter, not the instance
+    (which holds the context as its host API): no cycle per invocation."""
+    import gc
+    import weakref
+
+    from repro.wasm import Instance
+
+    runtime = LocalRuntime()
+    kept, seen = [], []
+
+    def peek(self):
+        kept.append(self)
+        seen.append(weakref.ref(self))
+        return self.get("v")
+
+    t = ObjectType("Peek", fields=[ValueField("v", default="x")], methods=[method(peek)])
+    runtime.register_type(t)
+    oid = runtime.create_object("Peek")
+    gc.collect()
+    gc.disable()
+    try:
+        assert runtime.invoke(oid, "peek") == "x"
+        (ctx,) = kept
+        assert not any(isinstance(value, Instance) for value in vars(ctx).values())
+        assert ctx._memory.used > 0
+        del ctx
+        kept.clear()
+        assert seen[0]() is None
+    finally:
+        gc.enable()
+
+
+def test_type_of_decodes_each_meta_value_once(monkeypatch):
+    from repro.core import runtime as runtime_module
+
+    decoded = []
+    real = runtime_module.decode_value
+    monkeypatch.setattr(
+        runtime_module, "decode_value", lambda data: decoded.append(data) or real(data)
+    )
+    def noop(self):
+        return None
+
+    runtime = LocalRuntime()
+    first = ObjectType("Memo", fields=[ValueField("v")], methods=[method(noop)])
+    runtime.register_type(first)
+    a, b = runtime.create_object("Memo"), runtime.create_object("Memo")
+    assert runtime.type_of(a) is first and runtime.type_of(b) is first
+    assert runtime.type_of(a) is first
+    assert len(decoded) == 1
+    # The memo maps bytes to a name; the type is still looked up by name.
+    second = ObjectType("Memo", fields=[ValueField("v")], methods=[method(noop)])
+    runtime.register_type(second)
+    assert runtime.type_of(a) is second
+    assert len(decoded) == 1
+
+
 def test_unserialisable_args_skip_cache_but_execute():
     runtime = LocalRuntime()
 

@@ -132,6 +132,17 @@ def test_all_of_fails_fast_on_child_failure():
     assert caught == [0.0]
 
 
+def test_all_of_counts_a_repeated_child_once():
+    sim = Simulation()
+    child = sim.timeout(1.0, value="v")
+    other = sim.timeout(2.0, value="w")
+    twice = sim.all_of([child, child])
+    mixed = sim.all_of([child, other, child])
+    sim.run()
+    assert twice.triggered and twice.value == {child: "v"}
+    assert mixed.triggered and mixed.value == {child: "v", other: "w"}
+
+
 def test_any_of_returns_first():
     sim = Simulation()
     results = []

@@ -166,3 +166,31 @@ def test_run_until_limit_stops_the_clock():
     sim.run(until=35.0)
     assert log == [10.0, 20.0, 30.0]
     assert sim.now == 35.0
+
+
+def test_a_finished_process_is_freed_by_reference_count():
+    """The body's end drops the callbacks the process pre-bound to itself
+    (a cycle while they stay), so no collector pass is needed."""
+    import gc
+    import weakref
+
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulation()
+
+        class Result:
+            """Weakly referenceable stand-in for the slotted process that
+            holds it as its value."""
+
+        def body(sim):
+            yield sim.timeout(1.0)
+            return Result()
+
+        process = sim.process(body(sim))
+        sim.run()
+        ref = weakref.ref(process.value)
+        del process
+        assert ref() is None
+    finally:
+        gc.enable()

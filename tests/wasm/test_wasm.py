@@ -143,9 +143,10 @@ def test_compute_fuel_charged_on_entry():
 
 def test_memory_limit_traps():
     instance = make_instance(memory_limit_bytes=1024)
-    instance.charge_memory(1000)
+    instance.memory.charge(1000)
+    assert instance.memory.used == 1000
     with pytest.raises(MemoryLimitExceeded):
-        instance.charge_memory(100)
+        instance.memory.charge(100)
 
 
 def test_op_costs_payload_scaling():
