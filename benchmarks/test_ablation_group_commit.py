@@ -4,10 +4,9 @@ With the pipeline on, committed rounds from concurrent invocations on a
 shard coalesce into range frames settled by cumulative acks, so the
 replication message bill per invocation drops well below the
 one-frame-and-one-ack-per-backup-per-commit baseline, without giving up
-the all-live-backups-acked reply condition.
+the all-live-backups-acked reply condition.  Off is the same pipeline at
+one round per frame (``group_commit_max_rounds=1``).
 """
-
-from dataclasses import replace
 
 from repro.bench.harness import run_replication_mix
 
@@ -18,9 +17,8 @@ def test_group_commit_cuts_messages_per_invocation(benchmark, cal):
     def regenerate():
         results = {}
         for enabled in (False, True):
-            result, platform, _sim = run_replication_mix(
-                replace(cal, group_commit=enabled)
-            )
+            overrides = {} if enabled else {"group_commit_max_rounds": 1}
+            result, platform, _sim = run_replication_mix(cal, **overrides)
             completed = sum(r.completed for r in result.reports.values())
             results[enabled] = (
                 platform.net.stats.messages_sent / completed,

@@ -50,23 +50,13 @@ def main(argv: list[str] | None = None) -> int:
         "identical to --jobs 1; only the wall clock changes",
     )
     parser.add_argument(
-        "--group-commit",
-        choices=["on", "off"],
-        default="on",
-        help="pipelined group-commit replication (coalesced range frames, "
-        "cumulative acks, replies parked on the settlement watermark); "
-        "'off' restores one replication round per mutating invocation — "
-        "see abl_group_commit for the measured delta",
-    )
-    parser.add_argument(
         "--replica-reads",
         choices=["on", "off"],
         default="on",
         help="lease-based replica reads (backups holding a primary-granted "
         "lease serve read-only invocations locally); 'off' sends every "
         "read to the primary behind the settlement barrier — see "
-        "abl_replica_reads for the measured delta.  Requires group "
-        "commit; ignored when --group-commit off",
+        "abl_replica_reads for the measured delta",
     )
     parser.add_argument(
         "--coalescing",
@@ -125,7 +115,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     cal = preset(
         args.preset,
-        group_commit=(args.group_commit == "on"),
         replica_reads=(args.replica_reads == "on"),
         transport_coalescing=(args.coalescing == "on"),
         admission_control=(args.admission == "on"),

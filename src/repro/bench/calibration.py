@@ -46,14 +46,9 @@ class Calibration:
     #: consistent result cache (§4.2.2) is evaluated separately in
     #: ``abl_cache``, so the headline runs keep it off.
     enable_cache: bool = False
-    #: pipelined group-commit replication (cumulative acks, reply parked
-    #: on the settlement watermark); off runs one replication round per
-    #: mutating invocation, exactly the pre-group-commit behavior.  The
-    #: on/off delta is measured in ``abl_group_commit``.
-    group_commit: bool = True
     #: lease-based replica reads (backups serve read-only invocations
-    #: locally under a primary-granted lease); requires group_commit.
-    #: The on/off delta is measured in ``abl_replica_reads``.
+    #: locally under a primary-granted lease).  The on/off delta is
+    #: measured in ``abl_replica_reads``.
     replica_reads: bool = True
     #: transport egress coalescing + deferred-ack piggybacking
     #: (DESIGN.md §5j); off preserves one-message-per-send.  The on/off

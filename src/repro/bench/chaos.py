@@ -55,7 +55,6 @@ def chaos_soak(
             num_objects=3,
             ops_per_client=200,
             duration_ms=cal.duration_ms,
-            group_commit=cal.group_commit,
             replica_reads=cal.replica_reads,
         )
         report = result.check()

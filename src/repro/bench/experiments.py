@@ -343,19 +343,17 @@ def abl_group_commit(cal: CalibrationLike = None) -> dict:
     The mutation-heavy mix (REPLICATION_MIX) on the aggregated cluster:
     with the pipeline on, committed rounds from concurrent invocations
     coalesce into range frames settled by cumulative acks, so the
-    messages-per-invocation bill drops and mutating latency improves
-    under load; off restores one replication round (and one ack per
-    backup) per mutating invocation.
+    messages-per-invocation bill drops; off is the same pipeline at one
+    round per frame, so every mutating invocation costs one frame and
+    one ack per backup.
     """
     cal = _calibration(cal)
     rows = []
-    for label, enabled in (
-        ("off (round per invocation)", False),
-        ("on (pipelined group commit)", True),
+    for label, overrides in (
+        ("off (round per frame)", dict(group_commit_max_rounds=1)),
+        ("on (pipelined group commit)", dict()),
     ):
-        result, platform, _sim = run_replication_mix(
-            replace(cal, group_commit=enabled)
-        )
+        result, platform, _sim = run_replication_mix(cal, **overrides)
         completed = sum(r.completed for r in result.reports.values())
         messages = platform.net.stats.messages_sent
         post = result.reports["create_post"]

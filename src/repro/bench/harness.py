@@ -82,7 +82,6 @@ def build_aggregated(sim: Simulation, cal: Calibration, **config_overrides) -> C
         net_sigma=cal.net_sigma,
         net_cap_ms=cal.net_cap_ms,
         enable_cache=cal.enable_cache,
-        group_commit=cal.group_commit,
         replica_reads=cal.replica_reads,
         transport_coalescing=cal.transport_coalescing,
         admission_control=cal.admission_control,

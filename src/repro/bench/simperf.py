@@ -29,9 +29,10 @@ The rows, from micro to macro:
   REPLICATION_MIX end to end: the whole stack (cluster, locks, cache,
   group-commit replication) as the workloads exercise it.  Its
   invocations/sec is the headline number.
-- ``retwis_invoke_nogc`` — the same run with group commit disabled (one
-  replication round per mutating invocation): the reference that shows
-  what pipelining saves in messages per invocation.
+- ``retwis_invoke_nogc`` — the same run with group commit off (the
+  pipeline at one round per frame, so one frame per mutating invocation):
+  the reference that shows what coalescing saves in messages per
+  invocation.
 - ``retwis_invoke_coalesced`` — the headline run with transport egress
   coalescing + deferred-ack piggybacking on (DESIGN.md §5j): the A/B
   row that tracks what the wire-message diet buys (and costs) across
@@ -188,20 +189,22 @@ def _bench_retwis(
     cal: Calibration,
     bench: str = "retwis_invoke",
     trace_sample_rate: Optional[float] = None,
+    **config_overrides,
 ) -> dict:
     """One aggregated REPLICATION_MIX run end to end — the headline row.
 
-    ``cal.group_commit`` selects pipelined vs one-round-per-invocation
-    replication; the artifact carries one row of each so the messages
-    per invocation delta is visible in every snapshot.
-    ``trace_sample_rate`` turns the span tracer on (the observability
-    A/B rows); the untraced rows leave it off, as the figures do.
+    ``config_overrides`` are cluster-config overrides: the ``_nogc`` row
+    passes ``group_commit_max_rounds=1`` so the artifact carries one row
+    with and one without coalescing, and the messages per invocation
+    delta is visible in every snapshot.  ``trace_sample_rate`` turns the
+    span tracer on (the observability A/B rows); the untraced rows leave
+    it off, as the figures do.
     """
     from repro.bench.harness import run_replication_mix
 
     started = time.perf_counter()
     result, platform, sim = run_replication_mix(
-        cal, trace_sample_rate=trace_sample_rate
+        cal, trace_sample_rate=trace_sample_rate, **config_overrides
     )
     wall = time.perf_counter() - started
     completed = sum(r.completed for r in result.reports.values())
@@ -300,10 +303,10 @@ def simperf(cal=None, out_path: Optional[str] = DEFAULT_OUT, profile: bool = Fal
     sizes = _sizes_for(cal)
     # The retwis rows stay quick-sized even under --preset full: simperf
     # tracks simulator speed, which does not need the paper-scale dataset.
-    # The headline row always runs with group commit ON; the _nogc row is
-    # the one-round-per-invocation reference, and the traced/sampled pair
-    # is the same run with the span tracer on at rate 1.0 vs 0.1.
-    retwis_cal = replace(preset("quick"), seed=cal.seed, group_commit=True)
+    # The _nogc row is the one-round-per-frame reference, and the
+    # traced/sampled pair is the headline run with the span tracer on at
+    # rate 1.0 vs 0.1.
+    retwis_cal = replace(preset("quick"), seed=cal.seed)
 
     specs: list[tuple[str, Callable[[], dict]]] = [
         ("event_lane", lambda: _bench_event_lane(sizes["ping_iters"])),
@@ -314,7 +317,7 @@ def simperf(cal=None, out_path: Optional[str] = DEFAULT_OUT, profile: bool = Fal
         (
             "retwis_invoke_nogc",
             lambda: _bench_retwis(
-                replace(retwis_cal, group_commit=False), bench="retwis_invoke_nogc"
+                retwis_cal, bench="retwis_invoke_nogc", group_commit_max_rounds=1
             ),
         ),
         (
@@ -382,7 +385,7 @@ def simperf(cal=None, out_path: Optional[str] = DEFAULT_OUT, profile: bool = Fal
     text += (
         f"\n  group commit: {headline_row['messages_per_invocation']:.2f} "
         f"messages/invocation vs {reference_row['messages_per_invocation']:.2f} "
-        f"without pipelining ({saved:.1%} fewer)"
+        f"at one round per frame ({saved:.1%} fewer)"
     )
     coalesce_saved = 1.0 - (
         coalesced_row["messages_per_invocation"]

@@ -291,14 +291,6 @@ class ConsistencyChecker:
                         "bookkeeping", name, f"{len(node._inflight)} requests still in flight"
                     )
                 )
-            if node._ack_waiters:
-                report.violations.append(
-                    Violation(
-                        "bookkeeping",
-                        name,
-                        f"{len(node._ack_waiters)} replication rounds still awaiting acks",
-                    )
-                )
             if node._charge_waiters:
                 report.violations.append(
                     Violation(
@@ -357,22 +349,6 @@ class ConsistencyChecker:
                         f"(watermark pruning should keep <= 1)",
                     )
                 )
-            for shard_id, log in node.primary_logs.items():
-                replica_set = next(
-                    (rs for rs in shard_map.replica_sets if rs.shard_id == shard_id),
-                    None,
-                )
-                if replica_set is None or replica_set.primary != name:
-                    continue  # deposed primary's dead log; not reachable
-                if log.retained:
-                    report.violations.append(
-                        Violation(
-                            "bookkeeping",
-                            name,
-                            f"primary replication log for shard {shard_id} retains "
-                            f"{log.retained} acked-and-done sequences",
-                        )
-                    )
             for shard_id, pipeline in node.pipelines.items():
                 replica_set = next(
                     (rs for rs in shard_map.replica_sets if rs.shard_id == shard_id),
@@ -380,6 +356,15 @@ class ConsistencyChecker:
                 )
                 if replica_set is None or replica_set.primary != name:
                     continue  # deposed primary's pipeline; not reachable
+                if pipeline.log.retained:
+                    report.violations.append(
+                        Violation(
+                            "bookkeeping",
+                            name,
+                            f"primary replication log for shard {shard_id} retains "
+                            f"{pipeline.log.retained} acked-and-done sequences",
+                        )
+                    )
                 if not pipeline.idle:
                     report.violations.append(
                         Violation(

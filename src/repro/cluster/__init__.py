@@ -3,7 +3,8 @@
 Storage nodes execute object methods where the data lives; a Paxos-
 replicated coordination service tracks membership and the shard map;
 mutating invocations replicate primary→backup; read-only invocations run
-at any replica and hit the per-node consistent result cache; objects are
+at the primary or a lease-holding backup and hit the per-node consistent
+result cache; objects are
 microshards that migrate independently.
 
 Everything runs on the deterministic simulation substrate
@@ -27,7 +28,6 @@ Typical use::
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.client import ClusterClient
 from repro.cluster.coordinator import CoordinatorNode, CoordinatorState
-from repro.cluster.dedupe import CompletedRequestTable, split_request_id
 from repro.cluster.migration import Migrator
 from repro.cluster.paxos import PaxosNode
 from repro.cluster.rebalancer import Rebalancer
@@ -39,7 +39,6 @@ __all__ = [
     "Cluster",
     "ClusterClient",
     "ClusterConfig",
-    "CompletedRequestTable",
     "CoordinatorNode",
     "CoordinatorState",
     "Migrator",
@@ -50,5 +49,4 @@ __all__ = [
     "StoreNode",
     "TransactionCoordinator",
     "enable_transactions",
-    "split_request_id",
 ]

@@ -74,11 +74,8 @@ class ClusterClient:
         self._timeout = request_timeout_ms
         self._max_attempts = max_attempts
         config = getattr(cluster, "config", None)
-        self._group_commit = bool(config is None or config.group_commit)
         #: whether read-only requests prefer lease-holding backups
-        self.replica_reads = bool(
-            config is not None and config.replica_reads and config.group_commit
-        )
+        self.replica_reads = bool(config is not None and config.replica_reads)
         #: monotonic-read fences: (shard_id, primary) -> highest settled
         #: sequence this client has observed for that primaryship
         self._fences: dict[tuple[int, str], int] = {}
@@ -260,23 +257,17 @@ class ClusterClient:
 
     def _route(self, object_id: ObjectId, readonly: bool) -> str:
         replica_set = self.shard_map.shard_for(object_id)
-        if readonly:
-            if self.replica_reads and replica_set.backups:
-                now = self.sim.now
-                # Pruning first keeps the map from pinning memory; the
-                # candidate list is identical either way (expired entries
-                # already passed the <= now filter).
-                self._prune_penalties(now)
-                candidates = [
-                    replica
-                    for replica in replica_set.read_replicas()
-                    if self._penalty.get(replica, 0.0) <= now
-                ]
-                if candidates:
-                    return self._rng.choice(candidates)
-            elif not self._group_commit:
-                # Legacy synchronous replication: any member may serve a
-                # read (the historical route).  Under group commit with
-                # replica reads off, backups would reject — go primary.
-                return self._rng.choice(replica_set.members)
+        if readonly and self.replica_reads and replica_set.backups:
+            now = self.sim.now
+            # Pruning first keeps the map from pinning memory; the
+            # candidate list is identical either way (expired entries
+            # already passed the <= now filter).
+            self._prune_penalties(now)
+            candidates = [
+                replica
+                for replica in replica_set.read_replicas()
+                if self._penalty.get(replica, 0.0) <= now
+            ]
+            if candidates:
+                return self._rng.choice(candidates)
         return replica_set.primary

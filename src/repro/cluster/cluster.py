@@ -60,12 +60,11 @@ class ClusterConfig:
     completed_cap: int = 4096
     #: retransmission budget for RemoteCharge delivery to nested-call owners
     charge_max_attempts: int = 5
-    #: pipelined group-commit replication: coalesce concurrent commit
-    #: rounds into range frames with cumulative acks, release the object
-    #: lock at local commit, and park the client reply on the pipeline's
-    #: settlement watermark.  Off restores the one-frame-per-round path.
-    group_commit: bool = True
-    #: flush a frame once it holds this many rounds ...
+    #: pipelined group-commit replication coalesces concurrent commit
+    #: rounds into range frames with cumulative acks, releases the object
+    #: lock at local commit, and parks the client reply on the pipeline's
+    #: settlement watermark.  A frame is flushed once it holds this many
+    #: rounds (1 ships every round alone: group commit off) ...
     group_commit_max_rounds: int = 32
     #: ... or this many payload bytes
     group_commit_max_bytes: int = 64 * 1024
@@ -74,7 +73,7 @@ class ClusterConfig:
     #: lease-based replica reads: backups holding a fresh lease from
     #: their shard's primary serve read-only invocations locally (no
     #: primary round trip), releasing each reply only once the settlement
-    #: watermark covers the read state.  Requires ``group_commit``.
+    #: watermark covers the read state.
     replica_reads: bool = True
     #: replica-read lease duration; clamped below the failure-detection
     #: timeout so a partitioned backup's lease always expires before the
@@ -216,7 +215,6 @@ class Cluster:
                 storage=storage,
                 completed_cap=self.config.completed_cap,
                 charge_max_attempts=self.config.charge_max_attempts,
-                group_commit=self.config.group_commit,
                 group_commit_max_rounds=self.config.group_commit_max_rounds,
                 group_commit_max_bytes=self.config.group_commit_max_bytes,
                 group_commit_flush_ms=self.config.group_commit_flush_ms,
@@ -459,7 +457,7 @@ class Cluster:
         """
         _epoch, shard_map = self.current_config()
         for node in self.live_nodes():
-            if node._inflight or node._ack_waiters or node._charge_waiters:
+            if node._inflight or node._charge_waiters:
                 return False
             if node._parked_reads:
                 # A backup read parked on a lease/settlement deadline; it

@@ -119,28 +119,6 @@ class ClientReply:
 
 
 @dataclass
-class ReplicateWrites:
-    """Primary -> backup: apply these committed batches in sequence order."""
-
-    shard_id: int
-    epoch: int
-    sequence: int
-    #: encoded WriteBatch payloads, one per commit segment
-    batches: list[bytes]
-    primary: str
-    #: memoized wire size; one round goes to every backup as this object
-    _size_memo: Optional[int] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def size(self) -> int:
-        memo = self._size_memo
-        if memo is None:
-            self._size_memo = memo = 48 + sum(len(b) for b in self.batches)
-        return memo
-
-
-@dataclass
 class ReplicateWritesRange:
     """Primary -> backup: a group-commit frame carrying a contiguous run
     of replication rounds, ``first_sequence .. first_sequence+len(rounds)-1``.
@@ -195,9 +173,8 @@ class ReplicateWritesRange:
 class ReplicateAck:
     """Backup -> primary: every sequence <= ``applied_through`` applied.
 
-    Cumulative: one ack can settle many rounds.  The legacy single-round
-    path sends one ack per applied sequence, in order, so its acks are
-    cumulative too (a backup applies strictly in order).
+    Cumulative: one ack can settle many rounds (a backup applies strictly
+    in order).
     """
 
     shard_id: int

@@ -37,10 +37,10 @@ class PrimaryReplicationLog:
     """Primary-side sequence assignment and ack tracking.
 
     History entries are retained only while their replication round is in
-    flight: :meth:`mark_complete` advances a contiguous completion
-    watermark and prunes everything at or below it, so the log's memory is
-    bounded by the number of concurrently outstanding rounds instead of
-    growing for the node's lifetime.
+    flight: :meth:`complete_through` advances the settlement watermark and
+    prunes everything at or below it, so the log's memory is bounded by
+    the number of concurrently outstanding rounds instead of growing for
+    the node's lifetime.
     """
 
     def __init__(
@@ -51,15 +51,11 @@ class PrimaryReplicationLog:
     ) -> None:
         self.shard_id = shard_id
         self._next_sequence = 1
-        #: sequence -> set of backups that acked
-        self._acks: dict[int, set[str]] = {}
         #: backup name -> highest cumulatively-acked sequence
         self.acked_through: dict[str, int] = {}
         #: sequence -> encoded batches, kept for retransmission while the
         #: replication round is outstanding
         self.history: dict[int, list[bytes]] = {}
-        #: completed rounds above the contiguous watermark
-        self._complete: set[int] = set()
         #: every sequence <= this has finished replicating and been pruned
         self.completed_through = 0
         self.stats = ReplicationStats(registry, labels)
@@ -75,7 +71,6 @@ class PrimaryReplicationLog:
         """Assign the next shard sequence number to a committed write."""
         sequence = self._next_sequence
         self._next_sequence += 1
-        self._acks[sequence] = set()
         self.history[sequence] = batches
         self._c_shipped.inc()
         return sequence
@@ -84,73 +79,34 @@ class PrimaryReplicationLog:
     def last_assigned(self) -> int:
         return self._next_sequence - 1
 
-    def record_ack(self, sequence: int, backup: str) -> None:
-        acks = self._acks.get(sequence)
-        if acks is not None and backup not in acks:
-            # Count only first-time acks: duplicate re-acks (retransmission
-            # crossings) used to inflate the counter.
-            acks.add(backup)
-            self._c_acked.inc()
-        if self.acked_through.get(backup, 0) < sequence:
-            # Backups apply (and therefore ack) strictly in order, so a
-            # per-sequence ack is implicitly cumulative.
-            self.record_cumulative_ack(backup, sequence)
-
     def record_cumulative_ack(self, backup: str, applied_through: int) -> bool:
         """Record that ``backup`` has applied every sequence up to and
         including ``applied_through``.  Returns True when this advanced
-        the backup's watermark (stale/duplicate acks return False)."""
+        the backup's watermark (stale/duplicate acks return False).
+
+        ``stats.acked`` counts each (sequence, backup) pair once, and only
+        for rounds still in flight: those above both the backup's previous
+        watermark and the pruned prefix, up to the last one assigned."""
         previous = self.acked_through.get(backup, 0)
         if applied_through <= previous:
             return False
         self.acked_through[backup] = applied_through
-        for sequence in self._acks:
-            if previous < sequence <= applied_through:
-                acks = self._acks[sequence]
-                if backup not in acks:
-                    acks.add(backup)
-                    self._c_acked.inc()
+        newly_acked = min(applied_through, self.last_assigned) - max(
+            previous, self.completed_through
+        )
+        if newly_acked > 0:
+            self._c_acked.inc(newly_acked)
         return True
 
-    def acked_by(self, sequence: int) -> set[str]:
-        return set(self._acks.get(sequence, ()))
-
-    def forget_through(self, sequence: int) -> None:
-        """Drop ack/history state up to ``sequence`` (all replicas caught up)."""
-        for done in [s for s in self._acks if s <= sequence]:
-            del self._acks[done]
-        for done in [s for s in self.history if s <= sequence]:
-            del self.history[done]
-
-    def mark_complete(self, sequence: int) -> None:
-        """Record that ``sequence``'s replication round finished (every
-        live backup acked, or the stragglers left the replica set) and
-        prune the contiguous completed prefix."""
-        if sequence <= self.completed_through:
-            return
-        self._complete.add(sequence)
-        advanced = False
-        while self.completed_through + 1 in self._complete:
-            self.completed_through += 1
-            self._complete.discard(self.completed_through)
-            advanced = True
-        if advanced:
-            self.forget_through(self.completed_through)
-
     def complete_through(self, sequence: int) -> None:
-        """Cumulative :meth:`mark_complete`: every sequence up to and
-        including ``sequence`` finished replicating.  Used by the
-        group-commit pipeline, whose settlement watermark is inherently
-        contiguous."""
+        """Every sequence up to and including ``sequence`` finished
+        replicating (acked by every live backup, or the stragglers left
+        the replica set): advance the watermark and prune its history."""
         if sequence <= self.completed_through:
             return
+        for done in range(self.completed_through + 1, sequence + 1):
+            self.history.pop(done, None)
         self.completed_through = sequence
-        # Re-absorb any individually-completed rounds sitting just above
-        # the new watermark (mixed pipeline + legacy use of one log).
-        while self.completed_through + 1 in self._complete:
-            self.completed_through += 1
-        self._complete = {s for s in self._complete if s > self.completed_through}
-        self.forget_through(self.completed_through)
 
     @property
     def retained(self) -> int:
@@ -236,8 +192,10 @@ class ReplicationPipeline:
     ``applied_through`` over the live backups it has shipped to, and each
     parked client reply is released once the watermark reaches its own
     sequence — every sequence <= its own is then acked by all live
-    backups, which is exactly the legacy reply condition, so invocation
-    linearizability (§3.1) is preserved.
+    backups, the paper's reply condition, so invocation linearizability
+    (§3.1) is preserved.  ``max_rounds=1`` turns coalescing off: every
+    round ships alone in its own frame, through the same settlement,
+    read barriers and gap repair.
 
     Flush triggers: ``open`` (nothing in flight — send immediately, no
     added latency at low load), ``size`` (round/byte threshold), ``ack``

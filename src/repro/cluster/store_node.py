@@ -2,9 +2,10 @@
 
 A node is primary for some microshards and backup for others.  Mutating
 invocations run at the primary under the per-object lock, commit locally,
-and ship their write batches to every backup; the client reply waits for
-all live backups to ack.  Read-only invocations run at any replica and
-use the node's consistent result cache.
+and enqueue their write batches on the shard's replication pipeline; the
+client reply waits until every live backup acked them.  Read-only
+invocations run at the primary behind a settlement barrier, or at a
+lease-holding backup, and use the node's consistent result cache.
 
 Time accounting (see DESIGN.md): guest code executes synchronously at one
 simulated instant; the node then *charges* the modelled durations — CPU
@@ -37,7 +38,6 @@ from repro.cluster.messages import (
     MigrateObject,
     NewConfig,
     ReplicateAck,
-    ReplicateWrites,
     ReplicateWritesRange,
 )
 from repro.cluster.replication import (
@@ -296,7 +296,6 @@ class StoreNode:
         storage: Optional[Any] = None,
         completed_cap: int = 4096,
         charge_max_attempts: int = 5,
-        group_commit: bool = False,
         group_commit_max_rounds: int = 32,
         group_commit_max_bytes: int = 64 * 1024,
         group_commit_flush_ms: float = 0.25,
@@ -364,18 +363,16 @@ class StoreNode:
         self.runtime.commit_hook = self._on_commit
         self.epoch = 0
         self.shard_map = None
-        self.primary_logs: dict[int, PrimaryReplicationLog] = {}
         self.backup_appliers: dict[int, BackupApplier] = {}
-        #: group-commit replication (§4.2.1 + pipelining); when off, the
-        #: legacy one-frame-per-round path runs unchanged
-        self._group_commit = group_commit
+        #: group-commit replication (§4.2.1 + pipelining); a frame limit of
+        #: one round ships every commit alone, with no coalescing
         self._gc_max_rounds = group_commit_max_rounds
         self._gc_max_bytes = group_commit_max_bytes
         self._gc_flush_ms = group_commit_flush_ms
         self.pipelines: dict[int, ReplicationPipeline] = {}
         #: replica-read lease protocol (backups serve reads at their own
-        #: applied point); only meaningful on top of group commit
-        self._replica_reads = bool(replica_reads and group_commit)
+        #: applied point)
+        self._replica_reads = bool(replica_reads)
         self._lease_ms = replica_read_lease_ms
         #: bound on how long a backup read parks for a lease/watermark
         self._read_park_ms = min(replica_read_lease_ms, ack_timeout_ms * 4)
@@ -398,11 +395,6 @@ class StoreNode:
         self._pending_acks: dict[str, dict[int, int]] = {}
         #: destinations with a fallback ack timer currently armed
         self._ack_timer_armed: set[str] = set()
-        #: jitter stream for legacy-path retransmission backoff, created
-        #: lazily so faultless runs never touch it
-        self._legacy_retry_rng = None
-        #: (shard_id, sequence) -> (still-needed backups, event)
-        self._ack_waiters: dict[tuple[int, int], tuple[set, Any]] = {}
         self._charge_waiters: dict[str, Any] = {}
         self._charge_max_attempts = max(1, charge_max_attempts)
         #: charge_id -> completed?  (at-most-once for retransmitted charges)
@@ -452,7 +444,6 @@ class StoreNode:
         hand-rolled isinstance chain; same handlers, same spawn points)."""
         endpoint = self.endpoint
         endpoint.on(ClientRequest, self._handle_request, spawn="req")
-        endpoint.on(ReplicateWrites, self._on_replicate)
         endpoint.on(ReplicateWritesRange, self._on_replicate_range)
         endpoint.on(ReplicateAck, self._on_replicate_ack)
         endpoint.on(LeaseQuery, self._on_lease_query)
@@ -651,14 +642,6 @@ class StoreNode:
                 written_keys.extend(key for _kind, key, _v in batch.items())
         if written_keys:
             self.runtime.cache.invalidate_keys(written_keys)
-
-    def _on_replicate(self, message: ReplicateWrites) -> None:
-        applier = self._applier_for(message.shard_id, message.primary)
-        applied = applier.receive(message.sequence, message.batches)
-        self._invalidate_applied(applied, direct_sequences={message.sequence})
-        for sequence, _batches in applied:
-            reply = ReplicateAck(message.shard_id, sequence, self.name)
-            self.endpoint.send(message.primary, reply)
 
     def _on_replicate_range(self, message: ReplicateWritesRange) -> None:
         """Apply a group-commit frame; answer with one cumulative ack.
@@ -946,52 +929,13 @@ class StoreNode:
                 cache.install(object_id, method, digest, value, read_set)
 
     def _on_replicate_ack(self, message: ReplicateAck) -> None:
-        log = self.primary_logs.get(message.shard_id)
-        if not self._group_commit:
-            # Legacy path: acks are per-sequence (sent in apply order, so
-            # ``applied_through`` *is* the acked sequence) and each waiter
-            # is exact-matched.
-            if log is not None:
-                log.record_ack(message.applied_through, message.backup)
-            waiter = self._ack_waiters.get((message.shard_id, message.applied_through))
-            if waiter is not None:
-                needed, event = waiter
-                needed.discard(message.backup)
-                if not needed and not event.triggered:
-                    event.succeed()
-            return
+        # One cumulative ack can settle many rounds; an ack for a shard
+        # this node never led is a stray and carries nothing to record.
         pipeline = self.pipelines.get(message.shard_id)
-        if log is not None and pipeline is None:
-            # No pipeline yet (legacy rounds only): record on the log
-            # directly; otherwise on_ack below records it exactly once.
-            log.record_cumulative_ack(message.backup, message.applied_through)
-        # One cumulative ack can settle many rounds: release this backup
-        # from every waiter at or below the watermark (legacy-path rounds
-        # share the sequence space with pipeline rounds).
-        for key in [
-            k
-            for k in self._ack_waiters
-            if k[0] == message.shard_id and k[1] <= message.applied_through
-        ]:
-            needed, event = self._ack_waiters[key]
-            needed.discard(message.backup)
-            if not needed and not event.triggered:
-                event.succeed()
         if pipeline is not None:
             pipeline.on_ack(message.backup, message.applied_through)
 
     # -- group-commit pipeline ------------------------------------------------
-
-    def _log_for(self, shard_id: int) -> PrimaryReplicationLog:
-        log = self.primary_logs.get(shard_id)
-        if log is None:
-            log = PrimaryReplicationLog(
-                shard_id,
-                self._registry,
-                {**self._metric_labels, "role": "primary", "shard": str(shard_id)},
-            )
-            self.primary_logs[shard_id] = log
-        return log
 
     def _current_backups(self, shard_id: int) -> list[str]:
         if self.shard_map is None:
@@ -1029,10 +973,11 @@ class StoreNode:
     def _pipeline_for(self, shard_id: int) -> ReplicationPipeline:
         pipeline = self.pipelines.get(shard_id)
         if pipeline is None:
+            labels = {**self._metric_labels, "role": "primary", "shard": str(shard_id)}
             pipeline = ReplicationPipeline(
                 self.sim,
                 shard_id,
-                self._log_for(shard_id),
+                PrimaryReplicationLog(shard_id, self._registry, labels),
                 send_frame=lambda targets, first, rounds, _sid=shard_id: (
                     self._send_range_frame(_sid, targets, first, rounds)
                 ),
@@ -1043,11 +988,7 @@ class StoreNode:
                 ack_timeout_ms=self._ack_timeout,
                 name=f"{self.name}:s{shard_id}",
                 registry=self._registry,
-                labels={
-                    **self._metric_labels,
-                    "role": "primary",
-                    "shard": str(shard_id),
-                },
+                labels=labels,
             )
             self.pipelines[shard_id] = pipeline
         return pipeline
@@ -1056,8 +997,6 @@ class StoreNode:
         """Park until the pipeline's watermark covers ``waiter``'s round."""
         tracer = self.tracer
         if tracer is not None and parent is not None:
-            # Same span name as the legacy path so trace tooling sees one
-            # replication phase per invocation regardless of mode.
             span = tracer.start(
                 "replicate",
                 parent=parent,
@@ -1072,20 +1011,14 @@ class StoreNode:
         else:
             yield waiter
 
-    def _replicate_batches(
-        self, shard_id: int, batches: list[bytes], parent=None, objects=None
-    ):
-        """Replicate committed batches and wait until every live backup
-        acked: the group-commit pipeline when enabled, the legacy
-        one-round-at-a-time path otherwise."""
-        if self._group_commit:
-            if objects is None:
-                objects = _objects_in_batches(batches)
-            waiter = self._pipeline_for(shard_id).submit(batches, objects=objects)
-            self._c_replication_rounds.inc()
-            yield from self._pipeline_wait(shard_id, waiter, parent=parent)
-            return
-        yield from self._replicate(shard_id, batches, parent=parent)
+    def _replicate_batches(self, shard_id: int, batches: list[bytes], parent=None):
+        """Replicate committed batches through the shard's pipeline and
+        wait until every live backup acked them."""
+        waiter = self._pipeline_for(shard_id).submit(
+            batches, objects=_objects_in_batches(batches)
+        )
+        self._c_replication_rounds.inc()
+        yield from self._pipeline_wait(shard_id, waiter, parent=parent)
 
     def _invoke_traced(self, root, request: ClientRequest):
         """Run the guest with the request's root span active, so invoke /
@@ -1100,73 +1033,6 @@ class StoreNode:
         return self.runtime.invoke_detailed(
             request.object_id, request.method, *request.args
         )
-
-    def _replicate(self, shard_id: int, batches: list[bytes], parent=None):
-        """Ship committed batches to backups; wait for all live acks."""
-        tracer = self.tracer
-        if tracer is None:
-            return (yield from self._replicate_inner(shard_id, batches))
-        span = tracer.start(
-            "replicate",
-            parent=parent,
-            node=self.name,
-            shard=shard_id,
-            batches=len(batches),
-        )
-        try:
-            return (yield from self._replicate_inner(shard_id, batches))
-        finally:
-            tracer.end(span)
-
-    def _replicate_inner(self, shard_id: int, batches: list[bytes]):
-        replica_set = self.shard_map.replica_set(shard_id)
-        backups = [b for b in replica_set.backups]
-        log = self._log_for(shard_id)
-        sequence = log.next_sequence(batches)
-        if not backups:
-            log.mark_complete(sequence)
-            return sequence
-        message = ReplicateWrites(shard_id, self.epoch, sequence, batches, self.name)
-        for backup in backups:
-            self.endpoint.send(backup, message)
-        needed = set(backups)
-        event = self.sim.event()
-        self._ack_waiters[(shard_id, sequence)] = (needed, event)
-        self._c_replication_rounds.inc()
-        # First wait is exactly the ack timeout; retransmissions back off
-        # exponentially (capped at 8x) with jitter so a wedged backup is
-        # not hammered at a fixed 5 ms cadence.  The jitter stream is
-        # created lazily: faultless runs never retransmit.
-        delay = self._ack_timeout
-        delay_cap = self._ack_timeout * 8
-        try:
-            while needed:
-                yield from self.sim.wait(event, delay)
-                if not needed:
-                    break
-                # Timed out: drop backups no longer in the (possibly
-                # reconfigured) replica set and retransmit to the rest.
-                current = set(self.shard_map.replica_set(shard_id).backups)
-                for backup in list(needed):
-                    if backup not in current:
-                        needed.discard(backup)
-                if not needed:
-                    break
-                event = self.sim.event()
-                self._ack_waiters[(shard_id, sequence)] = (needed, event)
-                for backup in needed:
-                    self.endpoint.send(backup, message)
-                log.stats.retransmitted += 1
-                if self._legacy_retry_rng is None:
-                    self._legacy_retry_rng = self.sim.rng(f"{self.name}.repl-retry")
-                delay = min(delay * 2, delay_cap)
-                delay += self._legacy_retry_rng.uniform(0, delay * 0.25)
-        finally:
-            self._ack_waiters.pop((shard_id, sequence), None)
-            # The round is settled (acked by every backup still in the
-            # replica set); prune the history once the prefix is contiguous.
-            log.mark_complete(sequence)
-        return sequence
 
     # -- client requests ---------------------------------------------------
 
@@ -1363,33 +1229,7 @@ class StoreNode:
         self.object_load[key] = self.object_load.get(key, 0) + 1
 
     def _execute_readonly(self, request: ClientRequest, root=None):
-        if self._group_commit:
-            yield from self._execute_readonly_gc(request, root)
-            return
-        self._c_readonly_requests.inc()
-        self._note_load(request)
-        arrived = self.sim.now
-        yield self.cpu.request()
-        started = self.sim.now
-        try:
-            try:
-                result = self._invoke_traced(root, request)
-            except (InvocationError, UnknownObjectError) as error:
-                self._c_failed_invocations.inc()
-                self._escalate_trace(request.request_id, "invoke.error")
-                self._reply(request, ClientReply(request.request_id, False, error=str(error)))
-                return
-            yield self.sim.timeout(result.fuel_used * self.ms_per_fuel)
-            reply = ClientReply(request.request_id, True, value=result.value)
-            self._reply(request, reply)
-        finally:
-            self._c_busy_ms.inc(self.sim.now - started)
-            self.cpu.release()
-            if self._request_hist is not None:
-                self._request_hist["readonly"].observe(self.sim.now - arrived)
-
-    def _execute_readonly_gc(self, request: ClientRequest, root=None):
-        """Read path under group commit.
+        """Read path.
 
         At the primary, committed-but-unacked writes are visible (the
         object lock is released at local commit), so the reply parks
@@ -1487,8 +1327,8 @@ class StoreNode:
         elsewhere."""
         shard_id = replica_set.shard_id
         if not self._replica_reads:
-            # Without leases a backup must not serve reads under group
-            # commit at all (it would skip the settlement barrier).
+            # Without leases a backup must not serve reads at all (it
+            # would skip the settlement barrier).
             self.stats.rejected_not_primary += 1
             self._reject(request, "not primary")
             return
@@ -1679,32 +1519,28 @@ class StoreNode:
                 # Crash point: the write set is committed locally but has
                 # not entered replication — the classic lost-update site.
                 probe(self.name, "pre-replicate")
-            if self._group_commit:
-                # Group commit decouples execution from replication: the
-                # write set is committed locally and enqueued on the
-                # shard's pipeline, the object lock is released so later
-                # invocations of *this* object (and others) execute while
-                # the frame is in flight, and only the client reply parks
-                # on the cumulative-ack watermark.  Linearizability holds
-                # because the reply is released only once every sequence
-                # <= its own is acked by all live backups — the same
-                # condition the legacy path waits for under the lock.
-                waiter = None
-                if own_batches:
-                    waiter = self._pipeline_for(shard_id).submit(
-                        own_batches,
-                        objects=tuple(sorted(capture.objects.get(self.name, ()))),
-                    )
-                    self._c_replication_rounds.inc()
-                self.locks.release(object_key)
-                locked = False
-                if probe is not None and not self.crashed:
-                    # Crash point: the round is on the pipeline (frame
-                    # possibly in flight) but the reply is still parked
-                    # on the settlement watermark.
-                    probe(self.name, "post-submit")
-            elif own_batches:
-                yield from self._replicate(shard_id, own_batches, parent=root)
+            # Execution is decoupled from replication: the write set is
+            # committed locally and enqueued on the shard's pipeline, the
+            # object lock is released so later invocations of *this*
+            # object (and others) execute while the frame is in flight,
+            # and only the client reply parks on the cumulative-ack
+            # watermark.  Linearizability holds because the reply is
+            # released only once every sequence <= its own is acked by
+            # all live backups (§4.2.1).
+            waiter = None
+            if own_batches:
+                waiter = self._pipeline_for(shard_id).submit(
+                    own_batches,
+                    objects=tuple(sorted(capture.objects.get(self.name, ()))),
+                )
+                self._c_replication_rounds.inc()
+            self.locks.release(object_key)
+            locked = False
+            if probe is not None and not self.crashed:
+                # Crash point: the round is on the pipeline (frame
+                # possibly in flight) but the reply is still parked on
+                # the settlement watermark.
+                probe(self.name, "post-submit")
 
             # Bill remote nested dispatches to their owners.
             for index, (owner_name, sub_result) in enumerate(capture.remote_dispatches):
@@ -1717,11 +1553,9 @@ class StoreNode:
                 )
                 yield from self._send_charge(charge, owner_name, parent=root)
 
-            if self._group_commit and waiter is not None:
-                yield from self._pipeline_wait(shard_id, waiter, parent=root)
-
             fence = None
-            if self._group_commit and waiter is not None:
+            if waiter is not None:
+                yield from self._pipeline_wait(shard_id, waiter, parent=root)
                 pipeline = self.pipelines.get(shard_id)
                 if pipeline is not None and pipeline.settled_through:
                     fence = (shard_id, self.name, pipeline.settled_through)

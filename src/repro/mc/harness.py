@@ -37,7 +37,6 @@ from repro.sim.network import ConstantLatency
 DEFAULT_CHOICE_KINDS = (
     "ClientRequest",
     "ClientReply",
-    "ReplicateWrites",
     "ReplicateWritesRange",
     "ReplicateAck",
     "LeaseQuery",
@@ -57,7 +56,6 @@ class McConfig:
     num_clients: int = 2
     ops_per_client: int = 2
     seed: int = 0
-    group_commit: bool = True
     replica_reads: bool = False
     transport_coalescing: bool = False
     coalesce_window_ms: float = 0.0
@@ -125,7 +123,6 @@ def build_cluster(config: McConfig, sim: Simulation) -> Cluster:
             ms_per_fuel=0.0,
             bandwidth_mbps=float("inf"),
             auto_failure_detection=False,
-            group_commit=config.group_commit,
             group_commit_flush_ms=0.0,
             replica_reads=config.replica_reads,
             transport_coalescing=config.transport_coalescing,
@@ -293,7 +290,6 @@ def _state_fingerprint(
                 pipelines,
                 cache_keys,
                 tuple(sorted(node._inflight)),
-                tuple(sorted(node._ack_waiters)),
                 node._parked_reads,
                 tuple(sorted((b, tuple(sorted(acks.items()))) for b, acks in node._pending_acks.items())),
             )

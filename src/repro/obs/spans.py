@@ -1,8 +1,8 @@
 """Span-based distributed tracing for invocations.
 
-One **trace** per client request (``trace_id`` = the request id, the same
-correlation key :func:`repro.cluster.tracing._correlation_of` uses at the
-message level); one **span** per phase of the invocation lifecycle —
+One **trace** per client request (``trace_id`` = the request id, which
+every request/reply message also carries); one **span** per phase of the
+invocation lifecycle —
 lock waits, guest execution, nested object calls (including remote
 dispatches to other storage nodes), commits (the §3.1 caller-commit
 split), cache lookups, kvstore flushes, and replication rounds.  Each

@@ -424,7 +424,7 @@ class Network:
     @property
     def drop_filter(self) -> Optional[Callable[[Message], bool]]:
         """Optional predicate: return True to drop a specific message
-        (targeted fault scripting, e.g. "drop the first ReplicateWrites")."""
+        (targeted fault scripting, e.g. "drop the first ReplicateWritesRange")."""
         return self._drop_filter
 
     @drop_filter.setter

@@ -42,13 +42,10 @@ def test_network_row_reports_messages():
     assert row["messages_per_sec"] > 0
 
 
-def _fake_retwis(cal, bench="retwis_invoke", trace_sample_rate=None):
-    if not cal.group_commit:
-        per_invocation = 8.0
-    elif cal.transport_coalescing:
-        per_invocation = 2.0
-    else:
-        per_invocation = 4.0
+def _fake_retwis(cal, bench="retwis_invoke", trace_sample_rate=None, **_overrides):
+    per_invocation = {"retwis_invoke_nogc": 8.0, "retwis_invoke_coalesced": 2.0}.get(
+        bench, 4.0
+    )
     row = {
         "bench": bench,
         "events": 1000,

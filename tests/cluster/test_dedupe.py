@@ -1,6 +1,6 @@
 """Unit tests for the bounded at-most-once reply table."""
 
-from repro.cluster.dedupe import CompletedRequestTable, split_request_id
+from repro.rpc.dedupe import CompletedRequestTable, split_request_id
 
 
 def test_split_request_id():

@@ -1,6 +1,7 @@
 """Unit tests for group-commit replication: cumulative acks on the
 primary log and the per-shard :class:`ReplicationPipeline`."""
 
+from repro.cluster.messages import ReplicateAck
 from repro.cluster.replication import PrimaryReplicationLog, ReplicationPipeline
 from repro.sim import Simulation
 
@@ -21,22 +22,23 @@ def test_record_ack_counts_duplicate_reacks_once():
     # Retransmission crossings re-deliver acks; the counter must only see
     # first-time (sequence, backup) pairs.
     log = seeded_log(rounds=1)
-    log.record_ack(1, "b1")
-    log.record_ack(1, "b1")
-    log.record_ack(1, "b1")
+    assert log.record_cumulative_ack("b1", 1) is True
+    assert log.record_cumulative_ack("b1", 1) is False
+    assert log.record_cumulative_ack("b1", 1) is False
     assert log.stats.acked == 1
-    assert log.acked_by(1) == {"b1"}
+    assert log.acked_through == {"b1": 1}
 
 
 def test_record_ack_is_implicitly_cumulative():
     # Backups apply strictly in order, so an ack for 3 means 1 and 2
     # landed too (their acks may have been dropped on the wire).
     log = seeded_log(rounds=3)
-    log.record_ack(3, "b1")
+    log.record_cumulative_ack("b1", 3)
     assert log.acked_through["b1"] == 3
-    assert log.acked_by(1) == {"b1"}
-    assert log.acked_by(2) == {"b1"}
     assert log.stats.acked == 3
+    log.record_cumulative_ack("b2", 1)
+    log.record_cumulative_ack("b2", 3)  # back-fills 2 and 3 only
+    assert log.stats.acked == 6
 
 
 def test_record_cumulative_ack_rejects_stale_and_duplicate():
@@ -48,14 +50,15 @@ def test_record_cumulative_ack_rejects_stale_and_duplicate():
     assert log.stats.acked == 2  # back-fill counted each sequence once
 
 
-def test_complete_through_prunes_and_absorbs_individual_completions():
+def test_cumulative_ack_counts_only_assigned_unpruned_rounds():
     log = seeded_log(rounds=4)
-    log.mark_complete(3)  # a legacy round settled individually
-    log.complete_through(2)
-    # 1-2 settle cumulatively and re-absorb the already-complete 3.
-    assert log.completed_through == 3
-    assert log.retained == 1
-    assert 4 in log.history and 1 not in log.history
+    log.complete_through(2)  # 1-2 settled without this backup's ack
+    assert log.retained == 2
+    # Only the rounds still in flight and actually assigned, 3 and 4,
+    # are counted.
+    assert log.record_cumulative_ack("b1", 9) is True
+    assert log.acked_through["b1"] == 9
+    assert log.stats.acked == 2
 
 
 def test_cumulative_ack_below_pruned_watermark_is_noop():
@@ -311,3 +314,84 @@ def test_failover_retires_the_deposed_primary_pipeline():
     new_primary = cluster.nodes["store-1"]
     assert not any(p.retired for p in new_primary.pipelines.values())
     assert cluster.run_invoke(client, oid, "increment", 1) == 5
+
+
+def test_lone_commit_ships_one_range_frame_per_backup():
+    sim, cluster = build_cluster(seed=92)
+    sent = []
+    cluster.net.tap = lambda message: sent.append(type(message.payload).__name__)
+    oid = cluster.create_object("Counter")
+    client = cluster.client("c0")
+    cluster.run_invoke(client, oid, "increment", 1)
+    sim.run(until=sim.now + 5)
+    assert sent.count("ReplicateWritesRange") == 2  # two backups
+    assert sent.count("ReplicateAck") >= 2
+
+
+def flush_round_counts(**config):
+    """(frames, frames of exactly one round) after eight clients each
+    increment their own counter three times at once."""
+    sim, cluster = build_cluster(seed=23, **config)
+    oids = [cluster.create_object("Counter") for _ in range(8)]
+
+    def increments(client, oid):
+        for _ in range(3):
+            yield from client.invoke(oid, "increment", 1)
+
+    processes = [
+        sim.process(increments(cluster.client(f"c{index}"), oid))
+        for index, oid in enumerate(oids)
+    ]
+    sim.run_until_triggered(sim.all_of(processes), limit=sim.now + 60_000)
+    histograms = cluster.metrics.families()["replication_flush_rounds"]
+    assert all(h.bounds[0] == 1 for h in histograms)
+    return (
+        sum(h.count for h in histograms),
+        sum(h.bucket_counts[0] for h in histograms),
+    )
+
+
+def test_one_round_per_frame_ships_every_round_alone():
+    # The default coalesces this load; at max_rounds=1 every flush
+    # observation lands in the 1-round bucket.
+    frames, single = flush_round_counts()
+    assert single < frames
+    frames, single = flush_round_counts(group_commit_max_rounds=1)
+    assert frames == 24  # one frame per mutating invocation
+    assert single == frames
+
+
+def test_primary_read_of_unsettled_round_parks_on_read_barrier():
+    # With group commit off the lock is still released at local commit,
+    # so a primary read can see a round no backup has acked: its reply
+    # must park on the settlement watermark, not return at once.
+    sim, cluster = build_cluster(
+        seed=31, group_commit_max_rounds=1, replica_reads=False
+    )
+    tracer = cluster.enable_tracing()
+    oid = cluster.create_object("Counter")
+    primary = cluster.current_config()[1].shard_for(oid).primary
+    dropped = []
+
+    def drop_first_ack(message):
+        # Holds the round unsettled until the watchdog retransmits.
+        if type(message.payload) is ReplicateAck and not dropped:
+            dropped.append(message.payload)
+            return True
+        return False
+
+    cluster.net.drop_filter = drop_first_ack
+    writer, reader = cluster.client("w"), cluster.client("r")
+
+    def read_after_commit():
+        yield sim.timeout(1.0)
+        return (yield from reader.invoke(oid, "read"))
+
+    write = sim.process(writer.invoke(oid, "increment", 1))
+    read = sim.process(read_after_commit())
+    values = sim.run_until_triggered(sim.all_of([write, read]), limit=sim.now + 60_000)
+    assert dropped
+    assert values[read] == 1
+    barriers = [span for span in tracer.spans if span.name == "read.barrier"]
+    assert [span.node for span in barriers] == [primary]
+    assert barriers[0].duration_ms > 1.0

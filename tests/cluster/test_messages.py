@@ -7,7 +7,7 @@ from repro.cluster.messages import (
     Heartbeat,
     MigrateObject,
     ReplicateAck,
-    ReplicateWrites,
+    ReplicateWritesRange,
     estimate_size,
 )
 from repro.core import ObjectId
@@ -49,8 +49,9 @@ def test_reply_size_includes_value_and_error():
 
 
 def test_replicate_writes_size_sums_batches():
-    message = ReplicateWrites(0, 1, 1, [b"x" * 10, b"y" * 20], "p")
-    assert message.size() == 48 + 30
+    # Frame header, an 8-byte header per round, then the batch payloads.
+    message = ReplicateWritesRange(0, 1, 1, [[b"x" * 10, b"y" * 20], [b"z" * 5]], "p")
+    assert message.size() == 48 + 2 * 8 + 35
     assert ReplicateAck(0, 1, "b").size() == 32
 
 

@@ -27,18 +27,23 @@ def test_primary_assigns_increasing_sequences():
 def test_primary_tracks_acks():
     log = PrimaryReplicationLog(0)
     sequence = log.next_sequence([b"x"])
-    log.record_ack(sequence, "b1")
-    log.record_ack(sequence, "b2")
-    assert log.acked_by(sequence) == {"b1", "b2"}
+    assert log.record_cumulative_ack("b1", sequence)
+    assert log.record_cumulative_ack("b2", sequence)
+    assert log.acked_through == {"b1": sequence, "b2": sequence}
+    assert log.stats.acked == 2
 
 
-def test_primary_forget_through_drops_state():
+def test_primary_complete_through_drops_history():
     log = PrimaryReplicationLog(0)
     for _ in range(3):
         log.next_sequence([b"x"])
-    log.forget_through(2)
-    assert log.acked_by(1) == set()
+    log.complete_through(2)
+    assert log.completed_through == 2
+    assert log.retained == 1
     assert 3 in log.history and 1 not in log.history
+    # Acks for the pruned prefix are facts, but no longer in-flight rounds.
+    log.record_cumulative_ack("b1", 3)
+    assert log.stats.acked == 1
 
 
 def applied_sequences(applied):

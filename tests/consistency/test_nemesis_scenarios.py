@@ -10,7 +10,7 @@ import pytest
 
 from repro.chaos import NemesisConfig, run_scenario
 
-from tests.consistency.conftest import legacy_on_replicate, use_bimodal_latency
+from tests.consistency.conftest import use_bimodal_latency
 
 
 def assert_consistent(result):
@@ -178,40 +178,35 @@ def test_coalescing_survives_crashes_and_partitions(seed):
     assert report.checked_operations > 50
 
 
-def test_checker_flags_stale_cache_when_fix_reverted(monkeypatch):
-    """The acceptance gate for the stale-cache fix: with the seed's buggy
-    ``_on_replicate`` reinstated, the same scenario that passes on the
-    fixed code must produce a cache-coherence violation."""
-    from repro.cluster.store_node import StoreNode
+def test_checker_flags_stale_cache_when_fix_reverted():
+    """The acceptance gate for the stale-cache fix: with the historical
+    drain-invalidation bug reinstated (the ``seeded_bugs`` flag), the same
+    scenario that passes on the fixed code must produce a cache-coherence
+    violation."""
 
-    kwargs = dict(
-        nemesis_config=NemesisConfig(
-            events=("drop_storm",),
-            mean_interval_ms=12.0,
-            drop_probability_range=(0.15, 0.4),
-        ),
-        num_objects=6,
-        num_clients=4,
-        ops_per_client=40,
-        duration_ms=250.0,
-        post_build=use_bimodal_latency,
-        # The reverted handler is the legacy single-round ``_on_replicate``;
-        # group commit would route replication around it via range frames.
-        group_commit=False,
-    )
-    # seed 13 is a known-reordering run: a buffered sequence drains behind
-    # a cached read and (on the buggy code) never invalidates it.  (Seed 3
-    # stopped reordering once retransmissions gained exponential backoff.)
-    fixed_report = run_scenario(seed=13, **kwargs).check()
+    def run(seeded_bugs):
+        return run_scenario(
+            seed=27,
+            nemesis_config=NemesisConfig(
+                events=("drop_storm",),
+                mean_interval_ms=12.0,
+                drop_probability_range=(0.15, 0.4),
+            ),
+            num_objects=6,
+            num_clients=4,
+            ops_per_client=40,
+            duration_ms=250.0,
+            post_build=use_bimodal_latency,
+            seeded_bugs=seeded_bugs,
+        )
+
+    # seed 27 is a known-reordering run: a frame buffered out of order
+    # drains behind a cached read and (on the buggy code) never
+    # invalidates it.  Seeds 1-50 were searched; 27, 36 and 44 manifest.
+    fixed_report = run(()).check()
     assert fixed_report.ok, fixed_report.summary()
 
-    monkeypatch.setattr(StoreNode, "_on_replicate", legacy_on_replicate)
-    kwargs["nemesis_config"] = NemesisConfig(
-        events=("drop_storm",),
-        mean_interval_ms=12.0,
-        drop_probability_range=(0.15, 0.4),
-    )
-    buggy_report = run_scenario(seed=13, **kwargs).check()
+    buggy_report = run(("drain-invalidation",)).check()
     assert not buggy_report.ok
     assert any(v.kind == "stale-cache" for v in buggy_report.violations), (
         buggy_report.summary()

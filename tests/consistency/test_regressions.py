@@ -13,8 +13,8 @@ import pytest
 from repro.chaos import ConsistencyChecker
 from repro.chaos.workload import register_type
 from repro.cluster import Cluster, ClusterConfig
-from repro.cluster.messages import ClientRequest, ReplicateWrites
-from repro.cluster.store_node import RemoteCharge, StoreNode
+from repro.cluster.messages import ClientRequest, ReplicateWritesRange
+from repro.cluster.store_node import RemoteCharge
 from repro.core import (
     ObjectType,
     ValueField,
@@ -25,8 +25,6 @@ from repro.core import (
 from repro.core.fields import encode_value
 from repro.kvstore.batch import WriteBatch
 from repro.sim import Simulation
-
-from tests.consistency.conftest import legacy_on_replicate
 
 
 def build_cluster(seed=1, **kwargs):
@@ -60,7 +58,8 @@ def counter_type():
 
 
 def drive_out_of_order_drain(cluster, backup, primary_name, oid_a, oid_b):
-    """Deliver seq 2 (writes B) before seq 1 (writes A) at ``backup``.
+    """Deliver seq 2 (writes B) before seq 1 (writes A) at ``backup``, each
+    alone in a one-round frame (the pipeline at one round per frame).
 
     On receipt of seq 1 the applier drains seq 2 from its buffer; correct
     code must invalidate cached results reading B's keys."""
@@ -70,19 +69,19 @@ def drive_out_of_order_drain(cluster, backup, primary_name, oid_a, oid_b):
         return batch.encode()
 
     shard_id = cluster.current_config()[1].shard_for(oid_a).shard_id
-    backup._on_replicate(ReplicateWrites(
-        shard_id=shard_id, epoch=backup.epoch, sequence=2,
-        batches=[encoded_write(oid_b, "b-new")], primary=primary_name,
+    backup._on_replicate_range(ReplicateWritesRange(
+        shard_id=shard_id, epoch=backup.epoch, first_sequence=2,
+        rounds=[[encoded_write(oid_b, "b-new")]], primary=primary_name,
     ))
     assert backup.backup_appliers[shard_id].pending_count == 1  # buffered
-    backup._on_replicate(ReplicateWrites(
-        shard_id=shard_id, epoch=backup.epoch, sequence=1,
-        batches=[encoded_write(oid_a, "a-new")], primary=primary_name,
+    backup._on_replicate_range(ReplicateWritesRange(
+        shard_id=shard_id, epoch=backup.epoch, first_sequence=1,
+        rounds=[[encoded_write(oid_a, "a-new")]], primary=primary_name,
     ))
 
 
-def setup_drain_fixture():
-    sim, cluster = build_cluster()
+def setup_drain_fixture(**config):
+    sim, cluster = build_cluster(**config)
     _epoch, shard_map = cluster.current_config()
     replica_set = shard_map.replica_sets[0]
     oid_a = cluster.create_object("Register", initial={"value": "a-old"})
@@ -103,9 +102,10 @@ def test_drained_sequences_invalidate_cache():
     assert len(backup.runtime.cache) == 0
 
 
-def test_legacy_on_replicate_leaves_stale_entry(monkeypatch):
-    monkeypatch.setattr(StoreNode, "_on_replicate", legacy_on_replicate)
-    sim, cluster, backup, primary, oid_a, oid_b = setup_drain_fixture()
+def test_seeded_drain_bug_leaves_stale_entry():
+    sim, cluster, backup, primary, oid_a, oid_b = setup_drain_fixture(
+        seeded_bugs=("drain-invalidation",)
+    )
     drive_out_of_order_drain(cluster, backup, primary, oid_a, oid_b)
     # the seed's bug: the drained write to B never invalidated the cache
     stale = backup.runtime.cache.stale_entries(backup.runtime.storage.get)
@@ -176,7 +176,7 @@ def test_completed_table_and_replication_log_stay_bounded():
     assert primary._completed.per_client_retained().get(client.name, 0) <= 1
     assert len(primary._completed) <= 2
     # every fully-acked sequence was forgotten
-    log = primary.primary_logs[replica_set.shard_id]
+    log = primary.pipelines[replica_set.shard_id].log
     assert log.last_assigned >= 12
     assert log.completed_through == log.last_assigned
     assert log.retained == 0
