@@ -88,22 +88,6 @@ def main(argv: list[str] | None = None) -> int:
         "gates only)",
     )
     parser.add_argument(
-        "--simperf-baseline",
-        metavar="PATH",
-        default=None,
-        help="after running the simperf experiment, compare each row's wall "
-        "time and the headline invocations/sec against the baseline JSON at "
-        "PATH and exit non-zero on a >30%% regression (skippable via "
-        "SIMPERF_GUARD_SKIP=1)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="simperf only: run every row under cProfile and write a top-25 "
-        "cumulative report next to BENCH_simperf.json (wall clocks are "
-        "profiler-inflated; use for attribution, not for the guard)",
-    )
-    parser.add_argument(
         "--metrics-out",
         metavar="PATH",
         default=None,
@@ -129,10 +113,6 @@ def main(argv: list[str] | None = None) -> int:
     # result printing stay in the parent, in deterministic name order.
     prerun: dict[str, tuple[dict, float]] = {}
     workers = [n for n in names if n not in _MATRIX_EXPERIMENTS]
-    if args.profile:
-        # Profiled simperf must run in the parent (the report path and the
-        # profiler state live here).
-        workers = [n for n in workers if n != "simperf"]
     if jobs > 1 and len(workers) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(workers))) as pool:
             futures = {n: pool.submit(_experiment_worker, n, cal) for n in workers}
@@ -153,11 +133,6 @@ def main(argv: list[str] | None = None) -> int:
             elapsed = time.time() - started
         elif name in prerun:
             result, elapsed = prerun[name]
-        elif name == "simperf" and args.profile:
-            from repro.bench.simperf import simperf
-
-            result = simperf(cal, profile=True)
-            elapsed = time.time() - started
         else:
             result = ALL_EXPERIMENTS[name](cal)
             elapsed = time.time() - started
@@ -170,13 +145,6 @@ def main(argv: list[str] | None = None) -> int:
             # A §3.1 violation on the real protocol (or a vacuous
             # detector) must fail the run — CI keys off this exit code.
             exit_code = 1
-        if name == "simperf" and args.simperf_baseline:
-            from repro.bench.simperf import check_guard
-
-            ok, message = check_guard(result, args.simperf_baseline)
-            print(message)
-            if not ok:
-                exit_code = 1
 
     if args.metrics_out:
         from repro.bench.observability import metrics_out_payload

@@ -36,7 +36,6 @@ from repro.bench.harness import (
     run_retwis,
 )
 from repro.bench.report import format_bars, format_comparison, format_table
-from repro.bench.simperf import simperf
 from repro.core import ObjectType, ValueField, method, readonly_method
 from repro.sim import Simulation
 from repro.workload.retwis_load import RetwisWorkload
@@ -1161,5 +1160,4 @@ ALL_EXPERIMENTS = {
     "abl_failover": abl_failover,
     "chaos_soak": chaos_soak,
     "mc": mc,
-    "simperf": simperf,
 }

@@ -20,10 +20,10 @@ WORKLOAD_METHOD = {
     RetwisWorkload.FOLLOW: "follow",
 }
 
-#: mutation-heavy mix shared by the group-commit ablation and the simperf
-#: headline row: Posts and Follows dominate replication traffic (where
-#: group commit coalesces rounds) while timeline reads keep the cache and
-#: the primary read-barrier path exercised
+#: mutation-heavy mix shared by the group-commit and coalescing ablations
+#: and the cost goldens: Posts and Follows dominate replication traffic
+#: (where group commit coalesces rounds) while timeline reads keep the
+#: cache and the primary read-barrier path exercised
 REPLICATION_MIX = {
     RetwisWorkload.GET_TIMELINE: 0.3,
     RetwisWorkload.POST: 0.3,
@@ -300,14 +300,14 @@ def run_replication_mix(
     """Run a Retwis mix closed-loop; returns (result, platform, sim).
 
     Used where replication traffic itself is the measurement (the
-    group-commit and replica-reads ablations, the simperf headline row),
+    group-commit, coalescing and replica-reads ablations, the cost goldens),
     so the caller gets the platform back to read ``net.stats`` alongside
     the reports.  Runs :data:`REPLICATION_MIX` (or ``mix``) at
     :data:`REPLICATION_MIX_NODES` replicas regardless of the preset.
 
     ``trace_sample_rate`` turns the span tracer on at that head-sampling
-    rate (the simperf observability A/B rows); ``None`` leaves tracing
-    off, the historical measurement condition.  Extra keyword arguments
+    rate (the cost goldens' traced pair); ``None`` leaves tracing off,
+    the historical measurement condition.  Extra keyword arguments
     are platform-config overrides (e.g. ``ack_flush_ms=0.5`` for the
     coalescing sweep).
     """

@@ -191,7 +191,7 @@ class Simulation:
 
     @property
     def events_scheduled(self) -> int:
-        """Total scheduler entries so far (the ``simperf`` event count).
+        """Total scheduler entries so far (pinned by the cost goldens).
 
         An entry is a wake-up — every one was scheduled to run at least
         one listener, process step or delivery; a trigger nobody waits for

@@ -130,3 +130,11 @@ def test_report_fails_only_on_seed_determined_differences(capsys):
     change[0]["correct"] = False
     assert bench_pairs.report(spec, parent, change) == 1
     assert "change run 1 did not verify" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_fewer_than_one_pair_is_a_usage_error(pairs, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", ".", "--change", ".", "--workload", "w", "--pairs", pairs])
+    assert exit_info.value.code == 2
+    assert "--pairs must be at least 1" in capsys.readouterr().err

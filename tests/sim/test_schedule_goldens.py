@@ -34,7 +34,7 @@ import random
 import pytest
 
 from repro.errors import ProcessKilled
-from repro.sim import FifoPolicy, Resource, Simulation, Store
+from repro.sim import FifoPolicy, Network, Resource, Simulation, Store
 
 MODES = ("fast", "bounded", "policy")
 HORIZON_MS = 1.0e6
@@ -369,6 +369,80 @@ def test_an_unheard_timeout_takes_only_its_heap_entry():
     assert sim.events_scheduled == 2 and not heard
     sim.run()
     assert heard == [timeout]
+
+
+# -- entry counts of whole programs ------------------------------------------
+
+
+@pytest.mark.parametrize("iterations", [1, 10, 100])
+def test_a_mailbox_ping_pong_takes_two_entries_per_round_trip(iterations):
+    """Two processes handing items through ``Store`` mailboxes at one
+    instant: the zero-delay lane with no heap traffic."""
+    sim = Simulation(seed=7)
+    left, right = Store(sim), Store(sim)
+
+    def pinger():
+        for _ in range(iterations):
+            left.put("ping")
+            yield right.get()
+
+    def ponger():
+        for _ in range(iterations):
+            yield left.get()
+            right.put("pong")
+
+    sim.process(pinger())
+    done = sim.process(ponger())
+    sim.run_until_triggered(done, limit=1.0)
+    # per round trip one wake-up each; per process its start
+    assert sim.events_scheduled == 2 * iterations + 2
+    assert sim.now == 0.0
+
+
+@pytest.mark.parametrize("chains, steps", [(1, 1), (2, 3), (10, 7), (50, 20)])
+def test_interleaved_timeout_chains_take_one_entry_per_step(chains, steps):
+    sim = Simulation(seed=7)
+
+    def chain(offset: float):
+        for _ in range(steps):
+            yield sim.timeout(0.5 + offset)
+
+    processes = [sim.process(chain(index * 1e-4)) for index in range(chains)]
+    gate = sim.all_of(processes)
+    # before the run: one start per chain and nothing else
+    assert sim.pending == chains
+    sim.run_until_triggered(gate, limit=float("inf"))
+    # per chain its start, one entry per step and its end (the gate listens)
+    assert sim.events_scheduled == chains * (steps + 2)
+
+
+@pytest.mark.parametrize("pairs, messages", [(1, 1), (2, 20), (3, 7), (8, 50)])
+def test_a_message_stream_takes_three_entries_per_message(pairs, messages):
+    """Host pairs streaming messages through ``Network.send``."""
+    sim = Simulation(seed=7)
+    net = Network(sim)
+    for index in range(pairs):
+        net.add_host(f"tx-{index}")
+        net.add_host(f"rx-{index}")
+
+    def receiver(name: str):
+        host = net.host(name)
+        for _ in range(messages):
+            yield host.recv()
+
+    def sender(index: int):
+        for _ in range(messages):
+            net.send(f"tx-{index}", f"rx-{index}", "payload", size_bytes=128)
+            yield sim.timeout(0.01)
+
+    receivers = [sim.process(receiver(f"rx-{index}")) for index in range(pairs)]
+    for index in range(pairs):
+        sim.process(sender(index))
+    sim.run_until_triggered(sim.all_of(receivers), limit=float("inf"))
+    assert net.stats.messages_sent == pairs * messages
+    # per message the sender's step, the delivery and the receiver's
+    # wake-up; per pair both starts and the receiver's end
+    assert sim.events_scheduled == pairs * (3 * messages + 3)
 
 
 if __name__ == "__main__":

@@ -289,6 +289,36 @@ def test_interrupting_a_process_parked_in_wait_retires_its_timer(handles_kill):
     assert entry[2].cancelled and sim._cancelled == 1
 
 
+@pytest.mark.parametrize("waiters, rounds", [(1, 1), (3, 7), (10, 100), (50, 20)])
+def test_deadline_waits_do_not_carry_the_deadlines_they_beat(waiters, rounds):
+    """Every wait beats its 1,000 ms deadline, the shape of an RPC reply
+    wait: ``waiters * rounds`` deadlines are set and none is reached, in
+    0.5 ms rounds that end long before the first would have fired."""
+    sim = Simulation(seed=7)
+    peak = 0
+
+    def waiter(index: int):
+        nonlocal peak
+        for _ in range(rounds):
+            reply = sim.event()
+            sim.timeout(0.5 + index * 1e-4).add_callback(
+                lambda _timer, reply=reply: reply.succeed()
+            )
+            yield from sim.wait(reply, 1_000.0)
+            if index == 0:
+                peak = max(peak, sim.pending)
+
+    gate = sim.all_of([sim.process(waiter(index)) for index in range(waiters)])
+    sim.run_until_triggered(gate, limit=float("inf"))
+    # per wait: the trigger, the deadline, the signal's and the condition's
+    # wake-up; per waiter: its start and its end (the gate listens)
+    assert sim.events_scheduled == 4 * waiters * rounds + 2 * waiters
+    # Each waiter has at most a trigger and a deadline in the heap and two
+    # wake-ups in the now lane: the heap stays within floor + 2 x live,
+    # where one deadline per wait ever made would be waiters x rounds.
+    assert max(peak, sim.pending) <= CANCELLED_TIMEOUTS_FLOOR + 6 * waiters
+
+
 # -- model test --------------------------------------------------------------
 
 _TIMEOUT = st.tuples(st.just("timeout"), st.integers(0, 40))

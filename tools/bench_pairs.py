@@ -154,6 +154,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent, "change": args.change}

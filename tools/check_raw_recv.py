@@ -11,9 +11,7 @@ Allowlisted:
 - ``src/repro/rpc/`` — the layer itself (stub pump, endpoint serve loop);
 - ``src/repro/sim/`` — the primitive being wrapped;
 - ``src/repro/cluster/replication.py`` — the group-commit pipeline keeps
-  its own framed stream (frames still *ship* through the endpoint);
-- ``src/repro/bench/simperf.py`` — a raw ping-pong microbenchmark that
-  measures the bare mailbox path on purpose.
+  its own framed stream (frames still *ship* through the endpoint).
 
 Tests may use raw hosts freely; only ``src/`` is scanned.
 """
@@ -28,7 +26,6 @@ ALLOWLIST = (
     "src/repro/rpc/",
     "src/repro/sim/",
     "src/repro/cluster/replication.py",
-    "src/repro/bench/simperf.py",
 )
 
 RECV_CALL = re.compile(r"\.recv\(")
