@@ -14,6 +14,6 @@ or programmatically::
     result = experiments.fig1(preset="quick")
 """
 
-from repro.bench.calibration import Calibration, PAPER_FIG1, PAPER_FIG2, preset
+from repro.bench.calibration import Calibration, PAPER_FIG1, PAPER_FIG2_CLAIMS, preset
 
-__all__ = ["Calibration", "PAPER_FIG1", "PAPER_FIG2", "preset"]
+__all__ = ["Calibration", "PAPER_FIG1", "PAPER_FIG2_CLAIMS", "preset"]

@@ -69,25 +69,6 @@ def main(argv: list[str] | None = None) -> int:
         "historical behavior — see abl_coalescing for the measured delta",
     )
     parser.add_argument(
-        "--admission",
-        choices=["on", "off"],
-        default="off",
-        help="per-tenant admission control + overload shedding (token "
-        "buckets, concurrency caps, queue backpressure; DESIGN.md §5h); "
-        "'off' (the default) admits everything, the historical behavior "
-        "— see abl_overload for the measured delta.  With 'on', "
-        "--tenant-rate-limit sets the per-tenant admitted requests/sec",
-    )
-    parser.add_argument(
-        "--tenant-rate-limit",
-        type=float,
-        default=0.0,
-        metavar="RPS",
-        help="per-tenant token-bucket rate in requests/sec when "
-        "--admission on (0 = no rate limit, concurrency/backpressure "
-        "gates only)",
-    )
-    parser.add_argument(
         "--metrics-out",
         metavar="PATH",
         default=None,
@@ -101,8 +82,6 @@ def main(argv: list[str] | None = None) -> int:
         args.preset,
         replica_reads=(args.replica_reads == "on"),
         transport_coalescing=(args.coalescing == "on"),
-        admission_control=(args.admission == "on"),
-        tenant_rate_limit=args.tenant_rate_limit,
     )
     jobs = max(1, args.jobs)
 

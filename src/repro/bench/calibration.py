@@ -2,8 +2,8 @@
 
 Both variants (aggregated LambdaStore and the disaggregated baseline) use
 the *same* constants — CPU cores, fuel-to-time rate, network latency
-distribution — so differences in results come from the architectures, not
-the models.  Values are calibrated so the aggregated variant's absolute
+distribution (its shape is :mod:`repro.sim.network`'s) — so differences
+in results come from the architectures, not the models.  Values are calibrated so the aggregated variant's absolute
 numbers land in the range the paper reports on its CloudLab testbed
 (2× Xeon Silver 4114 = 20 physical cores/machine, single-rack network).
 """
@@ -22,8 +22,6 @@ class Calibration:
     cores_per_node: int = 20
     ms_per_fuel: float = 0.005
     net_median_ms: float = 0.08
-    net_sigma: float = 0.3
-    net_cap_ms: float = 2.0
 
     # -- workload (paper §5: 10,000 accounts, 100 concurrent clients) ---------
     num_accounts: int = 10_000
@@ -54,15 +52,6 @@ class Calibration:
     #: (DESIGN.md §5j); off preserves one-message-per-send.  The on/off
     #: delta is measured in ``abl_coalescing``.
     transport_coalescing: bool = False
-    #: per-tenant admission control + overload shedding (DESIGN.md §5h);
-    #: off everywhere except ``abl_overload``, which measures the
-    #: goodput-under-overload delta.
-    admission_control: bool = False
-    #: sustained per-tenant admitted rate in requests/sec (0 = unlimited);
-    #: only read when ``admission_control`` is on
-    tenant_rate_limit: float = 0.0
-    #: per-node concurrent-request cap (0 = unlimited)
-    max_inflight_requests: int = 0
 
 
 #: presets: "quick" keeps pytest-benchmark runs fast; "full" matches §5.
@@ -101,8 +90,6 @@ PAPER_FIG2_CLAIMS = [
     "disaggregated shows (much) higher p99 variance",
     "all latencies in the low-millisecond range (no WAN, same rack)",
 ]
-
-PAPER_FIG2 = PAPER_FIG2_CLAIMS  # alias used by the package __init__
 
 #: Table 1 — qualitative rows (the architecture comparison).
 PAPER_TABLE1 = {

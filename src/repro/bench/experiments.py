@@ -632,8 +632,8 @@ def abl_overload(cal: CalibrationLike = None) -> dict:
     )
 
     # Protect-reads: a reader tenant sharing the primary with three
-    # write-storm tenants, pressure-gate backpressure only (no rate
-    # limits), so the delta is purely the shed policy.
+    # write-storm tenants, with only the pressure gate on (no rate limit,
+    # no concurrency cap), so the delta is purely that gate.
     reader_cal = replace(cal, replica_reads=False)
     rates = {"readers": 2.0 * fair_share}
     mixes = {"readers": {RetwisWorkload.GET_TIMELINE: 1.0}}
@@ -645,12 +645,7 @@ def abl_overload(cal: CalibrationLike = None) -> dict:
         ("off", dict(admission=False)),
         (
             "on (protect-reads, pressure only)",
-            dict(
-                admission=True,
-                tenant_rate_limit=0.0,
-                max_inflight=0,
-                shed_policy="protect-reads",
-            ),
+            dict(admission=True, tenant_rate_limit=0.0, max_inflight=0),
         ),
     ):
         result, platform, _sim = run_overload(

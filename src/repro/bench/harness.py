@@ -79,14 +79,9 @@ def build_aggregated(sim: Simulation, cal: Calibration, **config_overrides) -> C
         cores_per_node=cal.cores_per_node,
         ms_per_fuel=cal.ms_per_fuel,
         net_median_ms=cal.net_median_ms,
-        net_sigma=cal.net_sigma,
-        net_cap_ms=cal.net_cap_ms,
         enable_cache=cal.enable_cache,
         replica_reads=cal.replica_reads,
         transport_coalescing=cal.transport_coalescing,
-        admission_control=cal.admission_control,
-        tenant_rate_limit=cal.tenant_rate_limit,
-        max_inflight_requests=cal.max_inflight_requests,
         seed=cal.seed,
     )
     options.update(config_overrides)
@@ -102,8 +97,6 @@ def build_disaggregated(sim: Simulation, cal: Calibration, **config_overrides) -
         cores_per_storage_node=cal.cores_per_node,
         ms_per_fuel=cal.ms_per_fuel,
         net_median_ms=cal.net_median_ms,
-        net_sigma=cal.net_sigma,
-        net_cap_ms=cal.net_cap_ms,
         transport_coalescing=cal.transport_coalescing,
         seed=cal.seed,
         **config_overrides,
@@ -164,11 +157,6 @@ def run_retwis(
     return RunResult(variant, workload_name, report, result, platform)
 
 
-#: operation mix for the overload experiments: mutation-heavy (a write
-#: storm) with enough timeline reads to measure the protect-reads policy
-OVERLOAD_MIX = REPLICATION_MIX
-
-
 def _zipf_skewed(workload: Any, dataset: Any, exponent: float) -> Any:
     """Redirect every operation at a Zipf-sampled account, in place.
 
@@ -203,7 +191,7 @@ def probe_capacity(
     sim = Simulation(seed=cal.seed)
     platform = build_aggregated(sim, cal)
     dataset = load_dataset(platform, cal)
-    workload = MixedRetwisWorkload(dataset, dict(mix or OVERLOAD_MIX))
+    workload = MixedRetwisWorkload(dataset, dict(mix or REPLICATION_MIX))
     if zipf_exponent > 0:
         _zipf_skewed(workload, dataset, zipf_exponent)
     driver = ClosedLoopDriver(
@@ -230,7 +218,6 @@ def run_overload(
     tenant_mixes: Optional[dict] = None,
     zipf_exponent: float = 0.9,
     max_outstanding: int = 32,
-    shed_policy: Optional[str] = None,
 ):
     """Open-loop multi-tenant run against the aggregated platform.
 
@@ -240,8 +227,9 @@ def run_overload(
     + few attempts model latency-sensitive front-end traffic: a request
     that cannot finish in time is abandoned (its server-side cost is
     already sunk), which is what makes uncontrolled overload collapse
-    goodput.  ``tenant_mixes`` gives individual tenants their own
-    operation mix (unlisted tenants fall back to ``mix``).  Returns
+    goodput.  ``mix`` defaults to :data:`REPLICATION_MIX`;
+    ``tenant_mixes`` gives individual tenants their own operation mix
+    (unlisted tenants fall back to ``mix``).  Returns
     ``(OpenLoopResult, platform, sim)``.
     """
     from repro.workload.openloop import OpenLoopDriver
@@ -254,8 +242,6 @@ def run_overload(
             tenant_rate_limit=tenant_rate_limit,
             max_inflight_requests=max_inflight,
         )
-        if shed_policy is not None:
-            overrides["shed_policy"] = shed_policy
     sim = Simulation(seed=cal.seed)
     platform = build_aggregated(sim, cal, **overrides)
     dataset = load_dataset(platform, cal)
@@ -267,13 +253,13 @@ def run_overload(
         return workload
 
     if tenant_mixes:
-        default_mix = dict(mix or OVERLOAD_MIX)
+        default_mix = dict(mix or REPLICATION_MIX)
         workload = {
             tenant: make_workload(tenant_mixes.get(tenant, default_mix))
             for tenant in tenant_rates
         }
     else:
-        workload = make_workload(mix or OVERLOAD_MIX)
+        workload = make_workload(mix or REPLICATION_MIX)
     driver = OpenLoopDriver(
         sim,
         platform,

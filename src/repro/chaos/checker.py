@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Iterable, Optional
 
+from repro.cluster.store_node import COMPLETED_CAP
 from repro.core.ids import ObjectId
 from repro.core.linearizability import History, check_linearizable, register_model
 
@@ -329,13 +330,13 @@ class ConsistencyChecker:
                         )
                     )
             completed = node._completed
-            if len(completed) > self.cluster.config.completed_cap:
+            if len(completed) > COMPLETED_CAP:
                 report.violations.append(
                     Violation(
                         "bookkeeping",
                         name,
                         f"at-most-once table holds {len(completed)} replies, "
-                        f"cap is {self.cluster.config.completed_cap}",
+                        f"cap is {COMPLETED_CAP}",
                     )
                 )
             for client, retained in completed.per_client_retained().items():

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.cluster.coordinator import HEARTBEAT_TIMEOUT_MS
 from repro.cluster.migration import Migrator
 from repro.core.ids import ObjectId
 from repro.errors import ClusterError
@@ -204,7 +205,7 @@ class Nemesis:
         self._log(f"failover: permanently crashing primary {victim}")
         self.cluster.crash_node(victim)
         # give failure detection room to notice before the next fault
-        yield self.sim.timeout(self.cluster.config.heartbeat_timeout_ms)
+        yield self.sim.timeout(HEARTBEAT_TIMEOUT_MS)
 
     def _do_migrate(self):
         _epoch, shard_map = self.cluster.current_config()

@@ -125,7 +125,6 @@ class ClusterClient:
                 method=method,
                 args=args,
                 epoch=self.epoch,
-                readonly_hint=readonly,
                 min_applied=self._fence_for(object_id) if readonly else 0,
                 tenant=self.tenant,
             )

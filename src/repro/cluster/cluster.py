@@ -15,7 +15,13 @@ from repro.errors import ClusterError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanTracer
 from repro.sim.core import Simulation
-from repro.sim.network import LogNormalLatency, Network
+from repro.sim.network import (
+    BANDWIDTH_MBPS,
+    NET_CAP_MS,
+    NET_SIGMA,
+    LogNormalLatency,
+    Network,
+)
 from repro.wasm.host_api import OpCosts
 
 
@@ -25,7 +31,11 @@ class ClusterConfig:
 
     The defaults mirror the paper's evaluation: three storage machines in
     one replica set (no sharding), 20 physical cores each, all in one
-    low-latency cluster (§5).
+    low-latency cluster (§5).  Only what some experiment or deployment
+    varies is a field; every fixed timing and cap is a named constant in
+    the module that owns it (heartbeats in ``coordinator``, acks in
+    ``replication``, leases and caps in ``store_node``, the network's
+    shape in ``repro.sim.network``).
     """
 
     num_storage_nodes: int = 3
@@ -35,39 +45,21 @@ class ClusterConfig:
     cores_per_node: int = 20
     #: simulated CPU milliseconds per unit of metered fuel
     ms_per_fuel: float = 0.005
-    #: one-way network latency (log-normal median / shape)
+    #: median one-way network latency (log-normal, shaped by ``NET_SIGMA``
+    #: and capped at ``NET_CAP_MS``)
     net_median_ms: float = 0.08
-    net_sigma: float = 0.3
-    net_cap_ms: float = 2.0
-    bandwidth_mbps: float = 10_000.0
+    bandwidth_mbps: float = BANDWIDTH_MBPS
     enable_cache: bool = True
-    #: nested invocations of one job execute in parallel on the storage
-    #: node's cores ("Updating many follower timelines at once is done
-    #: quickly by running the store_post calls in parallel", §3.2); this
-    #: caps the per-job parallelism.
-    fanout_parallelism: int = 8
-    heartbeat_interval_ms: float = 10.0
-    heartbeat_timeout_ms: float = 60.0
     auto_failure_detection: bool = True
-    ack_timeout_ms: float = 5.0
-    #: per-attempt reply deadline for control-plane RPCs (migration
-    #: freeze/copy exchanges, coordinator command submission, 2PC votes)
-    rpc_default_deadline_ms: float = 50.0
     #: when set, each storage node persists through the real LSM store in
     #: ``<durable_dir>/<node name>`` instead of an in-memory backend
     durable_dir: Optional[str] = None
-    #: LRU backstop for the per-node at-most-once reply tables
-    completed_cap: int = 4096
-    #: retransmission budget for RemoteCharge delivery to nested-call owners
-    charge_max_attempts: int = 5
     #: pipelined group-commit replication coalesces concurrent commit
     #: rounds into range frames with cumulative acks, releases the object
     #: lock at local commit, and parks the client reply on the pipeline's
     #: settlement watermark.  A frame is flushed once it holds this many
-    #: rounds (1 ships every round alone: group commit off) ...
+    #: rounds (1 ships every round alone: group commit off) or 64 KiB
     group_commit_max_rounds: int = 32
-    #: ... or this many payload bytes
-    group_commit_max_bytes: int = 64 * 1024
     #: backstop flush interval (simulated ms) while frames are in flight
     group_commit_flush_ms: float = 0.25
     #: lease-based replica reads: backups holding a fresh lease from
@@ -75,10 +67,6 @@ class ClusterConfig:
     #: primary round trip), releasing each reply only once the settlement
     #: watermark covers the read state.
     replica_reads: bool = True
-    #: replica-read lease duration; clamped below the failure-detection
-    #: timeout so a partitioned backup's lease always expires before the
-    #: coordinator can reconfigure the shard around it
-    replica_read_lease_ms: float = 40.0
     #: transport egress coalescing + ack piggybacking (DESIGN.md §5j):
     #: frames to the same destination within the coalesce window share
     #: one wire message (one latency draw, one delivery event), and
@@ -90,34 +78,24 @@ class ClusterConfig:
     #: 0 packs only same-instant frames)
     coalesce_window_ms: float = 0.0
     #: backup-side deferred-ack fallback timer; must stay well below
-    #: ``ack_timeout_ms`` so deferral never looks like ack loss (the
-    #: cluster clamps it to half the ack timeout).  1.0 ms is the
+    #: ``ACK_TIMEOUT_MS`` so deferral never looks like ack loss (the
+    #: node clamps it to half the ack timeout).  1.0 ms is the
     #: empirical sweet spot on the headline mix: enough deferral to
     #: merge ~2 cumulative acks per send without stretching settlement
     ack_flush_ms: float = 1.0
     #: per-tenant admission control + load shedding at each storage node
     #: (DESIGN.md §5h); off preserves the historical admit-everything
-    #: behavior byte-for-byte
+    #: behavior byte-for-byte.  Mutating requests also shed once the
+    #: per-object lock queues pass the controller's pressure threshold
+    #: (reads keep flowing).
     admission_control: bool = False
     #: per-tenant admitted-request rate (requests/sec; 0 = no rate gate)
     tenant_rate_limit: float = 0.0
-    #: token-bucket depth per tenant (0 picks max(8, 50 ms of rate))
-    tenant_burst: float = 0.0
     #: per-node cap on admitted requests in flight (0 = unlimited)
     max_inflight_requests: int = 0
-    #: backpressure policy: "protect-reads" sheds mutating requests once
-    #: the per-object lock queues pass ``shed_queue_threshold`` waiters
-    #: (reads keep flowing); "none" disables pressure shedding
-    shed_policy: str = "protect-reads"
-    #: scheduler lock-queue waiters that trip write shedding
-    shed_queue_threshold: int = 32
     #: when > 0, a background process samples every registry instrument's
     #: time series at this simulated-ms interval (0 disables the sampler)
     metrics_sample_interval_ms: float = 0.0
-    #: fraction of traces recorded when tracing is enabled (head-based,
-    #: deterministic per request id; 1.0 = record everything).  Requests
-    #: that hit an error/retry/shed are always escalated to a trace.
-    trace_sample_rate: float = 1.0
     #: test-only: names of deliberately reintroduced historical bugs, for
     #: the model checker's seeded-bug self-tests (see repro.mc).  Known
     #: names: "drain-invalidation" (PR 1's out-of-order replica
@@ -136,13 +114,12 @@ class Cluster:
             raise ClusterError("cluster needs at least one storage node")
         if self.config.num_shards > self.config.num_storage_nodes:
             raise ClusterError("more shards than storage nodes")
-        self.seed = self.config.seed
         self.net = Network(
             sim,
             latency=LogNormalLatency(
                 self.config.net_median_ms,
-                sigma=self.config.net_sigma,
-                cap_ms=self.config.net_cap_ms,
+                sigma=NET_SIGMA,
+                cap_ms=NET_CAP_MS,
             ),
             bandwidth_mbps=self.config.bandwidth_mbps,
         )
@@ -193,43 +170,12 @@ class Cluster:
                 admission = AdmissionController(
                     clock=lambda: sim.now,
                     tenant_rate_per_sec=self.config.tenant_rate_limit,
-                    tenant_burst=self.config.tenant_burst,
                     max_inflight=self.config.max_inflight_requests,
-                    shed_policy=self.config.shed_policy,
-                    pressure_threshold=self.config.shed_queue_threshold,
                     registry=self.metrics,
                     labels={"node": name},
                 )
             node = StoreNode(
-                sim,
-                self.net,
-                cluster=self,
-                name=name,
-                cores=self.config.cores_per_node,
-                ms_per_fuel=self.config.ms_per_fuel,
-                enable_cache=self.config.enable_cache,
-                fanout_parallelism=self.config.fanout_parallelism,
-                costs=self.costs,
-                heartbeat_interval_ms=self.config.heartbeat_interval_ms,
-                ack_timeout_ms=self.config.ack_timeout_ms,
-                storage=storage,
-                completed_cap=self.config.completed_cap,
-                charge_max_attempts=self.config.charge_max_attempts,
-                group_commit_max_rounds=self.config.group_commit_max_rounds,
-                group_commit_max_bytes=self.config.group_commit_max_bytes,
-                group_commit_flush_ms=self.config.group_commit_flush_ms,
-                replica_reads=self.config.replica_reads,
-                replica_read_lease_ms=min(
-                    self.config.replica_read_lease_ms,
-                    self.config.heartbeat_timeout_ms
-                    - 2 * self.config.heartbeat_interval_ms,
-                ),
-                admission=admission,
-                transport_coalescing=self.config.transport_coalescing,
-                ack_flush_ms=min(
-                    self.config.ack_flush_ms, self.config.ack_timeout_ms / 2
-                ),
-                seeded_bugs=frozenset(self.config.seeded_bugs),
+                sim, self.net, self, name, storage=storage, admission=admission
             )
             node.install_config(self.bootstrap_epoch, self.bootstrap_shard_map.copy())
             self.nodes[name] = node
@@ -240,12 +186,10 @@ class Cluster:
             coordinator = CoordinatorNode(
                 sim,
                 self.net,
-                name=name,
+                self,
+                name,
                 peers=coordinator_names,
                 storage_nodes=storage_names,
-                heartbeat_timeout_ms=self.config.heartbeat_timeout_ms,
-                auto_failure_detection=self.config.auto_failure_detection,
-                registry=self.metrics,
             )
             coordinator.state.epoch = self.bootstrap_epoch
             coordinator.state.shard_map = self.bootstrap_shard_map.copy()
@@ -306,26 +250,22 @@ class Cluster:
             node.start()
 
     def enable_tracing(
-        self, max_spans: int = 100_000, sample_rate: Optional[float] = None
+        self, max_spans: int = 100_000, sample_rate: float = 1.0
     ) -> SpanTracer:
         """Attach one cluster-wide span tracer (idempotent).
 
         Every node's runtime (and durable DB, if any) shares the tracer,
         so a cross-node nested dispatch lands in the caller's trace with
-        the callee's node name on the span.  ``sample_rate`` overrides
-        ``config.trace_sample_rate`` (head-based sampling; anomalous
-        requests are escalated to always-traced regardless of the rate).
+        the callee's node name on the span.  ``sample_rate`` is the
+        fraction of traces recorded (head-based, deterministic per
+        request id; anomalous requests are escalated to always-traced
+        regardless of the rate).
         """
         if self.tracer is None:
-            rate = (
-                sample_rate
-                if sample_rate is not None
-                else self.config.trace_sample_rate
-            )
             self.tracer = SpanTracer(
                 clock=lambda: self.sim.now,
                 max_spans=max_spans,
-                sample_rate=rate,
+                sample_rate=sample_rate,
             )
             for node in self.nodes.values():
                 node.runtime.tracer = self.tracer
@@ -486,7 +426,7 @@ class Cluster:
                 if (
                     replica_set is not None
                     and node.name in replica_set.members
-                    and getattr(applier, "primary", None) == replica_set.primary
+                    and applier.primary == replica_set.primary
                 ):
                     return False
         return True

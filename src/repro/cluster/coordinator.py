@@ -27,10 +27,17 @@ from repro.cluster.messages import (
 )
 from repro.cluster.paxos import PaxosNode
 from repro.cluster.shard import ShardMap
-from repro.obs.registry import MetricsRegistry, StatsView
+from repro.obs.registry import StatsView
 from repro.rpc import RpcEndpoint
 from repro.sim.core import Simulation
 from repro.sim.network import Network
+
+#: storage nodes heartbeat every coordinator this often; the leader also
+#: checks liveness once per interval
+HEARTBEAT_INTERVAL_MS = 10.0
+#: silence after which the leader declares a storage node dead and
+#: reconfigures its shards around it
+HEARTBEAT_TIMEOUT_MS = 60.0
 
 
 @dataclass
@@ -107,18 +114,17 @@ class CoordinatorNode:
         self,
         sim: Simulation,
         net: Network,
+        cluster: Any,
         name: str,
         peers: list[str],
         storage_nodes: list[str],
-        heartbeat_timeout_ms: float = 50.0,
-        monitor_interval_ms: float = 10.0,
-        auto_failure_detection: bool = True,
-        registry: "MetricsRegistry | None" = None,
     ) -> None:
         self.sim = sim
         self.net = net
+        self.cluster = cluster
         self.name = name
         self.peers = list(peers)
+        registry = cluster.metrics
         self.endpoint = RpcEndpoint(
             sim,
             net,
@@ -132,9 +138,6 @@ class CoordinatorNode:
         self.paxos = PaxosNode(sim, net, name, peers, on_decide=self._on_decide)
         self._storage_nodes = list(storage_nodes)
         self._last_heartbeat: dict[str, float] = {}
-        self._heartbeat_timeout = heartbeat_timeout_ms
-        self._monitor_interval = monitor_interval_ms
-        self._auto_failure_detection = auto_failure_detection
         #: command_id -> (reply_to, query id) awaiting application
         self._pending_replies: dict[str, str] = {}
         #: commands this node is currently proposing
@@ -158,7 +161,7 @@ class CoordinatorNode:
 
     def start(self) -> None:
         self.endpoint.start()
-        if self._auto_failure_detection:
+        if self.cluster.config.auto_failure_detection:
             self.sim.process(self._monitor(), name=f"{self.name}.monitor")
 
     def crash(self) -> None:
@@ -249,16 +252,16 @@ class CoordinatorNode:
 
     def _monitor(self):
         # Give nodes a grace period to send their first heartbeat.
-        yield self.sim.timeout(self._heartbeat_timeout)
+        yield self.sim.timeout(HEARTBEAT_TIMEOUT_MS)
         while True:
-            yield self.sim.timeout(self._monitor_interval)
+            yield self.sim.timeout(HEARTBEAT_INTERVAL_MS)
             if self.crashed or not self.is_leader:
                 continue
             for node in self._storage_nodes:
                 if node in self.state.dead_nodes:
                     continue
                 last_seen = self._last_heartbeat.get(node)
-                if last_seen is None or self.sim.now - last_seen > self._heartbeat_timeout:
+                if last_seen is None or self.sim.now - last_seen > HEARTBEAT_TIMEOUT_MS:
                     if self.state.shard_map.shard_of_node(node) is None:
                         continue
                     self._command_counter += 1

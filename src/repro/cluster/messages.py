@@ -12,6 +12,10 @@ from typing import Any, Optional
 
 from repro.core.ids import ObjectId
 
+#: per-attempt reply deadline for control-plane RPCs (migration
+#: freeze/copy exchanges, coordinator command submission, 2PC votes)
+CONTROL_RPC_DEADLINE_MS = 50.0
+
 
 def estimate_size(value: Any) -> int:
     """Rough wire size of a payload, for the bandwidth model.
@@ -71,7 +75,6 @@ class ClientRequest:
     method: str
     args: tuple
     epoch: int
-    readonly_hint: bool = False
     #: monotonic-read fence: the serving replica must have applied at
     #: least this settled sequence for the target shard before answering
     #: a read (0 = no constraint).  Set by the client from the fences it

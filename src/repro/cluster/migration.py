@@ -16,7 +16,7 @@ Protocol (freeze-copy-flip):
 
 Only the migrated object blocks during the window; every other object on
 both nodes keeps serving.  All exchanges ride on an :class:`RpcStub`;
-the per-exchange deadline is ``ClusterConfig.rpc_default_deadline_ms``.
+the per-exchange deadline is :data:`CONTROL_RPC_DEADLINE_MS`.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.cluster.messages import (
+    CONTROL_RPC_DEADLINE_MS,
     CoordCommand,
     CoordReply,
     MigrateAck,
@@ -48,7 +49,7 @@ class Migrator:
             cluster.sim,
             cluster.net,
             name,
-            default_deadline_ms=cluster.config.rpc_default_deadline_ms,
+            default_deadline_ms=CONTROL_RPC_DEADLINE_MS,
             registry=cluster.metrics,
             tracer_fn=lambda: cluster.tracer,
         )

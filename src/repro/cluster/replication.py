@@ -120,12 +120,15 @@ class BackupApplier:
     def __init__(
         self,
         shard_id: int,
+        primary: str,
         apply_fn: Callable[[WriteBatch], None],
         start_sequence: int = 0,
         registry: Optional[MetricsRegistry] = None,
         labels: Optional[dict] = None,
     ) -> None:
         self.shard_id = shard_id
+        #: the primary whose sequence space this applier follows
+        self.primary = primary
         self._apply = apply_fn
         self.applied_through = start_sequence
         self._pending: dict[int, list[bytes]] = {}
@@ -179,6 +182,10 @@ DEFAULT_MAX_ROUNDS = 32
 DEFAULT_MAX_BYTES = 64 * 1024
 #: backstop flush interval (simulated ms) while earlier frames are in flight
 DEFAULT_FLUSH_INTERVAL_MS = 0.25
+#: how long a primary waits for a backup's ack before retransmitting; the
+#: storage node derives its lease-query, read-park and remote-charge
+#: timings from it
+ACK_TIMEOUT_MS = 5.0
 
 
 class ReplicationPipeline:
@@ -217,7 +224,7 @@ class ReplicationPipeline:
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         max_bytes: int = DEFAULT_MAX_BYTES,
         flush_interval_ms: float = DEFAULT_FLUSH_INTERVAL_MS,
-        ack_timeout_ms: float = 5.0,
+        ack_timeout_ms: float = ACK_TIMEOUT_MS,
         name: str = "",
         registry: Optional[MetricsRegistry] = None,
         labels: Optional[dict] = None,

@@ -40,7 +40,9 @@ from repro.cluster.messages import (
     ReplicateAck,
     ReplicateWritesRange,
 )
+from repro.cluster.coordinator import HEARTBEAT_INTERVAL_MS, HEARTBEAT_TIMEOUT_MS
 from repro.cluster.replication import (
+    ACK_TIMEOUT_MS,
     BackupApplier,
     PrimaryReplicationLog,
     ReplicationPipeline,
@@ -54,7 +56,25 @@ from repro.rpc import RetryAfter, RpcEndpoint
 from repro.sim.core import Simulation
 from repro.sim.network import Network
 from repro.sim.resources import Resource
-from repro.wasm.host_api import OpCosts
+
+#: nested invocations of one job execute in parallel on the node's cores
+#: ("Updating many follower timelines at once is done quickly by running
+#: the store_post calls in parallel", §3.2); this caps the per-job
+#: parallelism
+FANOUT_PARALLELISM = 8
+#: LRU backstop for the node's at-most-once tables: client replies (on
+#: the endpoint) and retransmitted remote charges
+COMPLETED_CAP = 4096
+#: retransmission budget for RemoteCharge delivery to nested-call owners
+CHARGE_MAX_ATTEMPTS = 5
+#: replica-read lease duration (40 ms).  It sits two heartbeat intervals
+#: below the failure-detection timeout so a partitioned backup's lease
+#: always expires before the coordinator can reconfigure the shard
+#: around it
+REPLICA_READ_LEASE_MS = HEARTBEAT_TIMEOUT_MS - 2 * HEARTBEAT_INTERVAL_MS
+#: bound on how long a backup read parks for a lease or watermark; within
+#: the lease, so a parked read never outlives the grant it waits on
+READ_PARK_MS = 4 * ACK_TIMEOUT_MS
 
 
 @dataclass
@@ -286,33 +306,17 @@ class StoreNode:
         net: Network,
         cluster: Any,
         name: str,
-        cores: int = 20,
-        ms_per_fuel: float = 0.005,
-        enable_cache: bool = True,
-        fanout_parallelism: int = 8,
-        costs: Optional[OpCosts] = None,
-        heartbeat_interval_ms: float = 10.0,
-        ack_timeout_ms: float = 5.0,
         storage: Optional[Any] = None,
-        completed_cap: int = 4096,
-        charge_max_attempts: int = 5,
-        group_commit_max_rounds: int = 32,
-        group_commit_max_bytes: int = 64 * 1024,
-        group_commit_flush_ms: float = 0.25,
-        replica_reads: bool = False,
-        replica_read_lease_ms: float = 40.0,
         admission: Optional[Any] = None,
-        transport_coalescing: bool = False,
-        ack_flush_ms: float = 1.0,
-        seeded_bugs: frozenset = frozenset(),
     ) -> None:
+        config = cluster.config
         self.sim = sim
         self.net = net
         self.cluster = cluster
         self.name = name
         #: test-only reintroduced historical bugs (model-checker self-tests)
-        self._seeded_bugs = seeded_bugs
-        registry = getattr(cluster, "metrics", None)
+        self._seeded_bugs = frozenset(config.seeded_bugs)
+        registry = cluster.metrics
         labels = {"node": name}
         #: the node's comms substrate: typed dispatch, per-RPC metrics,
         #: and the at-most-once reply table all live on the endpoint
@@ -323,27 +327,24 @@ class StoreNode:
             registry=registry,
             labels=labels,
             gate=lambda: self.crashed,
-            dedupe_cap=completed_cap,
+            dedupe_cap=COMPLETED_CAP,
         )
         self.host = self.endpoint.host
-        self.cpu = Resource(sim, cores)
+        self.cpu = Resource(sim, config.cores_per_node)
         self.locks = ObjectLockTable(sim, registry, labels)
         #: optional per-tenant admission controller (DESIGN.md §5h); its
         #: backpressure probe is this node's per-object lock queues
         self._admission = admission
         if admission is not None and admission.pressure_fn is None:
             admission.pressure_fn = self.locks.total_waiting
-        self.ms_per_fuel = ms_per_fuel
-        self.fanout_parallelism = max(1, fanout_parallelism)
-        self._ack_timeout = ack_timeout_ms
-        self._heartbeat_interval = heartbeat_interval_ms
+        self.ms_per_fuel = config.ms_per_fuel
         self.runtime = ClusterNodeRuntime(
             node=self,
             storage=storage if storage is not None else MemoryBackend(),
             clock=lambda: self.sim.now,
-            enable_cache=enable_cache,
-            costs=costs,
-            seed=cluster.seed if hasattr(cluster, "seed") else 0,
+            enable_cache=config.enable_cache,
+            costs=cluster.costs,
+            seed=config.seed,
             registry=registry,
             metrics_labels=labels,
             trace_node=name,
@@ -364,18 +365,11 @@ class StoreNode:
         self.epoch = 0
         self.shard_map = None
         self.backup_appliers: dict[int, BackupApplier] = {}
-        #: group-commit replication (§4.2.1 + pipelining); a frame limit of
-        #: one round ships every commit alone, with no coalescing
-        self._gc_max_rounds = group_commit_max_rounds
-        self._gc_max_bytes = group_commit_max_bytes
-        self._gc_flush_ms = group_commit_flush_ms
+        #: group-commit replication (§4.2.1 + pipelining), one per led shard
         self.pipelines: dict[int, ReplicationPipeline] = {}
         #: replica-read lease protocol (backups serve reads at their own
         #: applied point)
-        self._replica_reads = bool(replica_reads)
-        self._lease_ms = replica_read_lease_ms
-        #: bound on how long a backup read parks for a lease/watermark
-        self._read_park_ms = min(replica_read_lease_ms, ack_timeout_ms * 4)
+        self._replica_reads = config.replica_reads
         #: shard -> backup-side lease/watermark/dirtiness state
         self._replica_read_state: dict[int, ReplicaReadState] = {}
         #: shard -> consistent-cache entries queued for piggybacking on
@@ -388,15 +382,16 @@ class StoreNode:
         #: transport egress coalescing (§5j): defer cumulative acks so
         #: they piggyback on reverse-direction wire messages, with a
         #: fallback timer for idle links
-        self._coalescing = bool(transport_coalescing)
-        self._ack_flush_ms = ack_flush_ms
+        self._coalescing = config.transport_coalescing
+        #: clamped to half the ack timeout so deferral never looks like
+        #: ack loss to the primary's watchdog
+        self._ack_flush_ms = min(config.ack_flush_ms, ACK_TIMEOUT_MS / 2)
         #: primary name -> {shard_id: applied_through} awaiting send;
         #: cumulative, so the latest watermark per shard wins
         self._pending_acks: dict[str, dict[int, int]] = {}
         #: destinations with a fallback ack timer currently armed
         self._ack_timer_armed: set[str] = set()
         self._charge_waiters: dict[str, Any] = {}
-        self._charge_max_attempts = max(1, charge_max_attempts)
         #: charge_id -> completed?  (at-most-once for retransmitted charges)
         self._charges_seen: "OrderedDict[str, bool]" = OrderedDict()
         self._freeze_waiters: dict[str, Any] = {}
@@ -463,7 +458,7 @@ class StoreNode:
     @property
     def tracer(self):
         """The cluster-wide span tracer, or None when tracing is off."""
-        return getattr(self.cluster, "tracer", None)
+        return self.cluster.tracer
 
     def start(self) -> None:
         self.endpoint.start()
@@ -540,14 +535,14 @@ class StoreNode:
 
     def _heartbeat_loop(self, generation: int):
         rng = self.sim.rng(f"{self.name}.hb")
-        yield self.sim.timeout(rng.uniform(0, self._heartbeat_interval))
+        yield self.sim.timeout(rng.uniform(0, HEARTBEAT_INTERVAL_MS))
         while True:
             if self.crashed or generation != self._hb_generation:
                 return
             for coordinator in self.cluster.coordinator_names():
                 message = Heartbeat(self.name, self.sim.now)
                 self.endpoint.send(coordinator, message)
-            yield self.sim.timeout(self._heartbeat_interval)
+            yield self.sim.timeout(HEARTBEAT_INTERVAL_MS)
 
     def _on_config_message(self, message) -> None:
         self.install_config(message.epoch, message.config)
@@ -558,7 +553,7 @@ class StoreNode:
             # First sighting: remember it so retransmissions of the
             # same charge never double-bill CPU or re-replicate.
             self._charges_seen[message.charge_id] = False
-            while len(self._charges_seen) > 4096:
+            while len(self._charges_seen) > COMPLETED_CAP:
                 self._charges_seen.popitem(last=False)
             self.sim.process(
                 self._handle_remote_charge(message), name=f"{self.name}.charge"
@@ -596,11 +591,12 @@ class StoreNode:
 
     def _applier_for(self, shard_id: int, primary: str) -> BackupApplier:
         applier = self.backup_appliers.get(shard_id)
-        if applier is None or getattr(applier, "primary", None) != primary:
+        if applier is None or applier.primary != primary:
             # A different primary means a fresh sequence space (failover
             # promotes a backup, which restarts numbering at 1).
             applier = BackupApplier(
                 shard_id,
+                primary,
                 self.runtime.storage.apply,
                 registry=self._registry,
                 labels={
@@ -609,7 +605,6 @@ class StoreNode:
                     "shard": str(shard_id),
                 },
             )
-            applier.primary = primary
             self.backup_appliers[shard_id] = applier
         return applier
 
@@ -662,7 +657,7 @@ class StoreNode:
                 )
             ),
         )
-        probe = getattr(self.cluster, "mc_crash_probe", None)
+        probe = self.cluster.mc_crash_probe
         if probe is not None and not self.crashed:
             # Crash point: the backup applied the frame but its ack (and
             # any lease absorption) may never leave the node.
@@ -724,10 +719,10 @@ class StoreNode:
         state = self._replica_read_state.get(shard_id)
         if state is None or state.primary != primary:
             return None
-        if state.lease_expiry - self.sim.now > self._lease_ms * 0.5:
+        if state.lease_expiry - self.sim.now > REPLICA_READ_LEASE_MS * 0.5:
             return None
         last = self._last_lease_query.get(shard_id, float("-inf"))
-        if self.sim.now - last < self._ack_timeout:
+        if self.sim.now - last < ACK_TIMEOUT_MS:
             return None
         self._last_lease_query[shard_id] = self.sim.now
         return LeaseQuery(shard_id, self.name, self.epoch)
@@ -842,7 +837,7 @@ class StoreNode:
         queries only flow when a backup serves reads of a quiet or
         unsettled shard)."""
         last = self._last_lease_query.get(shard_id, float("-inf"))
-        if self.sim.now - last < self._ack_timeout:
+        if self.sim.now - last < ACK_TIMEOUT_MS:
             return
         self._last_lease_query[shard_id] = self.sim.now
         self.endpoint.send(primary, LeaseQuery(shard_id, self.name, self.epoch))
@@ -864,7 +859,12 @@ class StoreNode:
         entries = self._cache_share.pop(message.shard_id, [])
         self.stats.lease_grants += 1
         grant = LeaseGrant(
-            message.shard_id, self.epoch, self.name, settled, self._lease_ms, entries
+            message.shard_id,
+            self.epoch,
+            self.name,
+            settled,
+            REPLICA_READ_LEASE_MS,
+            entries,
         )
         self.endpoint.send(message.backup, grant)
 
@@ -959,7 +959,7 @@ class StoreNode:
                 # Every frame doubles as a lease renewal and carries the
                 # per-round dirty-object hints plus any queued cache
                 # entries (drained once; retransmissions carry none).
-                message.lease_ms = self._lease_ms
+                message.lease_ms = REPLICA_READ_LEASE_MS
                 message.objects = [
                     list(pipeline.objects_for_round(first_sequence + offset))
                     for offset in range(len(rounds))
@@ -973,6 +973,7 @@ class StoreNode:
     def _pipeline_for(self, shard_id: int) -> ReplicationPipeline:
         pipeline = self.pipelines.get(shard_id)
         if pipeline is None:
+            config = self.cluster.config
             labels = {**self._metric_labels, "role": "primary", "shard": str(shard_id)}
             pipeline = ReplicationPipeline(
                 self.sim,
@@ -982,10 +983,8 @@ class StoreNode:
                     self._send_range_frame(_sid, targets, first, rounds)
                 ),
                 backups_fn=lambda _sid=shard_id: self._current_backups(_sid),
-                max_rounds=self._gc_max_rounds,
-                max_bytes=self._gc_max_bytes,
-                flush_interval_ms=self._gc_flush_ms,
-                ack_timeout_ms=self._ack_timeout,
+                max_rounds=config.group_commit_max_rounds,
+                flush_interval_ms=config.group_commit_flush_ms,
                 name=f"{self.name}:s{shard_id}",
                 registry=self._registry,
                 labels=labels,
@@ -1215,7 +1214,7 @@ class StoreNode:
         coordinators = self.cluster.coordinator_names()
         if not coordinators:
             return
-        if self.sim.now - self._last_config_query < self._heartbeat_interval:
+        if self.sim.now - self._last_config_query < HEARTBEAT_INTERVAL_MS:
             return
         self._last_config_query = self.sim.now
         self.stats.config_refreshes += 1
@@ -1341,7 +1340,7 @@ class StoreNode:
         # derived from settled sequence ``min_applied`` under this
         # primaryship, so the watermark is at least that.
         self._advance_known_settled(state, request.min_applied)
-        deadline = self.sim.now + self._read_park_ms
+        deadline = self.sim.now + READ_PARK_MS
         self._parked_reads += 1
         try:
             ready = yield from self._await_replica_ready(
@@ -1503,7 +1502,7 @@ class StoreNode:
             local_fuel = _fuel_on_node(result, capture)
             subs_fuel = max(local_fuel - result.fuel_used, 0.0)
             if subs_fuel > 0:
-                lanes = min(self.fanout_parallelism, max(len(result.sub_results), 1))
+                lanes = min(FANOUT_PARALLELISM, max(len(result.sub_results), 1))
                 charges = [
                     self.sim.process(
                         self._charge_cpu(subs_fuel / lanes), name=f"{self.name}.fan"
@@ -1514,7 +1513,7 @@ class StoreNode:
 
             # Replication of this node's own writes.
             own_batches = capture.batches.get(self.name, [])
-            probe = getattr(self.cluster, "mc_crash_probe", None)
+            probe = self.cluster.mc_crash_probe
             if probe is not None and not self.crashed:
                 # Crash point: the write set is committed locally but has
                 # not entered replication — the classic lost-update site.
@@ -1587,9 +1586,9 @@ class StoreNode:
             )
         event = self.sim.event()
         self._charge_waiters[charge.charge_id] = event
-        timeout_ms = self._ack_timeout * 2
+        timeout_ms = ACK_TIMEOUT_MS * 2
         try:
-            for attempt in range(self._charge_max_attempts):
+            for attempt in range(CHARGE_MAX_ATTEMPTS):
                 if attempt:
                     self.stats.remote_charge_retries += 1
                 self.endpoint.send(owner_name, charge)

@@ -31,6 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.cluster.messages import CONTROL_RPC_DEADLINE_MS
 from repro.core import keyspace
 from repro.core.context import InvocationContext
 from repro.core.fields import decode_value
@@ -312,9 +313,9 @@ class DistributedTransaction:
 class TransactionCoordinator:
     """Client-side transaction endpoint (an :class:`RpcStub` mailbox).
 
-    ``timeout_ms`` defaults to the cluster's
-    ``rpc_default_deadline_ms`` (one knob for every control-plane
-    exchange); pass a value to override for a single coordinator.
+    ``timeout_ms`` defaults to :data:`CONTROL_RPC_DEADLINE_MS` (one
+    deadline for every control-plane exchange); pass a value to override
+    for a single coordinator.
     """
 
     def __init__(
@@ -330,7 +331,7 @@ class TransactionCoordinator:
             cluster.net,
             name,
             default_deadline_ms=(
-                cluster.config.rpc_default_deadline_ms if timeout_ms is None else timeout_ms
+                CONTROL_RPC_DEADLINE_MS if timeout_ms is None else timeout_ms
             ),
             registry=cluster.metrics,
             tracer_fn=lambda: cluster.tracer,

@@ -1,11 +1,9 @@
-"""Overload protection and multi-tenant QoS (the front-door layer).
+"""Overload protection and multi-tenant QoS at the storage nodes.
 
-The paper's architecture puts a load balancer in front of every request
-(§4.1); this package gives that front door — and the storage nodes behind
-it — the machinery to *degrade* instead of collapse under open-loop
-overload: per-tenant token buckets, concurrency caps, and
-backpressure-driven load shedding that protects read SLOs during write
-storms.  Shed requests are answered with :class:`repro.rpc.RetryAfter`
+This package gives LambdaStore's storage nodes the machinery to
+*degrade* instead of collapse under open-loop overload: per-tenant token
+buckets, concurrency caps, and backpressure-driven load shedding that
+protects read SLOs during write storms.  Shed requests are answered with :class:`repro.rpc.RetryAfter`
 so clients sleep the server-advised delay instead of blindly backing
 off.  See DESIGN.md §5h.
 """

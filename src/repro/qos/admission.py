@@ -1,17 +1,15 @@
 """Per-tenant token-bucket admission control with backpressure shedding.
 
-One :class:`AdmissionController` guards one entry point (the serverless
-gateway, or one storage node).  Every inbound request passes three gates
-in order:
+One :class:`AdmissionController` guards one entry point (a storage
+node).  Every inbound request passes three gates in order:
 
 1. **Concurrency cap** — a hard bound on admitted requests still in
    flight at this entry point.  Protects the node itself: past this
    point every extra request only lengthens queues.
 2. **Backpressure shedding** — a pluggable ``pressure_fn`` reports the
    downstream queue depth (the per-object scheduler lock queues on a
-   storage node, the container-pool waiters behind a gateway).  Under
-   the ``protect-reads`` policy, mutating requests are shed once the
-   queues pass the threshold while read-only requests keep flowing —
+   storage node).  Mutating requests are shed once the queues pass the
+   threshold while read-only requests keep flowing ("protect reads") —
    write storms serialise on per-object locks anyway, so shedding them
    first preserves the read SLO at almost no goodput cost.
 3. **Per-tenant token bucket** — the rate contract.  Buckets refill
@@ -112,11 +110,9 @@ class AdmissionController:
         short bursts ride through without shedding.
     max_inflight:
         Concurrency cap on admitted-but-unreleased requests; 0 disables.
-    shed_policy:
-        ``"protect-reads"`` sheds only mutating requests on backpressure;
-        ``"none"`` disables the pressure gate entirely.
     pressure_fn / pressure_threshold:
-        Downstream queue-depth probe and the depth that trips shedding.
+        Downstream queue-depth probe and the depth that trips shedding of
+        mutating requests; an unset probe disables the pressure gate.
     max_tenants:
         LRU cap on tracked tenant buckets (a chaos soak with churning
         client names must not grow the map unboundedly).
@@ -136,18 +132,12 @@ class AdmissionController:
         tenant_rate_per_sec: float = 0.0,
         tenant_burst: float = 0.0,
         max_inflight: int = 0,
-        shed_policy: str = "protect-reads",
         pressure_fn: Optional[Callable[[], float]] = None,
         pressure_threshold: int = 32,
         max_tenants: int = 1024,
         registry: Optional[Any] = None,
         labels: Optional[dict] = None,
     ) -> None:
-        if shed_policy not in ("protect-reads", "none"):
-            raise ValueError(
-                f"unknown shed policy {shed_policy!r}; "
-                "pick 'protect-reads' or 'none'"
-            )
         self._clock = clock
         self.tenant_rate_per_sec = tenant_rate_per_sec
         self.tenant_burst = (
@@ -156,7 +146,6 @@ class AdmissionController:
             else max(8.0, tenant_rate_per_sec * 0.05)
         )
         self.max_inflight = max_inflight
-        self.shed_policy = shed_policy
         self.pressure_fn = pressure_fn
         self.pressure_threshold = max(1, pressure_threshold)
         self.max_tenants = max(1, max_tenants)
@@ -186,11 +175,7 @@ class AdmissionController:
             return AdmissionDecision(
                 False, self.CONCURRENCY_RETRY_MS, "concurrency"
             )
-        if (
-            self.pressure_fn is not None
-            and self.shed_policy == "protect-reads"
-            and not readonly
-        ):
+        if self.pressure_fn is not None and not readonly:
             depth = self.pressure_fn()
             if depth >= self.pressure_threshold:
                 self._c_shed_pressure.inc()

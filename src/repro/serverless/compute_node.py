@@ -15,7 +15,7 @@ from repro.core.storage import MemoryBackend
 from repro.cluster.messages import ClientReply, ClientRequest
 from repro.errors import InvocationError, UnknownObjectError, WasmError
 from repro.obs.registry import StatsView
-from repro.rpc import RetryAfter, RpcEndpoint
+from repro.rpc import RpcEndpoint
 from repro.serverless.container import ContainerPool
 from repro.serverless.storage_client import RecordingStorage, StorageOp
 from repro.sim.core import Simulation
@@ -35,6 +35,7 @@ class ComputeStats(StatsView):
     COUNTERS = {
         "requests": 0,
         "failed": 0,
+        #: always 0: the baseline has no admission control
         "shed_requests": 0,
         "storage_round_trips": 0,
         "busy_ms": 0.0,
@@ -78,7 +79,6 @@ class ComputeNode:
         container_pool: ContainerPool | None = None,
         read_from_any_replica: bool = True,
         dispatch_overhead_fuel: float = 300.0,
-        shed_queue_threshold: int = 0,
     ) -> None:
         self.sim = sim
         self.net = net
@@ -95,11 +95,6 @@ class ComputeNode:
         self.ms_per_fuel = ms_per_fuel
         self._read_any = read_from_any_replica
         self._dispatch_overhead = dispatch_overhead_fuel
-        #: container-queue depth beyond which new requests shed with a
-        #: RetryAfter instead of queueing (0 = never; the historical
-        #: behavior).  Protects the direct-to-node path — with a gateway
-        #: in front, its admission controller usually sheds first.
-        self._shed_threshold = shed_queue_threshold
         self._rng = sim.rng(f"{name}.routing")
         self.storage = RecordingStorage(
             [node.backend for node in storage_nodes], costs=platform.costs
@@ -120,7 +115,6 @@ class ComputeNode:
         # StatsView.handle).
         self._c_requests = self.stats.cell("requests")
         self._c_failed = self.stats.cell("failed")
-        self._c_shed = self.stats.cell("shed_requests")
         self._c_storage_round_trips = self.stats.cell("storage_round_trips")
         self._c_busy_ms = self.stats.cell("busy_ms")
         self._request_hist = None
@@ -160,22 +154,6 @@ class ComputeNode:
         tracer = self.tracer
         arrived = self.sim.now
         self._c_requests.inc()
-        if self._shed_threshold > 0:
-            depth = self.pool.queue_length
-            if depth >= self._shed_threshold:
-                # Queueing here would just burn the client's deadline;
-                # advise a backoff scaled to the queue we'd join.
-                self._c_shed.inc()
-                self.endpoint.send(
-                    request.client,
-                    RetryAfter(
-                        request.request_id,
-                        max(1.0, 0.25 * depth),
-                        reason="container pool saturated",
-                        server=self.name,
-                    ),
-                )
-                return
         if tracer is not None and root is not None:
             acquire_span = tracer.start("container.acquire", parent=root)
             yield from self.pool.acquire()

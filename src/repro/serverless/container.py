@@ -82,12 +82,6 @@ class ContainerPool:
     def in_use(self) -> int:
         return self._slots.in_use
 
-    @property
-    def queue_length(self) -> int:
-        """Invocations waiting for a container slot — the backpressure
-        signal gateway admission control reads."""
-        return self._slots.queue_length
-
     def warm_count(self) -> int:
         """Currently usable warm containers (expired ones pruned)."""
         self._expire()

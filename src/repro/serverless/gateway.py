@@ -4,13 +4,9 @@ Paper §4.1: clients contact the compute layer through a load balancer
 that distributes computation and durably logs every request (Kafka in
 OpenWhisk) so a compute-node failure can never lose a response.  The
 paper's measurements bypass this component; the architecture ablation
-(`abl_coldstart` with ``use_gateway=True``) includes it.
-
-When an :class:`~repro.qos.AdmissionController` is attached, the gateway
-is also the platform's overload-protection point (DESIGN.md §5h): a
-request that fails admission is answered immediately with a
-:class:`~repro.rpc.RetryAfter` carrying the server-advised backoff,
-before any durable-log or compute capacity is spent on it.
+(`abl_coldstart` with ``use_gateway=True``) includes it.  The baseline
+has no admission control: a request is shed (a
+:class:`~repro.rpc.RetryAfter`) only when no compute node is reachable.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ class Gateway:
         compute_nodes: list[str],
         log: DurableRequestLog,
         registry: Optional[Any] = None,
-        admission: Optional[Any] = None,
     ) -> None:
         self.sim = sim
         self.net = net
@@ -58,7 +53,6 @@ class Gateway:
         self._next = 0
         self.log = log
         self.stats = GatewayStats(registry, {"node": name})
-        self._admission = admission
         # _forward runs once per request; preresolved handles keep the
         # hot-path increments off the StatsView attribute protocol.
         self._c_forwarded = self.stats.cell("forwarded")
@@ -71,34 +65,19 @@ class Gateway:
         self.endpoint.start()
 
     def _forward(self, request: ClientRequest):
-        admission = self._admission
-        if admission is not None:
-            decision = admission.admit(
-                request.tenant or request.client, readonly=request.readonly_hint
-            )
-            if not decision.admitted:
-                self._shed(request, decision.retry_after_ms, decision.reason)
-                return
+        self._g_queue_depth.set(self._g_queue_depth.value + 1)
         try:
-            self._g_queue_depth.set(self._g_queue_depth.value + 1)
-            try:
-                # Durability first: the request must survive compute failures.
-                yield from self.log.append(request.request_id)
-                target = self._next_live_target()
-                if target is None:
-                    self._shed(request, self.DEAD_TARGET_RETRY_MS, "no live compute nodes")
-                    return
-                self._c_forwarded.inc()
-                # The compute node replies straight to the client.
-                self.endpoint.send(target, request)
-            finally:
-                self._g_queue_depth.set(self._g_queue_depth.value - 1)
+            # Durability first: the request must survive compute failures.
+            yield from self.log.append(request.request_id)
+            target = self._next_live_target()
+            if target is None:
+                self._shed(request, self.DEAD_TARGET_RETRY_MS, "no live compute nodes")
+                return
+            self._c_forwarded.inc()
+            # The compute node replies straight to the client.
+            self.endpoint.send(target, request)
         finally:
-            # Admission bounds the gateway's own forwarding pipeline (log
-            # append + target choice), not compute occupancy — the reply
-            # bypasses the gateway, so it cannot observe completion.
-            if admission is not None:
-                admission.release()
+            self._g_queue_depth.set(self._g_queue_depth.value - 1)
 
     def _next_live_target(self) -> Optional[str]:
         """The next compute node in round-robin order that is up and

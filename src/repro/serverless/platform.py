@@ -17,7 +17,7 @@ from repro.serverless.gateway import Gateway
 from repro.serverless.request_log import DurableRequestLog
 from repro.serverless.storage_client import RecordingStorage
 from repro.sim.core import Simulation
-from repro.sim.network import LogNormalLatency, Network
+from repro.sim.network import NET_CAP_MS, NET_SIGMA, LogNormalLatency, Network
 from repro.wasm.host_api import OpCosts
 
 
@@ -27,8 +27,9 @@ class ServerlessConfig:
 
     Defaults mirror the paper's evaluation: one compute machine, three
     storage machines, same cluster network, no load balancer (§5).  The
-    cost model constants intentionally match
-    :class:`repro.cluster.ClusterConfig` so the comparison is fair.
+    network's shape and bandwidth are the constants of
+    :mod:`repro.sim.network` that the LambdaStore cluster uses too, so
+    the two platforms share one network model by construction.
     """
 
     num_compute_nodes: int = 1
@@ -42,12 +43,10 @@ class ServerlessConfig:
     prewarm: bool = True
     ms_per_fuel: float = 0.005
     net_median_ms: float = 0.08
-    net_sigma: float = 0.3
-    net_cap_ms: float = 2.0
-    bandwidth_mbps: float = 10_000.0
     read_from_any_replica: bool = True
+    #: front the compute nodes with the load balancer + durable request
+    #: log of §4.1 (the paper's measurements bypass it)
     use_gateway: bool = False
-    log_replicas: int = 3
     #: compute-side fuel charged per function invocation (top-level or
     #: nested) for serverless dispatch work: scheduling, container hand-off,
     #: argument marshalling.  This is the §2.1 overhead that co-location
@@ -62,27 +61,9 @@ class ServerlessConfig:
     transport_coalescing: bool = False
     #: how long an egress frame may wait for companions (simulated ms)
     coalesce_window_ms: float = 0.0
-    #: gateway admission control (DESIGN.md §5h): per-tenant token-bucket
-    #: rate limiting + concurrency caps + container-pool backpressure.
-    #: Off by default — the historical front door admits everything.
-    admission_control: bool = False
-    #: sustained per-tenant admission rate in requests/sec (0 = unlimited)
-    tenant_rate_limit: float = 0.0
-    #: per-tenant burst allowance in requests (0 = derived from the rate)
-    tenant_burst: float = 0.0
-    #: cap on requests concurrently inside the gateway's forwarding
-    #: pipeline (0 = unlimited)
-    gateway_max_inflight: int = 0
-    #: what to shed first under container-pool backpressure
-    shed_policy: str = "protect-reads"
-    #: container-pool waiter depth beyond which mutating requests shed
-    shed_queue_threshold: int = 32
     #: when > 0, a background process samples every registry instrument's
     #: time series at this simulated-ms interval (0 disables the sampler)
     metrics_sample_interval_ms: float = 0.0
-    #: fraction of traces recorded when tracing is enabled (head-based,
-    #: deterministic per request id; 1.0 = record everything)
-    trace_sample_rate: float = 1.0
     seed: int = 0
 
 
@@ -95,11 +76,8 @@ class ServerlessPlatform:
         self.net = Network(
             sim,
             latency=LogNormalLatency(
-                self.config.net_median_ms,
-                sigma=self.config.net_sigma,
-                cap_ms=self.config.net_cap_ms,
+                self.config.net_median_ms, sigma=NET_SIGMA, cap_ms=NET_CAP_MS
             ),
-            bandwidth_mbps=self.config.bandwidth_mbps,
         )
         if self.config.transport_coalescing:
             self.net.enable_coalescing(self.config.coalesce_window_ms)
@@ -147,11 +125,6 @@ class ServerlessPlatform:
                     container_pool=pool,
                     read_from_any_replica=self.config.read_from_any_replica,
                     dispatch_overhead_fuel=self.config.dispatch_overhead_fuel,
-                    shed_queue_threshold=(
-                        self.config.shed_queue_threshold
-                        if self.config.admission_control
-                        else 0
-                    ),
                 )
             )
 
@@ -189,35 +162,13 @@ class ServerlessPlatform:
 
         self.gateway: Optional[Gateway] = None
         if self.config.use_gateway:
-            log = DurableRequestLog(
-                sim, self.net.latency, num_replicas=self.config.log_replicas
-            )
-            admission = None
-            if self.config.admission_control:
-                from repro.qos import AdmissionController
-
-                pools = [node.pool for node in self.compute_nodes]
-                admission = AdmissionController(
-                    clock=lambda: sim.now,
-                    tenant_rate_per_sec=self.config.tenant_rate_limit,
-                    tenant_burst=self.config.tenant_burst,
-                    max_inflight=self.config.gateway_max_inflight,
-                    shed_policy=self.config.shed_policy,
-                    # Backpressure: requests queued for container slots
-                    # across the compute fleet.
-                    pressure_fn=lambda: sum(p.queue_length for p in pools),
-                    pressure_threshold=self.config.shed_queue_threshold,
-                    registry=self.metrics,
-                    labels={"node": "gateway"},
-                )
             self.gateway = Gateway(
                 sim,
                 self.net,
                 "gateway",
                 [node.name for node in self.compute_nodes],
-                log,
+                DurableRequestLog(sim, self.net.latency),
                 registry=self.metrics,
-                admission=admission,
             )
 
         # Setup-time runtime writing to every storage replica directly.
@@ -264,21 +215,15 @@ class ServerlessPlatform:
             self.gateway.start()
 
     def enable_tracing(
-        self, max_spans: int = 100_000, sample_rate: Optional[float] = None
+        self, max_spans: int = 100_000, sample_rate: float = 1.0
     ) -> SpanTracer:
-        """Attach one platform-wide span tracer (idempotent).
-
-        ``sample_rate`` overrides ``config.trace_sample_rate``."""
+        """Attach one platform-wide span tracer (idempotent), recording
+        ``sample_rate`` of the traces (head-based, as on the cluster)."""
         if self.tracer is None:
-            rate = (
-                sample_rate
-                if sample_rate is not None
-                else self.config.trace_sample_rate
-            )
             self.tracer = SpanTracer(
                 clock=lambda: self.sim.now,
                 max_spans=max_spans,
-                sample_rate=rate,
+                sample_rate=sample_rate,
             )
             for node in self.compute_nodes:
                 node.runtime.tracer = self.tracer

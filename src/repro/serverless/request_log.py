@@ -15,6 +15,10 @@ from typing import Any
 from repro.sim.core import Simulation
 from repro.sim.network import LatencyModel
 
+#: replicas of the request log (Kafka's usual replication factor); an
+#: append is acknowledged by a majority of them
+LOG_REPLICAS = 3
+
 
 @dataclass
 class RequestLogStats:
@@ -31,7 +35,7 @@ class DurableRequestLog:
         self,
         sim: Simulation,
         latency: LatencyModel,
-        num_replicas: int = 3,
+        num_replicas: int = LOG_REPLICAS,
         append_service_ms: float = 0.05,
     ) -> None:
         self.sim = sim

@@ -16,6 +16,12 @@ from repro.sim.core import Simulation
 from repro.sim.events import Event
 from repro.sim.resources import Store
 
+#: the shared cluster network of both platforms (one rack, §5): shape and
+#: cap of the log-normal one-way latency, and link bandwidth
+NET_SIGMA = 0.3
+NET_CAP_MS = 2.0
+BANDWIDTH_MBPS = 10_000.0
+
 
 class LatencyModel:
     """Samples one-way message latencies in milliseconds."""
@@ -258,7 +264,7 @@ class Network:
         self,
         sim: Simulation,
         latency: LatencyModel | None = None,
-        bandwidth_mbps: float = 10_000.0,
+        bandwidth_mbps: float = BANDWIDTH_MBPS,
         rng_name: str = "network",
     ) -> None:
         self.sim = sim

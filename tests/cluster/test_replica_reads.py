@@ -99,7 +99,6 @@ def test_lagging_backup_refuses_stale_read_after_reconfiguration():
         method="read",
         args=(),
         epoch=cluster.nodes[lagger].epoch,
-        readonly_hint=True,
         min_applied=0,
     )
 
@@ -143,7 +142,6 @@ def test_leased_backup_rejects_read_beyond_its_applied_state():
         method="read",
         args=(),
         epoch=backup.epoch,
-        readonly_hint=True,
         min_applied=10_000,  # a fence far beyond anything applied
     )
 

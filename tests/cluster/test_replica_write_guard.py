@@ -76,9 +76,7 @@ def cluster_with_sneaky():
 
 def probe(sim, cluster, oid, method_name, target, args=(), name="probe"):
     host = cluster.net.add_host(name)
-    request = ClientRequest(
-        f"{name}#1", name, oid, method_name, args, epoch=1, readonly_hint=True
-    )
+    request = ClientRequest(f"{name}#1", name, oid, method_name, args, epoch=1)
     cluster.net.send(name, target, request, size_bytes=request.size())
     sim.run(until=sim.now + 20)
     return [m.payload for m in host.inbox.drain() if isinstance(m.payload, ClientReply)]

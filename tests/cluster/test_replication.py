@@ -13,7 +13,7 @@ def encoded(key, value):
 
 def make_applier():
     backend = MemoryBackend()
-    return BackupApplier(0, backend.apply), backend
+    return BackupApplier(0, "p", backend.apply), backend
 
 
 def test_primary_assigns_increasing_sequences():

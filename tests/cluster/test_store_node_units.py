@@ -62,7 +62,7 @@ def test_backup_serves_readonly():
     sim, cluster = build_cluster(seed=64)
     oid = cluster.create_object("Counter", initial={"count": 4})
     host = make_raw_client(cluster)
-    request = ClientRequest("raw#1", "raw", oid, "read", (), epoch=1, readonly_hint=True)
+    request = ClientRequest("raw#1", "raw", oid, "read", (), epoch=1)
     send_request(cluster, request, target="store-2")
     replies = drain_replies(sim, cluster, host)
     assert replies[0].ok and replies[0].value == 4

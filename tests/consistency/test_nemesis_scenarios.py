@@ -251,9 +251,9 @@ def test_drop_storms_with_sampled_tracing(seed):
 
     def enable_sampled_tracing(cluster):
         use_bimodal_latency(cluster)
-        cluster.enable_tracing()  # rate comes from config.trace_sample_rate
+        cluster.enable_tracing(sample_rate=0.1)
 
-    def run(post_build, **config):
+    def run(post_build):
         return run_scenario(
             seed=seed,
             nemesis_config=NemesisConfig(
@@ -264,10 +264,9 @@ def test_drop_storms_with_sampled_tracing(seed):
             num_objects=3,
             duration_ms=400.0,
             post_build=post_build,
-            **config,
         )
 
-    sampled = run(enable_sampled_tracing, trace_sample_rate=0.1)
+    sampled = run(enable_sampled_tracing)
     report = assert_consistent(sampled)
     assert report.checked_operations > 50
 

@@ -148,7 +148,6 @@ def test_newer_epoch_request_gets_node_behind_error():
         method="write",
         args=("x",),
         epoch=client.epoch + 5,
-        readonly_hint=False,
     )
     cluster.net.send(client.name, primary_name, request, size_bytes=request.size())
     sim.run(until=sim.now + 20.0)
@@ -200,7 +199,6 @@ def test_ghost_duplicate_below_watermark_is_dropped():
         method="write",
         args=("ghost",),
         epoch=client.epoch,
-        readonly_hint=False,
     )
     cluster.net.send(client.name, primary.name, ghost, size_bytes=ghost.size())
     sim.run(until=sim.now + 20.0)
@@ -254,10 +252,7 @@ def test_remote_charge_retransmits_after_drop():
 
 def test_remote_charge_gives_up_after_budget():
     sim = Simulation(seed=4)
-    cluster = Cluster(
-        sim,
-        ClusterConfig(seed=4, num_storage_nodes=4, num_shards=2, charge_max_attempts=2),
-    )
+    cluster = Cluster(sim, ClusterConfig(seed=4, num_storage_nodes=4, num_shards=2))
     cluster.register_type(counter_type())
     cluster.start()
     _epoch, shard_map = cluster.current_config()

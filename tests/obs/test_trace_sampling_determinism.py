@@ -80,14 +80,9 @@ def test_sampling_records_fewer_spans_than_full_tracing():
 
 def test_error_requests_are_always_traced_despite_sampling():
     sim = Simulation(seed=7)
-    cluster = Cluster(
-        sim,
-        ClusterConfig(
-            num_storage_nodes=3, num_shards=1, seed=7, trace_sample_rate=0.0
-        ),
-    )
+    cluster = Cluster(sim, ClusterConfig(num_storage_nodes=3, num_shards=1, seed=7))
     cluster.register_type(account_type())
-    tracer = cluster.enable_tracing()
+    tracer = cluster.enable_tracing(sample_rate=0.0)
     account = cluster.create_object("Account", initial={"balance": 100})
     client = cluster.client("acct")
 

@@ -77,9 +77,7 @@ def test_concurrency_gate_checked_before_pressure_and_rate():
 
 
 def test_protect_reads_sheds_mutations_only():
-    _clock, ctrl = make(
-        shed_policy="protect-reads", pressure_fn=lambda: 50, pressure_threshold=32
-    )
+    _clock, ctrl = make(pressure_fn=lambda: 50, pressure_threshold=32)
     decision = ctrl.admit("a", readonly=False)
     assert not decision.admitted
     assert decision.reason == "pressure"
@@ -89,19 +87,6 @@ def test_protect_reads_sheds_mutations_only():
     )
     # The read SLO is the thing being protected: reads keep flowing.
     assert ctrl.admit("a", readonly=True).admitted
-
-
-def test_shed_policy_none_ignores_pressure():
-    _clock, ctrl = make(
-        shed_policy="none", pressure_fn=lambda: 10_000, pressure_threshold=1
-    )
-    assert ctrl.admit("a", readonly=False).admitted
-    assert ctrl.stats.shed_pressure == 0
-
-
-def test_unknown_shed_policy_rejected():
-    with pytest.raises(ValueError):
-        make(shed_policy="drop-everything")
 
 
 # -- per-tenant rate gate --------------------------------------------------

@@ -9,6 +9,7 @@ first's signal, so the first's reply only surfaced at its deadline rescan
 
 from repro.chaos.workload import register_type
 from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.messages import CONTROL_RPC_DEADLINE_MS
 from repro.cluster.migration import Migrator
 from repro.sim import Simulation
 
@@ -51,9 +52,8 @@ def test_concurrent_migrations_complete_promptly():
     # Both finish in a handful of round trips — far inside one 50 ms
     # deadline window.  The old single-signal Migrator stranded one of
     # the two interleaved exchanges until its deadline rescan.
-    deadline = cluster.config.rpc_default_deadline_ms
     for _oid, finished_at in done:
-        assert finished_at - started < deadline
+        assert finished_at - started < CONTROL_RPC_DEADLINE_MS
 
     # Writes through refreshed routing still land after the flip.
     client = cluster.client("c")
