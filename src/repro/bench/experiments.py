@@ -30,6 +30,7 @@ from repro.bench.harness import (
     build_aggregated,
     build_disaggregated,
     load_dataset,
+    post_replication_bytes,
     probe_capacity,
     run_overload,
     run_replication_mix,
@@ -439,7 +440,10 @@ def abl_coalescing(cal: CalibrationLike = None) -> dict:
     defer their cumulative acks so several per-frame acks merge into
     one watermark send.  The bill is wire messages per invocation plus
     the mutation latency distribution (which must not regress — the
-    deferral window is bounded by ``ack_flush_ms``).
+    deferral window is bounded by ``ack_flush_ms``) and the GetTimeline
+    tail: deferred acks delay settlement, so reads of dirty objects park
+    longer behind the read barrier.  That tail is why coalescing stays a
+    default-off ablation (DESIGN.md §5j).
 
     Besides on/off, the experiment sweeps ``coalesce_window_ms`` > 0:
     a positive window holds an egress frame back to pack more
@@ -461,6 +465,7 @@ def abl_coalescing(cal: CalibrationLike = None) -> dict:
         completed = sum(r.completed for r in result.reports.values())
         stats = platform.net.stats
         post = result.reports["create_post"]
+        timeline = result.reports["get_timeline"]
         deferred = sum(
             node.stats.acks_deferred for node in platform.nodes.values()
         )
@@ -472,6 +477,7 @@ def abl_coalescing(cal: CalibrationLike = None) -> dict:
                 ),
                 "post_median_ms": round(post.median_ms, 3),
                 "post_p99_ms": round(post.p99_ms, 3),
+                "timeline_p99_ms": round(timeline.p99_ms, 3),
                 "acks_deferred": deferred,
                 "frames": stats.frames_sent,
                 "messages": stats.messages_sent,
@@ -783,7 +789,13 @@ def _run_post_with_author_skew(cal: Calibration, exponent: float) -> RunResult:
 
 
 def abl_fanout(cal: CalibrationLike = None) -> dict:
-    """§5 — Post cost vs follower count (nested-call fan-out)."""
+    """§5 — Post cost vs follower count (nested-call fan-out).
+
+    ``aggregated_replication_bytes_per_post`` is what one backup receives
+    per Post of a 1 KiB text from an author with exactly that many
+    followers (:func:`~repro.bench.harness.post_replication_bytes`): the
+    round ships the post once, so it grows by follower keys, not copies.
+    """
     cal = _calibration(cal)
     rows = []
     for follows in (5, 10, 20, 40):
@@ -797,6 +809,9 @@ def abl_fanout(cal: CalibrationLike = None) -> dict:
                 "disaggregated_jobs_per_sec": round(dis.throughput, 1),
                 "aggregated_median_ms": round(agg.median_ms, 3),
                 "disaggregated_median_ms": round(dis.median_ms, 3),
+                "aggregated_replication_bytes_per_post": round(
+                    post_replication_bytes(swept, follows), 1
+                ),
             }
         )
     text = format_comparison("Ablation: Post vs fan-out degree", rows)

@@ -5,8 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.apps.retwis import user_type
 from repro.bench.calibration import Calibration
 from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.messages import ReplicateWritesRange
 from repro.serverless import ServerlessConfig, ServerlessPlatform
 from repro.sim import Simulation
 from repro.workload.clients import ClosedLoopDriver, DriverResult
@@ -155,6 +157,46 @@ def run_retwis(
             f"(failures={result.failures})"
         )
     return RunResult(variant, workload_name, report, result, platform)
+
+
+#: the fan-out probe's post text length: long enough that one copy per
+#: follower would dominate a replication frame
+FANOUT_PROBE_TEXT_CHARS = 1024
+FANOUT_PROBE_POSTS = 8
+
+
+def post_replication_bytes(cal: Calibration, followers: int) -> float:
+    """Replication-frame bytes one backup receives per Post, for an
+    author with exactly ``followers`` followers posting
+    :data:`FANOUT_PROBE_TEXT_CHARS`-character texts one at a time on a
+    fresh aggregated cluster (every frame then carries one Post round)."""
+    sim = Simulation(seed=cal.seed)
+    cluster = build_aggregated(sim, cal)
+    cluster.register_type(user_type())
+    fans = [
+        cluster.create_object("User", initial={"name": f"fan-{index}"})
+        for index in range(followers)
+    ]
+    author = cluster.create_object(
+        "User",
+        initial={"name": "author", "followers": {str(oid): {"since": 0} for oid in fans}},
+    )
+    cluster.start()
+    backup = cluster.bootstrap_shard_map.shard_for(author).backups[0]
+    shipped = 0
+
+    def tap(message) -> None:
+        nonlocal shipped
+        if message.dst == backup and type(message.payload) is ReplicateWritesRange:
+            shipped += message.size_bytes
+
+    cluster.net.tap = tap
+    client = cluster.client("fanout-probe")
+    for post in range(FANOUT_PROBE_POSTS):
+        text = f"post {post} ".ljust(FANOUT_PROBE_TEXT_CHARS, ".")
+        # The reply waits for every backup's ack: the round has shipped.
+        cluster.run_invoke(client, author, "create_post", text)
+    return shipped / FANOUT_PROBE_POSTS
 
 
 def _zipf_skewed(workload: Any, dataset: Any, exponent: float) -> Any:

@@ -134,17 +134,16 @@ class ReplicateWritesRange:
     shard_id: int
     epoch: int
     first_sequence: int
-    #: one entry per replication round: the round's encoded WriteBatches
-    rounds: list[list[bytes]]
+    #: one entry per replication round: its
+    #: :func:`~repro.kvstore.batch.encode_round` payload, from which the
+    #: backup also takes the round's dirty-object hints
+    rounds: list[bytes]
     primary: str
     #: the primary's settlement watermark when the frame was built; the
     #: backup uses it to release reads fenced on settled sequences
     settled_through: int = 0
     #: replica-read lease duration granted by this frame (0 = no lease)
     lease_ms: float = 0.0
-    #: parallel to ``rounds``: the object-id prefixes each round wrote,
-    #: so backups track per-object dirtiness without decoding batches
-    objects: list = field(default_factory=list)
     #: piggybacked consistent-cache entries the primary recently stored:
     #: ``(object_id_str, method, digest, value, read_set)`` tuples that
     #: the backup validates against local applied state before installing
@@ -159,13 +158,10 @@ class ReplicateWritesRange:
         memo = self._size_memo
         if memo is not None:
             return memo
-        # Frame header + a small per-round header + the batch payloads
-        # (+ the piggybacked cache entries, sized like any payload).
-        total = 48 + 8 * len(self.rounds) + sum(
-            len(b) for round_batches in self.rounds for b in round_batches
-        )
-        for entry in self.objects:
-            total += 8 * len(entry)
+        # Frame header + a small per-round header + the round payloads,
+        # exactly the bytes that ship (+ the piggybacked cache entries,
+        # sized like any payload).
+        total = 48 + 8 * len(self.rounds) + sum(map(len, self.rounds))
         if self.cache_entries:
             total += estimate_size(self.cache_entries)
         self._size_memo = total

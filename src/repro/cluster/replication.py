@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.kvstore.batch import WriteBatch, decode_shared
+from repro.kvstore.batch import WriteBatch, decode_round
 from repro.obs.registry import MetricsRegistry, StatsView
 
 
@@ -53,9 +53,9 @@ class PrimaryReplicationLog:
         self._next_sequence = 1
         #: backup name -> highest cumulatively-acked sequence
         self.acked_through: dict[str, int] = {}
-        #: sequence -> encoded batches, kept for retransmission while the
-        #: replication round is outstanding
-        self.history: dict[int, list[bytes]] = {}
+        #: sequence -> encoded round (:func:`~repro.kvstore.batch.encode_round`),
+        #: kept for retransmission while the round is outstanding
+        self.history: dict[int, bytes] = {}
         #: every sequence <= this has finished replicating and been pruned
         self.completed_through = 0
         self.stats = ReplicationStats(registry, labels)
@@ -67,11 +67,11 @@ class PrimaryReplicationLog:
                 "replication_inflight_rounds", labels, fn=lambda: len(self.history)
             )
 
-    def next_sequence(self, batches: list[bytes]) -> int:
-        """Assign the next shard sequence number to a committed write."""
+    def next_sequence(self, payload: bytes) -> int:
+        """Assign the next shard sequence number to a committed round."""
         sequence = self._next_sequence
         self._next_sequence += 1
-        self.history[sequence] = batches
+        self.history[sequence] = payload
         self._c_shipped.inc()
         return sequence
 
@@ -131,7 +131,7 @@ class BackupApplier:
         self.primary = primary
         self._apply = apply_fn
         self.applied_through = start_sequence
-        self._pending: dict[int, list[bytes]] = {}
+        self._pending: dict[int, bytes] = {}
         self.stats = ReplicationStats(registry, labels)
         self._c_applied = self.stats.cell("applied")
         self._c_buffered = self.stats.cell("buffered_out_of_order")
@@ -140,31 +140,32 @@ class BackupApplier:
                 "replication_pending_buffer", labels, fn=lambda: len(self._pending)
             )
 
-    def receive(self, sequence: int, batches: list[bytes]) -> list[tuple[int, list[bytes]]]:
-        """Accept a replicated write; returns ``(sequence, batches)`` pairs
+    def receive(self, sequence: int, payload: bytes) -> list[tuple[int, bytes]]:
+        """Accept a replicated round; returns ``(sequence, payload)`` pairs
         applied right now — including sequences drained from the
-        out-of-order buffer, whose batches the caller must still see (e.g.
+        out-of-order buffer, whose writes the caller must still see (e.g.
         for cache invalidation of the keys they wrote).
 
         Duplicates (retransmissions) of already-applied sequences are not
-        reapplied but still reported (with no batches) so the primary gets
-        a (re-)ack.
+        reapplied but still reported (with an empty payload) so the
+        primary gets a (re-)ack.
         """
         if sequence <= self.applied_through:
-            return [(sequence, [])]  # duplicate: ack again, apply nothing
-        self._pending[sequence] = batches
-        applied: list[tuple[int, list[bytes]]] = []
+            return [(sequence, b"")]  # duplicate: ack again, apply nothing
+        self._pending[sequence] = payload
+        applied: list[tuple[int, bytes]] = []
         while self.applied_through + 1 in self._pending:
             next_sequence = self.applied_through + 1
-            next_batches = self._pending.pop(next_sequence)
-            for payload in next_batches:
-                # decode_shared: the commit that produced this payload
-                # entered its batch in the memo, so every backup of the
-                # shard applies that one read-only batch without parsing.
-                self._apply(decode_shared(payload))
+            next_payload = self._pending.pop(next_sequence)
+            # decode_round: the primary that encoded this round entered
+            # its batches in the memo, so every backup of the shard
+            # applies those read-only batches, one by one and in commit
+            # order, without parsing.
+            for batch in decode_round(next_payload)[0]:
+                self._apply(batch)
             self.applied_through = next_sequence
             self._c_applied.inc()
-            applied.append((next_sequence, next_batches))
+            applied.append((next_sequence, next_payload))
         if not applied:
             self._c_buffered.inc()
         return applied
@@ -219,7 +220,7 @@ class ReplicationPipeline:
         sim,
         shard_id: int,
         log: PrimaryReplicationLog,
-        send_frame: Callable[[list[str], int, list[list[bytes]]], None],
+        send_frame: Callable[[list[str], int, list[bytes]], None],
         backups_fn: Callable[[], list[str]],
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         max_bytes: int = DEFAULT_MAX_BYTES,
@@ -239,8 +240,8 @@ class ReplicationPipeline:
         self._flush_interval = flush_interval_ms
         self._ack_timeout = ack_timeout_ms
         self._name = name or f"shard-{shard_id}"
-        #: (sequence, batches) committed but not yet framed
-        self._pending: list[tuple[int, list[bytes]]] = []
+        #: (sequence, round payload) committed but not yet framed
+        self._pending: list[tuple[int, bytes]] = []
         self._pending_bytes = 0
         #: sequence -> park event for the client reply (ascending keys)
         self._waiters: dict[int, object] = {}
@@ -260,9 +261,6 @@ class ReplicationPipeline:
         #: object-id prefix -> last unsettled sequence that wrote it, for
         #: per-object read barriers (pruned as the watermark advances)
         self._dirty_last: dict[bytes, int] = {}
-        #: sequence -> object-id prefixes that round wrote, kept until
-        #: settlement so (re)transmitted frames can carry them
-        self._round_objects: dict[int, tuple] = {}
         #: jitter stream, created lazily on the first retransmission so
         #: faultless runs never touch it
         self._retry_rng = None
@@ -365,27 +363,22 @@ class ReplicationPipeline:
                 required = sequence
         return required
 
-    def objects_for_round(self, sequence: int) -> tuple:
-        """Object-id prefixes round ``sequence`` wrote (empty once the
-        round settled and was pruned)."""
-        return self._round_objects.get(sequence, ())
-
     # -- commit path -----------------------------------------------------------
 
-    def submit(self, batches: list[bytes], objects: tuple = ()):
-        """Enqueue a committed round; returns the event that fires once
-        every sequence <= this round's is acked by all live backups.
-        ``objects`` lists the object-id prefixes the round wrote, driving
-        per-object read barriers here and dirtiness tracking on backups."""
-        sequence = self.log.next_sequence(batches)
-        if objects:
-            for obj in objects:
-                self._dirty_last[obj] = sequence
-            self._round_objects[sequence] = tuple(objects)
+    def submit(self, payload: bytes, objects: tuple = ()):
+        """Enqueue a committed round (one :func:`encode_round` payload);
+        returns the event that fires once every sequence <= this round's
+        is acked by all live backups.  ``objects`` lists the ids of the
+        objects the round wrote, driving per-object read barriers here
+        (backups derive the same list from the payload)."""
+        sequence = self.log.next_sequence(payload)
+        for obj in objects:
+            self._dirty_last[obj] = sequence
         event = self.sim.event(name=f"repl:{self._name}:{sequence}")
         self._waiters[sequence] = event
-        self._pending.append((sequence, batches))
-        self._pending_bytes += sum(len(b) for b in batches)
+        self._pending.append((sequence, payload))
+        # What ships is the encoded round, so that is what counts.
+        self._pending_bytes += len(payload)
         if self._retired:
             # Deposed primary: the round is queued (and resumes on a
             # re-promotion) but nothing ships and no timer arms.
@@ -407,7 +400,7 @@ class ReplicationPipeline:
         if self._retired or not self._pending:
             return
         first = self._pending[0][0]
-        rounds = [batches for _sequence, batches in self._pending]
+        rounds = [payload for _sequence, payload in self._pending]
         self._pending.clear()
         self._pending_bytes = 0
         self._timer_generation += 1
@@ -470,9 +463,7 @@ class ReplicationPipeline:
             return
         self.settled_through = watermark
         self.log.complete_through(watermark)
-        if self._round_objects:
-            for sequence in [s for s in self._round_objects if s <= watermark]:
-                del self._round_objects[sequence]
+        if self._dirty_last:
             for obj in [o for o, s in self._dirty_last.items() if s <= watermark]:
                 del self._dirty_last[obj]
         released = []

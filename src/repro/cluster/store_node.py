@@ -50,7 +50,7 @@ from repro.cluster.replication import (
 from repro.cluster.scheduler import ObjectLockTable
 from repro.core.fields import value_digest
 from repro.errors import InvocationError, UnknownObjectError
-from repro.kvstore.batch import WriteBatch, decode_shared, encode_shared
+from repro.kvstore.batch import WriteBatch, decode_round, encode_round
 from repro.obs.registry import StatsView
 from repro.rpc import RetryAfter, RpcEndpoint
 from repro.sim.core import Simulation
@@ -84,13 +84,14 @@ class RemoteCharge:
 
     charge_id: str
     fuel: float
-    batches: list[bytes]
+    #: the owner's writes as one encoded round (``b""`` when it wrote none)
+    payload: bytes
     sender: str
     #: originating request id, so the owner's settle span joins the trace
     trace_id: str = ""
 
     def size(self) -> int:
-        return 32 + sum(len(b) for b in self.batches)
+        return 32 + len(self.payload)
 
 
 @dataclass
@@ -161,27 +162,6 @@ class ReplicaReadState:
 
 #: digest of an absent storage key (mirrors repro.core.caching)
 _ABSENT_DIGEST = b"\x00" * 8
-
-
-def _object_id_bytes(key: bytes) -> bytes:
-    """The object-id prefix a storage key, or its leading ``o/<oid>/``,
-    belongs to (the argument itself for keys outside the ``o/<oid>/...``
-    layout, conservatively)."""
-    if key.startswith(b"o/"):
-        end = key.find(b"/", 2)
-        if end >= 0:
-            return key[2:end]
-    return key
-
-
-def _objects_in_batches(batches: list[bytes]) -> tuple:
-    """Object-id prefixes written by encoded batches (decode fallback for
-    paths that did not capture objects at commit time)."""
-    objects = set()
-    for payload in batches:
-        for _kind, key, _value in decode_shared(payload).items():
-            objects.add(_object_id_bytes(key))
-    return tuple(sorted(objects))
 
 
 class NodeStats(StatsView):
@@ -281,20 +261,21 @@ class ClusterNodeRuntime(LocalRuntime):
 class ExecutionCapture:
     """What one top-level execution produced, for the replay phase."""
 
-    #: encoded batches committed per node name
-    batches: dict[str, list[bytes]] = field(default_factory=dict)
-    #: object-id prefixes written per node name (per-object read barriers
-    #: and backup dirtiness tracking), from the walk that encodes
-    objects: dict[str, set] = field(default_factory=dict)
+    #: committed batches per node name, in commit order; each node's list
+    #: is encoded once, as one replication round, when it is submitted
+    batches: dict[str, list[WriteBatch]] = field(default_factory=dict)
     #: (owner node name, sub InvocationResult) for remote nested calls
     remote_dispatches: list[tuple[str, InvocationResult]] = field(default_factory=list)
 
-    def record_batch(self, node_name: str, batch: WriteBatch) -> None:
-        # encode_shared: the backups of this process apply this very batch
-        # when its payload reaches them, instead of parsing it back.
-        payload, prefixes = encode_shared(batch, keyspace.OBJECT_PREFIX_WIDTH)
-        self.batches.setdefault(node_name, []).append(payload)
-        self.objects.setdefault(node_name, set()).update(map(_object_id_bytes, prefixes))
+    def round_for(self, node_name: str) -> tuple[bytes, tuple]:
+        """``node_name``'s writes as one encoded round and the ids of the
+        objects they touched (``(b"", ())`` when it wrote nothing).  The
+        backups of this process apply these very batches when the payload
+        reaches them, instead of parsing it back."""
+        batches = self.batches.get(node_name)
+        if not batches:
+            return b"", ()
+        return encode_round(batches)
 
 
 class StoreNode:
@@ -506,7 +487,7 @@ class StoreNode:
     def _on_commit(self, batch: WriteBatch) -> None:
         capture = self.cluster.capture
         if capture is not None:
-            capture.record_batch(self.name, batch)
+            capture.batches.setdefault(self.name, []).append(batch)
 
     def install_config(self, epoch: int, shard_map) -> None:
         """Adopt a configuration (bootstrap or NewConfig).
@@ -610,7 +591,7 @@ class StoreNode:
 
     def _invalidate_applied(
         self,
-        applied: list[tuple[int, list[bytes]]],
+        applied: list[tuple[int, bytes]],
         direct_sequences: Optional[set] = None,
     ) -> None:
         if self.runtime.cache is None:
@@ -621,19 +602,20 @@ class StoreNode:
             # triggering message carried, silently skipping buffered
             # out-of-order sequences the applier drained along with it.
             applied = [
-                (sequence, batches)
-                for sequence, batches in applied
+                (sequence, payload)
+                for sequence, payload in applied
                 if sequence in direct_sequences
             ]
         # Writes landed on this replica; cached read-only results that
         # depend on them must not be served stale.  The applier may have
         # drained buffered out-of-order sequences beyond the triggering
-        # message, so invalidate the keys of *every* applied batch —
+        # message, so invalidate the keys of *every* applied round —
         # through the shared decode memo, which the applier just warmed.
         written_keys: list[bytes] = []
-        for _sequence, applied_batches in applied:
-            for payload in applied_batches:
-                batch = decode_shared(payload)
+        for _sequence, payload in applied:
+            if not payload:
+                continue  # a duplicate: nothing was applied
+            for batch in decode_round(payload)[0]:
                 written_keys.extend(key for _kind, key, _v in batch.items())
         if written_keys:
             self.runtime.cache.invalidate_keys(written_keys)
@@ -645,9 +627,9 @@ class StoreNode:
         duplicate or arrived ahead of a gap — because ``applied_through``
         is what tells the primary's watchdog which range to retransmit."""
         applier = self._applier_for(message.shard_id, message.primary)
-        applied: list[tuple[int, list[bytes]]] = []
-        for offset, batches in enumerate(message.rounds):
-            applied.extend(applier.receive(message.first_sequence + offset, batches))
+        applied: list[tuple[int, bytes]] = []
+        for offset, payload in enumerate(message.rounds):
+            applied.extend(applier.receive(message.first_sequence + offset, payload))
         self._invalidate_applied(
             applied,
             direct_sequences=set(
@@ -780,9 +762,10 @@ class StoreNode:
             expiry = self.sim.now + message.lease_ms
             if expiry > state.lease_expiry:
                 state.lease_expiry = expiry
-        for offset, round_objects in enumerate(message.objects):
+        for offset, payload in enumerate(message.rounds):
             sequence = message.first_sequence + offset
-            for obj in round_objects:
+            # The round's object ids come with its batches from the memo.
+            for obj in decode_round(payload)[1]:
                 if state.dirty.get(obj, 0) < sequence:
                     state.dirty[obj] = sequence
         self._advance_known_settled(state, message.settled_through)
@@ -946,9 +929,8 @@ class StoreNode:
         return [b for b in replica_set.backups if b != self.name]
 
     def _send_range_frame(
-        self, shard_id: int, targets: list[str], first_sequence: int, rounds
+        self, shard_id: int, targets: list[str], first_sequence: int, rounds: list[bytes]
     ) -> None:
-        rounds = list(rounds)
         message = ReplicateWritesRange(
             shard_id, self.epoch, first_sequence, rounds, self.name
         )
@@ -956,14 +938,10 @@ class StoreNode:
         if pipeline is not None:
             message.settled_through = pipeline.settled_through
             if self._replica_reads:
-                # Every frame doubles as a lease renewal and carries the
-                # per-round dirty-object hints plus any queued cache
-                # entries (drained once; retransmissions carry none).
+                # Every frame doubles as a lease renewal and carries any
+                # queued cache entries (drained once; retransmissions
+                # carry none).
                 message.lease_ms = REPLICA_READ_LEASE_MS
-                message.objects = [
-                    list(pipeline.objects_for_round(first_sequence + offset))
-                    for offset in range(len(rounds))
-                ]
                 entries = self._cache_share.pop(shard_id, None)
                 if entries:
                     message.cache_entries = entries
@@ -1010,11 +988,11 @@ class StoreNode:
         else:
             yield waiter
 
-    def _replicate_batches(self, shard_id: int, batches: list[bytes], parent=None):
-        """Replicate committed batches through the shard's pipeline and
-        wait until every live backup acked them."""
+    def _replicate_round(self, shard_id: int, payload: bytes, parent=None):
+        """Replicate one encoded round through the shard's pipeline and
+        wait until every live backup acked it."""
         waiter = self._pipeline_for(shard_id).submit(
-            batches, objects=_objects_in_batches(batches)
+            payload, objects=decode_round(payload)[1]
         )
         self._c_replication_rounds.inc()
         yield from self._pipeline_wait(shard_id, waiter, parent=parent)
@@ -1512,7 +1490,7 @@ class StoreNode:
                 yield self.sim.all_of(charges)
 
             # Replication of this node's own writes.
-            own_batches = capture.batches.get(self.name, [])
+            own_payload, own_objects = capture.round_for(self.name)
             probe = self.cluster.mc_crash_probe
             if probe is not None and not self.crashed:
                 # Crash point: the write set is committed locally but has
@@ -1527,11 +1505,8 @@ class StoreNode:
             # released only once every sequence <= its own is acked by
             # all live backups (§4.2.1).
             waiter = None
-            if own_batches:
-                waiter = self._pipeline_for(shard_id).submit(
-                    own_batches,
-                    objects=tuple(sorted(capture.objects.get(self.name, ()))),
-                )
+            if own_payload:
+                waiter = self._pipeline_for(shard_id).submit(own_payload, own_objects)
                 self._c_replication_rounds.inc()
             self.locks.release(object_key)
             locked = False
@@ -1546,7 +1521,7 @@ class StoreNode:
                 charge = RemoteCharge(
                     charge_id=f"{self.name}#{request.request_id}#{index}",
                     fuel=sub_result.total_fuel(),
-                    batches=capture.batches.get(owner_name, []),
+                    payload=capture.round_for(owner_name)[0],
                     sender=self.name,
                     trace_id=request.request_id,
                 )
@@ -1572,7 +1547,7 @@ class StoreNode:
     def _send_charge(self, charge: RemoteCharge, owner_name: str, parent=None):
         """Deliver a RemoteCharge with bounded retransmission + backoff.
 
-        The charge carries the owner's write batches for replication to
+        The charge carries the owner's writes for replication to
         its backups, so dropping it on first timeout would silently lose
         those writes' replication.  Retransmit until acked or the attempt
         budget runs out (the owner is then presumed dead and its shard's
@@ -1637,11 +1612,11 @@ class StoreNode:
             finally:
                 self._c_busy_ms.inc(self.sim.now - started)
                 self.cpu.release()
-            if message.batches and self.shard_map is not None:
+            if message.payload and self.shard_map is not None:
                 own_shard = self.shard_map.shard_of_node(self.name)
                 if own_shard is not None and own_shard.primary == self.name:
-                    yield from self._replicate_batches(
-                        own_shard.shard_id, message.batches, parent=span
+                    yield from self._replicate_round(
+                        own_shard.shard_id, message.payload, parent=span
                     )
             if message.charge_id in self._charges_seen:
                 self._charges_seen[message.charge_id] = True
@@ -1681,7 +1656,9 @@ class StoreNode:
         if self.shard_map is not None:
             own_shard = self.shard_map.shard_of_node(self.name)
             if own_shard is not None and own_shard.primary == self.name:
-                yield from self._replicate_batches(own_shard.shard_id, [batch.encode()])
+                yield from self._replicate_round(
+                    own_shard.shard_id, encode_round([batch])[0]
+                )
 
     def _handle_migrate_in(self, message: MigrateObject) -> None:
         """Install a migrated object's state (migration step 2)."""
@@ -1694,7 +1671,7 @@ class StoreNode:
             own_shard = self.shard_map.shard_of_node(self.name)
             if own_shard is not None and own_shard.primary == self.name and batch:
                 self.sim.process(
-                    self._replicate_batches(own_shard.shard_id, [batch.encode()]),
+                    self._replicate_round(own_shard.shard_id, encode_round([batch])[0]),
                     name=f"{self.name}.migrate-repl",
                 )
         ack = MigrateAck(message.object_id, True)

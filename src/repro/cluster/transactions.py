@@ -40,6 +40,7 @@ from repro.core.runtime import MAX_CALL_DEPTH
 from repro.core.transactions import TransactionAborted
 from repro.core.writeset import WriteSet
 from repro.errors import ClusterError, InvocationError, Trap, UnknownObjectError
+from repro.kvstore.batch import encode_round
 from repro.rpc import RpcStub
 from repro.wasm.fuel import FuelMeter
 from repro.wasm.instance import Instance
@@ -273,7 +274,9 @@ class TransactionParticipant:
                     )
                 own_shard = node.shard_map.shard_of_node(node.name)
                 if own_shard is not None and own_shard.primary == node.name:
-                    yield from node._replicate_batches(own_shard.shard_id, [batch.encode()])
+                    yield from node._replicate_round(
+                        own_shard.shard_id, encode_round([batch])[0]
+                    )
             for object_key in state.locked:
                 node.locks.release(object_key)
         done = TxnDone(message.txn_id, node.name)

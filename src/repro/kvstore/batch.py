@@ -21,8 +21,8 @@ class WriteBatch:
 
     def __init__(self) -> None:
         self._ops: list[tuple[ValueType, bytes, bytes]] = []
-        #: set once the batch is in the decode memo, where every replica
-        #: of this process applies the same object
+        #: set once the batch is in the round decode memo, where every
+        #: replica of this process applies the same object
         self._shared = False
 
     @classmethod
@@ -90,7 +90,7 @@ class WriteBatch:
         Layout: varint op-count, then per op: 1-byte kind, varint key
         length, key, and (for puts) varint value length + value.
         """
-        return _encode_ops(self._ops)[0]
+        return _encode_ops(self._ops)
 
     @classmethod
     def decode(cls, data: bytes) -> "WriteBatch":
@@ -127,71 +127,196 @@ class WriteBatch:
         return batch
 
 
-def _encode_ops(ops: list, prefix_width: int = 0) -> tuple[bytes, set]:
-    """The payload of ``ops`` and, from the same walk, the distinct
-    leading ``prefix_width`` bytes of their keys (none for a width of 0)."""
-    prefixes = set()
+def _encode_ops(ops: list) -> bytes:
     parts = [encode_varint(len(ops))]
     for kind, key, value in ops:
-        if prefix_width:
-            prefixes.add(key[:prefix_width])
         if kind is ValueType.VALUE:
             parts += (b"\x01", encode_varint(len(key)), key, encode_varint(len(value)), value)
         else:
             parts += (b"\x00", encode_varint(len(key)), key)
-    return b"".join(parts), prefixes
+    return b"".join(parts)
 
 
-#: bounded memo of batches keyed by their encoded payload.  Replication
+# -- replication rounds ----------------------------------------------------
+#
+# A replication round is every batch one invocation committed on a node,
+# shipped as one payload.  Retwis's Post writes one post into the
+# author's posts, the author's timeline and every follower's timeline,
+# and consecutive keys of one object share their ``o/<oid>/`` prefix, so
+# the round layout stores each long value once and each key as the bytes
+# it shares with the previous key plus a suffix:
+#
+#   varint batch count, then per batch a varint op count, then per op:
+#     kind byte (0 deletion, 1 put)
+#     varint shared-prefix length, varint suffix length, suffix
+#     (puts) varint value tag: ``length << 1`` followed by that many
+#            literal bytes, or ``index << 1 | 1``, a back-reference to the
+#            index-th literal longer than VALUE_TABLE_MIN_LEN in the round
+
+#: literal values longer than this enter the round's value table; shorter
+#: ones (counters, small fields) cost no more than a back-reference
+VALUE_TABLE_MIN_LEN = 8
+
+
+def _shared_len(previous: bytes, key: bytes) -> int:
+    """Length of the longest common prefix of ``previous`` and ``key``:
+    the leading zero bytes of their big-endian XOR."""
+    width = min(len(previous), len(key))
+    diff = int.from_bytes(previous[:width], "big") ^ int.from_bytes(key[:width], "big")
+    return width - (diff.bit_length() + 7) // 8
+
+
+def _object_of(key: bytes) -> bytes:
+    """The object id a storage key belongs to under the ``o/<oid>/...``
+    layout of :mod:`repro.core.keyspace` (the key itself for keys outside
+    it, conservatively)."""
+    if key[:2] == b"o/":
+        end = key.find(b"/", 2)
+        if end >= 0:
+            return key[2:end]
+    return key
+
+
+def encode_round(batches: list[WriteBatch]) -> tuple[bytes, tuple]:
+    """Encode one replication round: the payload in the round layout
+    above and, from the same walk, the sorted ids of the objects its keys
+    belong to (the per-object read-barrier and dirtiness hints).
+
+    The batches enter the decode memo under the payload, so
+    :func:`decode_round` of these bytes in this process returns these
+    very batches without parsing; from here on they are SHARED and
+    refuse mutation.  Only bytes this function (or an earlier decode)
+    produced can hit the memo: a damaged or foreign payload is a
+    different key and is parsed with every check.
+    """
+    parts = [encode_varint(len(batches))]
+    table: dict[bytes, int] = {}
+    objects = set()
+    previous = b""
+    for batch in batches:
+        ops = batch._ops
+        parts.append(encode_varint(len(ops)))
+        for kind, key, value in ops:
+            shared = _shared_len(previous, key)
+            previous = key
+            objects.add(_object_of(key))
+            parts += (
+                b"\x01" if kind is ValueType.VALUE else b"\x00",
+                encode_varint(shared),
+                encode_varint(len(key) - shared),
+                key[shared:],
+            )
+            if kind is not ValueType.VALUE:
+                continue
+            if len(value) > VALUE_TABLE_MIN_LEN:
+                index = table.get(value)
+                if index is not None:
+                    parts.append(encode_varint(index << 1 | 1))
+                    continue
+                table[value] = len(table)
+            parts += (encode_varint(len(value) << 1), value)
+    payload = b"".join(parts)
+    objects = tuple(sorted(objects))
+    _remember(payload, (tuple(batches), objects))
+    return payload, objects
+
+
+def decode_round(data: bytes) -> tuple[tuple, tuple]:
+    """``(batches, objects)`` of a round payload, memoised across
+    identical payloads; raises ``CorruptionError`` on damage.
+
+    The batches are SHARED: they can be iterated and applied to storage,
+    and raise :class:`ReadOnlyError` on ``put``, ``delete``, ``extend`` or
+    ``clear``.  ``objects`` is what :func:`encode_round` returned for the
+    same round.
+    """
+    entry = _DECODE_MEMO.get(data)
+    if entry is None:
+        entry = _parse_round(data)
+        _remember(data, entry)
+    return entry
+
+
+def _parse_round(data: bytes) -> tuple[tuple, tuple]:
+    size = len(data)
+    table: list[bytes] = []
+    objects = set()
+    batches = []
+    previous = b""
+    count, pos = decode_varint(data, 0)
+    for _ in range(count):
+        op_count, pos = decode_varint(data, pos)
+        ops = []
+        for _ in range(op_count):
+            if pos >= size:
+                raise CorruptionError("replication round truncated (missing op)")
+            kind_byte = data[pos]
+            pos += 1
+            if kind_byte > 1:
+                raise CorruptionError(f"replication round has bad op kind {kind_byte}")
+            kind = ValueType(kind_byte)
+            shared, pos = decode_varint(data, pos)
+            if shared > len(previous):
+                raise CorruptionError(
+                    f"replication round key shares {shared} bytes of a "
+                    f"{len(previous)}-byte previous key"
+                )
+            suffix_len, pos = decode_varint(data, pos)
+            suffix = data[pos : pos + suffix_len]
+            if len(suffix) != suffix_len:
+                raise CorruptionError("replication round truncated (short key)")
+            pos += suffix_len
+            key = previous[:shared] + suffix
+            previous = key
+            objects.add(_object_of(key))
+            if kind is ValueType.DELETION:
+                ops.append((kind, key, b""))
+                continue
+            tag, pos = decode_varint(data, pos)
+            if tag & 1:
+                index = tag >> 1
+                if index >= len(table):
+                    raise CorruptionError(
+                        f"replication round refers to value {index} of {len(table)}"
+                    )
+                value = table[index]
+            else:
+                value_len = tag >> 1
+                value = data[pos : pos + value_len]
+                if len(value) != value_len:
+                    raise CorruptionError("replication round truncated (short value)")
+                pos += value_len
+                if value_len > VALUE_TABLE_MIN_LEN:
+                    table.append(value)
+            ops.append((kind, key, value))
+        batches.append(WriteBatch.from_ops(ops))
+    if pos != size:
+        raise CorruptionError("replication round has trailing garbage")
+    return tuple(batches), tuple(sorted(objects))
+
+
+#: bounded memo of decoded rounds keyed by their payload.  Replication
 #: fans one frame out to every backup and re-reads applied payloads
-#: during cache invalidation, all in the process that encoded them, so
-#: the batch behind a payload is looked up, not re-parsed; bytes objects
-#: cache their own hash, making hits one dict probe.  Bounded by dropping
-#: the older half when full: payload reuse is bursty and short-lived, so
-#: what a backup has yet to apply is among the newest entries and an LRU
-#: order would buy nothing more.
-_DECODE_MEMO: dict[bytes, WriteBatch] = {}
-_DECODE_MEMO_MAX = 1024
+#: during cache invalidation and lease absorption, all in the process
+#: that encoded them, so the batches behind a payload are looked up, not
+#: re-parsed; bytes objects cache their own hash, making hits one dict
+#: probe.  Bounded by dropping the older half when full: payload reuse is
+#: bursty and short-lived (encode to the last backup's apply), so what a
+#: backup has yet to apply is among the newest entries and an LRU order
+#: would buy nothing more.  An entry is a whole invocation's writes (a
+#: Post's holds one batch per follower), so the bound is small; a miss
+#: only costs a parse.
+_DECODE_MEMO: dict[bytes, tuple[tuple, tuple]] = {}
+_DECODE_MEMO_MAX = 64
 
 
-def _share(payload: bytes, batch: WriteBatch) -> None:
-    batch._shared = True
+def _remember(payload: bytes, entry: tuple[tuple, tuple]) -> None:
+    for batch in entry[0]:
+        batch._shared = True
     if len(_DECODE_MEMO) >= _DECODE_MEMO_MAX:
         for stale in list(islice(_DECODE_MEMO, _DECODE_MEMO_MAX // 2)):
             del _DECODE_MEMO[stale]
-    _DECODE_MEMO[payload] = batch
-
-
-def encode_shared(batch: WriteBatch, prefix_width: int) -> tuple[bytes, set]:
-    """Encode ``batch`` for consumers in this process: one walk of its
-    operations gives the payload and the distinct ``prefix_width``-byte
-    key prefixes it wrote under, and the batch itself enters the decode
-    memo under that payload, so :func:`decode_shared` of these bytes
-    returns it without parsing.
-
-    From here on the batch is SHARED and refuses mutation.  Only bytes
-    this function (or an earlier decode) produced can hit the memo: a
-    damaged or foreign payload is a different key and goes through
-    :meth:`WriteBatch.decode` and its checks.
-    """
-    payload, prefixes = _encode_ops(batch._ops, prefix_width)
-    _share(payload, batch)
-    return payload, prefixes
-
-
-def decode_shared(data: bytes) -> WriteBatch:
-    """Decode ``data``, memoising the result across identical payloads.
-
-    The returned batch is SHARED: it can be iterated and applied to
-    storage, and raises :class:`ReadOnlyError` on ``put``, ``delete``,
-    ``extend`` or ``clear``.  Use :meth:`WriteBatch.decode` when a
-    private copy is needed.
-    """
-    batch = _DECODE_MEMO.get(data)
-    if batch is None:
-        batch = WriteBatch.decode(data)
-        _share(data, batch)
-    return batch
+    _DECODE_MEMO[payload] = entry
 
 
 def _check_bytes(label: str, data: bytes) -> None:

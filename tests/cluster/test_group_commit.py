@@ -11,7 +11,7 @@ from tests.cluster.conftest import build_cluster
 def seeded_log(rounds=0):
     log = PrimaryReplicationLog(0)
     for _ in range(rounds):
-        log.next_sequence([b"x"])
+        log.next_sequence(b"x")
     return log
 
 
@@ -101,7 +101,7 @@ class Harness:
 
 def test_open_flush_ships_immediately_on_empty_pipe():
     h = Harness()
-    event = h.pipeline.submit([b"round-1"])
+    event = h.pipeline.submit(b"round-1")
     assert [(f[2], len(f[3])) for f in h.frames] == [(1, 1)]
     assert not event.triggered
     h.ack_all(1)
@@ -111,16 +111,16 @@ def test_open_flush_ships_immediately_on_empty_pipe():
 
 def test_rounds_coalesce_while_a_frame_is_in_flight():
     h = Harness()
-    first = h.pipeline.submit([b"a"])
-    second = h.pipeline.submit([b"b"])
-    third = h.pipeline.submit([b"c"])
+    first = h.pipeline.submit(b"a")
+    second = h.pipeline.submit(b"b")
+    third = h.pipeline.submit(b"c")
     # Only the open flush went out; b and c are queued behind it.
     assert len(h.frames) == 1
     h.ack_all(1)
     # The drained pipe triggers one combined frame: sequences 2..3.
     assert len(h.frames) == 2
     _now, targets, start, rounds = h.frames[1]
-    assert (start, rounds) == (2, [[b"b"], [b"c"]])
+    assert (start, rounds) == (2, [b"b", b"c"])
     assert first.triggered and not second.triggered and not third.triggered
     h.ack_all(3)
     assert second.triggered and third.triggered
@@ -128,9 +128,9 @@ def test_rounds_coalesce_while_a_frame_is_in_flight():
 
 def test_size_threshold_forces_flush():
     h = Harness(max_rounds=2)
-    h.pipeline.submit([b"a"])  # open flush
-    h.pipeline.submit([b"b"])
-    h.pipeline.submit([b"c"])  # hits max_rounds -> size flush
+    h.pipeline.submit(b"a")  # open flush
+    h.pipeline.submit(b"b")
+    h.pipeline.submit(b"c")  # hits max_rounds -> size flush
     assert [f[2] for f in h.frames] == [1, 2]
     assert h.pipeline.highest_flushed == 3
 
@@ -138,7 +138,7 @@ def test_size_threshold_forces_flush():
 def test_reply_released_only_at_full_watermark():
     # One lagging backup holds every parked reply at or above its gap.
     h = Harness()
-    event = h.pipeline.submit([b"a"])
+    event = h.pipeline.submit(b"a")
     h.pipeline.on_ack("b1", 1)
     assert not event.triggered
     h.pipeline.on_ack("b2", 1)
@@ -147,7 +147,7 @@ def test_reply_released_only_at_full_watermark():
 
 def test_duplicate_and_reordered_acks_do_not_regress_watermark():
     h = Harness()
-    events = [h.pipeline.submit([payload]) for payload in (b"a", b"b", b"c")]
+    events = [h.pipeline.submit(payload) for payload in (b"a", b"b", b"c")]
     h.ack_all(1)
     h.pipeline.flush("drain")
     h.ack_all(3)
@@ -162,7 +162,7 @@ def test_duplicate_and_reordered_acks_do_not_regress_watermark():
 
 def test_ack_for_pruned_sequences_is_harmless():
     h = Harness()
-    h.pipeline.submit([b"a"])
+    h.pipeline.submit(b"a")
     h.ack_all(1)
     assert h.log.retained == 0  # settled history pruned
     h.ack_all(1)  # re-ack after prune
@@ -172,7 +172,7 @@ def test_ack_for_pruned_sequences_is_harmless():
 
 def test_backup_removed_mid_round_stops_gating_replies():
     h = Harness()
-    event = h.pipeline.submit([b"a"])
+    event = h.pipeline.submit(b"a")
     h.pipeline.on_ack("b1", 1)
     assert not event.triggered  # b2 still owes an ack
     h.backups.remove("b2")  # failover/migration dropped it
@@ -183,7 +183,7 @@ def test_backup_removed_mid_round_stops_gating_replies():
 
 def test_all_backups_removed_settles_everything():
     h = Harness()
-    event = h.pipeline.submit([b"a"])
+    event = h.pipeline.submit(b"a")
     h.backups.clear()
     h.pipeline.on_config_change()
     assert event.triggered
@@ -191,8 +191,8 @@ def test_all_backups_removed_settles_everything():
 
 def test_config_change_drains_queued_rounds_to_new_membership():
     h = Harness()
-    h.pipeline.submit([b"a"])
-    h.pipeline.submit([b"b"])  # queued behind the in-flight frame
+    h.pipeline.submit(b"a")
+    h.pipeline.submit(b"b")  # queued behind the in-flight frame
     h.backups.append("b3")
     h.pipeline.on_config_change()
     # The drain flush ships to the veterans; b3 gets a full-range frame
@@ -205,7 +205,7 @@ def test_config_change_drains_queued_rounds_to_new_membership():
 
 def test_fresh_backup_never_sent_does_not_hold_watermark():
     h = Harness()
-    event = h.pipeline.submit([b"a"])
+    event = h.pipeline.submit(b"a")
     h.backups.append("b3")  # joined after the flush; needs state transfer
     h.pipeline.on_ack("b1", 1)
     h.pipeline.on_ack("b2", 1)
@@ -215,7 +215,7 @@ def test_fresh_backup_never_sent_does_not_hold_watermark():
 def test_barrier_parks_until_watermark_and_passes_when_quiescent():
     h = Harness()
     assert h.pipeline.barrier().triggered  # nothing outstanding
-    h.pipeline.submit([b"a"])
+    h.pipeline.submit(b"a")
     barrier = h.pipeline.barrier()
     assert not barrier.triggered
     h.ack_all(1)
@@ -224,12 +224,12 @@ def test_barrier_parks_until_watermark_and_passes_when_quiescent():
 
 def test_watchdog_retransmits_only_the_lagging_backup_with_backoff():
     h = Harness()
-    h.pipeline.submit([b"a"])
+    h.pipeline.submit(b"a")
     h.pipeline.on_ack("b1", 1)  # b2 never answers
     h.sim.run(until=100.0)
     retries = [f for f in h.frames[1:]]
     assert retries and all(f[1] == ["b2"] for f in retries)
-    assert all((f[2], f[3]) == (1, [[b"a"]]) for f in retries)
+    assert all((f[2], f[3]) == (1, [b"a"]) for f in retries)
     assert h.log.stats.retransmitted == len(retries)
     gaps = [b[0] - a[0] for a, b in zip(retries, retries[1:])]
     # Exponential backoff: strictly increasing gaps, capped at 8x + jitter.
@@ -243,8 +243,8 @@ def test_retired_pipeline_ships_and_settles_nothing():
     # rounds, and must not release parked replies — even when every
     # straggler acks (or leaves the replica set) afterwards.
     h = Harness()
-    event = h.pipeline.submit([b"a"])  # open flush: in flight
-    queued = h.pipeline.submit([b"b"])  # queued behind it
+    event = h.pipeline.submit(b"a")  # open flush: in flight
+    queued = h.pipeline.submit(b"b")  # queued behind it
     h.pipeline.retire()
     h.pipeline.on_config_change()  # NewConfig adoption after deposal
     h.ack_all(1)
@@ -262,9 +262,9 @@ def test_unretire_resumes_where_the_sequence_space_left_off():
     # Re-promotion: the kept queue drains to the new membership and the
     # recorded acks settle the pre-deposal rounds.
     h = Harness()
-    first = h.pipeline.submit([b"a"])
+    first = h.pipeline.submit(b"a")
     h.pipeline.retire()
-    second = h.pipeline.submit([b"b"])  # queued while retired; no frame
+    second = h.pipeline.submit(b"b")  # queued while retired; no frame
     assert len(h.frames) == 1
     h.pipeline.unretire()
     h.pipeline.on_config_change()
@@ -276,14 +276,14 @@ def test_unretire_resumes_where_the_sequence_space_left_off():
 
 def test_watchdog_stops_once_settled_and_restarts_on_next_flush():
     h = Harness()
-    h.pipeline.submit([b"a"])
+    h.pipeline.submit(b"a")
     h.sim.run(until=7.0)  # one watchdog wake with no progress
     h.ack_all(1)
     h.sim.run(until=60.0)
     settled_frames = len(h.frames)
     h.sim.run(until=200.0)
     assert len(h.frames) == settled_frames  # no zombie watchdog traffic
-    event = h.pipeline.submit([b"b"])
+    event = h.pipeline.submit(b"b")
     h.ack_all(2)
     assert event.triggered
 

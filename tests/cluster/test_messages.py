@@ -49,8 +49,8 @@ def test_reply_size_includes_value_and_error():
 
 
 def test_replicate_writes_size_sums_batches():
-    # Frame header, an 8-byte header per round, then the batch payloads.
-    message = ReplicateWritesRange(0, 1, 1, [[b"x" * 10, b"y" * 20], [b"z" * 5]], "p")
+    # Frame header, an 8-byte header per round, then the round payloads.
+    message = ReplicateWritesRange(0, 1, 1, [b"x" * 30, b"z" * 5], "p")
     assert message.size() == 48 + 2 * 8 + 35
     assert ReplicateAck(0, 1, "b").size() == 32
 

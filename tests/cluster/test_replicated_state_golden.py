@@ -4,10 +4,13 @@ A 3-replica cluster (group commit and lease reads at their defaults) runs
 a few hundred mixed Retwis jobs from closed-loop clients, quiesces, and
 every node's committed state is digested: sha256 over
 ``dump_object_state`` of every account plus the node's
-``storage.last_sequence``.  The digests below were recorded on the commit
-*before* the commit data path was rebuilt (PR 18), so a change in apply
-order, key set, value bytes or sequence numbering on the primary or on a
-backup fails here rather than in a ledger run.
+``storage.last_sequence``, so a change in apply order, key set, value
+bytes or sequence numbering on the primary or on a backup fails here
+rather than in a ledger run.  Post timestamps are simulated times, so a
+change that moves message timing moves the digest too; it is re-captured
+on purpose then, and every replica must still share one digest (last
+re-captured when replication rounds became one encoded payload, whose
+smaller frames shift delivery times).
 """
 
 import hashlib
@@ -24,7 +27,7 @@ NUM_CLIENTS = 6
 JOBS_PER_CLIENT = 50
 
 #: node -> (storage.last_sequence, sha256 of every account's dumped state)
-_STATE = "9721808aede0986f6850b1977f78ff9d3a400d5deb5af296bbdf48ccab1e4058"
+_STATE = "35dbae65e69f6b691d40ce9d09a95469d42d11f6b2d581aa5203706b7d5bb3b4"
 GOLDEN = {"store-0": (2191, _STATE), "store-1": (2191, _STATE), "store-2": (2191, _STATE)}
 
 

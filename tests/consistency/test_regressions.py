@@ -23,7 +23,7 @@ from repro.core import (
     readonly_method,
 )
 from repro.core.fields import encode_value
-from repro.kvstore.batch import WriteBatch
+from repro.kvstore.batch import WriteBatch, encode_round
 from repro.sim import Simulation
 
 
@@ -66,17 +66,17 @@ def drive_out_of_order_drain(cluster, backup, primary_name, oid_a, oid_b):
     def encoded_write(oid, value):
         batch = WriteBatch()
         batch.put(keyspace.value_key(oid, "value"), encode_value(value))
-        return batch.encode()
+        return encode_round([batch])[0]
 
     shard_id = cluster.current_config()[1].shard_for(oid_a).shard_id
     backup._on_replicate_range(ReplicateWritesRange(
         shard_id=shard_id, epoch=backup.epoch, first_sequence=2,
-        rounds=[[encoded_write(oid_b, "b-new")]], primary=primary_name,
+        rounds=[encoded_write(oid_b, "b-new")], primary=primary_name,
     ))
     assert backup.backup_appliers[shard_id].pending_count == 1  # buffered
     backup._on_replicate_range(ReplicateWritesRange(
         shard_id=shard_id, epoch=backup.epoch, first_sequence=1,
-        rounds=[[encoded_write(oid_a, "a-new")]], primary=primary_name,
+        rounds=[encoded_write(oid_a, "a-new")], primary=primary_name,
     ))
 
 

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fields import decode_value, encode_value, value_digest
-from repro.kvstore.batch import WriteBatch, decode_shared
+from repro.kvstore import batch as batch_module
+from repro.kvstore.batch import WriteBatch, decode_round, encode_round
 
 
 def _legacy_encode(value) -> bytes:
@@ -100,10 +101,12 @@ def test_write_batch_round_trip_and_shared_decode(ops):
             batch.delete(key)
         else:
             batch.put(key, value)
-    payload = batch.encode()
-    plain = WriteBatch.decode(payload)
-    shared = decode_shared(payload)
-    assert list(plain.items()) == list(batch.items())
-    assert list(shared.items()) == list(batch.items())
+    expected = list(batch.items())
+    plain = WriteBatch.decode(batch.encode())
+    assert list(plain.items()) == expected
+    payload, _objects = encode_round([batch])
+    batch_module._DECODE_MEMO.pop(payload)  # parse, not the memo
+    (shared,), _objects = decode_round(payload)
+    assert list(shared.items()) == expected
     # The memo hands the same object back for identical payload bytes.
-    assert decode_shared(payload) is shared
+    assert decode_round(bytes(bytearray(payload)))[0][0] is shared

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import CorruptionError, ReadOnlyError
-from repro.kvstore.batch import WriteBatch, decode_shared, encode_shared
+from repro.kvstore import batch as batch_module
+from repro.kvstore.batch import WriteBatch, decode_round, encode_round
 from repro.kvstore.record import ValueType
 
 
@@ -114,6 +115,107 @@ def test_from_ops_takes_the_list_whole():
     assert len(batch) == 3
 
 
+# -- replication rounds ------------------------------------------------------
+
+_POST = b'{"author":"user-1","time":7,"text":"a post long enough to share"}'
+
+
+def _post_round() -> list[WriteBatch]:
+    """A Post-shaped round: one value written under three objects' keys,
+    counters next to entries, and a deletion."""
+    author = WriteBatch().put(b"o/aa/c/posts/01", _POST).put(b"o/aa/n/posts", b"2")
+    own = WriteBatch().put(b"o/aa/c/timeline/01", _POST).put(b"o/aa/n/timeline", b"2")
+    follower = WriteBatch().put(b"o/bb/c/timeline/01", _POST).delete(b"o/bb/v/draft")
+    return [author, own, follower]
+
+
+def _items(batches) -> list:
+    return [list(batch.items()) for batch in batches]
+
+
+def test_round_stores_a_repeated_value_once():
+    batches = _post_round()
+    expected = _items(batches)
+    payload, objects = encode_round(batches)
+    assert payload.count(_POST) == 1
+    assert objects == (b"aa", b"bb")
+    batch_module._DECODE_MEMO.clear()
+    decoded, decoded_objects = decode_round(payload)
+    assert _items(decoded) == expected
+    assert decoded_objects == objects
+
+
+def test_round_keys_share_their_prefix_with_the_previous_key():
+    keys = [b"o/" + b"f" * 32 + b"/v/" + name for name in (b"alpha", b"beta", b"gamma")]
+    batch = WriteBatch()
+    for key in keys:
+        batch.put(key, b"v")
+    payload, objects = encode_round([batch])
+    assert objects == (b"f" * 32,)
+    # The first key ships whole; later ones ship only what follows the
+    # 37 bytes ``o/<oid>/v/`` they share with the key before them.  Beyond
+    # the keys: two counts, and per op a kind, two lengths, a value tag
+    # and the one-byte value.
+    assert payload.count(b"f" * 32) == 1
+    assert len(payload) == sum(map(len, keys)) - 2 * 37 + 2 + 3 * 5
+
+
+_round_keys = st.builds(
+    bytes.__add__,
+    st.sampled_from([b"", b"o/", b"o/aa/", b"o/aa/c/t/", b"o/bb/", b"x"]),
+    st.binary(max_size=12),
+)
+_round_values = st.one_of(
+    st.sampled_from([b"", b"12345678", b"123456789", b"a repeated long value"]),
+    st.binary(max_size=40),
+)
+_round_ops = st.tuples(st.booleans(), _round_keys, _round_values)
+
+
+@given(st.lists(st.lists(_round_ops, max_size=12), max_size=5))
+def test_round_trip_property(spec):
+    batches = []
+    for ops in spec:
+        batch = WriteBatch()
+        for is_put, key, value in ops:
+            if is_put:
+                batch.put(key, value)
+            else:
+                batch.delete(key)
+        batches.append(batch)
+    expected = _items(batches)
+    payload, objects = encode_round(batches)
+    batch_module._DECODE_MEMO.pop(payload)  # parse, not the memo
+    decoded, decoded_objects = decode_round(payload)
+    assert _items(decoded) == expected
+    assert decoded_objects == objects
+    # Object ids: the ``<oid>`` of ``o/<oid>/`` keys, else the key itself.
+    keys = [key for ops in expected for _kind, key, _value in ops]
+    assert set(objects) == {
+        key[2 : key.index(b"/", 2)] if key[:2] == b"o/" and b"/" in key[2:] else key
+        for key in keys
+    }
+
+
+@pytest.mark.parametrize(
+    "damaged, reason",
+    [
+        (b"\x01\x02\x00\x00\x01a", "missing op"),
+        (b"\x01\x01\x00\x00\x05ab", "short key"),
+        (b"\x01\x01\x01\x00\x01a\x0aab", "short value"),
+        (b"\x01\x01\x01\x00\x01a", "truncated varint"),
+        (b"\x01\x01\x09\x00\x01a", "bad op kind"),
+        (b"\x01\x02\x00\x00\x01a\x00\x02\x00", "shares 2 bytes of a 1-byte"),
+        (b"\x01\x01\x01\x00\x01a\x01", "refers to value 0 of 0"),
+        (b"\x00x", "trailing garbage"),
+    ],
+)
+def test_decode_round_rejects_damage(damaged, reason):
+    with pytest.raises(CorruptionError, match=reason):
+        decode_round(damaged)
+    assert damaged not in batch_module._DECODE_MEMO
+
+
 # -- the decode memo ---------------------------------------------------------
 
 
@@ -134,65 +236,62 @@ def _assert_read_only(batch: WriteBatch) -> None:
     assert list(batch.items()) == before
 
 
-def test_encode_shared_enters_the_batch_under_its_own_payload():
-    batch = _sample_batch(b"own")
-    payload, prefixes = encode_shared(batch, 6)
-    assert payload == _sample_batch(b"own").encode()
-    assert prefixes == {b"memo/o", b"memo/g", b"memo/z"}
-    assert encode_shared(_sample_batch(b"narrow"), 4)[1] == {b"memo"}
-    # A backup in this process gets the committed batch itself: no parse.
-    assert decode_shared(payload) is batch
-    assert decode_shared(bytes(bytearray(payload))) is batch  # equal bytes, other object
+def test_encode_round_enters_the_batches_under_its_own_payload():
+    first, second = _sample_batch(b"own"), WriteBatch().put(b"o/aa/m", b"User")
+    payload, objects = encode_round([first, second])
+    assert objects == (b"aa", b"memo/gone", b"memo/own", b"memo/z")
+    # A backup in this process gets the committed batches themselves: no parse.
+    batches, _objects = decode_round(payload)
+    assert batches[0] is first and batches[1] is second
+    assert decode_round(bytes(bytearray(payload)))[0] is batches  # equal bytes, other object
 
 
 def test_shared_batches_refuse_mutation():
     committed = _sample_batch(b"committed")
-    encode_shared(committed, 0)
+    encode_round([committed])
     _assert_read_only(committed)
-    decoded = decode_shared(_sample_batch(b"decoded").encode())
+    payload, _objects = encode_round([_sample_batch(b"decoded")])
+    batch_module._DECODE_MEMO.pop(payload)
+    (decoded,), _objects = decode_round(payload)
     _assert_read_only(decoded)
     # Reading a shared batch into a private one is not a mutation of it.
     assert len(WriteBatch().extend(committed)) == len(committed)
 
 
 def test_decode_stays_private_and_mutable():
-    payload, _prefixes = encode_shared(_sample_batch(b"private"), 0)
-    private = WriteBatch.decode(payload)
-    assert private is not decode_shared(payload)
+    shared = _sample_batch(b"private")
+    encode_round([shared])
+    private = WriteBatch.decode(shared.encode())
+    assert private is not shared
     private.put(b"k", b"v").delete(b"memo/z")
     private.clear()
-    assert len(decode_shared(payload)) == 3  # the shared one is untouched
+    assert len(shared) == 3  # the shared one is untouched
 
 
 def test_equal_payloads_share_one_memo_entry():
-    from repro.kvstore import batch as batch_module
-
     batch_module._DECODE_MEMO.clear()  # bounded by clearing: start well below the bound
     first, second = _sample_batch(b"twin"), _sample_batch(b"twin")
-    payload, _ = encode_shared(first, 0)
-    again, _ = encode_shared(second, 0)
+    payload, _ = encode_round([first])
+    again, _ = encode_round([second])
     assert again == payload
     assert len(batch_module._DECODE_MEMO) == 1
-    assert list(decode_shared(payload).items()) == list(first.items())
+    assert _items(decode_round(payload)[0]) == [list(first.items())]
 
 
 def test_damaged_payload_misses_the_memo():
-    batch = _sample_batch(b"damaged")
-    payload, _ = encode_shared(batch, 0)
-    flipped = bytearray(payload)
-    flipped[1] ^= 0x08  # the first op's kind byte: 1 -> 9
+    batches = _post_round()
+    expected = _items(batches)
+    payload, _ = encode_round(batches)
+    memoised = decode_round(payload)[0]
     with pytest.raises(CorruptionError):
-        decode_shared(bytes(flipped))
-    with pytest.raises(CorruptionError):
-        decode_shared(payload[:-1])
-    # Whatever byte is damaged, the memoised batch is never what comes back.
+        decode_round(payload[:-1])
+    # Whatever byte is damaged, the memoised batches never come back.
     for position in range(len(payload)):
         damaged = bytearray(payload)
         damaged[position] ^= 0x01
         try:
-            decoded = decode_shared(bytes(damaged))
+            decoded, _objects = decode_round(bytes(damaged))
         except CorruptionError:
             continue
-        assert decoded is not batch
-        assert list(decoded.items()) == list(WriteBatch.decode(bytes(damaged)).items())
-        assert list(decoded.items()) != list(batch.items())
+        assert decoded is not memoised
+        assert _items(decoded) != expected

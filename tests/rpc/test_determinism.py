@@ -29,19 +29,20 @@ from repro.bench.harness import AGGREGATED, DISAGGREGATED, run_retwis
 #: quick preset, shrunk so both runs stay a few seconds of wall clock
 CAL = replace(preset("quick"), duration_ms=400.0, warmup_ms=50.0, num_clients=8)
 
-#: aggregated re-captured for the lease-based replica-reads PR: read-only
-#: requests now route to backups (new rng draws) and reads/writes carry
-#: fences, legitimately moving the schedule.  disaggregated is untouched
-#: by that path and kept from the repro.rpc migration capture.
+#: aggregated last re-captured when a replication round became one
+#: encoded payload (each repeated value and key prefix shipped once):
+#: smaller frames serialise faster, so deliveries and interleavings
+#: legitimately move.  disaggregated sends no replication frames and is
+#: kept from the repro.rpc migration capture.
 GOLDEN = {
     AGGREGATED: {
-        "completed": 894,
-        "events_scheduled": 54392,
-        "median_ms": 3.141919,
-        "messages_delivered": 6395,
-        "messages_sent": 6395,
-        "p99_ms": 5.041397,
-        "throughput": 2554.285714,
+        "completed": 893,
+        "events_scheduled": 54216,
+        "median_ms": 3.152573,
+        "messages_delivered": 6356,
+        "messages_sent": 6359,
+        "p99_ms": 5.040534,
+        "throughput": 2551.428571,
     },
     DISAGGREGATED: {
         "completed": 88,

@@ -70,43 +70,43 @@ CELLS = {
 }
 
 _AGGREGATED_UNCACHED = {
-    "jobs": 713,
-    "events_scheduled": 29656,
-    "messages_sent": 6060,
-    "frames_sent": 6060,
-    "bytes_sent": 3500489,
-    "rpc_calls": 876,
-    "rpc_messages_out": 5184,
-    "runtime_invocations": 4309,
-    "runtime_commits": 4024,
-    "runtime_fuel_used": 403923.171875,
-    "kvstore_puts": 83640,
-    "kvstore_gets": 11355,
-    "kvstore_applies": 21120,
-    "node_replication_rounds": 591,
-    "replication_flush_total": 508,
-    "replication_acked": 2364,
+    "jobs": 719,
+    "events_scheduled": 29832,
+    "messages_sent": 6092,
+    "frames_sent": 6092,
+    "bytes_sent": 1963121,
+    "rpc_calls": 885,
+    "rpc_messages_out": 5207,
+    "runtime_invocations": 4339,
+    "runtime_commits": 4053,
+    "runtime_fuel_used": 406662.3125,
+    "kvstore_puts": 83930,
+    "kvstore_gets": 11433,
+    "kvstore_applies": 21265,
+    "node_replication_rounds": 599,
+    "replication_flush_total": 510,
+    "replication_acked": 2396,
 }
 
 GOLDENS = {
     "aggregated-uncached": _AGGREGATED_UNCACHED,
     "aggregated-cached": {
-        "jobs": 713,
-        "events_scheduled": 29463,
-        "messages_sent": 5991,
-        "frames_sent": 5991,
-        "bytes_sent": 3491947,
-        "rpc_calls": 876,
-        "rpc_messages_out": 5115,
-        "runtime_invocations": 4301,
-        "runtime_commits": 4016,
-        "runtime_fuel_used": 402347.84375,
-        "kvstore_puts": 83560,
-        "kvstore_gets": 11502,
-        "kvstore_applies": 21080,
-        "node_replication_rounds": 591,
-        "replication_flush_total": 499,
-        "replication_acked": 2364,
+        "jobs": 718,
+        "events_scheduled": 29825,
+        "messages_sent": 6139,
+        "frames_sent": 6139,
+        "bytes_sent": 1957682,
+        "rpc_calls": 884,
+        "rpc_messages_out": 5255,
+        "runtime_invocations": 4318,
+        "runtime_commits": 4029,
+        "runtime_fuel_used": 403931.28125,
+        "kvstore_puts": 83690,
+        "kvstore_gets": 11521,
+        "kvstore_applies": 21145,
+        "node_replication_rounds": 595,
+        "replication_flush_total": 515,
+        "replication_acked": 2380,
     },
     "serverless": {
         "jobs": 105,
@@ -124,8 +124,8 @@ GOLDENS = {
         "kvstore_applies": 3805,
         "replication_acked": 0,
     },
-    "aggregated-traced": {**_AGGREGATED_UNCACHED, "spans_recorded": 11267},
-    "aggregated-sampled": {**_AGGREGATED_UNCACHED, "spans_recorded": 1091},
+    "aggregated-traced": {**_AGGREGATED_UNCACHED, "spans_recorded": 11360},
+    "aggregated-sampled": {**_AGGREGATED_UNCACHED, "spans_recorded": 1085},
 }
 
 
