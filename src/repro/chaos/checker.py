@@ -286,95 +286,59 @@ class ConsistencyChecker:
         for node in self.cluster.live_nodes():
             report.checked_nodes += 1
             name = node.name
-            if node._inflight:
-                report.violations.append(
-                    Violation(
-                        "bookkeeping", name, f"{len(node._inflight)} requests still in flight"
-                    )
+
+            def flag(detail: str, name: str = name) -> None:
+                report.violations.append(Violation("bookkeeping", name, detail))
+
+            work = node.outstanding()
+            if work.inflight:
+                flag(f"{len(work.inflight)} requests still in flight")
+            if work.remote_charges:
+                flag(f"{work.remote_charges} remote charges still awaiting acks")
+            if work.parked_reads:
+                flag(
+                    f"{work.parked_reads} replica reads still parked "
+                    f"(the park deadline should have released them)"
                 )
-            if node._charge_waiters:
-                report.violations.append(
-                    Violation(
-                        "bookkeeping",
-                        name,
-                        f"{len(node._charge_waiters)} remote charges still awaiting acks",
-                    )
-                )
-            if node._parked_reads:
-                report.violations.append(
-                    Violation(
-                        "bookkeeping",
-                        name,
-                        f"{node._parked_reads} replica reads still parked "
-                        f"(the park deadline should have released them)",
-                    )
-                )
-            for shard_id, state in node._replica_read_state.items():
-                replica_set = next(
-                    (rs for rs in shard_map.replica_sets if rs.shard_id == shard_id),
-                    None,
-                )
+            for shard_id, primary, lease_expiry in node.replica_reads.leases():
+                replica_set = shard_map.replica_set_or_none(shard_id)
                 if (
                     replica_set is not None
-                    and state.primary == replica_set.primary
+                    and primary == replica_set.primary
                     and name in replica_set.members
                 ):
                     continue  # a current-primary lease is legitimate
-                if node.sim.now < state.lease_expiry:
-                    report.violations.append(
-                        Violation(
-                            "bookkeeping",
-                            name,
-                            f"unexpired replica-read lease for shard {shard_id} "
-                            f"from {state.primary!r}, which no longer leads it",
-                        )
+                if node.sim.now < lease_expiry:
+                    flag(
+                        f"unexpired replica-read lease for shard {shard_id} "
+                        f"from {primary!r}, which no longer leads it"
                     )
-            completed = node._completed
+            completed = node.endpoint.dedupe
             if len(completed) > COMPLETED_CAP:
-                report.violations.append(
-                    Violation(
-                        "bookkeeping",
-                        name,
-                        f"at-most-once table holds {len(completed)} replies, "
-                        f"cap is {COMPLETED_CAP}",
-                    )
+                flag(
+                    f"at-most-once table holds {len(completed)} replies, "
+                    f"cap is {COMPLETED_CAP}"
                 )
             for client, retained in completed.per_client_retained().items():
-                if retained <= 1:
-                    continue
-                report.violations.append(
-                    Violation(
-                        "bookkeeping",
-                        name,
+                if retained > 1:
+                    flag(
                         f"{retained} replies retained for client {client} "
-                        f"(watermark pruning should keep <= 1)",
+                        f"(watermark pruning should keep <= 1)"
                     )
-                )
             for shard_id, pipeline in node.pipelines.items():
-                replica_set = next(
-                    (rs for rs in shard_map.replica_sets if rs.shard_id == shard_id),
-                    None,
-                )
+                replica_set = shard_map.replica_set_or_none(shard_id)
                 if replica_set is None or replica_set.primary != name:
                     continue  # deposed primary's pipeline; not reachable
                 if pipeline.log.retained:
-                    report.violations.append(
-                        Violation(
-                            "bookkeeping",
-                            name,
-                            f"primary replication log for shard {shard_id} retains "
-                            f"{pipeline.log.retained} acked-and-done sequences",
-                        )
+                    flag(
+                        f"primary replication log for shard {shard_id} retains "
+                        f"{pipeline.log.retained} acked-and-done sequences"
                     )
                 if not pipeline.idle:
-                    report.violations.append(
-                        Violation(
-                            "bookkeeping",
-                            name,
-                            f"replication pipeline for shard {shard_id} not idle: "
-                            f"{len(pipeline._pending)} queued round(s), "
-                            f"{pipeline.in_flight} in flight, "
-                            f"{len(pipeline._waiters)} parked repl(y/ies)",
-                        )
+                    flag(
+                        f"replication pipeline for shard {shard_id} not idle: "
+                        f"{len(pipeline._pending)} queued round(s), "
+                        f"{pipeline.in_flight} in flight, "
+                        f"{len(pipeline._waiters)} parked repl(y/ies)"
                     )
         return report

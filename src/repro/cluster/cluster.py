@@ -8,7 +8,8 @@ from typing import Any, Iterable, Optional
 from repro.cluster.client import ClusterClient
 from repro.cluster.coordinator import CoordinatorNode
 from repro.cluster.shard import ReplicaSet, ShardMap
-from repro.cluster.store_node import ExecutionCapture, StoreNode
+from repro.cluster.execution import ExecutionCapture
+from repro.cluster.store_node import StoreNode
 from repro.core.ids import ObjectId
 from repro.core.object_type import ObjectType
 from repro.errors import ClusterError
@@ -397,22 +398,15 @@ class Cluster:
         """
         _epoch, shard_map = self.current_config()
         for node in self.live_nodes():
-            if node._inflight or node._charge_waiters:
-                return False
-            if node._parked_reads:
-                # A backup read parked on a lease/settlement deadline; it
-                # resolves (serve or reject) within the park window.
-                return False
-            if node._pending_acks:
-                # Deferred cumulative acks (§5j) flush within the
-                # ack_flush_ms window; the primary is still waiting.
+            # Requests, remote charges, parked backup reads (they resolve
+            # within the park window) and deferred acks (§5j: they flush
+            # within the ack_flush_ms window).
+            if any(node.outstanding()):
                 return False
             for shard_id, pipeline in node.pipelines.items():
                 if pipeline.idle:
                     continue
-                replica_set = next(
-                    (rs for rs in shard_map.replica_sets if rs.shard_id == shard_id), None
-                )
+                replica_set = shard_map.replica_set_or_none(shard_id)
                 # A deposed primary's pipeline may legitimately never
                 # settle (mirrors the stranded-applier rule below).
                 if replica_set is not None and replica_set.primary == node.name:
@@ -420,9 +414,7 @@ class Cluster:
             for shard_id, applier in node.backup_appliers.items():
                 if applier.pending_count == 0:
                     continue
-                replica_set = next(
-                    (rs for rs in shard_map.replica_sets if rs.shard_id == shard_id), None
-                )
+                replica_set = shard_map.replica_set_or_none(shard_id)
                 if (
                     replica_set is not None
                     and node.name in replica_set.members

@@ -272,3 +272,59 @@ class CoordinatorNode:
                         payload={"node": node},
                     )
                     self.submit(command)
+
+
+class NodeMembership:
+    """A storage node's side of membership: it heartbeats every
+    coordinator, adopts each configuration they send, and asks for the
+    latest one when a client shows it is behind.  Uses only the node's
+    public surface."""
+
+    def __init__(self, node: Any) -> None:
+        self.node = node
+        self._hb_generation = 0
+        self._config_query_counter = 0
+        self._last_config_query = float("-inf")
+        node.endpoint.on(NewConfig, self._on_config_message)
+        node.endpoint.on(ConfigReply, self._on_config_message)
+
+    def start_heartbeats(self) -> None:
+        """Start a heartbeat loop; it ends when the next one starts."""
+        node = self.node
+        self._hb_generation += 1
+        node.sim.process(
+            self._heartbeat_loop(self._hb_generation), name=f"{node.name}.heartbeat"
+        )
+
+    def _heartbeat_loop(self, generation: int):
+        node = self.node
+        sim = node.sim
+        rng = sim.rng(f"{node.name}.hb")
+        yield sim.timeout(rng.uniform(0, HEARTBEAT_INTERVAL_MS))
+        while True:
+            if node.crashed or generation != self._hb_generation:
+                return
+            for coordinator in node.cluster.coordinator_names():
+                message = Heartbeat(node.name, sim.now)
+                node.endpoint.send(coordinator, message)
+            yield sim.timeout(HEARTBEAT_INTERVAL_MS)
+
+    def _on_config_message(self, message) -> None:
+        self.node.install_config(message.epoch, message.config)
+
+    def request_config_refresh(self) -> None:
+        """Ask a coordinator for the latest configuration (rate-limited;
+        rotates through coordinators so one dead coordinator cannot wedge
+        the catch-up path)."""
+        node = self.node
+        coordinators = node.cluster.coordinator_names()
+        if not coordinators:
+            return
+        if node.sim.now - self._last_config_query < HEARTBEAT_INTERVAL_MS:
+            return
+        self._last_config_query = node.sim.now
+        node.stats.config_refreshes += 1
+        self._config_query_counter += 1
+        target = coordinators[self._config_query_counter % len(coordinators)]
+        query = ConfigQuery(f"{node.name}#{self._config_query_counter}")
+        node.endpoint.send(target, query)

@@ -184,47 +184,6 @@ class ReplicateAck:
         return 32
 
 
-@dataclass
-class LeaseQuery:
-    """Backup -> primary: renew my replica-read lease for ``shard_id``.
-
-    Sent on demand (rate-limited) when a backup wants to serve a read but
-    holds no valid lease, or needs a fresher settlement watermark to
-    release a fenced read.  The primary answers with a
-    :class:`LeaseGrant` only while it is still the shard's primary in a
-    matching epoch.
-    """
-
-    shard_id: int
-    backup: str
-    epoch: int
-
-    def size(self) -> int:
-        return 24
-
-
-@dataclass
-class LeaseGrant:
-    """Primary -> backup: serve reads for ``lease_ms`` from now.
-
-    Also carries the current settlement watermark (releasing fenced
-    reads) and any pending piggybacked cache entries.
-    """
-
-    shard_id: int
-    epoch: int
-    primary: str
-    settled_through: int
-    lease_ms: float
-    cache_entries: list = field(default_factory=list)
-
-    def size(self) -> int:
-        total = 40
-        if self.cache_entries:
-            total += estimate_size(self.cache_entries)
-        return total
-
-
 # -- membership / failure detection ----------------------------------------
 
 
@@ -298,30 +257,3 @@ class NewConfig:
 
     def size(self) -> int:
         return 64
-
-
-# -- migration -----------------------------------------------------------
-
-
-@dataclass
-class MigrateObject:
-    """Migration orchestrator -> destination primary: the object's state."""
-
-    object_id: ObjectId
-    entries: list[tuple[bytes, bytes]]
-    epoch: int
-    sender: str = ""
-
-    def size(self) -> int:
-        return 32 + sum(len(k) + len(v) for k, v in self.entries)
-
-
-@dataclass
-class MigrateAck:
-    """Destination primary -> orchestrator: state installed."""
-
-    object_id: ObjectId
-    ok: bool
-
-    def size(self) -> int:
-        return 24

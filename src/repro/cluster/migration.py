@@ -15,25 +15,80 @@ Protocol (freeze-copy-flip):
    wrong-epoch rejections and refresh.
 
 Only the migrated object blocks during the window; every other object on
-both nodes keeps serving.  All exchanges ride on an :class:`RpcStub`;
-the per-exchange deadline is :data:`CONTROL_RPC_DEADLINE_MS`.
+both nodes keeps serving.  The :class:`Migrator` drives the protocol and
+each node's :class:`NodeMigration` answers it; the migrator's exchanges
+ride on an :class:`RpcStub` with :data:`CONTROL_RPC_DEADLINE_MS`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any
 
-from repro.cluster.messages import (
-    CONTROL_RPC_DEADLINE_MS,
-    CoordCommand,
-    CoordReply,
-    MigrateAck,
-    MigrateObject,
-)
-from repro.cluster.store_node import FreezeObject, FreezeReply, UnfreezeObject
+from repro.cluster.messages import CONTROL_RPC_DEADLINE_MS, CoordCommand, CoordReply
 from repro.core.ids import ObjectId
 from repro.errors import ClusterError
+from repro.kvstore.batch import WriteBatch, encode_round
 from repro.rpc import RetryPolicy, RpcStub
+
+
+@dataclass
+class FreezeObject:
+    """Migration step 1: freeze + dump an object's microshard."""
+
+    object_id: ObjectId
+    freeze_id: str
+    sender: str
+
+    def size(self) -> int:
+        return 48
+
+
+@dataclass
+class FreezeReply:
+    """Source primary -> orchestrator: the dumped microshard."""
+
+    freeze_id: str
+    entries: list[tuple[bytes, bytes]]
+
+    def size(self) -> int:
+        return 16 + sum(len(k) + len(v) for k, v in self.entries)
+
+
+@dataclass
+class UnfreezeObject:
+    """Orchestrator -> source primary: release (and drop) the object."""
+
+    object_id: ObjectId
+    #: drop the object's local data (it moved away)
+    drop: bool
+
+    def size(self) -> int:
+        return 33
+
+
+@dataclass
+class MigrateObject:
+    """Migration orchestrator -> destination primary: the object's state."""
+
+    object_id: ObjectId
+    entries: list[tuple[bytes, bytes]]
+    epoch: int
+    sender: str = ""
+
+    def size(self) -> int:
+        return 32 + sum(len(k) + len(v) for k, v in self.entries)
+
+
+@dataclass
+class MigrateAck:
+    """Destination primary -> orchestrator: state installed."""
+
+    object_id: ObjectId
+    ok: bool
+
+    def size(self) -> int:
+        return 24
 
 
 class Migrator:
@@ -131,3 +186,65 @@ class Migrator:
         if reply is None or not reply.ok:
             raise ClusterError(f"coordinator command {command.kind} did not commit")
         return reply
+
+
+class NodeMigration:
+    """A storage node's side of freeze-copy-flip: freeze, dump and drop
+    at the source primary, install at the destination primary.  Uses
+    only the node's public surface."""
+
+    def __init__(self, node: Any) -> None:
+        self.node = node
+        #: ids (``str(ObjectId)``) of objects frozen for migration
+        self.frozen: set[str] = set()
+        endpoint = node.endpoint
+        endpoint.on(FreezeObject, self._freeze, spawn="freeze")
+        endpoint.on(UnfreezeObject, self._unfreeze)
+        endpoint.on(MigrateObject, self._install)
+
+    def is_frozen(self, object_id: ObjectId) -> bool:
+        return str(object_id) in self.frozen
+
+    def _freeze(self, message: FreezeObject):
+        """Freeze an object and dump its microshard (migration step 1)."""
+        node = self.node
+        object_key = str(message.object_id)
+        yield node.locks.acquire(object_key)
+        try:
+            self.frozen.add(object_key)
+            reply = FreezeReply(message.freeze_id, node.dump_object_state(message.object_id))
+            node.endpoint.send(message.sender, reply)
+        finally:
+            node.locks.release(object_key)
+
+    def _unfreeze(self, message: UnfreezeObject) -> None:
+        self.frozen.discard(str(message.object_id))
+        if message.drop:
+            node = self.node
+            node.sim.process(self._drop(message.object_id), name=f"{node.name}.drop")
+
+    def _drop(self, object_id: ObjectId):
+        """Delete a migrated-away object's local data and replicate the
+        deletion to this shard's backups."""
+        batch = WriteBatch()
+        for key, _value in self.node.dump_object_state(object_id):
+            batch.delete(key)
+        if batch:
+            yield from self.node.commit_local(batch)
+
+    def _install(self, message: MigrateObject) -> None:
+        """Install a migrated object's state (migration step 2)."""
+        node = self.node
+        batch = WriteBatch()
+        for key, value in message.entries:
+            batch.put(key, value)
+        node.runtime.storage.apply(batch)
+        # Propagate to this shard's backups outside the request path.
+        own_shard = node.led_shard()
+        if own_shard is not None and batch:
+            node.sim.process(
+                node.replicate_round(own_shard.shard_id, encode_round([batch])[0]),
+                name=f"{node.name}.migrate-repl",
+            )
+        ack = MigrateAck(message.object_id, True)
+        node.endpoint.send(message.sender, ack)

@@ -10,8 +10,9 @@ the reply sees the write: that is what makes replica reads consistent.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
+from repro.cluster.messages import ReplicateAck
 from repro.kvstore.batch import WriteBatch, decode_round
 from repro.obs.registry import MetricsRegistry, StatsView
 
@@ -187,6 +188,118 @@ DEFAULT_FLUSH_INTERVAL_MS = 0.25
 #: storage node derives its lease-query, read-park and remote-charge
 #: timings from it
 ACK_TIMEOUT_MS = 5.0
+
+
+class BackupAcks:
+    """How one backup node acks the frames it applied.
+
+    Without transport coalescing every frame gets its own cumulative
+    :class:`ReplicateAck`.  With it (§5j) the ack is deferred: it leaves
+    either piggybacked on the next coalesced wire message toward the
+    primary, or on the ``flush_ms`` fallback timer, whichever fires
+    first.  Later watermarks for the same shard overwrite earlier ones,
+    which is exactly what cumulative acks allow.  ``renewal_query(shard,
+    primary)`` may add a lease renewal to each drained ack (§5g state
+    rides along for free)."""
+
+    def __init__(
+        self,
+        node: Any,
+        coalescing: bool,
+        flush_ms: float,
+        renewal_query: Callable[[int, str], Any],
+    ) -> None:
+        self.node = node
+        self._coalescing = coalescing
+        #: clamped to half the ack timeout so deferral never looks like
+        #: ack loss to the primary's watchdog
+        self.flush_ms = min(flush_ms, ACK_TIMEOUT_MS / 2)
+        self._renewal_query = renewal_query
+        #: primary name -> {shard_id: applied_through} awaiting send;
+        #: cumulative, so the latest watermark per shard wins
+        self.pending: dict[str, dict[int, int]] = {}
+        #: destinations with a fallback ack timer currently armed
+        self._timer_armed: set[str] = set()
+        if coalescing:
+            # Any coalesced wire message leaving the node carries the
+            # deferred watermarks for free.
+            node.endpoint.set_piggyback_provider(self._piggyback_frames)
+
+    def ack(self, primary: str, shard_id: int, applied_through: int) -> None:
+        """Acknowledge everything through ``applied_through`` on
+        ``shard_id`` to ``primary``: now, or deferred under coalescing."""
+        node = self.node
+        if not self._coalescing:
+            node.endpoint.send(primary, ReplicateAck(shard_id, applied_through, node.name))
+            return
+        pending = self.pending.get(primary)
+        if pending is None:
+            pending = self.pending[primary] = {}
+        pending[shard_id] = applied_through
+        node.stats.acks_deferred += 1
+        if primary not in self._timer_armed:
+            self._timer_armed.add(primary)
+            node.sim._schedule(self.flush_ms, lambda dst=primary: self._flush(dst))
+
+    def clear(self) -> None:
+        """Drop every deferred ack (the node crashed)."""
+        self.pending.clear()
+
+    def snapshot(self) -> tuple:
+        """The deferred acks as a sorted, hashable tuple."""
+        return tuple(
+            sorted((b, tuple(sorted(acks.items()))) for b, acks in self.pending.items())
+        )
+
+    def _drain(self, dst: str) -> list:
+        """Pop every deferred ack bound for ``dst`` as ``(payload,
+        size_bytes)`` frames.  Shared by the piggyback provider and the
+        fallback timer so whichever fires first wins and the other is a
+        no-op."""
+        pending = self.pending.pop(dst, None)
+        if not pending:
+            return []
+        frames = []
+        for shard_id, applied_through in pending.items():
+            ack = ReplicateAck(shard_id, applied_through, self.node.name)
+            frames.append((ack, ack.size()))
+            query = self._renewal_query(shard_id, dst)
+            if query is not None:
+                frames.append((query, query.size()))
+        return frames
+
+    def _piggyback_frames(self, dst: str):
+        """Network-side piggyback provider: called once per outbound
+        coalesced wire message, drains any acks waiting for ``dst``."""
+        if self.node.crashed:
+            return None
+        frames = self._drain(dst)
+        if not frames:
+            return None
+        self.node.stats.acks_piggybacked += sum(
+            1 for payload, _size in frames if type(payload) is ReplicateAck
+        )
+        return frames
+
+    def _flush(self, dst: str) -> None:
+        """Fallback timer path: no reverse-direction traffic showed up
+        within ``flush_ms``, so send the deferred acks as their own
+        frames (the egress coalescer still packs them into one wire
+        message per destination)."""
+        node = self.node
+        self._timer_armed.discard(dst)
+        if node.crashed:
+            self.pending.pop(dst, None)
+            return
+        frames = self._drain(dst)
+        if not frames:
+            return
+        node.stats.acks_timer_flushed += sum(
+            1 for payload, _size in frames if type(payload) is ReplicateAck
+        )
+        send = node.endpoint.send
+        for payload, size_bytes in frames:
+            send(dst, payload, size_bytes=size_bytes)
 
 
 class ReplicationPipeline:

@@ -39,8 +39,7 @@ from repro.core.ids import ObjectId
 from repro.core.runtime import MAX_CALL_DEPTH
 from repro.core.transactions import TransactionAborted
 from repro.core.writeset import WriteSet
-from repro.errors import ClusterError, InvocationError, Trap, UnknownObjectError
-from repro.kvstore.batch import encode_round
+from repro.errors import InvocationError, Trap, UnknownObjectError
 from repro.rpc import RpcStub
 from repro.wasm.fuel import FuelMeter
 from repro.wasm.instance import Instance
@@ -137,24 +136,14 @@ class _TxnState:
 
 
 class TransactionParticipant:
-    """Node-side transaction logic; plugs into StoreNode.extensions."""
+    """Node-side transaction logic, on the node's endpoint."""
 
     def __init__(self, node: Any) -> None:
         self.node = node
-        self.sim = node.sim
         self._active: dict[str, _TxnState] = {}
-        node.extensions.append(self)
-
-    def handle(self, message: Any) -> bool:
-        if isinstance(message, TxnInvoke):
-            self.sim.process(self._handle_invoke(message), name=f"{self.node.name}.txn")
-        elif isinstance(message, TxnPrepare):
-            self._handle_prepare(message)
-        elif isinstance(message, TxnDecision):
-            self.sim.process(self._handle_decision(message), name=f"{self.node.name}.txn2pc")
-        else:
-            return False
-        return True
+        node.endpoint.on(TxnInvoke, self._handle_invoke, spawn="txn")
+        node.endpoint.on(TxnPrepare, self._handle_prepare)
+        node.endpoint.on(TxnDecision, self._handle_decision, spawn="txn2pc")
 
     # -- execution ---------------------------------------------------------
 
@@ -192,7 +181,7 @@ class TransactionParticipant:
             state.poisoned = True
             self._reply(message, TxnInvokeReply(message.request_id, False, error=str(error)))
             return
-        yield from node._charge_cpu(fuel_used)
+        yield from node.charge_cpu(fuel_used)
         self._reply(message, TxnInvokeReply(message.request_id, True, value=value))
 
     def _execute(self, state: _TxnState, object_id: ObjectId, method: str, args: tuple):
@@ -266,17 +255,7 @@ class TransactionParticipant:
         state = self._active.pop(message.txn_id, None)
         if state is not None:
             if message.commit and state.writeset.has_writes:
-                batch = state.writeset.to_batch()
-                node.runtime.storage.apply(batch)
-                if node.runtime.cache is not None:
-                    node.runtime.cache.invalidate_keys(
-                        [key for _kind, key, _value in batch.items()]
-                    )
-                own_shard = node.shard_map.shard_of_node(node.name)
-                if own_shard is not None and own_shard.primary == node.name:
-                    yield from node._replicate_round(
-                        own_shard.shard_id, encode_round([batch])[0]
-                    )
+                yield from node.commit_local(state.writeset.to_batch())
             for object_key in state.locked:
                 node.locks.release(object_key)
         done = TxnDone(message.txn_id, node.name)
@@ -439,5 +418,5 @@ class TransactionCoordinator:
 def enable_transactions(cluster: Any) -> None:
     """Attach a transaction participant to every storage node."""
     for node in cluster.nodes.values():
-        if not any(isinstance(e, TransactionParticipant) for e in node.extensions):
+        if not node.endpoint.handles(TxnInvoke):
             TransactionParticipant(node)

@@ -130,20 +130,8 @@ class ClusterError(ReproError):
     """Base class for distributed-layer failures."""
 
 
-class WrongEpochError(ClusterError):
-    """A request carried a stale configuration epoch; refresh and retry."""
-
-
-class NotPrimaryError(ClusterError):
-    """A mutating request reached a replica that is not the shard primary."""
-
-
 class ShardUnavailableError(ClusterError):
     """No live replica set currently serves the shard (mid-reconfiguration)."""
-
-
-class MigrationInProgressError(ClusterError):
-    """The object is being migrated; the request should be retried."""
 
 
 class RequestTimeout(ClusterError):

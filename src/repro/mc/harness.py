@@ -278,6 +278,7 @@ def _state_fingerprint(
             )
         )
         cache = node.runtime.cache
+        work = node.outstanding()
         cache_keys = (
             tuple(sorted(repr(key) for key in cache._entries)) if cache is not None else ()
         )
@@ -289,9 +290,9 @@ def _state_fingerprint(
                 appliers,
                 pipelines,
                 cache_keys,
-                tuple(sorted(node._inflight)),
-                node._parked_reads,
-                tuple(sorted((b, tuple(sorted(acks.items()))) for b, acks in node._pending_acks.items())),
+                work.inflight,
+                work.parked_reads,
+                work.pending_acks,
             )
         )
     history = tuple(

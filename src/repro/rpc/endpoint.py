@@ -102,9 +102,13 @@ class RpcEndpoint:
         process_name = f"{self.name}.{spawn}" if spawn is not None else None
         self._handlers[message_type] = (handler, process_name)
 
+    def handles(self, message_type: type) -> bool:
+        """Whether a handler is registered for ``message_type``."""
+        return message_type in self._handlers
+
     def on_default(self, handler: Callable[[Any], bool]) -> None:
-        """Fallback for unregistered types (e.g. a Paxos sub-protocol or
-        the extensions walk); returns whether it consumed the message."""
+        """Fallback for unregistered types (e.g. a Paxos sub-protocol);
+        returns whether it consumed the message."""
         self._default = handler
 
     def on_rpc(

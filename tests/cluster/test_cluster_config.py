@@ -13,7 +13,7 @@ from repro.bench.calibration import Calibration
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.coordinator import HEARTBEAT_INTERVAL_MS, HEARTBEAT_TIMEOUT_MS
 from repro.cluster.replication import ACK_TIMEOUT_MS
-from repro.cluster.store_node import READ_PARK_MS, REPLICA_READ_LEASE_MS
+from repro.cluster.replica_reads import READ_PARK_MS, REPLICA_READ_LEASE_MS
 from repro.serverless import ServerlessConfig
 from repro.sim import Simulation
 
@@ -127,8 +127,8 @@ def test_fixed_timings_keep_the_relations_the_clamps_enforced():
 def test_effective_ack_flush_stays_within_half_the_ack_timeout(ack_flush_ms):
     cluster = Cluster(Simulation(seed=1), ClusterConfig(ack_flush_ms=ack_flush_ms))
     for node in cluster.nodes.values():
-        assert node._ack_flush_ms == min(ack_flush_ms, ACK_TIMEOUT_MS / 2)
-        assert node._ack_flush_ms <= ACK_TIMEOUT_MS / 2
+        assert node.acks.flush_ms == min(ack_flush_ms, ACK_TIMEOUT_MS / 2)
+        assert node.acks.flush_ms <= ACK_TIMEOUT_MS / 2
 
 
 def config_fields_read(roots) -> set:

@@ -5,11 +5,11 @@ from repro.cluster.messages import (
     ClientRequest,
     CoordCommand,
     Heartbeat,
-    MigrateObject,
     ReplicateAck,
     ReplicateWritesRange,
     estimate_size,
 )
+from repro.cluster.migration import MigrateObject
 from repro.core import ObjectId
 
 OID = ObjectId.from_name("msg-test")

@@ -129,7 +129,7 @@ def test_leased_backup_rejects_read_beyond_its_applied_state():
 
     backup_name = "store-1"
     backup = cluster.nodes[backup_name]
-    state = backup._replica_state_for(0, "store-0")
+    state = backup.replica_reads._state_for(0, "store-0")
     state.lease_expiry = sim.now + 10_000.0  # synthetic fresh lease
 
     stub = RpcStub(
@@ -160,7 +160,7 @@ def test_leased_backup_rejects_read_beyond_its_applied_state():
     assert reply.error == "replica behind"
     assert backup.stats.replica_behind_rejections >= 1
     # The park bookkeeping drained (nothing wedges quiescence).
-    assert backup._parked_reads == 0
+    assert backup.replica_reads.parked == 0
 
 
 def test_client_penalizes_rejecting_backup_and_retries_elsewhere():

@@ -72,7 +72,7 @@ def test_frozen_object_rejects_with_retryable_error():
     sim, cluster = build_cluster(seed=65)
     oid = cluster.create_object("Counter")
     node = cluster.node("store-0")
-    node._frozen.add(str(oid))
+    node.migration.frozen.add(str(oid))
     host = make_raw_client(cluster)
     request = ClientRequest("raw#1", "raw", oid, "increment", (1,), epoch=1)
     send_request(cluster, request)

@@ -79,7 +79,7 @@ def test_coalescing_cuts_wire_messages_and_defers_acks():
     # deferred watermark must eventually leave the node one way or the
     # other (quiesce() above would hang otherwise).
     assert 0 < sent <= deferred
-    assert all(not node._pending_acks for node in cluster_on.nodes.values())
+    assert all(not node.acks.pending for node in cluster_on.nodes.values())
 
 
 def test_deferred_acks_settle_to_the_same_watermarks():

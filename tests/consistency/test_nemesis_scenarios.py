@@ -153,7 +153,7 @@ def test_coalescing_survives_drop_storms_and_reordering(seed):
     nodes = result.cluster.nodes.values()
     # The deferred-ack path actually ran, and nothing is still parked.
     assert sum(node.stats.acks_deferred for node in nodes) > 0
-    assert all(not node._pending_acks for node in nodes)
+    assert all(not node.acks.pending for node in nodes)
     pipelines = [p for node in nodes for p in node.pipelines.values()]
     assert pipelines
     assert all(p.idle for p in pipelines)

@@ -14,7 +14,7 @@ from repro.chaos import ConsistencyChecker
 from repro.chaos.workload import register_type
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.messages import ClientRequest, ReplicateWritesRange
-from repro.cluster.store_node import RemoteCharge
+from repro.cluster.remote_charge import RemoteCharge
 from repro.core import (
     ObjectType,
     ValueField,
