@@ -3,8 +3,6 @@
 hit rate, without ever serving stale results (stale-safety is covered by
 tests/core/test_caching.py and the cluster cache tests)."""
 
-from dataclasses import replace
-
 from repro.bench.harness import AGGREGATED, run_retwis
 from repro.workload.retwis_load import RetwisWorkload
 
@@ -13,12 +11,8 @@ from benchmarks.conftest import run_once
 
 def test_cache_improves_readonly_throughput(benchmark, cal):
     def regenerate():
-        off = run_retwis(
-            AGGREGATED, RetwisWorkload.GET_TIMELINE, replace(cal, enable_cache=False)
-        )
-        on = run_retwis(
-            AGGREGATED, RetwisWorkload.GET_TIMELINE, replace(cal, enable_cache=True)
-        )
+        off = run_retwis(AGGREGATED, RetwisWorkload.GET_TIMELINE, cal, enable_cache=False)
+        on = run_retwis(AGGREGATED, RetwisWorkload.GET_TIMELINE, cal, enable_cache=True)
         return off, on
 
     off, on = run_once(benchmark, regenerate)

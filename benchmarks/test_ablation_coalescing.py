@@ -11,7 +11,12 @@ send is its own message, the historical behavior.
 
 from dataclasses import replace
 
-from repro.bench.harness import run_replication_mix
+from repro.bench.harness import (
+    AGGREGATED,
+    REPLICATION_MIX,
+    REPLICATION_MIX_NODES,
+    run_retwis,
+)
 
 from benchmarks.conftest import run_once
 
@@ -20,12 +25,16 @@ def test_coalescing_cuts_messages_per_invocation(benchmark, cal):
     def regenerate():
         results = {}
         for enabled in (False, True):
-            result, platform, _sim = run_replication_mix(
-                replace(cal, transport_coalescing=enabled)
+            run = run_retwis(
+                AGGREGATED,
+                REPLICATION_MIX,
+                replace(cal, num_storage_nodes=REPLICATION_MIX_NODES),
+                transport_coalescing=enabled,
             )
-            completed = sum(r.completed for r in result.reports.values())
-            post = result.reports["create_post"]
-            timeline = result.reports["get_timeline"]
+            platform = run.platform
+            completed = sum(r.completed for r in run.driver.reports.values())
+            post = run.driver.reports["create_post"]
+            timeline = run.driver.reports["get_timeline"]
             deferred = sum(
                 node.stats.acks_deferred for node in platform.nodes.values()
             )

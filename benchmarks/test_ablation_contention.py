@@ -5,16 +5,25 @@ serialise more work: contention rises and tail latency grows, but no
 invocation ever aborts — "invocation linearizability prevents aborts due
 to concurrency" (§3.2)."""
 
-from repro.bench.experiments import _run_post_with_author_skew
+from repro.bench.experiments.contention import CONTENTION_CLIENT
+from repro.bench.harness import AGGREGATED, run_retwis
+from repro.workload.retwis_load import RetwisWorkload
 
 from benchmarks.conftest import run_once
 
 
 def test_contention_grows_with_author_skew(benchmark, cal):
+    def run(exponent):
+        return run_retwis(
+            AGGREGATED,
+            RetwisWorkload.POST,
+            cal,
+            zipf_exponent=exponent,
+            client_kwargs=CONTENTION_CLIENT,
+        )
+
     def regenerate():
-        uniform = _run_post_with_author_skew(cal, 0.0)
-        skewed = _run_post_with_author_skew(cal, 1.2)
-        return uniform, skewed
+        return run(0.0), run(1.2)
 
     uniform, skewed = run_once(benchmark, regenerate)
 

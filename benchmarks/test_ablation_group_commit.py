@@ -8,7 +8,14 @@ the all-live-backups-acked reply condition.  Off is the same pipeline at
 one round per frame (``group_commit_max_rounds=1``).
 """
 
-from repro.bench.harness import run_replication_mix
+from dataclasses import replace
+
+from repro.bench.harness import (
+    AGGREGATED,
+    REPLICATION_MIX,
+    REPLICATION_MIX_NODES,
+    run_retwis,
+)
 
 from benchmarks.conftest import run_once
 
@@ -18,10 +25,15 @@ def test_group_commit_cuts_messages_per_invocation(benchmark, cal):
         results = {}
         for enabled in (False, True):
             overrides = {} if enabled else {"group_commit_max_rounds": 1}
-            result, platform, _sim = run_replication_mix(cal, **overrides)
-            completed = sum(r.completed for r in result.reports.values())
+            run = run_retwis(
+                AGGREGATED,
+                REPLICATION_MIX,
+                replace(cal, num_storage_nodes=REPLICATION_MIX_NODES),
+                **overrides,
+            )
+            completed = sum(r.completed for r in run.driver.reports.values())
             results[enabled] = (
-                platform.net.stats.messages_sent / completed,
+                run.platform.net.stats.messages_sent / completed,
                 completed,
             )
         return results

@@ -9,10 +9,7 @@ capacity.  The fairness check gives one tenant 3x its fair share and
 asserts the buckets keep Jain's index near 1.
 """
 
-from repro.bench.experiments import (
-    OVERLOAD_SLO_MS,
-    abl_overload,
-)
+from repro.bench.experiments.overload import OVERLOAD_SLO_MS, abl_overload
 
 from benchmarks.conftest import run_once
 

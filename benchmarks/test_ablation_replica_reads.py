@@ -11,7 +11,12 @@ parked behind the per-object barrier.
 
 from dataclasses import replace
 
-from repro.bench.harness import READ_HEAVY_MIX, run_replication_mix
+from repro.bench.harness import (
+    AGGREGATED,
+    READ_HEAVY_MIX,
+    REPLICATION_MIX_NODES,
+    run_retwis,
+)
 
 from benchmarks.conftest import run_once
 
@@ -20,11 +25,15 @@ def test_replica_reads_cut_read_latency_and_messages(benchmark, cal):
     def regenerate():
         results = {}
         for enabled in (False, True):
-            result, platform, _sim = run_replication_mix(
-                replace(cal, replica_reads=enabled), mix=READ_HEAVY_MIX
+            run = run_retwis(
+                AGGREGATED,
+                READ_HEAVY_MIX,
+                replace(cal, num_storage_nodes=REPLICATION_MIX_NODES),
+                replica_reads=enabled,
             )
-            completed = sum(r.completed for r in result.reports.values())
-            reads = result.reports["get_timeline"]
+            platform = run.platform
+            completed = sum(r.completed for r in run.driver.reports.values())
+            reads = run.driver.reports["get_timeline"]
             served = sum(
                 node.stats.replica_reads_served
                 for node in platform.nodes.values()

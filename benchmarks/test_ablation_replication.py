@@ -21,8 +21,7 @@ def test_replication_latency_cost(benchmark, cal):
             results[replicas] = run_retwis(
                 AGGREGATED,
                 RetwisWorkload.FOLLOW,
-                replace(cal, num_storage_nodes=replicas),
-                num_clients=6,
+                replace(cal, num_storage_nodes=replicas, num_clients=6),
             )
         return results
 

@@ -5,7 +5,8 @@ conventional serverless "High (>100ms)" — the latter driven by cold
 starts; warm-path latency sits between the two.
 """
 
-from repro.bench.experiments import _measure_cold_start, table1
+from repro.bench.experiments import table1
+from repro.bench.harness import DISAGGREGATED, startup_latencies
 
 from benchmarks.conftest import run_once
 
@@ -18,5 +19,7 @@ def test_table1_architecture_comparison(benchmark, cal):
 
 def test_table1_latency_classes(benchmark, cal):
     """Cold-start latency puts conventional serverless in the >100 ms class."""
-    cold_ms = run_once(benchmark, _measure_cold_start, cal)
+    cold_ms = run_once(
+        benchmark, lambda: startup_latencies(cal, DISAGGREGATED, prewarm=False)[0]
+    )
     assert cold_ms > 100.0

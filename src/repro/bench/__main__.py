@@ -8,18 +8,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.bench.calibration import preset
-from repro.bench.experiments import (
-    ALL_EXPERIMENTS,
-    _experiment_worker,
-    fig1,
-    fig2,
-    run_matrix,
-    table1,
-)
-
-#: fig1/fig2/table1 share one (workload x variant) matrix and stay in the
-#: parent process (their results reference the live platforms).
-_MATRIX_EXPERIMENTS = ("fig1", "fig2", "table1")
+from repro.bench.experiments import ALL_EXPERIMENTS, run_experiment, run_matrix
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -50,25 +39,6 @@ def main(argv: list[str] | None = None) -> int:
         "identical to --jobs 1; only the wall clock changes",
     )
     parser.add_argument(
-        "--replica-reads",
-        choices=["on", "off"],
-        default="on",
-        help="lease-based replica reads (backups holding a primary-granted "
-        "lease serve read-only invocations locally); 'off' sends every "
-        "read to the primary behind the settlement barrier — see "
-        "abl_replica_reads for the measured delta",
-    )
-    parser.add_argument(
-        "--coalescing",
-        choices=["on", "off"],
-        default="off",
-        help="transport egress coalescing + deferred-ack piggybacking "
-        "(same-instant frames to one destination share one wire message "
-        "and one latency draw; backups batch cumulative acks; DESIGN.md "
-        "§5j); 'off' (the default) keeps one message per send, the "
-        "historical behavior — see abl_coalescing for the measured delta",
-    )
-    parser.add_argument(
         "--metrics-out",
         metavar="PATH",
         default=None,
@@ -78,42 +48,33 @@ def main(argv: list[str] | None = None) -> int:
         "rows to PATH as JSON",
     )
     args = parser.parse_args(argv)
-    cal = preset(
-        args.preset,
-        replica_reads=(args.replica_reads == "on"),
-        transport_coalescing=(args.coalescing == "on"),
-    )
+    cal = preset(args.preset)
     jobs = max(1, args.jobs)
 
     names = sorted(ALL_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
 
     # With --jobs N, dispatch the independent experiments to worker
-    # processes up front; the shared matrix (itself cell-parallel) and the
-    # result printing stay in the parent, in deterministic name order.
+    # processes up front; the shared matrix (itself cell-parallel; its
+    # results reference the live platforms) and the result printing stay
+    # in the parent, in deterministic name order.
     prerun: dict[str, tuple[dict, float]] = {}
-    workers = [n for n in names if n not in _MATRIX_EXPERIMENTS]
+    workers = [n for n in names if not ALL_EXPERIMENTS[n].uses_matrix]
     if jobs > 1 and len(workers) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(workers))) as pool:
-            futures = {n: pool.submit(_experiment_worker, n, cal) for n in workers}
+            futures = {n: pool.submit(run_experiment, n, cal) for n in workers}
             prerun = {n: futures[n].result() for n in workers}
 
     exit_code = 0
-    shared_matrix = None
+    matrix = None
     results = []
     for name in names:
         started = time.time()
-        if name in _MATRIX_EXPERIMENTS:
-            # These three share the same (workload x variant) runs.
-            if shared_matrix is None:
-                shared_matrix = run_matrix(cal, jobs=jobs)
-            result = {"fig1": fig1, "fig2": fig2, "table1": table1}[name](
-                cal, matrix=shared_matrix
-            )
-            elapsed = time.time() - started
-        elif name in prerun:
+        if name in prerun:
             result, elapsed = prerun[name]
         else:
-            result = ALL_EXPERIMENTS[name](cal)
+            if ALL_EXPERIMENTS[name].uses_matrix and matrix is None:
+                matrix = run_matrix(cal, jobs=jobs)
+            result, _seconds = run_experiment(name, cal, matrix)
             elapsed = time.time() - started
         results.append(result)
         print(result["text"])

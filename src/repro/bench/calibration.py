@@ -11,11 +11,18 @@ numbers land in the range the paper reports on its CloudLab testbed
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Union
 
 
 @dataclass(frozen=True)
 class Calibration:
-    """Everything an experiment run needs to be reproducible."""
+    """The cost model and workload every experiment run shares.
+
+    Platform switches (the result cache, replica reads, coalescing) are
+    not calibration: an experiment that toggles one passes it to
+    :func:`repro.bench.harness.build_platform` as a ``ClusterConfig`` /
+    ``ServerlessConfig`` override.
+    """
 
     # -- hardware (paper §5: 4 machines, 20 cores each, one rack) ------------
     num_storage_nodes: int = 3
@@ -38,20 +45,6 @@ class Calibration:
     duration_ms: float = 2_000.0
     warmup_ms: float = 400.0
     seed: int = 1
-
-    # -- toggles ------------------------------------------------------------
-    #: fig1/fig2 measure the execution architectures themselves; the
-    #: consistent result cache (§4.2.2) is evaluated separately in
-    #: ``abl_cache``, so the headline runs keep it off.
-    enable_cache: bool = False
-    #: lease-based replica reads (backups serve read-only invocations
-    #: locally under a primary-granted lease).  The on/off delta is
-    #: measured in ``abl_replica_reads``.
-    replica_reads: bool = True
-    #: transport egress coalescing + deferred-ack piggybacking
-    #: (DESIGN.md §5j); off preserves one-message-per-send.  The on/off
-    #: delta is measured in ``abl_coalescing``.
-    transport_coalescing: bool = False
 
 
 #: presets: "quick" keeps pytest-benchmark runs fast; "full" matches §5.
@@ -76,6 +69,20 @@ def preset(name: str = "quick", **overrides) -> Calibration:
     return replace(base, **overrides) if overrides else base
 
 
+#: what an experiment accepts as its calibration: a preset name, a
+#: :class:`Calibration`, or ``None`` for the quick preset
+CalibrationLike = Union[str, Calibration, None]
+
+
+def resolve(cal: CalibrationLike = None) -> Calibration:
+    """The calibration an experiment runs at."""
+    if cal is None:
+        return preset("quick")
+    if isinstance(cal, str):
+        return preset(cal)
+    return cal
+
+
 #: Figure 1 of the paper — absolute throughput (jobs/s) per workload.
 PAPER_FIG1 = {
     "Post": {"aggregated": 1309, "disaggregated": 492},
@@ -91,36 +98,13 @@ PAPER_FIG2_CLAIMS = [
     "all latencies in the low-millisecond range (no WAN, same rack)",
 ]
 
-#: Table 1 — qualitative rows (the architecture comparison).
+#: Table 1 — the architecture comparison's columns and qualitative rows
+PAPER_TABLE1_COLUMNS = ("LambdaObjects", "Custom services", "Conventional serverless")
 PAPER_TABLE1 = {
-    "Latency": {
-        "LambdaObjects": "Low (1-10ms)",
-        "Custom services": "Very Low (<1ms)",
-        "Conventional serverless": "High (>100ms)",
-    },
-    "Scalability": {
-        "LambdaObjects": "High",
-        "Custom services": "Implementation-specific",
-        "Conventional serverless": "High",
-    },
-    "Elasticity": {
-        "LambdaObjects": "Medium",
-        "Custom services": "Low",
-        "Conventional serverless": "High",
-    },
-    "Consistency": {
-        "LambdaObjects": "Strong",
-        "Custom services": "Implementation-specific",
-        "Conventional serverless": "Weak",
-    },
-    "Developer effort": {
-        "LambdaObjects": "Low",
-        "Custom services": "High",
-        "Conventional serverless": "Low",
-    },
-    "Resource utilization": {
-        "LambdaObjects": "High",
-        "Custom services": "Low",
-        "Conventional serverless": "High",
-    },
+    "Latency": ("Low (1-10ms)", "Very Low (<1ms)", "High (>100ms)"),
+    "Scalability": ("High", "Implementation-specific", "High"),
+    "Elasticity": ("Medium", "Low", "High"),
+    "Consistency": ("Strong", "Implementation-specific", "Weak"),
+    "Developer effort": ("Low", "High", "Low"),
+    "Resource utilization": ("High", "Low", "High"),
 }

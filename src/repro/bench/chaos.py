@@ -11,19 +11,9 @@ every consistency property still held.
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
-from repro.bench.calibration import Calibration, preset
+from repro.bench.calibration import CalibrationLike, resolve
 from repro.bench.report import format_table
 from repro.chaos import NemesisConfig, run_scenario
-
-CalibrationLike = Optional[Any]
-
-
-def _calibration(cal: CalibrationLike) -> Calibration:
-    if cal is None:
-        return preset("quick")
-    return cal
 
 
 def chaos_soak(
@@ -33,7 +23,7 @@ def chaos_soak(
 ) -> dict:
     """Run one soak per seed; returns ``{"rows": [...]}`` like the other
     experiments, one row per seed plus a ``summary`` entry."""
-    cal = _calibration(cal)
+    cal = resolve(cal)
     rows = []
     for seed in seeds:
         result = run_scenario(
@@ -55,7 +45,6 @@ def chaos_soak(
             num_objects=3,
             ops_per_client=200,
             duration_ms=cal.duration_ms,
-            replica_reads=cal.replica_reads,
         )
         report = result.check()
         node_stats = result.cluster.total_node_stats()

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Optional, Union
 
 from repro.apps.retwis import user_type
 from repro.bench.calibration import Calibration
@@ -13,7 +13,13 @@ from repro.serverless import ServerlessConfig, ServerlessPlatform
 from repro.sim import Simulation
 from repro.workload.clients import ClosedLoopDriver, DriverResult
 from repro.workload.metrics import WorkloadReport
-from repro.workload.retwis_load import RetwisDataset, RetwisParams, RetwisWorkload
+from repro.workload.retwis_load import (
+    MixedRetwisWorkload,
+    RetwisDataset,
+    RetwisParams,
+    RetwisWorkload,
+)
+from repro.workload.zipf import ZipfSampler
 
 #: workload name -> the invoked method whose completions we report
 WORKLOAD_METHOD = {
@@ -32,7 +38,8 @@ REPLICATION_MIX = {
     RetwisWorkload.FOLLOW: 0.4,
 }
 
-#: replication factor for the mix runs — the top of ``abl_replication``'s
+#: replication factor (``Calibration.num_storage_nodes``) of the mix
+#: ablations and the cost goldens — the top of ``abl_replication``'s
 #: sweep, so backup frames + acks are the dominant message class
 REPLICATION_MIX_NODES = 5
 
@@ -52,13 +59,21 @@ VARIANTS = (AGGREGATED, DISAGGREGATED)
 
 @dataclass
 class RunResult:
-    """One (variant, workload) measurement."""
+    """One closed-loop run: the driver's reports plus the live platform
+    and simulation (both ``None`` once shipped back from a worker
+    process — they do not pickle)."""
 
     variant: str
+    #: the :class:`RetwisWorkload` name, or ``"mix"`` for a mixed run
     workload: str
-    report: WorkloadReport
     driver: DriverResult
-    platform: Any
+    platform: Any = None
+    sim: Optional[Simulation] = None
+
+    @property
+    def report(self) -> WorkloadReport:
+        """The named workload's report (a mix has one per method)."""
+        return self.driver.reports[WORKLOAD_METHOD[self.workload]]
 
     @property
     def throughput(self) -> float:
@@ -72,18 +87,26 @@ class RunResult:
     def p99_ms(self) -> float:
         return self.report.p99_ms
 
+    @property
+    def total_throughput(self) -> float:
+        """Completions per second summed over every method."""
+        return sum(report.throughput_per_sec for report in self.driver.reports.values())
+
 
 def build_aggregated(sim: Simulation, cal: Calibration, **config_overrides) -> Cluster:
-    """The LambdaStore deployment of §5: one 3-node replica set."""
+    """The LambdaStore deployment of §5: one 3-node replica set.
+
+    fig1/fig2 measure the execution architectures themselves; the
+    consistent result cache (§4.2.2) is evaluated separately in
+    ``abl_cache``, so the cache stays off unless overridden.
+    """
     options = dict(
         num_storage_nodes=cal.num_storage_nodes,
         num_shards=1,
         cores_per_node=cal.cores_per_node,
         ms_per_fuel=cal.ms_per_fuel,
         net_median_ms=cal.net_median_ms,
-        enable_cache=cal.enable_cache,
-        replica_reads=cal.replica_reads,
-        transport_coalescing=cal.transport_coalescing,
+        enable_cache=False,
         seed=cal.seed,
     )
     options.update(config_overrides)
@@ -99,7 +122,6 @@ def build_disaggregated(sim: Simulation, cal: Calibration, **config_overrides) -
         cores_per_storage_node=cal.cores_per_node,
         ms_per_fuel=cal.ms_per_fuel,
         net_median_ms=cal.net_median_ms,
-        transport_coalescing=cal.transport_coalescing,
         seed=cal.seed,
         **config_overrides,
     )
@@ -128,35 +150,85 @@ def load_dataset(platform: Any, cal: Calibration) -> RetwisDataset:
     return dataset
 
 
+def zipf_skewed(workload: Any, dataset: RetwisDataset, exponent: float) -> Any:
+    """Redirect every operation at a Zipf-sampled account, in place.
+
+    The op and args are drawn as usual; only the target object is
+    re-pointed (at exponent 0 uniformly, through the same draws).
+    """
+    sampler = ZipfSampler(len(dataset.accounts), exponent)
+    original_next = workload.next_operation
+
+    def skewed_next(rng):
+        _oid, method_name, args = original_next(rng)
+        return dataset.accounts[sampler.sample(rng)], method_name, args
+
+    workload.next_operation = skewed_next  # type: ignore[method-assign]
+    return workload
+
+
 def run_retwis(
     variant: str,
-    workload_name: str,
+    workload: Union[str, dict],
     cal: Calibration,
-    platform_overrides: Optional[dict] = None,
-    num_clients: Optional[int] = None,
+    *,
+    zipf_exponent: Optional[float] = None,
+    client_kwargs: Optional[dict] = None,
+    trace_sample_rate: Optional[float] = None,
+    **platform_overrides: Any,
 ) -> RunResult:
-    """One complete measurement: fresh simulation, platform, dataset, load."""
+    """One closed-loop measurement: fresh simulation, platform, dataset, load.
+
+    ``workload`` is a :class:`RetwisWorkload` name or a
+    :class:`MixedRetwisWorkload` mix (workload name -> weight, e.g.
+    :data:`REPLICATION_MIX`).  ``zipf_exponent`` re-targets every
+    operation with :func:`zipf_skewed`; ``None`` keeps the workload's own
+    targets.  ``client_kwargs`` reach every driver client (e.g. a longer
+    ``request_timeout_ms``).  ``trace_sample_rate`` attaches the span
+    tracer at that head-sampling rate before the dataset loads; ``None``
+    leaves tracing off.  The remaining keyword arguments are
+    platform-config overrides for :func:`build_platform`.  Raises if the
+    run completed nothing.
+    """
     sim = Simulation(seed=cal.seed)
-    platform = build_platform(variant, sim, cal, **(platform_overrides or {}))
+    platform = build_platform(variant, sim, cal, **platform_overrides)
+    if trace_sample_rate is not None:
+        platform.enable_tracing(sample_rate=trace_sample_rate)
     dataset = load_dataset(platform, cal)
-    workload = RetwisWorkload(dataset, workload_name)
+    if isinstance(workload, str):
+        name, generator = workload, RetwisWorkload(dataset, workload)
+    else:
+        name, generator = "mix", MixedRetwisWorkload(dataset, dict(workload))
+    if zipf_exponent is not None:
+        zipf_skewed(generator, dataset, zipf_exponent)
     driver = ClosedLoopDriver(
         sim,
         platform,
-        workload,
-        num_clients=num_clients if num_clients is not None else cal.num_clients,
+        generator,
+        num_clients=cal.num_clients,
         duration_ms=cal.duration_ms,
         warmup_ms=cal.warmup_ms,
+        client_kwargs=client_kwargs,
     )
     result = driver.run()
-    method = WORKLOAD_METHOD[workload_name]
-    report = result.reports.get(method)
-    if report is None or report.completed == 0:
+    if result.total_completed == 0:
         raise RuntimeError(
-            f"{variant}/{workload_name}: no completions recorded "
-            f"(failures={result.failures})"
+            f"{variant}/{name}: no completions recorded (failures={result.failures})"
         )
-    return RunResult(variant, workload_name, report, result, platform)
+    return RunResult(variant, name, result, platform, sim)
+
+
+def startup_latencies(cal: Calibration, variant: str, **platform_overrides) -> list[float]:
+    """The first two invocation latencies on a fresh, tiny platform —
+    the cold-start probe behind Table 1 and ``abl_coldstart``."""
+    small = replace(cal, num_accounts=10)
+    sim = Simulation(seed=cal.seed)
+    platform = build_platform(variant, sim, small, **platform_overrides)
+    dataset = load_dataset(platform, small)
+    client = platform.client("probe")
+    for account in dataset.accounts[:2]:
+        platform.run_invoke(client, account, "get_timeline", 10)
+    return [latency for latency, _method in client.completions]
 
 
 #: the fan-out probe's post text length: long enough that one copy per
@@ -197,171 +269,3 @@ def post_replication_bytes(cal: Calibration, followers: int) -> float:
         # The reply waits for every backup's ack: the round has shipped.
         cluster.run_invoke(client, author, "create_post", text)
     return shipped / FANOUT_PROBE_POSTS
-
-
-def _zipf_skewed(workload: Any, dataset: Any, exponent: float) -> Any:
-    """Redirect every operation at a Zipf-sampled account, in place.
-
-    Same wrap as the contention ablation: the op and args are drawn as
-    usual, only the target object is re-pointed, so tenants contend on
-    the same hot head objects.
-    """
-    from repro.workload.zipf import ZipfSampler
-
-    sampler = ZipfSampler(len(dataset.accounts), exponent)
-    original_next = workload.next_operation
-
-    def skewed_next(rng):
-        _oid, method_name, args = original_next(rng)
-        target = dataset.accounts[sampler.sample(rng)]
-        return target, method_name, args
-
-    workload.next_operation = skewed_next  # type: ignore[method-assign]
-    return workload
-
-
-def probe_capacity(
-    cal: Calibration, mix: Optional[dict] = None, zipf_exponent: float = 0.9
-) -> float:
-    """Closed-loop saturation throughput (invocations/sec) of the
-    aggregated platform under ``mix`` — the reference point the open-loop
-    overload sweep expresses its offered rates against.  Uses the same
-    Zipf object skew as :func:`run_overload`, so "1.0× capacity" there
-    means what it says."""
-    from repro.workload.retwis_load import MixedRetwisWorkload
-
-    sim = Simulation(seed=cal.seed)
-    platform = build_aggregated(sim, cal)
-    dataset = load_dataset(platform, cal)
-    workload = MixedRetwisWorkload(dataset, dict(mix or REPLICATION_MIX))
-    if zipf_exponent > 0:
-        _zipf_skewed(workload, dataset, zipf_exponent)
-    driver = ClosedLoopDriver(
-        sim,
-        platform,
-        workload,
-        num_clients=cal.num_clients,
-        duration_ms=cal.duration_ms,
-        warmup_ms=cal.warmup_ms,
-    )
-    result = driver.run()
-    return sum(r.throughput_per_sec for r in result.reports.values())
-
-
-def run_overload(
-    cal: Calibration,
-    tenant_rates: dict[str, float],
-    admission: bool = False,
-    tenant_rate_limit: float = 0.0,
-    max_inflight: int = 0,
-    request_timeout_ms: float = 40.0,
-    max_attempts: int = 3,
-    mix: Optional[dict] = None,
-    tenant_mixes: Optional[dict] = None,
-    zipf_exponent: float = 0.9,
-    max_outstanding: int = 32,
-):
-    """Open-loop multi-tenant run against the aggregated platform.
-
-    ``tenant_rates`` maps tenant name -> offered requests/sec.  Object
-    selection is Zipf-skewed (``zipf_exponent``) over the accounts, so
-    tenants contend on the same hot objects.  Short per-attempt deadlines
-    + few attempts model latency-sensitive front-end traffic: a request
-    that cannot finish in time is abandoned (its server-side cost is
-    already sunk), which is what makes uncontrolled overload collapse
-    goodput.  ``mix`` defaults to :data:`REPLICATION_MIX`;
-    ``tenant_mixes`` gives individual tenants their own operation mix
-    (unlisted tenants fall back to ``mix``).  Returns
-    ``(OpenLoopResult, platform, sim)``.
-    """
-    from repro.workload.openloop import OpenLoopDriver
-    from repro.workload.retwis_load import MixedRetwisWorkload
-
-    overrides = {}
-    if admission:
-        overrides = dict(
-            admission_control=True,
-            tenant_rate_limit=tenant_rate_limit,
-            max_inflight_requests=max_inflight,
-        )
-    sim = Simulation(seed=cal.seed)
-    platform = build_aggregated(sim, cal, **overrides)
-    dataset = load_dataset(platform, cal)
-
-    def make_workload(the_mix: dict):
-        workload = MixedRetwisWorkload(dataset, dict(the_mix))
-        if zipf_exponent > 0:
-            _zipf_skewed(workload, dataset, zipf_exponent)
-        return workload
-
-    if tenant_mixes:
-        default_mix = dict(mix or REPLICATION_MIX)
-        workload = {
-            tenant: make_workload(tenant_mixes.get(tenant, default_mix))
-            for tenant in tenant_rates
-        }
-    else:
-        workload = make_workload(mix or REPLICATION_MIX)
-    driver = OpenLoopDriver(
-        sim,
-        platform,
-        workload,
-        tenants=tenant_rates,
-        duration_ms=cal.duration_ms,
-        warmup_ms=cal.warmup_ms,
-        max_outstanding=max_outstanding,
-        client_kwargs={
-            "request_timeout_ms": request_timeout_ms,
-            "max_attempts": max_attempts,
-        },
-    )
-    return driver.run(), platform, sim
-
-
-def run_replication_mix(
-    cal: Calibration,
-    variant: str = AGGREGATED,
-    mix: Optional[dict] = None,
-    trace_sample_rate: Optional[float] = None,
-    **config_overrides: Any,
-) -> tuple[DriverResult, Any, Simulation]:
-    """Run a Retwis mix closed-loop; returns (result, platform, sim).
-
-    Used where replication traffic itself is the measurement (the
-    group-commit, coalescing and replica-reads ablations, the cost goldens),
-    so the caller gets the platform back to read ``net.stats`` alongside
-    the reports.  Runs :data:`REPLICATION_MIX` (or ``mix``) at
-    :data:`REPLICATION_MIX_NODES` replicas regardless of the preset.
-
-    ``trace_sample_rate`` turns the span tracer on at that head-sampling
-    rate (the cost goldens' traced pair); ``None`` leaves tracing off,
-    the historical measurement condition.  Extra keyword arguments
-    are platform-config overrides (e.g. ``ack_flush_ms=0.5`` for the
-    coalescing sweep).
-    """
-    from dataclasses import replace
-
-    from repro.workload.retwis_load import MixedRetwisWorkload
-
-    cal = replace(cal, num_storage_nodes=REPLICATION_MIX_NODES)
-    sim = Simulation(seed=cal.seed)
-    platform = build_platform(variant, sim, cal, **config_overrides)
-    if trace_sample_rate is not None:
-        platform.enable_tracing(sample_rate=trace_sample_rate)
-    dataset = load_dataset(platform, cal)
-    workload = MixedRetwisWorkload(dataset, dict(mix or REPLICATION_MIX))
-    driver = ClosedLoopDriver(
-        sim,
-        platform,
-        workload,
-        num_clients=cal.num_clients,
-        duration_ms=cal.duration_ms,
-        warmup_ms=cal.warmup_ms,
-    )
-    result = driver.run()
-    if result.total_completed == 0:
-        raise RuntimeError(
-            f"{variant}/replication-mix: no completions recorded "
-            f"(failures={result.failures})"
-        )
-    return result, platform, sim

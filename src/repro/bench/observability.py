@@ -13,33 +13,14 @@ comparable.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
-from repro.bench.calibration import Calibration, preset
-from repro.bench.harness import (
-    AGGREGATED,
-    VARIANTS,
-    WORKLOAD_METHOD,
-    build_platform,
-    load_dataset,
-)
-from repro.sim import Simulation
-from repro.workload.clients import ClosedLoopDriver
+from repro.bench.calibration import Calibration, CalibrationLike, resolve
+from repro.bench.harness import AGGREGATED, VARIANTS, run_retwis
 from repro.workload.retwis_load import RetwisWorkload
 
 #: sampling cadence used for ``--metrics-out`` runs (simulated ms)
 DEFAULT_SAMPLE_INTERVAL_MS = 50.0
-
-CalibrationLike = Union[str, Calibration, None]
-
-
-def _calibration(cal: CalibrationLike) -> Calibration:
-    if cal is None:
-        return preset("quick")
-    if isinstance(cal, str):
-        return preset(cal)
-    return cal
 
 
 def instrumented_run(
@@ -50,38 +31,28 @@ def instrumented_run(
 ) -> dict[str, Any]:
     """One fully-instrumented measurement on one architecture.
 
-    Same shape as :func:`repro.bench.harness.run_retwis`, but the
-    platform is built with the series sampler enabled and tracing is
-    attached *before* the load starts, so every request gets a trace.
+    A :func:`~repro.bench.harness.run_retwis` run with the series
+    sampler enabled and every request traced from before the load starts.
     """
-    if variant == AGGREGATED:
-        # Surface the cache_* family too; the baseline has no consistent
-        # cache (by design), so only the LambdaStore half reports it.
-        cal = replace(cal, enable_cache=True)
-    sim = Simulation(seed=cal.seed)
-    platform = build_platform(
-        variant, sim, cal, metrics_sample_interval_ms=sample_interval_ms
+    # Surface the cache_* family too; the baseline has no consistent
+    # cache (by design), so only the LambdaStore half reports it.
+    overrides = dict(enable_cache=True) if variant == AGGREGATED else {}
+    run = run_retwis(
+        variant,
+        workload_name,
+        cal,
+        trace_sample_rate=1.0,
+        metrics_sample_interval_ms=sample_interval_ms,
+        **overrides,
     )
-    tracer = platform.enable_tracing()
-    dataset = load_dataset(platform, cal)
-    workload = RetwisWorkload(dataset, workload_name)
-    driver = ClosedLoopDriver(
-        sim,
-        platform,
-        workload,
-        num_clients=cal.num_clients,
-        duration_ms=cal.duration_ms,
-        warmup_ms=cal.warmup_ms,
-    )
-    result = driver.run()
-    report = result.reports.get(WORKLOAD_METHOD[workload_name])
-
+    platform = run.platform
+    tracer = platform.tracer
     slowest = tracer.slowest_trace()
     net_stats = platform.net.stats
     return {
         "variant": variant,
         "workload": workload_name,
-        "report": report.to_row() if report is not None else None,
+        "report": run.report.to_row(),
         "network": {
             "messages_sent": net_stats.messages_sent,
             "messages_delivered": net_stats.messages_delivered,
@@ -107,7 +78,7 @@ def collect_observability(
     sample_interval_ms: float = DEFAULT_SAMPLE_INTERVAL_MS,
 ) -> dict[str, Any]:
     """The ``--metrics-out`` payload: one instrumented run per variant."""
-    cal = _calibration(cal)
+    cal = resolve(cal)
     return {
         "kind": "observability",
         "workload": workload_name,

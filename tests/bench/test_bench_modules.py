@@ -5,12 +5,15 @@ cover the harness at micro scale so plumbing bugs surface in the unit
 suite.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.calibration import Calibration, PAPER_FIG1, PAPER_TABLE1, preset
 from repro.bench.harness import (
     AGGREGATED,
     DISAGGREGATED,
+    READ_HEAVY_MIX,
     build_platform,
     load_dataset,
     run_retwis,
@@ -112,3 +115,18 @@ def test_run_retwis_deterministic():
     second = run_retwis(AGGREGATED, RetwisWorkload.FOLLOW, MICRO)
     assert first.report.completed == second.report.completed
     assert first.median_ms == second.median_ms
+
+
+def test_run_retwis_mix_reports_every_method_and_keeps_the_run():
+    run = run_retwis(AGGREGATED, READ_HEAVY_MIX, MICRO)
+    assert run.workload == "mix"
+    assert set(run.driver.reports) == {"get_timeline", "create_post", "follow"}
+    assert run.total_throughput == sum(
+        report.throughput_per_sec for report in run.driver.reports.values()
+    )
+    assert run.sim is run.platform.sim
+
+
+def test_run_retwis_raises_when_nothing_completes():
+    with pytest.raises(RuntimeError, match="no completions"):
+        run_retwis(AGGREGATED, RetwisWorkload.POST, replace(MICRO, duration_ms=0.0, warmup_ms=0.0))

@@ -78,13 +78,10 @@ EXPECTED_FIELDS = {
         "duration_ms",
         "warmup_ms",
         "seed",
-        "enable_cache",
-        "replica_reads",
-        "transport_coalescing",
     ),
 }
 
-EXPECTED_COUNTS = {ClusterConfig: 22, ServerlessConfig: 18, Calibration: 15}
+EXPECTED_COUNTS = {ClusterConfig: 22, ServerlessConfig: 18, Calibration: 12}
 
 #: where a field has to be read for it to earn its place
 READER_ROOTS = ("src", "benchmarks")

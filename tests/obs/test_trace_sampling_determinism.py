@@ -18,7 +18,12 @@ import pytest
 
 from repro.apps.bank import account_type
 from repro.bench.calibration import preset
-from repro.bench.harness import run_replication_mix
+from repro.bench.harness import (
+    AGGREGATED,
+    REPLICATION_MIX,
+    REPLICATION_MIX_NODES,
+    run_retwis,
+)
 from repro.cluster import Cluster, ClusterConfig
 from repro.sim import Simulation
 
@@ -32,13 +37,19 @@ _TINY = replace(
     num_accounts=60,
     avg_follows=3,
     seed_posts_per_account=2,
+    num_storage_nodes=REPLICATION_MIX_NODES,
 )
 
 
-def _fingerprint(trace_sample_rate):
-    result, platform, sim = run_replication_mix(
-        _TINY, trace_sample_rate=trace_sample_rate
+def _run(trace_sample_rate):
+    return run_retwis(
+        AGGREGATED, REPLICATION_MIX, _TINY, trace_sample_rate=trace_sample_rate
     )
+
+
+def _fingerprint(trace_sample_rate):
+    run = _run(trace_sample_rate)
+    result = run.driver
     rows = {
         method: (
             report.completed,
@@ -52,9 +63,9 @@ def _fingerprint(trace_sample_rate):
         "rows": rows,
         "total_completed": result.total_completed,
         "failures": result.failures,
-        "events": sim.events_scheduled,
-        "final_now": sim.now,
-        "messages": platform.net.stats.messages_sent,
+        "events": run.sim.events_scheduled,
+        "final_now": run.sim.now,
+        "messages": run.platform.net.stats.messages_sent,
     }
 
 
@@ -66,14 +77,8 @@ def test_sample_rate_does_not_perturb_the_simulation():
 
 
 def test_sampling_records_fewer_spans_than_full_tracing():
-    _result, full_platform, _sim = run_replication_mix(
-        _TINY, trace_sample_rate=1.0
-    )
-    _result, sampled_platform, _sim = run_replication_mix(
-        _TINY, trace_sample_rate=0.1
-    )
-    full_spans = len(full_platform.tracer.spans)
-    sampled_spans = len(sampled_platform.tracer.spans)
+    full_spans = len(_run(1.0).platform.tracer.spans)
+    sampled_spans = len(_run(0.1).platform.tracer.spans)
     assert full_spans > 0
     assert 0 < sampled_spans < full_spans / 2
 

@@ -59,7 +59,7 @@ GOLDEN = {
 def _run_cell(variant: str) -> dict:
     result = run_retwis(variant, "Post", CAL)
     report = result.report
-    sim = result.platform.sim
+    sim = result.sim
     net = result.platform.net
     return {
         "completed": report.completed,

@@ -30,11 +30,26 @@ import gc
 import pytest
 
 from repro.bench.calibration import preset
-from repro.bench.harness import AGGREGATED, DISAGGREGATED, run_replication_mix
+from repro.bench.harness import (
+    AGGREGATED,
+    DISAGGREGATED,
+    REPLICATION_MIX,
+    REPLICATION_MIX_NODES,
+    RunResult,
+    run_retwis,
+)
 from repro.sim.core import CANCELLED_TIMEOUTS_FLOOR
 
-#: a few hundred jobs: enough that a per-job leak is in the thousands
-CAL = preset("quick", num_accounts=200, num_clients=10, duration_ms=150.0, warmup_ms=30.0)
+#: a few hundred jobs of the replication mix: enough that a per-job leak
+#: is in the thousands
+CAL = preset(
+    "quick",
+    num_accounts=200,
+    num_clients=10,
+    duration_ms=150.0,
+    warmup_ms=30.0,
+    num_storage_nodes=REPLICATION_MIX_NODES,
+)
 
 #: unreachable objects tolerated after a run — a constant, not a rate
 GARBAGE_CEILING = 50
@@ -60,7 +75,7 @@ FAMILIES = (
 
 UNCACHED = {"enable_cache": False}
 
-#: cell -> (variant, run_replication_mix overrides)
+#: cell -> (variant, run_retwis overrides)
 CELLS = {
     "aggregated-uncached": (AGGREGATED, UNCACHED),
     "aggregated-cached": (AGGREGATED, {"enable_cache": True}),
@@ -129,9 +144,18 @@ GOLDENS = {
 }
 
 
-def costs(result, platform, sim) -> dict:
+def run_cell(cell: str) -> RunResult:
+    variant, overrides = CELLS[cell]
+    return run_retwis(variant, REPLICATION_MIX, CAL, **overrides)
+
+
+def costs(run: RunResult) -> dict:
     """The pinned counters of one finished run."""
-    measured = {"jobs": result.total_completed, "events_scheduled": sim.events_scheduled}
+    platform = run.platform
+    measured = {
+        "jobs": run.driver.total_completed,
+        "events_scheduled": run.sim.events_scheduled,
+    }
     for field in NET_COUNTERS:
         measured[field] = getattr(platform.net.stats, field)
     families = platform.metrics.families()
@@ -146,20 +170,19 @@ def costs(result, platform, sim) -> dict:
 
 @pytest.mark.parametrize("cell", list(CELLS))
 def test_a_run_matches_its_cost_golden_and_leaks_nothing(cell):
-    variant, overrides = CELLS[cell]
     gc.collect()
     gc.disable()
     try:
-        result, platform, sim = run_replication_mix(CAL, variant, **overrides)
-        # platform, sim and result stay referenced: only what the run
-        # itself dropped can be unreachable.
+        run = run_cell(cell)
+        # The run keeps its platform, sim and result referenced: only
+        # what the run itself dropped can be unreachable.
         unreachable = gc.collect()
     finally:
         gc.enable()
     assert unreachable <= GARBAGE_CEILING
 
-    heap = len(sim._queue)
-    live = heap - sim._cancelled
+    heap = len(run.sim._queue)
+    live = heap - run.sim._cancelled
     assert heap <= CANCELLED_TIMEOUTS_FLOOR + 2 * live
     # After the last reply only periodic timers (heartbeats, flushes) are
     # live; a deadline left to run out uncancelled would count here, one
@@ -167,7 +190,7 @@ def test_a_run_matches_its_cost_golden_and_leaks_nothing(cell):
     assert live <= 2 * CAL.num_clients
 
     golden = GOLDENS[cell]
-    measured = costs(result, platform, sim)
+    measured = costs(run)
     moved = {
         name: f"{golden.get(name)} -> {measured.get(name)}"
         for name in sorted(golden.keys() | measured.keys())
@@ -177,5 +200,5 @@ def test_a_run_matches_its_cost_golden_and_leaks_nothing(cell):
 
 
 if __name__ == "__main__":
-    for cell, (variant, overrides) in CELLS.items():
-        print(f'"{cell}": {costs(*run_replication_mix(CAL, variant, **overrides))},')
+    for cell in CELLS:
+        print(f'"{cell}": {costs(run_cell(cell))},')
