@@ -161,8 +161,11 @@ class ResultCache:
     def invalidate_keys(self, written_keys: list[bytes]) -> int:
         """Eagerly drop entries whose read set intersects ``written_keys``."""
         doomed: set[tuple] = set()
+        by_read_key = self._by_read_key
         for storage_key in written_keys:
-            doomed |= self._by_read_key.get(storage_key, set())
+            readers = by_read_key.get(storage_key)
+            if readers is not None:
+                doomed |= readers
         for cache_key in doomed:
             self._drop(cache_key)
             self._c_invalidations.inc()

@@ -178,17 +178,20 @@ class InvocationContext(HostAPI):
         prefix = keyspace.collection_prefix(self._object_id, field)
         end = keyspace.prefix_end(prefix)
 
-        # Scans observe the collection version, so cached results are
-        # invalidated by any later mutation (including deletes of keys the
-        # scan never yielded).
+        # Scans observe the collection version, which every mutation of
+        # the collection bumps, so cached results are invalidated by any
+        # later mutation (including deletes of keys the scan never
+        # yielded).  The stamp is why a scan need note only the entries
+        # it returns.
+        storage = self._runtime.storage
         version_key = keyspace.counter_key(self._object_id, field)
-        self._writeset.note_read(version_key, self._runtime.storage.get(version_key))
+        self._writeset.note_read(version_key, storage.get(version_key))
 
         note_read = self._writeset.note_read
         buffered = self._writeset.buffered_under(prefix)
         if buffered:
             merged: dict[bytes, Optional[bytes]] = {}
-            for storage_key, data in self._runtime.storage.iterate(prefix, end):
+            for storage_key, data in storage.iterate(prefix, end):
                 merged[storage_key] = data
                 note_read(storage_key, data)
             merged.update(buffered)
@@ -196,11 +199,15 @@ class InvocationContext(HostAPI):
         else:
             # Committed iteration is already key-ordered; skip the
             # merge-and-sort (the common case: scans of collections this
-            # invocation has not written).
-            entries = list(self._runtime.storage.iterate(prefix, end))
+            # invocation has not written).  A newest-first scan with a
+            # limit reads only the entries it returns.
+            if reverse and limit is not None:
+                entries = storage.tail(prefix, end, limit)
+            else:
+                entries = list(storage.iterate(prefix, end))
             for storage_key, data in entries:
                 note_read(storage_key, data)
-            if reverse:
+            if reverse and limit is None:
                 entries.reverse()
 
         count = 0

@@ -17,6 +17,7 @@ which the replication layer uses for ordering.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import deque
 from typing import Iterator, Optional, Protocol
 
 from repro.core.keyspace import OBJECT_PREFIX_WIDTH
@@ -40,6 +41,19 @@ class StorageBackend(Protocol):
         """Committed ``(key, value)`` pairs in ``[start, end)``, ordered."""
         ...
 
+    def tail(self, start: bytes, end: Optional[bytes], limit: int) -> list[tuple[bytes, bytes]]:
+        """The last ``limit`` committed pairs of ``[start, end)``, newest
+        (greatest key) first: ``list(iterate(start, end))[::-1][:limit]``.
+
+        A collection scan's read set is the collection's version stamp
+        plus the entries the scan returns, and nothing else: every
+        mutation of a collection bumps its stamp, so an entry the guest
+        never saw adds no validity information.  A newest-first scan with
+        a limit (GetTimeline) therefore reads through this call and keeps
+        ``limit`` entries, not the whole collection.
+        """
+        ...
+
     @property
     def last_sequence(self) -> int:
         """Sequence number of the most recent commit."""
@@ -54,8 +68,9 @@ class MemoryBackend:
     starts with otherwise — truncation preserves order, so buckets in
     prefix order, each in key order, are all keys in key order whatever
     they look like (DESIGN.md §5n).  ``apply`` appends a new key to its
-    bucket unsorted; a bucket is sorted when an ``iterate`` or a delete
-    reaches it, the prefix list when a scan follows a new bucket.
+    bucket unsorted; a bucket is sorted when an ``iterate``, a ``tail``
+    or a delete reaches it, the prefix list when a scan follows a new
+    bucket.
 
     ``iterate`` snapshots each bucket's pairs as it reaches the bucket and
     looks the next bucket up afresh, so a generator left suspended across
@@ -148,6 +163,25 @@ class MemoryBackend:
             # an apply may have run while this generator was suspended
             at = bisect_right(self._ordered_prefixes(), prefix)
 
+    def tail(self, start: bytes, end: Optional[bytes], limit: int) -> list[tuple[bytes, bytes]]:
+        data = self._data
+        first = start[:OBJECT_PREFIX_WIDTH]
+        last = None if end is None else end[:OBJECT_PREFIX_WIDTH]
+        prefixes = self._ordered_prefixes()
+        at = len(prefixes) if last is None else bisect_right(prefixes, last)
+        out: list[tuple[bytes, bytes]] = []
+        while at > 0 and len(out) < limit:
+            at -= 1
+            prefix = prefixes[at]
+            if prefix < first:
+                break
+            keys = self._ordered_bucket(prefix)
+            low = bisect_left(keys, start) if prefix == first else 0
+            high = bisect_left(keys, end) if prefix == last else len(keys)
+            low = max(low, high - (limit - len(out)))
+            out.extend((key, data[key]) for key in reversed(keys[low:high]))
+        return out
+
     @property
     def last_sequence(self) -> int:
         return self._sequence
@@ -181,6 +215,13 @@ class KVBackend:
 
     def iterate(self, start: bytes, end: Optional[bytes]) -> Iterator[tuple[bytes, bytes]]:
         return self._db.iterate(start=start, end=end)
+
+    def tail(self, start: bytes, end: Optional[bytes], limit: int) -> list[tuple[bytes, bytes]]:
+        # The LSM store iterates forward only: same I/O as a full scan,
+        # memory bounded by ``limit``.
+        if limit <= 0:
+            return []
+        return list(reversed(deque(self._db.iterate(start=start, end=end), maxlen=limit)))
 
     @property
     def last_sequence(self) -> int:

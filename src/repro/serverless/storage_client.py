@@ -84,6 +84,15 @@ class RecordingStorage:
         return sequence
 
     def iterate(self, start: bytes, end: Optional[bytes]) -> Iterator[tuple[bytes, bytes]]:
+        return iter(self._scan(start, end))
+
+    def tail(self, start: bytes, end: Optional[bytes], limit: int) -> list[tuple[bytes, bytes]]:
+        # Charged as the whole range: a remote store ships the collection
+        # and the function picks the tail, so the baseline's cost model is
+        # the same as for a full scan.
+        return self._scan(start, end)[::-1][:max(limit, 0)]
+
+    def _scan(self, start: bytes, end: Optional[bytes]) -> list[tuple[bytes, bytes]]:
         items = list(self._primary.iterate(start, end))
         total_bytes = sum(len(k) + len(v) for k, v in items)
         self._record(
@@ -94,7 +103,7 @@ class RecordingStorage:
             total_bytes,
             True,
         )
-        return iter(items)
+        return items
 
     @property
     def last_sequence(self) -> int:

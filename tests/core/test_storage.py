@@ -14,6 +14,8 @@ from repro.core.ids import ObjectId
 from repro.core.keyspace import OBJECT_PREFIX_WIDTH, object_prefix, prefix_end
 from repro.core.storage import KVBackend, MemoryBackend
 from repro.kvstore import DB, WriteBatch
+from repro.serverless.storage_client import RecordingStorage, StorageOp
+from repro.wasm.host_api import OpCosts
 
 
 def batch_of(*ops):
@@ -278,3 +280,129 @@ def test_iterate_suspended_across_apply_never_tears_order():
     assert [key for key, _ in backend.iterate(b"", None)] == sorted(
         [b"a", a + b"k0", a + b"k1", a + b"k4", a + b"k5", b + b"k1", c + b"k0", c + b"k1"]
     )
+
+
+# -- tail: the newest pairs of a range -----------------------------------------
+#
+# ``tail(start, end, n)`` must equal ``list(iterate(start, end))[::-1][:n]``
+# on every backend, for n = 0, 1, the exact length and more than the range.
+
+
+def _limits(length, extra=()):
+    return sorted({0, 1, length, length + 1, length + 5, *extra})
+
+
+def _collection_keys(oid, count, field=b"log"):
+    return [object_prefix(oid) + b"c/" + field + b"/%020d" % n for n in range(1, count + 1)]
+
+
+def _collection_range(oid, field=b"log"):
+    prefix = object_prefix(oid) + b"c/" + field + b"/"
+    return prefix, prefix_end(prefix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_index_ops, st.integers(min_value=0, max_value=8))
+def test_memory_tail_matches_reversed_scan(ops, drawn):
+    """Each scan op asks for tails before anything iterates, so the
+    buckets the puts since the last scan appended to are still unsorted."""
+    backend = MemoryBackend()
+    model = {}
+    for op, first, second in ops:
+        if op == "scan":
+            expected = _expected(model, first, second)[::-1]
+            for n in _limits(len(expected), (drawn,)):
+                assert backend.tail(first, second, n) == expected[:n]
+            assert list(backend.iterate(first, second))[::-1] == expected
+        elif op == "put":
+            backend.apply(batch_of((first, second)))
+            model[first] = second
+        else:
+            backend.apply(batch_of((first,)))
+            model.pop(first, None)
+
+
+def test_memory_tail_after_unsorted_appends():
+    rng = random.Random(35)
+    backend = MemoryBackend()
+    keys = _collection_keys(_OIDS[0], 20) + _collection_keys(_OIDS[1], 7)
+    rng.shuffle(keys)
+    for key in keys:
+        backend.apply(batch_of((key, key[-2:])))
+    start, end = _collection_range(_OIDS[0])
+    newest = [(key, key[-2:]) for key in sorted(_collection_keys(_OIDS[0], 20), reverse=True)]
+    assert backend.tail(start, end, 3) == newest[:3]  # the first touch sorts the bucket
+    for n in _limits(20):
+        assert backend.tail(start, end, n) == newest[:n]
+    assert backend.tail(start, end, 20) == list(backend.iterate(start, end))[::-1]
+
+
+def test_tail_of_an_absent_prefix_is_empty(tmp_path):
+    backend = MemoryBackend()
+    backend.apply(batch_of(*[(key, b"v") for key in _collection_keys(_OIDS[0], 5)]))
+    absent = _collection_range(_OIDS[3])
+    other_field = _collection_range(_OIDS[0], field=b"tags")
+    with DB.open(str(tmp_path / "db")) as db:
+        kv = KVBackend(db)
+        kv.apply(batch_of(*[(key, b"v") for key in _collection_keys(_OIDS[0], 5)]))
+        for store in (backend, kv, RecordingStorage([backend])):
+            for start, end in (absent, other_field):
+                for n in (0, 1, 10):
+                    assert store.tail(start, end, n) == []
+
+
+def test_kv_tail_merges_memtable_and_sstables(tmp_path):
+    rng = random.Random(35)
+    flushed = _collection_keys(_OIDS[0], 30) + _collection_keys(_OIDS[1], 10)
+    with DB.open(str(tmp_path / "db")) as db:
+        kv = KVBackend(db)
+        for key in flushed:
+            kv.apply(batch_of((key, b"old")))
+        db.flush()
+        tables = db.level_file_counts()
+        assert sum(tables) >= 1
+        # memtable: new appends past the flushed ones, overwrites and
+        # deletes of flushed entries
+        later = _collection_keys(_OIDS[0], 36)[30:]
+        for key in later:
+            kv.apply(batch_of((key, b"new")))
+        for key in rng.sample(flushed, 8):
+            kv.apply(batch_of((key,)))
+        for key in rng.sample(flushed, 8):
+            kv.apply(batch_of((key, b"overwritten")))
+        assert db.level_file_counts() == tables  # the rest sits in the memtable
+        for oid in _OIDS[:3]:
+            start, end = _collection_range(oid)
+            full = list(kv.iterate(start, end))
+            for n in _limits(len(full), (7, 33)):
+                assert kv.tail(start, end, n) == full[::-1][:n]
+        full = list(kv.iterate(b"", None))
+        for n in _limits(len(full), (12,)):
+            assert kv.tail(b"", None, n) == full[::-1][:n]
+
+
+def test_recording_storage_tail_records_the_full_scan():
+    """The disaggregated baseline's cost model does not see the limit:
+    a remote store ships the whole range either way."""
+    backend = MemoryBackend()
+    keys = _collection_keys(_OIDS[0], 20)
+    backend.apply(batch_of(*[(key, b"post-%02d" % n) for n, key in enumerate(keys)]))
+    costs = OpCosts()
+    storage = RecordingStorage([backend], costs)
+    start, end = _collection_range(_OIDS[0])
+    full = list(storage.iterate(start, end))
+    size = sum(len(key) + len(value) for key, value in full)
+    whole = StorageOp(
+        "scan",
+        costs.kv_get + costs.collection_scan_per_item * 20 + costs.payload(size),
+        size,
+        True,
+    )
+    for n in _limits(len(full), (10,)):
+        assert storage.tail(start, end, n) == full[::-1][:n]
+        scan = storage.begin_trace()
+        list(storage.iterate(start, end))
+        limited = storage.begin_trace()
+        storage.tail(start, end, n)
+        storage.end_trace()
+        assert scan == limited == [whole]

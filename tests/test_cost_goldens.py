@@ -117,7 +117,7 @@ GOLDENS = {
         "runtime_commits": 4029,
         "runtime_fuel_used": 403931.28125,
         "kvstore_puts": 83690,
-        "kvstore_gets": 11521,
+        "kvstore_gets": 11473,
         "kvstore_applies": 21145,
         "node_replication_rounds": 595,
         "replication_flush_total": 515,
