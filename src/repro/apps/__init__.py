@@ -3,16 +3,10 @@
 - :mod:`repro.apps.retwis` — the microblogging service from the paper's
   Listing 1 and evaluation (§2, §3.2, §5);
 - :mod:`repro.apps.bank` — digital payments, the strong-consistency
-  motivation of §2;
-- :mod:`repro.apps.auth` — a user-authentication component ("a small
-  piece of functionality ... part of a larger application", §3);
-- :mod:`repro.apps.store` — an online store composing auth, products,
-  and carts into a job graph of cross-object calls.
+  motivation of §2.
 """
 
 from repro.apps.retwis import user_type
 from repro.apps.bank import account_type
-from repro.apps.auth import auth_service_type
-from repro.apps.store import cart_type, product_type
 
-__all__ = ["account_type", "auth_service_type", "cart_type", "product_type", "user_type"]
+__all__ = ["account_type", "user_type"]

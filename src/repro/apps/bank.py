@@ -10,10 +10,10 @@ account can never be overdrawn — the property tests hammer this with
 concurrent withdrawals.
 
 Transfers between accounts span two objects.  Multi-call transactions
-are explicitly future work in the paper (§3.1/§7), so ``transfer`` uses
-the standard compensation pattern: debit locally, credit the payee via a
-nested call, re-credit on failure.  The ledger collections make every
-step auditable.
+are future work in the paper (§3.1/§7) and are not modelled here, so
+``transfer`` uses the standard compensation pattern: debit locally,
+credit the payee via a nested call, re-credit on failure.  The ledger
+collections make every step auditable.
 """
 
 from __future__ import annotations

@@ -115,7 +115,7 @@ def build_aggregated(sim: Simulation, cal: Calibration, **config_overrides) -> C
 
 def build_disaggregated(sim: Simulation, cal: Calibration, **config_overrides) -> ServerlessPlatform:
     """The baseline of §5: one compute machine + 3 storage machines."""
-    config = ServerlessConfig(
+    options = dict(
         num_compute_nodes=1,
         num_storage_nodes=cal.num_storage_nodes,
         cores_per_compute_node=cal.cores_per_node,
@@ -123,9 +123,9 @@ def build_disaggregated(sim: Simulation, cal: Calibration, **config_overrides) -
         ms_per_fuel=cal.ms_per_fuel,
         net_median_ms=cal.net_median_ms,
         seed=cal.seed,
-        **config_overrides,
     )
-    return ServerlessPlatform(sim, config)
+    options.update(config_overrides)
+    return ServerlessPlatform(sim, ServerlessConfig(**options))
 
 
 def build_platform(variant: str, sim: Simulation, cal: Calibration, **overrides) -> Any:

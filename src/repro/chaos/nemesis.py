@@ -2,9 +2,8 @@
 
 Drives the :class:`~repro.sim.network.Network` fault hooks (message-drop
 storms, partitions, node crashes/recoveries) plus cluster-level events
-(permanent primary failover, object migration, load rebalancing) from the
-simulation's named RNG streams — so a chaos run is exactly reproducible
-from its seed.
+(permanent primary failover, object migration) from the simulation's
+named RNG streams — so a chaos run is exactly reproducible from its seed.
 
 Events are serialized: each one sets up its fault, holds it for a sampled
 duration, then restores, before the next interval is sampled.  Transient
@@ -222,29 +221,6 @@ class Nemesis:
             yield from self._get_migrator().migrate(object_id, target)
         except ClusterError as exc:
             self._log(f"migration of {object_id.short} aborted: {exc}")
-
-    def _do_rebalance(self):
-        """Move the hottest object off the busiest shard (Akkio-style),
-        mid-chaos — the load-driven variant of :meth:`_do_migrate`."""
-        _epoch, shard_map = self.cluster.current_config()
-        if len(shard_map.replica_sets) < 2:
-            return
-        loads: dict[int, dict[str, int]] = {}
-        for replica_set in shard_map.replica_sets:
-            primary = self.cluster.nodes.get(replica_set.primary)
-            loads[replica_set.shard_id] = dict(primary.object_load) if primary else {}
-        totals = {shard: sum(objects.values()) for shard, objects in loads.items()}
-        busiest = max(totals, key=lambda s: totals[s])
-        lightest = min(totals, key=lambda s: totals[s])
-        if busiest == lightest or not loads[busiest]:
-            return
-        hottest = max(loads[busiest], key=lambda k: loads[busiest][k])
-        object_id = ObjectId(hottest)
-        self._log(f"rebalance {object_id.short} shard {busiest} -> {lightest}")
-        try:
-            yield from self._get_migrator().migrate(object_id, lightest)
-        except ClusterError as exc:
-            self._log(f"rebalance of {object_id.short} aborted: {exc}")
 
     def _get_migrator(self) -> Migrator:
         if self._migrator is None:

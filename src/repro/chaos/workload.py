@@ -110,7 +110,7 @@ def run_scenario(
     recorder = HistoryRecorder()
     config = nemesis_config or NemesisConfig()
     if not config.migration_objects and num_shards > 1:
-        # the objects only exist now, so wire them up for migrate/rebalance
+        # the objects only exist now, so wire them up for the migrate event
         config.migration_objects = tuple(object_ids)
     nemesis = Nemesis(cluster, config)
     gave_up: dict[str, int] = {}

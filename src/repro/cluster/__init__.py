@@ -30,10 +30,8 @@ from repro.cluster.client import ClusterClient
 from repro.cluster.coordinator import CoordinatorNode, CoordinatorState
 from repro.cluster.migration import Migrator
 from repro.cluster.paxos import PaxosNode
-from repro.cluster.rebalancer import Rebalancer
 from repro.cluster.shard import ReplicaSet, ShardMap
 from repro.cluster.store_node import StoreNode
-from repro.cluster.transactions import TransactionCoordinator, enable_transactions
 
 __all__ = [
     "Cluster",
@@ -43,10 +41,7 @@ __all__ = [
     "CoordinatorState",
     "Migrator",
     "PaxosNode",
-    "Rebalancer",
     "ReplicaSet",
     "ShardMap",
     "StoreNode",
-    "TransactionCoordinator",
-    "enable_transactions",
 ]

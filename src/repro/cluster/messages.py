@@ -13,7 +13,7 @@ from typing import Any, Optional
 from repro.core.ids import ObjectId
 
 #: per-attempt reply deadline for control-plane RPCs (migration
-#: freeze/copy exchanges, coordinator command submission, 2PC votes)
+#: freeze/copy exchanges, coordinator command submission)
 CONTROL_RPC_DEADLINE_MS = 50.0
 
 

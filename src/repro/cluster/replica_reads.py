@@ -156,7 +156,7 @@ class ReplicaReads:
             # would skip the settlement barrier).
             node.reject(request, "not primary", "rejected_not_primary")
             return
-        yield from node.timed_read(request, self._serve(request, replica_set, root))
+        yield from node.timed_read(self._serve(request, replica_set, root))
 
     def _serve(self, request: ClientRequest, replica_set, root):
         node = self.node

@@ -85,17 +85,6 @@ class ObjectLockTable:
                 self._g_max_queue_length.set(len(queue))
         return event
 
-    def try_acquire(self, object_id: str) -> bool:
-        """Non-blocking acquire: True iff the lock was free and is now held.
-
-        Used by the distributed-transaction layer's no-wait policy.
-        """
-        if object_id in self._held:
-            return False
-        self._held.add(object_id)
-        self._c_acquisitions.inc()
-        return True
-
     def release(self, object_id: str) -> None:
         """Release the lock, handing it to the oldest waiter if any."""
         if object_id not in self._held:

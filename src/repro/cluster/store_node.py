@@ -173,8 +173,6 @@ class StoreNode:
         #: request_id -> completion event for requests still executing, so
         #: client retries of an in-flight request never re-execute it
         self._inflight: dict[str, Any] = {}
-        #: per-object invocation counts since the last rebalancer sweep
-        self.object_load: dict[str, int] = {}
         self.crashed = False
         self._wire_protocols(config)
 
@@ -473,9 +471,9 @@ class StoreNode:
         yield from self._pipeline_wait(shard_id, waiter, parent=parent)
 
     def commit_local(self, batch: WriteBatch):
-        """Apply ``batch`` outside the invocation path (a 2PC commit, a
-        migrated-away object's deletion), invalidate the cached results
-        it touches, and replicate it on the shard this node leads."""
+        """Apply ``batch`` outside the invocation path (a migrated-away
+        object's deletion), invalidate the cached results it touches, and
+        replicate it on the shard this node leads."""
         self.runtime.storage.apply(batch)
         if self.runtime.cache is not None:
             self.runtime.cache.invalidate_keys([key for _kind, key, _v in batch.items()])
@@ -618,10 +616,6 @@ class StoreNode:
             ),
         )
 
-    def _note_load(self, request: ClientRequest) -> None:
-        key = str(request.object_id)
-        self.object_load[key] = self.object_load.get(key, 0) + 1
-
     def run_on_core(self, request: ClientRequest, root=None):
         """Execute a read-only invocation on one core, holding the core
         for its modelled CPU time.  Returns the result, or None after
@@ -644,11 +638,10 @@ class StoreNode:
         self.reply(request, ClientReply(request.request_id, False, error=error_text))
         return None
 
-    def timed_read(self, request: ClientRequest, body):
+    def timed_read(self, body):
         """Run ``body``, one read path's generator, as a counted and
         timed read-only request."""
         self._c_readonly_requests.inc()
-        self._note_load(request)
         arrived = self.sim.now
         try:
             yield from body
@@ -670,9 +663,7 @@ class StoreNode:
         if replica_set.primary != self.name:
             yield from self.replica_reads.serve(request, replica_set, root)
             return
-        yield from self.timed_read(
-            request, self._read_at_primary(request, replica_set.shard_id, root)
-        )
+        yield from self.timed_read(self._read_at_primary(request, replica_set.shard_id, root))
 
     def _read_at_primary(self, request: ClientRequest, shard_id: int, root):
         result = yield from self.run_on_core(request, root)
@@ -703,7 +694,6 @@ class StoreNode:
         completion = self.sim.event()
         self._inflight[request.request_id] = completion
         self._c_mutating_requests.inc()
-        self._note_load(request)
         arrived = self.sim.now
         object_key = str(request.object_id)
         locked = False

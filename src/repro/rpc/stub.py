@@ -2,9 +2,9 @@
 
 An :class:`RpcStub` owns one network host and one mailbox pump.  Every
 reply-consuming endpoint in the system (cluster clients, the migration
-orchestrator, the transaction coordinator, the serverless client) drives
-its request/reply traffic through a stub instead of hand-rolling the
-pump/scan/await machinery each used to carry.
+orchestrator, the serverless client) drives its request/reply traffic
+through a stub instead of hand-rolling the pump/scan/await machinery each
+used to carry.
 
 The await loop is scheduling-identical to the historical hand-rolled
 pattern — scan the mailbox, optionally discard unmatched payloads, then
@@ -69,7 +69,7 @@ class RpcStub:
         Drop mailbox payloads no predicate matched on each scan.  Correct
         for strictly-sequential callers (every unmatched payload is a
         stale reply to an abandoned attempt); must stay off when several
-        exchanges interleave on one stub (migration, 2PC).
+        exchanges interleave on one stub (migration).
     registry / labels:
         Metrics destination; instruments are labelled ``{**labels,
         method, peer}``.  ``None`` disables metrics entirely.

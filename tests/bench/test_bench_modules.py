@@ -94,6 +94,16 @@ def test_build_platform_variants():
         build_platform("nope", sim, MICRO)
 
 
+def test_disaggregated_overrides_replace_the_calibrated_fields():
+    platform = build_platform(
+        DISAGGREGATED, Simulation(seed=0), MICRO, num_compute_nodes=3, cores_per_compute_node=2
+    )
+    assert platform.config.num_compute_nodes == 3
+    assert platform.config.cores_per_compute_node == 2
+    assert platform.config.num_storage_nodes == MICRO.num_storage_nodes
+    assert platform.config.cores_per_storage_node == MICRO.cores_per_node
+
+
 def test_load_dataset_scales_with_calibration():
     sim = Simulation(seed=0)
     platform = build_platform(AGGREGATED, sim, MICRO)

@@ -11,7 +11,7 @@ from repro.apps.bank import account_type
 from repro.apps.retwis import user_type
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.messages import ReplicateWritesRange
-from repro.cluster.transactions import TransactionCoordinator, enable_transactions
+from repro.cluster.migration import Migrator
 from repro.core.ids import ObjectId
 from repro.kvstore import batch as batch_module
 from repro.kvstore.batch import decode_round
@@ -81,34 +81,26 @@ def test_frame_size_is_the_header_plus_the_round_payloads():
         assert frame.size() == message.size_bytes == expected
 
 
-def test_a_two_phase_commit_reaches_backups_through_the_round_memo(monkeypatch):
+def test_a_migration_drop_reaches_backups_through_the_round_memo(monkeypatch):
     sim = Simulation(seed=71)
-    cluster = Cluster(sim, ClusterConfig(seed=71))
+    cluster = Cluster(sim, ClusterConfig(seed=71, num_storage_nodes=4, num_shards=2))
     cluster.register_type(account_type())
-    enable_transactions(cluster)
     cluster.start()
     a = cluster.create_object("Account", initial={"balance": 100})
-    b = cluster.create_object("Account", initial={"balance": 0})
+    cluster.run_invoke(cluster.client("payer"), a, "withdraw", 40)
+    source = cluster.bootstrap_shard_map.shard_for(a)
+    assert cluster.nodes[source.primary].dump_object_state(a)
     parsed = []
     original = batch_module._parse_round
     monkeypatch.setattr(
         batch_module, "_parse_round", lambda data: parsed.append(data) or original(data)
     )
-    coordinator = TransactionCoordinator(cluster)
 
-    def body():
-        txn = coordinator.begin()
-        yield from txn.invoke(a, "withdraw", 40)
-        yield from txn.invoke(b, "deposit", 40)
-        yield from txn.commit()
-        return txn.state
-
-    assert sim.run_until_triggered(sim.process(body()), limit=600_000) == "committed"
+    move = sim.process(Migrator(cluster).migrate(a, (source.shard_id + 1) % 2))
+    sim.run_until_triggered(move, limit=sim.now + 10_000)
     assert cluster.quiesce()
-    # Every backup applied the decided batch the primary encoded: no parse.
+    # The source primary deleted the object through commit_local, and
+    # every backup applied the batch the primary encoded: no parse.
     assert parsed == []
-    replica_set = cluster.bootstrap_shard_map.shard_for(a)
-    for name in (replica_set.primary, *replica_set.backups):
-        assert cluster.nodes[name].dump_object_state(a) == cluster.nodes[
-            replica_set.primary
-        ].dump_object_state(a)
+    for name in (source.primary, *source.backups):
+        assert cluster.nodes[name].dump_object_state(a) == []
