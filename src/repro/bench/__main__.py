@@ -3,12 +3,29 @@
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import Any
 
 from repro.bench.calibration import preset
 from repro.bench.experiments import ALL_EXPERIMENTS, run_experiment, run_matrix
+
+
+def write_json(path: str, payload: dict[str, Any]) -> None:
+    """Write the ``--metrics-out`` payload, indented, to ``path``."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, default=_jsonable)
+        handle.write("\n")
+
+
+def _jsonable(value: Any) -> Any:
+    """Fallback serializer: snapshot-able objects, then strings."""
+    snapshot = getattr(value, "snapshot", None)
+    if callable(snapshot):
+        return snapshot()
+    return str(value)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -42,10 +59,10 @@ def main(argv: list[str] | None = None) -> int:
         "--metrics-out",
         metavar="PATH",
         default=None,
-        help="also run one instrumented workload per architecture (metrics "
-        "sampler + span tracer on) and write the full registry snapshots, "
-        "the slowest-trace span trees, and this invocation's experiment "
-        "rows to PATH as JSON",
+        help="also run one instrumented workload per architecture (span "
+        "tracer on) and write the registry totals, network counters, span "
+        "summary, the slowest-trace span tree, and this invocation's "
+        "experiment rows to PATH as JSON",
     )
     args = parser.parse_args(argv)
     cal = preset(args.preset)
@@ -88,7 +105,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.metrics_out:
         from repro.bench.observability import metrics_out_payload
-        from repro.obs.export import write_json
 
         started = time.time()
         payload = metrics_out_payload(cal, experiment_results=results)

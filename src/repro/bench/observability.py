@@ -1,10 +1,10 @@
 """Instrumented paired runs behind the bench CLI's ``--metrics-out``.
 
 Every experiment answers "how fast"; this module answers "what happened
-inside".  It reruns one workload on **both** architectures with the
-metrics sampler and the span tracer switched on, then bundles the full
-registry snapshots (per-node, scheduler, cache, kvstore, replication
-series), a span-count summary, and the rendered tree of the slowest
+inside".  It reruns one workload on **both** architectures with the span
+tracer switched on, then bundles each platform's registry totals
+(per-node, scheduler, cache, kvstore, replication), its network
+counters, a span-count summary, and the rendered tree of the slowest
 trace per variant into one JSON-able payload.  Because both platforms
 publish the same metric families (``node_*``, ``scheduler_*``,
 ``kvstore_*``...), the two halves of the payload are directly
@@ -19,32 +19,17 @@ from repro.bench.calibration import Calibration, CalibrationLike, resolve
 from repro.bench.harness import AGGREGATED, VARIANTS, run_retwis
 from repro.workload.retwis_load import RetwisWorkload
 
-#: sampling cadence used for ``--metrics-out`` runs (simulated ms)
-DEFAULT_SAMPLE_INTERVAL_MS = 50.0
 
-
-def instrumented_run(
-    variant: str,
-    workload_name: str,
-    cal: Calibration,
-    sample_interval_ms: float = DEFAULT_SAMPLE_INTERVAL_MS,
-) -> dict[str, Any]:
+def instrumented_run(variant: str, workload_name: str, cal: Calibration) -> dict[str, Any]:
     """One fully-instrumented measurement on one architecture.
 
-    A :func:`~repro.bench.harness.run_retwis` run with the series
-    sampler enabled and every request traced from before the load starts.
+    A :func:`~repro.bench.harness.run_retwis` run with every request
+    traced from before the load starts.
     """
     # Surface the cache_* family too; the baseline has no consistent
     # cache (by design), so only the LambdaStore half reports it.
     overrides = dict(enable_cache=True) if variant == AGGREGATED else {}
-    run = run_retwis(
-        variant,
-        workload_name,
-        cal,
-        trace_sample_rate=1.0,
-        metrics_sample_interval_ms=sample_interval_ms,
-        **overrides,
-    )
+    run = run_retwis(variant, workload_name, cal, trace_sample_rate=1.0, **overrides)
     platform = run.platform
     tracer = platform.tracer
     slowest = tracer.slowest_trace()
@@ -73,20 +58,16 @@ def instrumented_run(
 
 
 def collect_observability(
-    cal: CalibrationLike = None,
-    workload_name: str = RetwisWorkload.POST,
-    sample_interval_ms: float = DEFAULT_SAMPLE_INTERVAL_MS,
+    cal: CalibrationLike = None, workload_name: str = RetwisWorkload.POST
 ) -> dict[str, Any]:
     """The ``--metrics-out`` payload: one instrumented run per variant."""
     cal = resolve(cal)
     return {
         "kind": "observability",
         "workload": workload_name,
-        "sample_interval_ms": sample_interval_ms,
         "seed": cal.seed,
         "variants": {
-            variant: instrumented_run(variant, workload_name, cal, sample_interval_ms)
-            for variant in VARIANTS
+            variant: instrumented_run(variant, workload_name, cal) for variant in VARIANTS
         },
     }
 

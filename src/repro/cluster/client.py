@@ -212,7 +212,7 @@ class ClusterClient:
             self._counter += 1
             query_id = f"{self.name}#{self._counter}"
             query = ConfigQuery(query_id)
-            reply = yield from self.stub.request(
+            reply = yield from self.stub.call(
                 coordinator,
                 query,
                 lambda p: isinstance(p, ConfigReply) and p.query_id == query_id,

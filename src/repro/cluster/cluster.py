@@ -94,9 +94,6 @@ class ClusterConfig:
     tenant_rate_limit: float = 0.0
     #: per-node cap on admitted requests in flight (0 = unlimited)
     max_inflight_requests: int = 0
-    #: when > 0, a background process samples every registry instrument's
-    #: time series at this simulated-ms interval (0 disables the sampler)
-    metrics_sample_interval_ms: float = 0.0
     #: test-only: names of deliberately reintroduced historical bugs, for
     #: the model checker's seeded-bug self-tests (see repro.mc).  Known
     #: names: "drain-invalidation" (PR 1's out-of-order replica
@@ -130,7 +127,7 @@ class Cluster:
         self.costs = OpCosts()
         #: unified observability: one registry (and optionally one tracer)
         #: for the whole deployment; nodes register labelled instruments
-        self.metrics = MetricsRegistry(clock=lambda: sim.now)
+        self.metrics = MetricsRegistry()
         self.tracer: Optional[SpanTracer] = None
         #: model-checker crash-point hook: ``probe(node_name, site)`` is
         #: called at named protocol sites (e.g. "pre-replicate") on live
@@ -238,13 +235,6 @@ class Cluster:
         if self._started:
             return
         self._started = True
-        if self.config.metrics_sample_interval_ms > 0:
-            self.sim.process(
-                self.metrics.sampler_process(
-                    self.sim, self.config.metrics_sample_interval_ms
-                ),
-                name="cluster.metrics-sampler",
-            )
         for coordinator in self.coordinators.values():
             coordinator.start()
         for node in self.nodes.values():

@@ -122,7 +122,7 @@ class Migrator:
         self._counter += 1
         freeze_id = f"{self.name}#{self._counter}"
         freeze = FreezeObject(object_id, freeze_id, self.name)
-        reply = yield from self.stub.request(
+        reply = yield from self.stub.call(
             source.primary,
             freeze,
             lambda p: isinstance(p, FreezeReply) and p.freeze_id == freeze_id,
@@ -136,7 +136,7 @@ class Migrator:
         try:
             # 2. install at the destination primary
             move = MigrateObject(object_id, entries, epoch, sender=self.name)
-            ack = yield from self.stub.request(
+            ack = yield from self.stub.call(
                 destination.primary,
                 move,
                 lambda p: isinstance(p, MigrateAck) and p.object_id == object_id,

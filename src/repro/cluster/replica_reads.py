@@ -117,6 +117,7 @@ class ReplicaReads:
         #: shard -> last LeaseQuery send time (rate limiting)
         self._last_query: dict[int, float] = {}
         self._c_served = node.stats.cell("replica_reads_served")
+        self._c_readonly = node.stats.cell("readonly_requests")
         node.endpoint.on(LeaseQuery, self._on_lease_query)
         node.endpoint.on(LeaseGrant, self._on_lease_grant)
         if enabled and node.runtime.cache is not None:
@@ -156,7 +157,8 @@ class ReplicaReads:
             # would skip the settlement barrier).
             node.reject(request, "not primary", "rejected_not_primary")
             return
-        yield from node.timed_read(self._serve(request, replica_set, root))
+        self._c_readonly.inc()
+        yield from self._serve(request, replica_set, root)
 
     def _serve(self, request: ClientRequest, replica_set, root):
         node = self.node

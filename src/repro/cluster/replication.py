@@ -63,10 +63,6 @@ class PrimaryReplicationLog:
         # per-round counters: preresolved cells, one slot add each
         self._c_shipped = self.stats.cell("shipped")
         self._c_acked = self.stats.cell("acked")
-        if registry is not None:
-            registry.gauge(
-                "replication_inflight_rounds", labels, fn=lambda: len(self.history)
-            )
 
     def next_sequence(self, payload: bytes) -> int:
         """Assign the next shard sequence number to a committed round."""
@@ -136,10 +132,6 @@ class BackupApplier:
         self.stats = ReplicationStats(registry, labels)
         self._c_applied = self.stats.cell("applied")
         self._c_buffered = self.stats.cell("buffered_out_of_order")
-        if registry is not None:
-            registry.gauge(
-                "replication_pending_buffer", labels, fn=lambda: len(self._pending)
-            )
 
     def receive(self, sequence: int, payload: bytes) -> list[tuple[int, bytes]]:
         """Accept a replicated round; returns ``(sequence, payload)`` pairs
@@ -377,27 +369,14 @@ class ReplicationPipeline:
         #: jitter stream, created lazily on the first retransmission so
         #: faultless runs never touch it
         self._retry_rng = None
-        self._flush_hist = None
         self._flush_counters = None
         if registry is not None:
-            self._flush_hist = registry.histogram(
-                "replication_flush_rounds",
-                labels,
-                help="rounds coalesced per group-commit frame",
-                buckets=(1, 2, 4, 8, 16, 32, 64),
-            )
             self._flush_counters = {
                 reason: registry.counter(
                     "replication_flush_total", {**(labels or {}), "reason": reason}
                 )
                 for reason in FLUSH_REASONS
             }
-            registry.gauge(
-                "replication_pipeline_depth", labels, fn=lambda: self.in_flight
-            )
-            registry.gauge(
-                "replication_parked_replies", labels, fn=lambda: len(self._waiters)
-            )
 
     # -- state ----------------------------------------------------------------
 
@@ -519,8 +498,7 @@ class ReplicationPipeline:
         self._timer_generation += 1
         self._timer_armed = False
         self.highest_flushed = first + len(rounds) - 1
-        if self._flush_hist is not None:
-            self._flush_hist.observe(len(rounds))
+        if self._flush_counters is not None:
             self._flush_counters[reason].inc()
         targets = list(self._backups_fn())
         if targets:

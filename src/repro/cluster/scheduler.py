@@ -48,23 +48,6 @@ class ObjectLockTable:
         self._c_acquisitions = self.stats.cell("acquisitions")
         self._c_contentions = self.stats.cell("contentions")
         self._g_max_queue_length = self.stats.handle("max_queue_length")
-        self._queue_hist = None
-        if registry is not None:
-            registry.gauge("scheduler_locks_held", labels, fn=lambda: len(self._held))
-            registry.gauge(
-                "scheduler_waiters",
-                labels,
-                fn=lambda: sum(len(q) for q in self._waiting.values()),
-            )
-            # Queue length observed at every acquire: contention readable
-            # over time, unlike the lifetime high-water-mark gauge (which
-            # stays for backward compatibility).
-            self._queue_hist = registry.histogram(
-                "scheduler_lock_queue_length",
-                labels,
-                help="waiters already queued when a lock was requested",
-                buckets=(0, 1, 2, 4, 8, 16, 32, 64),
-            )
 
     def acquire(self, object_id: str) -> Event:
         """Event that succeeds when this caller holds the object's lock."""
@@ -72,15 +55,11 @@ class ObjectLockTable:
         self._c_acquisitions.inc()
         if object_id not in self._held:
             self._held.add(object_id)
-            if self._queue_hist is not None:
-                self._queue_hist.observe(0)
             event.succeed()
         else:
             queue = self._waiting.setdefault(object_id, deque())
             queue.append(event)
             self._c_contentions.inc()
-            if self._queue_hist is not None:
-                self._queue_hist.observe(len(queue))
             if len(queue) > self._g_max_queue_length.value:
                 self._g_max_queue_length.set(len(queue))
         return event

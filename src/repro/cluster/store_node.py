@@ -177,17 +177,7 @@ class StoreNode:
         self._wire_protocols(config)
 
     def _init_metrics(self, registry, labels: dict) -> None:
-        """The request-time histograms and the node's counters."""
-        self._request_hist = None
-        if registry is not None:
-            self._request_hist = {
-                kind: registry.histogram(
-                    "node_request_ms",
-                    {**labels, "kind": kind},
-                    help="client-request service time at this node",
-                )
-                for kind in ("readonly", "mutating")
-            }
+        """The node's counters."""
         self.stats = NodeStats(registry, labels)
         # Preresolved counter handles for the per-request hot path (see
         # StatsView.handle): one attribute bump instead of dict lookups.
@@ -638,17 +628,6 @@ class StoreNode:
         self.reply(request, ClientReply(request.request_id, False, error=error_text))
         return None
 
-    def timed_read(self, body):
-        """Run ``body``, one read path's generator, as a counted and
-        timed read-only request."""
-        self._c_readonly_requests.inc()
-        arrived = self.sim.now
-        try:
-            yield from body
-        finally:
-            if self._request_hist is not None:
-                self._request_hist["readonly"].observe(self.sim.now - arrived)
-
     def _execute_readonly(self, request: ClientRequest, root=None):
         """Read path.
 
@@ -663,7 +642,8 @@ class StoreNode:
         if replica_set.primary != self.name:
             yield from self.replica_reads.serve(request, replica_set, root)
             return
-        yield from self.timed_read(self._read_at_primary(request, replica_set.shard_id, root))
+        self._c_readonly_requests.inc()
+        yield from self._read_at_primary(request, replica_set.shard_id, root)
 
     def _read_at_primary(self, request: ClientRequest, shard_id: int, root):
         result = yield from self.run_on_core(request, root)
@@ -694,7 +674,6 @@ class StoreNode:
         completion = self.sim.event()
         self._inflight[request.request_id] = completion
         self._c_mutating_requests.inc()
-        arrived = self.sim.now
         object_key = str(request.object_id)
         locked = False
         try:
@@ -780,8 +759,6 @@ class StoreNode:
         finally:
             if locked:
                 self.locks.release(object_key)
-            if self._request_hist is not None:
-                self._request_hist["mutating"].observe(self.sim.now - arrived)
             self._inflight.pop(request.request_id, None)
             if not completion.triggered:
                 completion.succeed()

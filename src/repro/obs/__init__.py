@@ -2,12 +2,11 @@
 
 See DESIGN.md §"Observability" — one :class:`MetricsRegistry` per
 platform (LambdaStore cluster or serverless baseline) holds every
-counter/gauge/histogram as labelled series; one :class:`SpanTracer`
+counter/gauge/histogram as a labelled instrument; one :class:`SpanTracer`
 reconstructs per-request invocation trees across nodes, correlated by
 ``request_id``.
 """
 
-from repro.obs.export import to_json, to_prometheus, write_json
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -27,7 +26,4 @@ __all__ = [
     "Span",
     "SpanTracer",
     "StatsView",
-    "to_json",
-    "to_prometheus",
-    "write_json",
 ]

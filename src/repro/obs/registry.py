@@ -1,25 +1,24 @@
-"""The label-aware metrics registry (tentpole of the observability layer).
+"""The label-aware metrics registry.
 
 The paper's core argument (§4.2) is that co-locating execution with
 storage lets one node observe the *entire* invocation lifecycle.  This
 module is the substrate that makes that observation reportable: one
 registry per platform holds every counter, gauge, and histogram, keyed by
 ``(name, labels)`` — so ``node_requests{node="store-0"}`` and
-``node_requests{node="store-1"}`` are distinct series of the same family.
+``node_requests{node="store-1"}`` are distinct instruments of one family.
 
 Three instrument kinds:
 
 - :class:`Counter` — monotonically-ish increasing value (the existing
   ``*Stats`` dataclasses map their ``int`` fields here);
 - :class:`Gauge` — a settable level, optionally *callback-backed* (the
-  value is pulled from a function at sample/snapshot time, which keeps
-  ultra-hot code paths free of registry writes);
+  value is pulled from a function when read, which keeps ultra-hot code
+  paths free of registry writes);
 - :class:`Histogram` — bucketed distribution with count/sum.
 
-Time series: :meth:`MetricsRegistry.sample` appends ``(now, value)`` to
-every instrument's bounded series using the registry's clock (the sim
-clock when attached to a platform).  Platforms run a sampler process when
-``metrics_sample_interval_ms > 0``.
+An instrument holds its current value only; readers (the cost goldens,
+the benchmark ledger, the bench CLI's ``--metrics-out``) take totals
+when they need them.
 
 The existing ``*Stats`` dataclasses migrate onto the registry via
 :class:`StatsView`: attribute reads/writes proxy registry instruments, so
@@ -39,9 +38,6 @@ DEFAULT_BUCKETS = (
     100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
 )
 
-#: series points kept per instrument before the oldest half is dropped
-MAX_SERIES_POINTS = 10_000
-
 LabelSet = tuple[tuple[str, str], ...]
 
 
@@ -52,9 +48,9 @@ def _freeze_labels(labels: Optional[dict[str, str]]) -> LabelSet:
 
 
 class Instrument:
-    """Shared plumbing: identity, labels, and the bounded time series."""
+    """Shared plumbing: identity and labels."""
 
-    __slots__ = ("name", "labels", "help", "series", "dropped_points")
+    __slots__ = ("name", "labels", "help")
 
     kind = "instrument"
 
@@ -62,26 +58,10 @@ class Instrument:
         self.name = name
         self.labels = labels
         self.help = help
-        #: sampled ``(at_ms, value)`` points (bounded ring)
-        self.series: list[tuple[float, float]] = []
-        self.dropped_points = 0
 
     @property
     def label_dict(self) -> dict[str, str]:
         return dict(self.labels)
-
-    def _record_point(self, now: float, value: float) -> None:
-        if self.series and self.series[-1][0] == now:
-            self.series[-1] = (now, value)
-            return
-        if len(self.series) >= MAX_SERIES_POINTS:
-            keep = MAX_SERIES_POINTS // 2
-            self.dropped_points += len(self.series) - keep
-            self.series = self.series[-keep:]
-        self.series.append((now, value))
-
-    def sample(self, now: float) -> None:
-        self._record_point(now, self.value)
 
     @property
     def value(self) -> float:  # pragma: no cover - overridden
@@ -93,18 +73,15 @@ class Instrument:
             "kind": self.kind,
             "labels": self.label_dict,
             "value": self.value,
-            "series": [list(point) for point in self.series],
         }
 
 
 class CounterCell:
     """A handle-local pre-aggregation cell of one :class:`Counter`.
 
-    Ultra-hot paths increment the cell (one attribute add on a two-slot
+    Ultra-hot paths increment the cell (one attribute add on a one-slot
     object) instead of calling into the registry instrument; the parent
-    counter folds every cell lazily whenever its value is read — which
-    includes each sim-clock sampling tick, so exported series see cell
-    increments at the metrics flush cadence.
+    counter folds every cell lazily whenever its value is read.
     """
 
     __slots__ = ("n",)
@@ -187,12 +164,6 @@ class Gauge(Instrument):
             raise ValueError(f"gauge {self.name} is callback-backed; cannot set")
         self._value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.set(self.value + amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.set(self.value - amount)
-
 
 class Histogram(Instrument):
     """Cumulative-bucket histogram (Prometheus semantics: each bucket
@@ -224,7 +195,7 @@ class Histogram(Instrument):
 
     @property
     def value(self) -> float:
-        """The running mean (what the time series tracks)."""
+        """The running mean."""
         return self.sum / self.count if self.count else 0.0
 
     def quantile(self, fraction: float) -> float:
@@ -239,9 +210,6 @@ class Histogram(Instrument):
                 return bound
         return float("inf")
 
-    def sample(self, now: float) -> None:
-        self._record_point(now, self.count)
-
     def snapshot(self) -> dict[str, Any]:
         base = super().snapshot()
         base["count"] = self.count
@@ -254,17 +222,10 @@ class Histogram(Instrument):
 
 
 class MetricsRegistry:
-    """Get-or-create instrument namespace + series sampler + exporter root.
+    """Get-or-create instrument namespace and snapshot root."""
 
-    ``clock`` supplies timestamps for :meth:`sample` (platforms pass the
-    sim clock, so series are in simulated milliseconds).
-    """
-
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self._clock = clock or (lambda: 0.0)
+    def __init__(self) -> None:
         self._instruments: dict[tuple[str, LabelSet], Instrument] = {}
-        #: flat instrument list the sampler walks (rebuilt on registration)
-        self._sample_list: Optional[list[Instrument]] = None
 
     # -- get-or-create ----------------------------------------------------
 
@@ -281,7 +242,6 @@ class MetricsRegistry:
             return existing
         instrument = cls(name, key[1], help=help, **kwargs)
         self._instruments[key] = instrument
-        self._sample_list = None
         return instrument
 
     def counter(
@@ -315,9 +275,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._instruments)
 
-    def instruments(self) -> list[Instrument]:
-        return list(self._instruments.values())
-
     def get(
         self, name: str, labels: Optional[dict[str, str]] = None
     ) -> Optional[Instrument]:
@@ -332,33 +289,10 @@ class MetricsRegistry:
             family.sort(key=lambda m: m.labels)
         return grouped
 
-    # -- time series -------------------------------------------------------
-
-    def sample(self, now: Optional[float] = None) -> None:
-        """Append one ``(now, value)`` point to every instrument's series.
-
-        One batched pass over a flat, cached instrument list: gauges are
-        snapshotted and counter cells folded in a single sweep per tick
-        instead of per-event registry traffic.
-        """
-        at = self._clock() if now is None else now
-        instruments = self._sample_list
-        if instruments is None:
-            instruments = self._sample_list = list(self._instruments.values())
-        for instrument in instruments:
-            instrument.sample(at)
-
-    def sampler_process(self, sim, interval_ms: float):
-        """A simulation process sampling every ``interval_ms`` forever."""
-        while True:
-            yield sim.timeout(interval_ms)
-            self.sample(sim.now)
-
     # -- snapshots ---------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """Machine-readable snapshot (see :mod:`repro.obs.export`)."""
-        self.sample()
+        """Every instrument's current value, sorted by name and labels."""
         return {
             "metrics": [
                 instrument.snapshot()
@@ -374,7 +308,7 @@ class StatsView:
     (settable levels) as ``{field: default}`` plus a ``PREFIX``; instances
     then behave like the old ad-hoc dataclasses (``stats.requests += 1``,
     ``stats.busy_ms`` reads) while each field is a registry instrument —
-    one source of truth for hot-path accounting and exported series.
+    one source of truth for hot-path accounting and exported values.
 
     Constructed bare (``NodeStats()``) a view owns a private registry, so
     standalone components keep working; platforms pass their shared
@@ -437,7 +371,7 @@ class StatsView:
         Hot paths preresolve handles once (``self._c_requests =
         stats.handle("requests")``) so each increment is a single
         ``Counter.inc`` instead of two dict lookups through the
-        attribute protocol.  Sampling/export see the same instrument.
+        attribute protocol.  Snapshots read the same instrument.
         """
         try:
             return self._metrics[name]
@@ -451,8 +385,8 @@ class StatsView:
 
         The step past :meth:`handle` for the hottest counters: increments
         land in a handle-local cell and fold into the registry instrument
-        when it is next read or sampled, so per-event cost is one slot
-        add.  Only counters have cells; gauges keep their handles.
+        when it is next read, so per-event cost is one slot add.  Only
+        counters have cells; gauges keep their handles.
         """
         metric = self.handle(name)
         if not isinstance(metric, Counter):

@@ -10,17 +10,11 @@ both record per-RPC metrics and spans automatically.  See DESIGN.md §5f.
 
 from repro.rpc.dedupe import CompletedRequestTable, split_request_id
 from repro.rpc.endpoint import RpcEndpoint
-from repro.rpc.policy import (
-    ExponentialBackoff,
-    LinearJitterBackoff,
-    RetryAfter,
-    RetryPolicy,
-)
+from repro.rpc.policy import LinearJitterBackoff, RetryAfter, RetryPolicy
 from repro.rpc.stub import RpcStub
 
 __all__ = [
     "CompletedRequestTable",
-    "ExponentialBackoff",
     "LinearJitterBackoff",
     "RetryAfter",
     "RetryPolicy",

@@ -60,35 +60,6 @@ class RetryPolicy:
         return 0.0
 
 
-class ExponentialBackoff(RetryPolicy):
-    """``base * factor**attempt`` capped, plus proportional jitter.
-
-    The schedule matches the replication watchdog's shape (PR 4): capped
-    exponential growth so a wedged peer is not hammered at a fixed
-    cadence, jitter so synchronized retriers spread out.
-    """
-
-    def __init__(
-        self,
-        max_attempts: int,
-        base_ms: float = 1.0,
-        factor: float = 2.0,
-        cap_ms: float = 50.0,
-        jitter: float = 0.25,
-    ) -> None:
-        super().__init__(max_attempts)
-        self.base_ms = base_ms
-        self.factor = factor
-        self.cap_ms = cap_ms
-        self.jitter = jitter
-
-    def delay_ms(self, attempt: int, rng: Optional[Any]) -> float:
-        delay = min(self.base_ms * (self.factor**attempt), self.cap_ms)
-        if self.jitter and rng is not None:
-            delay += rng.uniform(0, delay * self.jitter)
-        return delay
-
-
 class LinearJitterBackoff(RetryPolicy):
     """``uniform(low, high) * (1 + attempt)`` — the cluster client's
     historical schedule, preserved draw-for-draw so fixed-seed runs stay

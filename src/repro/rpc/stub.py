@@ -17,8 +17,8 @@ until the following poll (and concurrent awaiters silently overwrote
 each other's signal).  On the signal path the two shapes schedule the
 exact same events, so fault-free fixed-seed runs are byte-identical.
 
-Every :meth:`call` automatically records per-RPC metrics (calls,
-retries, timeouts, latency histogram — labelled by method and peer) and
+Every :meth:`call` automatically records per-RPC counters (calls,
+retries, timeouts — labelled by method and peer) and
 opens a ``SpanTracer`` span when tracing is enabled.  Neither touches
 the event queue, so observability is determinism-free overhead only.
 """
@@ -35,7 +35,7 @@ _SINGLE_ATTEMPT = RetryPolicy(1)
 class _MethodHandles:
     """Preresolved instruments for one ``(method, peer)`` pair."""
 
-    __slots__ = ("calls", "retries", "timeouts", "latency", "sent", "retry_after")
+    __slots__ = ("calls", "retries", "timeouts", "sent", "retry_after")
 
     def __init__(self, registry, labels: dict) -> None:
         self.calls = registry.counter(
@@ -46,9 +46,6 @@ class _MethodHandles:
         )
         self.timeouts = registry.counter(
             "rpc_timeouts", labels, help="attempts that hit their deadline"
-        )
-        self.latency = registry.histogram(
-            "rpc_call_ms", labels, help="end-to-end call latency incl. retries"
         )
         self.sent = registry.counter(
             "rpc_messages_out", labels, help="messages sent through this stub"
@@ -196,16 +193,6 @@ class RpcStub:
             size_bytes=payload.size() if size_bytes is None else size_bytes,
         )
 
-    def request(
-        self,
-        target: Any,
-        payload: Any,
-        predicate: Callable[[Any], bool],
-        **kwargs: Any,
-    ):
-        """Single-attempt call: send, await the matching reply (or None)."""
-        return self.call(target, payload, predicate, **kwargs)
-
     def call(
         self,
         target: Any,
@@ -260,8 +247,6 @@ class RpcStub:
                 ) or _match(p)
 
         span = None
-        handles = None
-        started = self.sim.now
         reply = None
         immediate_retries = 0
         #: the id an anomalous call escalates to always-traced (retries
@@ -332,8 +317,6 @@ class RpcStub:
                     yield self.sim.timeout(delay)
             return reply
         finally:
-            if handles is not None:
-                handles.latency.observe(self.sim.now - started)
             if span is not None:
                 tracer.end(
                     span, status="ok" if reply is not None else "timeout"

@@ -69,7 +69,7 @@ class SimpleClient:
             tenant=self.tenant,
         )
         if self._max_attempts <= 1:
-            reply = yield from self.stub.request(
+            reply = yield from self.stub.call(
                 self.platform.entry_point(),
                 request,
                 lambda p: isinstance(p, ClientReply) and p.request_id == request_id,

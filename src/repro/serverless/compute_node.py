@@ -77,7 +77,6 @@ class ComputeNode:
         cores: int = 20,
         ms_per_fuel: float = 0.005,
         container_pool: ContainerPool | None = None,
-        read_from_any_replica: bool = True,
         dispatch_overhead_fuel: float = 300.0,
     ) -> None:
         self.sim = sim
@@ -93,7 +92,6 @@ class ComputeNode:
         self.pool = container_pool or ContainerPool(sim)
         self.storage_nodes = storage_nodes
         self.ms_per_fuel = ms_per_fuel
-        self._read_any = read_from_any_replica
         self._dispatch_overhead = dispatch_overhead_fuel
         self._rng = sim.rng(f"{name}.routing")
         self.storage = RecordingStorage(
@@ -117,13 +115,6 @@ class ComputeNode:
         self._c_failed = self.stats.cell("failed")
         self._c_storage_round_trips = self.stats.cell("storage_round_trips")
         self._c_busy_ms = self.stats.cell("busy_ms")
-        self._request_hist = None
-        if registry is not None:
-            self._request_hist = registry.histogram(
-                "node_request_ms",
-                {**labels, "kind": "request"},
-                help="client-request service time at this node",
-            )
 
     @property
     def tracer(self):
@@ -152,7 +143,6 @@ class ComputeNode:
 
     def _handle_inner(self, request: ClientRequest, root=None):
         tracer = self.tracer
-        arrived = self.sim.now
         self._c_requests.inc()
         if tracer is not None and root is not None:
             acquire_span = tracer.start("container.acquire", parent=root)
@@ -207,8 +197,6 @@ class ComputeNode:
             self.endpoint.send(request.client, reply)
         finally:
             self.pool.release()
-            if self._request_hist is not None:
-                self._request_hist.observe(self.sim.now - arrived)
 
     def _traced_round_trip(self, tracer, op: StorageOp, parent):
         span = tracer.start(
@@ -221,7 +209,7 @@ class ComputeNode:
 
     def _storage_round_trip(self, op: StorageOp):
         self._c_storage_round_trips.inc()
-        if op.replica_ok and self._read_any:
+        if op.replica_ok:
             target = self._rng.choice(self.storage_nodes)
         else:
             target = self.storage_nodes[0]  # the primary

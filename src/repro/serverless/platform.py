@@ -20,6 +20,10 @@ from repro.sim.core import Simulation
 from repro.sim.network import NET_CAP_MS, NET_SIGMA, LogNormalLatency, Network
 from repro.wasm.host_api import OpCosts
 
+#: containers per compute node, all prewarmed unless ``prewarm`` is off;
+#: the cold/warm-start and keep-alive timings are ``ContainerPool``'s
+CONTAINER_POOL_SIZE = 120
+
 
 @dataclass
 class ServerlessConfig:
@@ -36,14 +40,9 @@ class ServerlessConfig:
     num_storage_nodes: int = 3
     cores_per_compute_node: int = 20
     cores_per_storage_node: int = 20
-    container_pool_size: int = 120
-    cold_start_ms: float = 120.0
-    warm_start_ms: float = 0.3
-    keepalive_ms: float = 60_000.0
     prewarm: bool = True
     ms_per_fuel: float = 0.005
     net_median_ms: float = 0.08
-    read_from_any_replica: bool = True
     #: front the compute nodes with the load balancer + durable request
     #: log of §4.1 (the paper's measurements bypass it)
     use_gateway: bool = False
@@ -53,17 +52,6 @@ class ServerlessConfig:
     #: avoids; the aggregated variant's equivalent is the (much smaller)
     #: wasm call_base cost.
     dispatch_overhead_fuel: float = 300.0
-    #: transport egress coalescing (DESIGN.md §5j): frames to the same
-    #: destination within the coalesce window share one wire message.
-    #: The baseline has no replication acks to piggyback, so here the
-    #: knob only packs same-window frames; off preserves the historical
-    #: one-message-per-send behavior byte-for-byte.
-    transport_coalescing: bool = False
-    #: how long an egress frame may wait for companions (simulated ms)
-    coalesce_window_ms: float = 0.0
-    #: when > 0, a background process samples every registry instrument's
-    #: time series at this simulated-ms interval (0 disables the sampler)
-    metrics_sample_interval_ms: float = 0.0
     seed: int = 0
 
 
@@ -79,13 +67,11 @@ class ServerlessPlatform:
                 self.config.net_median_ms, sigma=NET_SIGMA, cap_ms=NET_CAP_MS
             ),
         )
-        if self.config.transport_coalescing:
-            self.net.enable_coalescing(self.config.coalesce_window_ms)
         self.costs = OpCosts()
         self._id_rng = sim.rng("serverless.ids")
         #: same observability surface as the LambdaStore cluster, so the
-        #: two systems' series are directly comparable
-        self.metrics = MetricsRegistry(clock=lambda: sim.now)
+        #: two systems' metric families are directly comparable
+        self.metrics = MetricsRegistry()
         self.tracer: Optional[SpanTracer] = None
 
         self.storage_nodes = [
@@ -104,15 +90,12 @@ class ServerlessPlatform:
         for i in range(self.config.num_compute_nodes):
             pool = ContainerPool(
                 sim,
-                capacity=self.config.container_pool_size,
-                cold_start_ms=self.config.cold_start_ms,
-                warm_start_ms=self.config.warm_start_ms,
-                keepalive_ms=self.config.keepalive_ms,
+                capacity=CONTAINER_POOL_SIZE,
                 registry=self.metrics,
                 labels={"node": f"compute-{i}"},
             )
             if self.config.prewarm:
-                pool.prewarm(self.config.container_pool_size)
+                pool.prewarm(CONTAINER_POOL_SIZE)
             self.compute_nodes.append(
                 ComputeNode(
                     sim,
@@ -123,7 +106,6 @@ class ServerlessPlatform:
                     cores=self.config.cores_per_compute_node,
                     ms_per_fuel=self.config.ms_per_fuel,
                     container_pool=pool,
-                    read_from_any_replica=self.config.read_from_any_replica,
                     dispatch_overhead_fuel=self.config.dispatch_overhead_fuel,
                 )
             )
@@ -133,7 +115,7 @@ class ServerlessPlatform:
         # replication protocol (the storage client writes every replica
         # synchronously).  Register them anyway, permanently zero, so both
         # systems export the same metric families and cross-system
-        # dashboards diff series instead of chasing missing names.
+        # comparisons diff values instead of chasing missing names.
         for node in self.compute_nodes:
             for counter in (
                 "cache_hits",
@@ -202,13 +184,6 @@ class ServerlessPlatform:
         if self._started:
             return
         self._started = True
-        if self.config.metrics_sample_interval_ms > 0:
-            self.sim.process(
-                self.metrics.sampler_process(
-                    self.sim, self.config.metrics_sample_interval_ms
-                ),
-                name="serverless.metrics-sampler",
-            )
         for node in self.compute_nodes:
             node.start()
         if self.gateway is not None:

@@ -41,7 +41,6 @@ EXPECTED_FIELDS = {
         "admission_control",
         "tenant_rate_limit",
         "max_inflight_requests",
-        "metrics_sample_interval_ms",
         "seeded_bugs",
         "seed",
     ),
@@ -50,19 +49,11 @@ EXPECTED_FIELDS = {
         "num_storage_nodes",
         "cores_per_compute_node",
         "cores_per_storage_node",
-        "container_pool_size",
-        "cold_start_ms",
-        "warm_start_ms",
-        "keepalive_ms",
         "prewarm",
         "ms_per_fuel",
         "net_median_ms",
-        "read_from_any_replica",
         "use_gateway",
         "dispatch_overhead_fuel",
-        "transport_coalescing",
-        "coalesce_window_ms",
-        "metrics_sample_interval_ms",
         "seed",
     ),
     Calibration: (
@@ -81,7 +72,7 @@ EXPECTED_FIELDS = {
     ),
 }
 
-EXPECTED_COUNTS = {ClusterConfig: 22, ServerlessConfig: 18, Calibration: 12}
+EXPECTED_COUNTS = {ClusterConfig: 21, ServerlessConfig: 10, Calibration: 12}
 
 #: where a field has to be read for it to earn its place
 READER_ROOTS = ("src", "benchmarks")

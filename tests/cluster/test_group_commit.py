@@ -328,8 +328,8 @@ def test_lone_commit_ships_one_range_frame_per_backup():
     assert sent.count("ReplicateAck") >= 2
 
 
-def flush_round_counts(**config):
-    """(frames, frames of exactly one round) after eight clients each
+def rounds_and_frames(**config):
+    """(replication rounds, frames flushed) after eight clients each
     increment their own counter three times at once."""
     sim, cluster = build_cluster(seed=23, **config)
     oids = [cluster.create_object("Counter") for _ in range(8)]
@@ -343,22 +343,21 @@ def flush_round_counts(**config):
         for index, oid in enumerate(oids)
     ]
     sim.run_until_triggered(sim.all_of(processes), limit=sim.now + 60_000)
-    histograms = cluster.metrics.families()["replication_flush_rounds"]
-    assert all(h.bounds[0] == 1 for h in histograms)
-    return (
-        sum(h.count for h in histograms),
-        sum(h.bucket_counts[0] for h in histograms),
+    families = cluster.metrics.families()
+    return tuple(
+        sum(counter.value for counter in families[name])
+        for name in ("node_replication_rounds", "replication_flush_total")
     )
 
 
 def test_one_round_per_frame_ships_every_round_alone():
-    # The default coalesces this load; at max_rounds=1 every flush
-    # observation lands in the 1-round bucket.
-    frames, single = flush_round_counts()
-    assert single < frames
-    frames, single = flush_round_counts(group_commit_max_rounds=1)
-    assert frames == 24  # one frame per mutating invocation
-    assert single == frames
+    # The default coalesces this load: fewer frames than rounds.  At
+    # max_rounds=1 every round is flushed as a frame of its own.
+    rounds, frames = rounds_and_frames()
+    assert rounds > frames
+    rounds, frames = rounds_and_frames(group_commit_max_rounds=1)
+    assert rounds == 24  # one round per mutating invocation
+    assert frames == rounds
 
 
 def test_primary_read_of_unsettled_round_parks_on_read_barrier():

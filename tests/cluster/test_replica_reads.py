@@ -104,7 +104,7 @@ def test_lagging_backup_refuses_stale_read_after_reconfiguration():
 
     def probe():
         return (
-            yield from stub.request(
+            yield from stub.call(
                 lagger,
                 request,
                 lambda p: isinstance(p, ClientReply) and p.request_id == "probe#1",
@@ -147,7 +147,7 @@ def test_leased_backup_rejects_read_beyond_its_applied_state():
 
     def probe():
         return (
-            yield from stub.request(
+            yield from stub.call(
                 backup_name,
                 request,
                 lambda p: isinstance(p, ClientReply) and p.request_id == "probe#1",

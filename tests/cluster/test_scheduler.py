@@ -94,11 +94,11 @@ def test_stats_track_contention():
     assert locks.queue_length("obj") == 0
 
 
-def test_queue_length_histogram_records_every_acquire():
+def test_max_queue_length_is_the_high_water_mark():
     from repro.obs.registry import MetricsRegistry
 
     sim = Simulation()
-    registry = MetricsRegistry(clock=lambda: sim.now)
+    registry = MetricsRegistry()
     labels = {"node": "store-0"}
     locks = ObjectLockTable(sim, registry=registry, labels=labels)
 
@@ -108,7 +108,7 @@ def test_queue_length_histogram_records_every_acquire():
         locks.release("obj")
 
     def late_worker():
-        yield sim.timeout(10)  # after the pile-up drains: second 0-depth sample
+        yield sim.timeout(10)  # after the pile-up drains: uncontended
         yield locks.acquire("obj")
         locks.release("obj")
 
@@ -117,12 +117,7 @@ def test_queue_length_histogram_records_every_acquire():
     sim.process(late_worker())
     sim.run()
 
-    hist = registry.get("scheduler_lock_queue_length", labels)
-    assert hist is not None
-    # One observation per acquire: two uncontended (depth 0) plus the two
-    # that queued behind the first holder (depths 1 and 2).
-    assert hist.count == 4
-    assert hist.sum == pytest.approx(3.0)
-    assert hist.quantile(1.0) == pytest.approx(2.0)
-    # The legacy high-water-mark gauge still works alongside the histogram.
+    # Two waiters queued behind the first holder; the later uncontended
+    # acquire leaves the mark where it was.
     assert locks.stats.max_queue_length == 2
+    assert registry.get("scheduler_max_queue_length", labels).value == 2

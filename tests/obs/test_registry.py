@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.obs import MetricsRegistry, StatsView, to_json, to_prometheus
+from repro.obs import MetricsRegistry, StatsView
 
 
 def test_counter_inc_and_set():
@@ -58,43 +58,11 @@ def test_histogram_buckets_and_quantile():
     assert math.isnan(registry.histogram("empty").quantile(0.5))
 
 
-def test_time_series_sampling_uses_clock():
-    now = {"t": 0.0}
-    registry = MetricsRegistry(clock=lambda: now["t"])
-    counter = registry.counter("ops")
-    counter.inc()
-    registry.sample()
-    now["t"] = 10.0
-    counter.inc(2)
-    registry.sample()
-    assert counter.series == [(0.0, 1.0), (10.0, 3.0)]
-
-
-def test_series_is_bounded():
-    from repro.obs import registry as registry_module
-
-    registry = MetricsRegistry()
-    counter = registry.counter("ops")
-    for tick in range(registry_module.MAX_SERIES_POINTS + 10):
-        registry.sample(now=float(tick))
-    assert len(counter.series) <= registry_module.MAX_SERIES_POINTS
-    assert counter.dropped_points > 0
-
-
-def test_duplicate_timestamp_overwrites_last_point():
-    registry = MetricsRegistry()
-    counter = registry.counter("ops")
-    registry.sample(now=5.0)
-    counter.inc()
-    registry.sample(now=5.0)
-    assert counter.series == [(5.0, 1.0)]
-
-
 def test_snapshot_shape_and_json_round_trip():
     registry = MetricsRegistry()
     registry.counter("ops", {"node": "a"}).inc(3)
     registry.histogram("lat", buckets=(1.0,)).observe(0.5)
-    payload = json.loads(to_json(registry))
+    payload = json.loads(json.dumps(registry.snapshot()))
     names = {metric["name"] for metric in payload["metrics"]}
     assert names == {"ops", "lat"}
     by_name = {metric["name"]: metric for metric in payload["metrics"]}
@@ -102,21 +70,6 @@ def test_snapshot_shape_and_json_round_trip():
     assert by_name["ops"]["value"] == 3
     assert by_name["lat"]["count"] == 1
     assert by_name["lat"]["buckets"] == [{"le": 1.0, "count": 1}]
-    # snapshot() itself samples, so every metric has at least one point
-    assert all(metric["series"] for metric in payload["metrics"])
-
-
-def test_prometheus_text_format():
-    registry = MetricsRegistry()
-    registry.counter("node_requests", {"node": "store-0"}, help="requests served").inc(2)
-    registry.histogram("req_ms", buckets=(1.0, 10.0)).observe(0.5)
-    text = to_prometheus(registry)
-    assert "# TYPE node_requests counter" in text
-    assert 'node_requests{node="store-0"} 2' in text
-    assert "# HELP node_requests requests served" in text
-    assert 'req_ms_bucket{le="1"} 1' in text
-    assert 'req_ms_bucket{le="+Inf"} 1' in text
-    assert "req_ms_count 1" in text
 
 
 class _DemoStats(StatsView):
@@ -186,18 +139,6 @@ def test_counter_set_discards_unfolded_cell_increments():
     assert counter.value == 2
     cell.inc()
     assert counter.value == 3
-
-
-def test_counter_cells_visible_at_sampling_ticks():
-    registry = MetricsRegistry()
-    counter = registry.counter("requests")
-    cell = counter.cell()
-    cell.inc(4)
-    registry.sample(10.0)
-    assert counter.series == [(10.0, 4.0)]
-    cell.inc(2)
-    registry.sample(20.0)
-    assert counter.series == [(10.0, 4.0), (20.0, 6.0)]
 
 
 def test_stats_view_cell_requires_counter():

@@ -1,8 +1,8 @@
-"""Retry-policy schedules: shape, jitter bounds, and historical parity."""
+"""Retry-policy schedules: shape and historical parity."""
 
 import pytest
 
-from repro.rpc import ExponentialBackoff, LinearJitterBackoff, RetryPolicy
+from repro.rpc import LinearJitterBackoff, RetryPolicy
 from repro.sim import Simulation
 
 
@@ -15,24 +15,6 @@ def test_base_policy_is_single_attempt_no_delay():
 def test_retry_policy_zero_delay_for_any_attempt():
     policy = RetryPolicy(max_attempts=10)
     assert [policy.delay_ms(a, None) for a in range(10)] == [0.0] * 10
-
-
-def test_exponential_backoff_grows_and_caps():
-    rng = Simulation(seed=7).rng("test")
-    policy = ExponentialBackoff(8, base_ms=1.0, factor=2.0, cap_ms=10.0, jitter=0.0)
-    delays = [policy.delay_ms(a, rng) for a in range(8)]
-    assert delays[:4] == [1.0, 2.0, 4.0, 8.0]
-    assert all(d == 10.0 for d in delays[4:])  # capped
-
-
-def test_exponential_backoff_jitter_bounds():
-    rng = Simulation(seed=7).rng("test")
-    policy = ExponentialBackoff(6, base_ms=1.0, factor=2.0, cap_ms=50.0, jitter=0.25)
-    for attempt in range(6):
-        base = min(1.0 * 2.0**attempt, 50.0)
-        for _ in range(50):
-            delay = policy.delay_ms(attempt, rng)
-            assert base <= delay <= base * 1.25
 
 
 def test_linear_jitter_matches_historical_client_schedule():
@@ -50,7 +32,5 @@ def test_linear_jitter_matches_historical_client_schedule():
 def test_policies_reject_nonpositive_attempts():
     with pytest.raises(ValueError):
         RetryPolicy(0)
-    with pytest.raises(ValueError):
-        ExponentialBackoff(0)
     with pytest.raises(ValueError):
         LinearJitterBackoff(-1)

@@ -95,14 +95,15 @@ def test_latency_grows_with_storage_ops():
 
 
 def test_cold_start_dominates_first_request_without_prewarm():
-    sim, platform = build_platform(prewarm=False, cold_start_ms=100.0)
+    sim, platform = build_platform(prewarm=False)
+    cold_start_ms = platform.compute_nodes[0].pool.cold_start_ms
     oid = platform.create_object("Counter")
     client = platform.client("c0")
     platform.run_invoke(client, oid, "read")
     first = client.completions[-1][0]
     platform.run_invoke(client, oid, "read")
     second = client.completions[-1][0]
-    assert first > 100.0
+    assert first > cold_start_ms
     assert second < first / 10
 
 

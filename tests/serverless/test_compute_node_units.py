@@ -51,7 +51,7 @@ def test_dispatch_overhead_scales_with_invocation_count():
 
 
 def test_reads_route_to_replicas_when_enabled():
-    sim, platform = build(seed=3, read_from_any_replica=True)
+    sim, platform = build(seed=3)
     oid = platform.create_object("Chain")
     client = platform.client("c")
     for _ in range(30):
@@ -60,22 +60,9 @@ def test_reads_route_to_replicas_when_enabled():
     assert sum(1 for b in busy if b > 0) >= 2  # spread across replicas
 
 
-def test_reads_pin_to_primary_when_disabled():
-    sim, platform = build(seed=4, read_from_any_replica=False)
-    oid = platform.create_object("Chain")
-    client = platform.client("c")
-    for _ in range(10):
-        platform.run_invoke(client, oid, "read")
-    busy = [node.busy_ms for node in platform.storage_nodes]
-    assert busy[0] > 0
-    assert all(b == 0 for b in busy[1:])
-
-
 def test_storage_cpu_contention_slows_requests():
     # One storage core: concurrent requests queue on the storage node.
-    sim, platform = build(
-        seed=5, cores_per_storage_node=1, read_from_any_replica=False
-    )
+    sim, platform = build(seed=5, num_storage_nodes=1, cores_per_storage_node=1)
     oid = platform.create_object("Chain")
     clients = [platform.client(f"c{i}") for i in range(8)]
     processes = [sim.process(c.invoke(oid, "read")) for c in clients]
@@ -85,7 +72,7 @@ def test_storage_cpu_contention_slows_requests():
 
 
 def test_failed_invocation_releases_container():
-    sim, platform = build(seed=6, container_pool_size=1)
+    sim, platform = build(seed=6)
     oid = platform.create_object("Chain")
     client = platform.client("c")
     from repro.errors import InvocationFailed

@@ -9,10 +9,15 @@ last line).  A function nested in one that was never called is folded
 into its parent, so no line is counted twice.
 
 The target is every registry experiment at the micro scale of
-``tests/bench/test_experiment_rows.py``; ``mc`` runs at the quick preset
-(its configs only grow at ``full``) and writes its JSON to a temporary
-directory.  Stdlib only; the single-threaded simulator needs no
-per-thread hook.
+``tests/bench/test_experiment_rows.py`` (``mc`` at the quick preset,
+whose configs only grow at ``full``), the bench CLI's ``--metrics-out``
+payload at micro scale, and the benchmark ledger's four workloads at
+``--smoke`` windows.  Each workload runs an end-to-end pass with its
+verification and a spans pass, through
+``benchmarks.ledger.child.run_pass`` in this process: the ledger CLI
+runs its passes in subprocesses the profile hook cannot see.  Output
+files go to a temporary directory.  Stdlib only; the single-threaded
+simulator needs no per-thread hook.
 
 Usage::
 
@@ -126,32 +131,65 @@ def report(package: Path, called: set[CodeKey], title: str) -> str:
 
 def registry_target(out_dir: str) -> Callable[[], None]:
     """Import the bench layer and run every registry experiment as the
-    bench CLI would at ``--jobs 1``.  The imports happen inside the
+    bench CLI would at ``--jobs 1``, then write the ``--metrics-out``
+    payload and run the ledger passes.  The imports happen inside the
     target, so functions run at import count."""
 
     def target() -> None:
+        from repro.bench.__main__ import write_json
         from repro.bench.calibration import preset
         from repro.bench.experiments import ALL_EXPERIMENTS, mc, run_experiment, run_matrix
+        from repro.bench.observability import metrics_out_payload
 
         micro = preset("quick", **MICRO)
         matrix = None
+        results = []
         for name in sorted(ALL_EXPERIMENTS):
             if name == "mc":
                 mc(preset("quick"), out_path=str(Path(out_dir) / "BENCH_mc.json"))
                 continue
             if ALL_EXPERIMENTS[name].uses_matrix and matrix is None:
                 matrix = run_matrix(micro)
-            run_experiment(name, micro, matrix)
+            results.append(run_experiment(name, micro, matrix)[0])
+        write_json(str(Path(out_dir) / "metrics.json"), metrics_out_payload(micro, results))
+        ledger_passes(out_dir)
 
     return target
 
 
+def ledger_passes(out_dir: str) -> None:
+    """Each ledger workload at ``--smoke`` windows, seed 1: an end-to-end
+    pass that verifies the replicas afterwards, then a spans pass."""
+    from benchmarks.ledger.child import run_pass
+    from benchmarks.ledger.runner import windows
+    from benchmarks.ledger.spec import WORKLOADS
+
+    for workload in WORKLOADS:
+        warmup_ms, measured_ms, _scale = windows(workload, 0.0, smoke=True)
+        for mode, verify in (("untraced", True), ("spans", False)):
+            run_pass(
+                {
+                    "workload": workload.name,
+                    "seed": 1,
+                    "mode": mode,
+                    "warmup_ms": warmup_ms,
+                    "measured_ms": measured_ms,
+                    "verify": verify,
+                    "durable": workload.durable,
+                    "tmp": out_dir,
+                }
+            )
+
+
 def main(argv: list[str] | None = None) -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+    sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
     with tempfile.TemporaryDirectory() as out_dir:
         called = calls_during(registry_target(out_dir))
-    title = "every registry experiment at micro scale (mc at quick)"
+    title = (
+        "every registry experiment and --metrics-out at micro scale (mc at quick), "
+        "the ledger workloads at smoke windows"
+    )
     print(report(REPO_ROOT / "src" / "repro", called, title))
     return 0
 
