@@ -168,7 +168,6 @@ class ClusterClient:
             should_retry=lambda r: not r.ok and r.error in self.RETRYABLE_ERRORS,
             on_retry=on_retry,
             method=method,
-            trace_id=request_id,
             request_id=request_id,
         )
         if type(reply) is RetryAfter:

@@ -128,7 +128,9 @@ class ReplicateWritesRange:
 
     One frame amortizes the per-message cost over many commits; the
     backup applies the rounds in order and answers with a single
-    cumulative :class:`ReplicateAck`.
+    cumulative :class:`ReplicateAck`.  With replica reads on, the frame
+    also renews the backup's read lease
+    (:mod:`repro.cluster.replica_reads`).
     """
 
     shard_id: int
@@ -144,10 +146,6 @@ class ReplicateWritesRange:
     settled_through: int = 0
     #: replica-read lease duration granted by this frame (0 = no lease)
     lease_ms: float = 0.0
-    #: piggybacked consistent-cache entries the primary recently stored:
-    #: ``(object_id_str, method, digest, value, read_set)`` tuples that
-    #: the backup validates against local applied state before installing
-    cache_entries: list = field(default_factory=list)
     #: memoized wire size — frames are the heaviest payloads to size and
     #: one frame object is sent to every behind backup
     _size_memo: Optional[int] = field(
@@ -159,11 +157,8 @@ class ReplicateWritesRange:
         if memo is not None:
             return memo
         # Frame header + a small per-round header + the round payloads,
-        # exactly the bytes that ship (+ the piggybacked cache entries,
-        # sized like any payload).
+        # exactly the bytes that ship.
         total = 48 + 8 * len(self.rounds) + sum(map(len, self.rounds))
-        if self.cache_entries:
-            total += estimate_size(self.cache_entries)
         self._size_memo = total
         return total
 

@@ -3,8 +3,8 @@
 A backup holding a lease from its shard's current primary serves
 read-only invocations at its own applied point.  Primary side: frames
 and :class:`LeaseGrant` replies renew leases and carry the settlement
-watermark and shared cache entries.  Backup side: the lease state, and
-the read path that parks on it before and after executing.
+watermark.  Backup side: the lease state, and the read path that parks
+on it before and after executing.
 """
 
 from __future__ import annotations
@@ -13,14 +13,8 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.cluster.coordinator import HEARTBEAT_INTERVAL_MS, HEARTBEAT_TIMEOUT_MS
-from repro.cluster.messages import (
-    ClientReply,
-    ClientRequest,
-    ReplicateWritesRange,
-    estimate_size,
-)
+from repro.cluster.messages import ClientReply, ClientRequest, ReplicateWritesRange
 from repro.cluster.replication import ACK_TIMEOUT_MS
-from repro.core.fields import value_digest
 from repro.kvstore.batch import decode_round
 
 #: replica-read lease duration (40 ms).  It sits two heartbeat intervals
@@ -31,9 +25,6 @@ REPLICA_READ_LEASE_MS = HEARTBEAT_TIMEOUT_MS - 2 * HEARTBEAT_INTERVAL_MS
 #: bound on how long a backup read parks for a lease or watermark; within
 #: the lease, so a parked read never outlives the grant it waits on
 READ_PARK_MS = 4 * ACK_TIMEOUT_MS
-
-#: digest of an absent storage key (mirrors repro.core.caching)
-_ABSENT_DIGEST = b"\x00" * 8
 
 
 @dataclass
@@ -60,7 +51,7 @@ class LeaseGrant:
     """Primary -> backup: serve reads for ``lease_ms`` from now.
 
     Also carries the current settlement watermark (releasing fenced
-    reads) and any pending piggybacked cache entries.
+    reads).
     """
 
     shard_id: int
@@ -68,13 +59,9 @@ class LeaseGrant:
     primary: str
     settled_through: int
     lease_ms: float
-    cache_entries: list = field(default_factory=list)
 
     def size(self) -> int:
-        total = 40
-        if self.cache_entries:
-            total += estimate_size(self.cache_entries)
-        return total
+        return 40
 
 
 @dataclass
@@ -109,9 +96,6 @@ class ReplicaReads:
         self.enabled = enabled
         #: shard -> backup-side lease/watermark/dirtiness state
         self._states: dict[int, ReplicaReadState] = {}
-        #: shard -> consistent-cache entries queued for piggybacking on
-        #: the next outbound frame / lease grant (primary side, capped)
-        self._cache_share: dict[int, list] = {}
         #: backup reads currently parked (cluster quiescence accounting)
         self.parked = 0
         #: shard -> last LeaseQuery send time (rate limiting)
@@ -120,11 +104,6 @@ class ReplicaReads:
         self._c_readonly = node.stats.cell("readonly_requests")
         node.endpoint.on(LeaseQuery, self._on_lease_query)
         node.endpoint.on(LeaseGrant, self._on_lease_grant)
-        if enabled and node.runtime.cache is not None:
-            # Primary-side half of cross-replica cache sharing: freshly
-            # stored entries are queued for piggybacking (no-op while
-            # this node is not a primary).
-            node.runtime.cache.on_store = self._on_cache_store
 
     def leases(self) -> tuple:
         """``(shard_id, primary, lease_expiry)`` for every shard this
@@ -287,19 +266,14 @@ class ReplicaReads:
             self._states[shard_id] = state
         return state
 
-    def _renew(
-        self, state: ReplicaReadState, lease_ms: float, settled_through: int,
-        cache_entries: Optional[list],
-    ) -> None:
-        """Extend the lease, learn the settlement watermark, install
-        piggybacked cache entries, and wake parked reads."""
+    def _renew(self, state: ReplicaReadState, lease_ms: float, settled_through: int) -> None:
+        """Extend the lease, learn the settlement watermark, and wake
+        parked reads."""
         if lease_ms > 0:
             expiry = self.node.sim.now + lease_ms
             if expiry > state.lease_expiry:
                 state.lease_expiry = expiry
         _advance_known_settled(state, settled_through)
-        if cache_entries:
-            self._install_shared_cache(cache_entries)
         if state.waiters:
             waiters, state.waiters = state.waiters, []
             for event in waiters:
@@ -309,9 +283,7 @@ class ReplicaReads:
     def on_frame(self, message: ReplicateWritesRange) -> None:
         """Backup half of the lease protocol, fed by a replication frame
         this node just applied: renew the lease, mark the frame's objects
-        dirty, learn the watermark, install piggybacked cache entries
-        (validated against the just-applied state), and wake parked
-        reads."""
+        dirty, learn the watermark, and wake parked reads."""
         node = self.node
         if not self.enabled or node.shard_map is None:
             return
@@ -331,18 +303,12 @@ class ReplicaReads:
             for obj in decode_round(payload)[1]:
                 if state.dirty.get(obj, 0) < sequence:
                     state.dirty[obj] = sequence
-        self._renew(state, message.lease_ms, message.settled_through, message.cache_entries)
+        self._renew(state, message.lease_ms, message.settled_through)
 
-    def stamp_frame(self, message: ReplicateWritesRange, shard_id: int) -> None:
-        """Primary side: make an outbound frame a lease renewal and attach
-        any queued cache entries (drained once; retransmissions carry
-        none)."""
-        if not self.enabled:
-            return
-        message.lease_ms = REPLICA_READ_LEASE_MS
-        entries = self._cache_share.pop(shard_id, None)
-        if entries:
-            message.cache_entries = entries
+    def stamp_frame(self, message: ReplicateWritesRange) -> None:
+        """Primary side: make an outbound frame a lease renewal."""
+        if self.enabled:
+            message.lease_ms = REPLICA_READ_LEASE_MS
 
     def _lease_query(self, shard_id: int) -> Optional[LeaseQuery]:
         """A LeaseQuery for ``shard_id``, at most once per ack timeout per
@@ -387,15 +353,9 @@ class ReplicaReads:
             return  # deposed (or never) primary: grant nothing
         pipeline = node.pipelines.get(message.shard_id)
         settled = pipeline.settled_through if pipeline is not None else 0
-        entries = self._cache_share.pop(message.shard_id, [])
         node.stats.lease_grants += 1
         grant = LeaseGrant(
-            message.shard_id,
-            node.epoch,
-            node.name,
-            settled,
-            REPLICA_READ_LEASE_MS,
-            entries,
+            message.shard_id, node.epoch, node.name, settled, REPLICA_READ_LEASE_MS
         )
         node.endpoint.send(message.backup, grant)
 
@@ -409,45 +369,7 @@ class ReplicaReads:
         if replica_set is None or replica_set.primary != message.primary:
             return
         state = self._state_for(message.shard_id, message.primary)
-        self._renew(state, message.lease_ms, message.settled_through, message.cache_entries)
-
-    # -- cross-replica cache sharing ---------------------------------------
-
-    def _on_cache_store(
-        self, object_id: str, method: str, digest: bytes, value, read_set: dict
-    ) -> None:
-        """ResultCache.on_store hook: queue a freshly memoised entry for
-        piggybacking to this shard's backups (primary side only)."""
-        own_shard = self.node.led_shard()
-        if own_shard is None or not own_shard.backups:
-            return
-        queue = self._cache_share.setdefault(own_shard.shard_id, [])
-        queue.append((object_id, method, digest, value, dict(read_set)))
-        if len(queue) > 64:
-            del queue[0]  # best-effort: drop the oldest, not the freshest
-
-    def _install_shared_cache(self, entries: list) -> None:
-        """Backup side: validate each piggybacked entry's read set against
-        *local* applied state and install the ones that match (a mismatch
-        just means this replica hasn't applied the underpinning writes or
-        already applied newer ones — skip, never serve)."""
-        runtime = self.node.runtime
-        cache = runtime.cache
-        if cache is None:
-            return
-        get = runtime.storage.get
-        for object_id, method, digest, value, read_set in entries:
-            valid = True
-            for storage_key, expected_digest in read_set.items():
-                current = get(storage_key)
-                current_digest = (
-                    value_digest(current) if current is not None else _ABSENT_DIGEST
-                )
-                if current_digest != expected_digest:
-                    valid = False
-                    break
-            if valid:
-                cache.install(object_id, method, digest, value, read_set)
+        self._renew(state, message.lease_ms, message.settled_through)
 
 
 def _advance_known_settled(state: ReplicaReadState, settled_through: int) -> None:

@@ -406,7 +406,7 @@ class StoreNode:
         pipeline = self.pipelines.get(shard_id)
         if pipeline is not None:
             message.settled_through = pipeline.settled_through
-            self.replica_reads.stamp_frame(message, shard_id)
+            self.replica_reads.stamp_frame(message)
         for target in targets:
             self.endpoint.send(target, message)
 

@@ -15,6 +15,10 @@ Two mechanisms keep cached results consistent:
 
 Either mechanism alone is sufficient for correctness; both together are
 how a production system would do it.
+
+Every node keeps its own cache: a backup memoises the reads it serves
+and invalidates as it applies replicated writes.  Entries never travel
+between replicas.
 """
 
 from __future__ import annotations
@@ -24,10 +28,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.core.fields import encode_value, value_digest
+from repro.core.fields import ABSENT_DIGEST, encode_value, value_digest
 from repro.obs.registry import MetricsRegistry, StatsView
-
-_ABSENT_DIGEST = b"\x00" * 8
 
 
 def args_digest(args: tuple) -> bytes:
@@ -44,16 +46,15 @@ class CacheEntry:
 
 
 class CacheStats(StatsView):
-    """Result-cache counters (registry-backed labelled series)."""
+    """Result-cache counters (registry-backed labelled series).  Hits and
+    misses are the runtime's ``cache_hits``/``cache_misses``, counted
+    where the lookup's outcome is acted on."""
 
     PREFIX = "cache"
     COUNTERS = {
-        "hits": 0,
-        "misses": 0,
         "invalidations": 0,
         "validation_failures": 0,
         "stores": 0,
-        "installs": 0,
     }
 
 
@@ -76,16 +77,9 @@ class ResultCache:
         # Preresolved counter handles: lookup() runs on every read-only
         # invocation, so increments must not pay the StatsView attribute
         # protocol (see StatsView.handle).
-        self._c_hits = self.stats.cell("hits")
-        self._c_misses = self.stats.cell("misses")
         self._c_validation_failures = self.stats.cell("validation_failures")
         self._c_invalidations = self.stats.cell("invalidations")
         self._c_stores = self.stats.cell("stores")
-        self._c_installs = self.stats.cell("installs")
-        #: optional hook fired after every locally-originated store()
-        #: (NOT after install()) — the cluster layer uses it to piggyback
-        #: fresh entries to the shard's other replicas
-        self.on_store: Optional[Callable[[str, str, bytes, Any, dict], None]] = None
         if registry is not None:
             registry.gauge("cache_entries", labels, fn=lambda: len(self._entries))
 
@@ -109,18 +103,12 @@ class ResultCache:
         cache_key = self._key(object_id, method, digest)
         entry = self._entries.get(cache_key)
         if entry is None:
-            self._c_misses.inc()
             return False, None
-        for storage_key, expected_digest in entry.read_set.items():
-            current = current_get(storage_key)
-            current_digest = value_digest(current) if current is not None else _ABSENT_DIGEST
-            if current_digest != expected_digest:
-                self._c_validation_failures.inc()
-                self._c_misses.inc()
-                self._drop(cache_key)
-                return False, None
+        if not _matches(entry.read_set, current_get):
+            self._c_validation_failures.inc()
+            self._drop(cache_key)
+            return False, None
         self._entries.move_to_end(cache_key)
-        self._c_hits.inc()
         return True, entry.value
 
     # -- stores ------------------------------------------------------------
@@ -129,25 +117,7 @@ class ResultCache:
         self, object_id: str, method: str, digest: bytes, value: Any, read_set: dict[bytes, bytes]
     ) -> None:
         """Memoise a result keyed by input hash, recording its read set."""
-        self._insert(self._key(object_id, method, digest), value, read_set)
-        self._c_stores.inc()
-        if self.on_store is not None:
-            self.on_store(str(object_id), method, digest, value, read_set)
-
-    def install(
-        self, object_id: str, method: str, digest: bytes, value: Any, read_set: dict[bytes, bytes]
-    ) -> None:
-        """Install an entry shared by another replica.
-
-        Identical to :meth:`store` except it never notifies
-        :attr:`on_store` (shared entries must not echo back to the wire)
-        and counts separately.  The caller is responsible for validating
-        the read set against *local* committed state first.
-        """
-        self._insert(self._key(object_id, method, digest), value, read_set)
-        self._c_installs.inc()
-
-    def _insert(self, cache_key: tuple, value: Any, read_set: dict[bytes, bytes]) -> None:
+        cache_key = self._key(object_id, method, digest)
         self._drop(cache_key)
         while len(self._entries) >= self._max_entries:
             oldest_key = next(iter(self._entries))
@@ -155,6 +125,7 @@ class ResultCache:
         self._entries[cache_key] = CacheEntry(value, dict(read_set))
         for storage_key in read_set:
             self._by_read_key.setdefault(storage_key, set()).add(cache_key)
+        self._c_stores.inc()
 
     # -- invalidation -------------------------------------------------------
 
@@ -188,17 +159,11 @@ class ResultCache:
         to *serve* these entries, but the invariant is broken) — the
         chaos-harness consistency checker asserts on this.
         """
-        stale: list[tuple] = []
-        for cache_key, entry in self._entries.items():
-            for storage_key, expected_digest in entry.read_set.items():
-                current = current_get(storage_key)
-                current_digest = (
-                    value_digest(current) if current is not None else _ABSENT_DIGEST
-                )
-                if current_digest != expected_digest:
-                    stale.append(cache_key)
-                    break
-        return stale
+        return [
+            cache_key
+            for cache_key, entry in self._entries.items()
+            if not _matches(entry.read_set, current_get)
+        ]
 
     # -- internals ---------------------------------------------------------
 
@@ -212,3 +177,14 @@ class ResultCache:
                 readers.discard(cache_key)
                 if not readers:
                     del self._by_read_key[storage_key]
+
+
+def _matches(
+    read_set: dict[bytes, bytes], current_get: Callable[[bytes], Optional[bytes]]
+) -> bool:
+    """Whether every key in ``read_set`` still has its recorded digest."""
+    for storage_key, expected_digest in read_set.items():
+        current = current_get(storage_key)
+        if (value_digest(current) if current is not None else ABSENT_DIGEST) != expected_digest:
+            return False
+    return True

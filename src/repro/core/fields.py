@@ -137,6 +137,10 @@ _DIGEST_MEMO: dict[bytes, bytes] = {}
 _DIGEST_MEMO_MAX = 8192
 
 
+#: the digest a read set records for an absent storage key
+ABSENT_DIGEST = b"\x00" * 8
+
+
 def value_digest(data: bytes) -> bytes:
     """Short stable digest of an encoded value, for cache read sets."""
     digest = _DIGEST_MEMO.get(data)

@@ -65,7 +65,6 @@ class LocalRuntime:
         seed: int = 0,
         clock: Optional[Callable[[], float]] = None,
         enable_cache: bool = True,
-        cache_entries: int = 4096,
         fuel_budget: Optional[float] = None,
         costs: Optional[OpCosts] = None,
         memory_limit_bytes: int = DEFAULT_MEMORY_LIMIT,
@@ -84,7 +83,7 @@ class LocalRuntime:
         self.guest_rng = random.Random(seed + 1)
         self.clock = clock or _LogicalClock()
         self.cache: Optional[ResultCache] = (
-            ResultCache(cache_entries, registry, metrics_labels) if enable_cache else None
+            ResultCache(registry=registry, labels=metrics_labels) if enable_cache else None
         )
         self._fuel_budget = fuel_budget
         self.costs = costs or OpCosts()

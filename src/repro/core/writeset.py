@@ -5,20 +5,18 @@ instead of the store; reads consult the buffer first, then the committed
 state.  At invocation end the buffer becomes one atomic
 :class:`~repro.kvstore.batch.WriteBatch`.  The set also records the keys
 and value digests the invocation *read*, which the consistent cache uses
-as its validity condition (paper §4.2.2) and the replication layer ships
-to backups.
+as its validity condition (paper §4.2.2).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.fields import value_digest
+from repro.core.fields import ABSENT_DIGEST, value_digest
 from repro.kvstore.batch import WriteBatch
 from repro.kvstore.record import ValueType
 
 _TOMBSTONE = object()
-_ABSENT_DIGEST = b"\x00" * 8
 
 
 class WriteSet:
@@ -48,7 +46,7 @@ class WriteSet:
         # Record what the committed state looked like, once per key: the
         # *first* observation defines the read set.
         if self._track_reads and key not in self._reads:
-            self._reads[key] = value_digest(value) if value is not None else _ABSENT_DIGEST
+            self._reads[key] = value_digest(value) if value is not None else ABSENT_DIGEST
         return value
 
     # -- writes ------------------------------------------------------------
@@ -69,7 +67,7 @@ class WriteSet:
             and key not in self._writes
             and key not in self._reads
         ):
-            self._reads[key] = value_digest(value) if value is not None else _ABSENT_DIGEST
+            self._reads[key] = value_digest(value) if value is not None else ABSENT_DIGEST
 
     def buffered_under(self, prefix: bytes) -> dict[bytes, Optional[bytes]]:
         """Buffered writes whose key starts with ``prefix``.

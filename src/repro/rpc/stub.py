@@ -61,7 +61,8 @@ class RpcStub:
     Parameters
     ----------
     default_deadline_ms:
-        Per-attempt reply deadline when a call/await passes none.
+        Per-attempt reply deadline of every call, and of an await that
+        passes none.
     discard_unmatched:
         Drop mailbox payloads no predicate matched on each scan.  Correct
         for strictly-sequential callers (every unmatched payload is a
@@ -75,8 +76,7 @@ class RpcStub:
         (platforms attach tracers after construction, so the stub must
         re-resolve at call time).
     rng:
-        Default random stream for retry-policy jitter (callers can
-        override per call to share their own draw order).
+        Random stream for retry-policy jitter.
     """
 
     #: floor applied to the *second and later* consecutive zero-delay
@@ -199,13 +199,10 @@ class RpcStub:
         payload: Any,
         predicate: Callable[[Any], bool],
         *,
-        deadline_ms: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         should_retry: Optional[Callable[[Any], bool]] = None,
         on_retry: Optional[Callable[[int, Any], Any]] = None,
         method: Optional[str] = None,
-        rng: Optional[Any] = None,
-        trace_id: Optional[str] = None,
         request_id: Optional[str] = None,
     ):
         """Simulation process: request/reply with deadline + retry.
@@ -216,27 +213,27 @@ class RpcStub:
         historical order — including any routing rng draw.
 
         Per attempt: resolve target/payload, send, await ``predicate``
-        for ``deadline_ms``.  A ``None`` reply (deadline) always retries;
-        a received reply retries only when ``should_retry(reply)`` says
-        so.  Between attempts ``on_retry(attempt, reply)`` runs first (it
-        may return a generator, e.g. a config refresh, which is driven to
-        completion), then the policy's delay — a zero delay schedules no
-        timeout event, except that consecutive zero-delay retries of
-        zero-time attempts are floored at :attr:`MIN_BACKOFF_FLOOR_MS`
-        after the first (now-lane starvation guard).  Returns the last
-        reply, or ``None`` when every attempt timed out.  Callers
-        classify the result; the stub never raises on exhaustion.
+        for the default deadline.  A ``None`` reply (deadline) always
+        retries; a received reply retries only when
+        ``should_retry(reply)`` says so.  Between attempts
+        ``on_retry(attempt, reply)`` runs first (it may return a
+        generator, e.g. a config refresh, which is driven to completion),
+        then the policy's delay — a zero delay schedules no timeout
+        event, except that consecutive zero-delay retries of zero-time
+        attempts are floored at :attr:`MIN_BACKOFF_FLOOR_MS` after the
+        first (now-lane starvation guard).  Returns the last reply, or
+        ``None`` when every attempt timed out.  Callers classify the
+        result; the stub never raises on exhaustion.
 
-        ``request_id`` opts the call into server-advised backoff: the
-        predicate is widened to also match a :class:`RetryAfter` carrying
-        that id, and such a reply always retries after the *server's*
-        ``retry_after_ms`` instead of the policy's delay (the server
-        knows when its admission gate clears; the policy is guessing).
-        On exhaustion the ``RetryAfter`` itself is returned so callers
-        can classify the failure as overload.
+        ``request_id`` keys the call's span and escalations, and opts it
+        into server-advised backoff: the predicate also matches a
+        :class:`RetryAfter` carrying that id, and such a reply always
+        retries after the *server's* ``retry_after_ms`` instead of the
+        policy's delay (the server knows when its admission gate clears;
+        the policy is guessing).  On exhaustion the ``RetryAfter``
+        itself is returned so callers can classify it as overload.
         """
         policy = retry if retry is not None else _SINGLE_ATTEMPT
-        jitter_rng = rng if rng is not None else self._rng
         tracer = self._tracer_fn() if self._tracer_fn is not None else None
         if request_id is not None:
             match = predicate
@@ -249,9 +246,6 @@ class RpcStub:
         span = None
         reply = None
         immediate_retries = 0
-        #: the id an anomalous call escalates to always-traced (retries
-        #: and timeouts must stay visible under head sampling)
-        escalate_id = trace_id if trace_id is not None else request_id
         try:
             for attempt in range(policy.max_attempts):
                 dst = target(attempt) if callable(target) else target
@@ -262,7 +256,7 @@ class RpcStub:
                     if tracer is not None:
                         span = tracer.start(
                             "rpc.call",
-                            trace_id=trace_id,
+                            trace_id=request_id,
                             node=self.name,
                             method=name,
                             peer=dst,
@@ -272,22 +266,23 @@ class RpcStub:
                 else:
                     if handles is not None:
                         handles.retries.inc()
-                    if tracer is not None and escalate_id is not None:
+                    if tracer is not None and request_id is not None:
+                        # retries and timeouts stay visible under sampling
                         tracer.escalate(
-                            escalate_id, reason="rpc.retry", node=self.name
+                            request_id, reason="rpc.retry", node=self.name
                         )
                 attempt_started = self.sim.now
                 self.net.send(
                     self.name, dst, message, size_bytes=message.size()
                 )
-                reply = yield from self.await_message(predicate, deadline_ms)
+                reply = yield from self.await_message(predicate)
                 advised = None
                 if reply is None:
                     if handles is not None:
                         handles.timeouts.inc()
-                    if tracer is not None and escalate_id is not None:
+                    if tracer is not None and request_id is not None:
                         tracer.escalate(
-                            escalate_id, reason="rpc.timeout", node=self.name
+                            request_id, reason="rpc.timeout", node=self.name
                         )
                 elif type(reply) is RetryAfter:
                     # An admission gate shed the request: always
@@ -306,7 +301,7 @@ class RpcStub:
                 if advised is not None:
                     delay = advised
                 else:
-                    delay = policy.delay_ms(attempt, jitter_rng)
+                    delay = policy.delay_ms(attempt, self._rng)
                 if delay <= 0 and self.sim.now <= attempt_started:
                     immediate_retries += 1
                     if immediate_retries > 1:

@@ -1,4 +1,4 @@
-"""A simple client for the baseline platform (no epochs, no routing)."""
+"""A simple client for the baseline platform (no epochs, no routing, no retries)."""
 
 from __future__ import annotations
 
@@ -7,16 +7,16 @@ from typing import Any, Optional
 from repro.cluster.messages import ClientReply, ClientRequest
 from repro.core.ids import ObjectId
 from repro.errors import InvocationFailed, RequestTimeout
-from repro.rpc import LinearJitterBackoff, RetryAfter, RpcStub
+from repro.rpc import RetryAfter, RpcStub
 
 
 class SimpleClient:
-    """Sends invocations to a fixed entry point and awaits replies.
+    """Sends each invocation once to the platform's entry point and
+    awaits the reply.
 
-    Historically single-attempt.  ``max_attempts > 1`` turns on retries
-    (used by the overload experiments): timeouts back off with jitter,
-    and a gateway :class:`~repro.rpc.RetryAfter` sleeps the
-    server-advised delay instead.
+    No retries: a timeout raises :class:`~repro.errors.RequestTimeout`,
+    and so does a gateway :class:`~repro.rpc.RetryAfter` (the request
+    was shed under admission control).
     """
 
     def __init__(
@@ -24,7 +24,6 @@ class SimpleClient:
         platform: Any,
         name: str,
         request_timeout_ms: float = 1_000.0,
-        max_attempts: int = 1,
         tenant: Optional[str] = None,
     ) -> None:
         self.platform = platform
@@ -32,15 +31,10 @@ class SimpleClient:
         self.net = platform.net
         self.name = name
         self._counter = 0
-        self._max_attempts = max_attempts
         #: the tenant requests bill against under gateway admission
         #: control (defaults to the client name)
         self.tenant = tenant if tenant is not None else name
         self.completions: list[tuple[float, str]] = []
-        # The jitter stream exists only for retrying clients, so
-        # single-attempt clients (the historical default) create exactly
-        # the streams they always did.
-        rng = platform.sim.rng(f"client.{name}") if max_attempts > 1 else None
         # Sequential waits: unmatched payloads are stale, discard them.
         self.stub = RpcStub(
             platform.sim,
@@ -50,7 +44,6 @@ class SimpleClient:
             discard_unmatched=True,
             registry=getattr(platform, "metrics", None),
             tracer_fn=lambda: getattr(platform, "tracer", None),
-            rng=rng,
         )
         self.host = self.stub.host
 
@@ -68,27 +61,13 @@ class SimpleClient:
             epoch=0,
             tenant=self.tenant,
         )
-        if self._max_attempts <= 1:
-            reply = yield from self.stub.call(
-                self.platform.entry_point(),
-                request,
-                lambda p: isinstance(p, ClientReply) and p.request_id == request_id,
-                method=method,
-                trace_id=request_id,
-                request_id=request_id,
-            )
-        else:
-            reply = yield from self.stub.call(
-                # Re-drawn per attempt: a retry may land on a different
-                # entry point (round-robin without a gateway).
-                lambda _attempt: self.platform.entry_point(),
-                request,
-                lambda p: isinstance(p, ClientReply) and p.request_id == request_id,
-                retry=LinearJitterBackoff(self._max_attempts),
-                method=method,
-                trace_id=request_id,
-                request_id=request_id,
-            )
+        reply = yield from self.stub.call(
+            self.platform.entry_point(),
+            request,
+            lambda p: isinstance(p, ClientReply) and p.request_id == request_id,
+            method=method,
+            request_id=request_id,
+        )
         if reply is None:
             raise RequestTimeout(f"{method} on {object_id.short} timed out")
         if type(reply) is RetryAfter:

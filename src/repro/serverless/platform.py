@@ -118,8 +118,6 @@ class ServerlessPlatform:
         # comparisons diff values instead of chasing missing names.
         for node in self.compute_nodes:
             for counter in (
-                "cache_hits",
-                "cache_misses",
                 "cache_invalidations",
                 "cache_validation_failures",
                 "cache_stores",

@@ -21,11 +21,11 @@ from repro.sim import Simulation
 TEXT = "".join(f"{i:04d}" for i in range(250))
 
 
-def _post_frames(followers: int, **config) -> list:
+def _post_frames(followers: int) -> list:
     """Every ReplicateWritesRange one backup receives while an author
     with ``followers`` followers posts :data:`TEXT` once."""
     sim = Simulation(seed=5)
-    cluster = Cluster(sim, ClusterConfig(seed=5, **config))
+    cluster = Cluster(sim, ClusterConfig(seed=5))
     cluster.register_type(user_type())
     fans = [ObjectId.from_name(f"fan-{i}") for i in range(followers)]
     for index, oid in enumerate(fans):
@@ -71,12 +71,10 @@ def test_frame_bytes_grow_by_less_than_the_text_per_follower():
 
 
 def test_frame_size_is_the_header_plus_the_round_payloads():
-    # Cache off: no piggybacked cache entries, so a frame is only rounds.
-    frames = _post_frames(followers=3, enable_cache=False)
+    frames = _post_frames(followers=3)
     assert frames
     for message in frames:
         frame = message.payload
-        assert not frame.cache_entries
         expected = 48 + 8 * len(frame.rounds) + sum(len(p) for p in frame.rounds)
         assert frame.size() == message.size_bytes == expected
 

@@ -20,8 +20,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core.caching import _ABSENT_DIGEST, ResultCache
-from repro.core.fields import encode_value, value_digest
+from repro.core.caching import ResultCache
+from repro.core.fields import ABSENT_DIGEST, encode_value, value_digest
 
 MAX_ENTRIES = 4
 
@@ -46,7 +46,7 @@ class CacheIndexMachine(RuleBasedStateMachine):
         return {
             key: value_digest(self.storage[key])
             if key in self.storage
-            else _ABSENT_DIGEST
+            else ABSENT_DIGEST
             for key in keys
         }
 
@@ -117,18 +117,16 @@ TestCacheIndex = CacheIndexMachine.TestCase
 
 
 class ReplicaCacheMachine(RuleBasedStateMachine):
-    """Cross-replica cache sharing never goes incoherent.
+    """Each replica's own cache stays coherent under ordered replication.
 
-    Models the lease-read piggyback protocol: the primary's cache fires
-    ``on_store`` for every locally-originated entry, which queues the
-    entry for shipment to a backup; the backup applies replicated writes
-    in order and, before installing a shared entry, re-validates its read
-    set against *local* committed state (mirroring the store node's
-    install path).  Shipment and write application interleave arbitrarily
-    — more adversarially than the real frames, where entries ride with
-    the writes — so validate-before-install is load-bearing.  The
-    invariant is the chaos checker's: ``stale_entries()`` stays empty on
-    BOTH replicas after every step.
+    A primary and a backup each memoise read-only results against their
+    *own* committed state (a backup serves reads at its applied point);
+    the primary's commits join an ordered replication stream that the
+    backup applies, invalidating its readers, whenever it likes.  No
+    entry ever moves between the two caches.  The invariants are the
+    chaos checker's — ``stale_entries()`` stays empty on BOTH replicas
+    after every step — and that a hit always returns what re-executing
+    at that replica's current state would.
     """
 
     def __init__(self) -> None:
@@ -139,45 +137,56 @@ class ReplicaCacheMachine(RuleBasedStateMachine):
         self.backup_storage: dict[bytes, bytes] = {}
         #: committed writes awaiting backup apply, in commit order
         self.replication_queue: list[tuple[bytes, bytes | None]] = []
-        #: fresh primary entries awaiting shipment (on_store piggyback)
-        self.share_queue: list[tuple] = []
-        self.installed = 0
-        self.rejected = 0
-        self.primary.on_store = (
-            lambda *entry: self.share_queue.append(entry)
-        )
 
-    def _get(self, storage: dict[bytes, bytes]):
-        return storage.get
+    @staticmethod
+    def _execute(storage: dict[bytes, bytes], keys) -> tuple:
+        """A deterministic read-only function: the values of ``keys``."""
+        return tuple((key, storage.get(key)) for key in sorted(keys))
 
-    def _read_set(self, keys: set[bytes]) -> dict[bytes, bytes]:
-        """A read set consistent with *primary* storage at store time."""
+    @staticmethod
+    def _read_set(storage: dict[bytes, bytes], keys) -> dict[bytes, bytes]:
+        """The read set the runtime records for ``keys`` at ``storage``."""
         return {
-            key: value_digest(self.primary_storage[key])
-            if key in self.primary_storage
-            else _ABSENT_DIGEST
+            key: value_digest(storage[key]) if key in storage else ABSENT_DIGEST
             for key in keys
         }
+
+    def _store(self, cache, storage, object_id, method, digest, keys) -> None:
+        value = self._execute(storage, keys)
+        cache.store(object_id, method, digest, value, self._read_set(storage, keys))
+
+    def _lookup(self, cache, storage, object_id, method, digest) -> None:
+        hit, value = cache.lookup(object_id, method, digest, storage.get)
+        if hit:
+            assert value == self._execute(storage, [key for key, _ in value])
 
     @rule(
         object_id=OBJECTS,
         method=METHODS,
         digest=DIGESTS,
-        value=st.integers(0, 100),
         keys=st.sets(STORAGE_KEYS, min_size=0, max_size=3),
     )
-    def primary_store(self, object_id, method, digest, value, keys):
-        """A read-only invocation memoised at the primary; the on_store
-        hook queues it for the backup."""
-        self.primary.store(object_id, method, digest, value, self._read_set(keys))
+    def primary_store(self, object_id, method, digest, keys):
+        """A read-only invocation memoised at the primary."""
+        self._store(self.primary, self.primary_storage, object_id, method, digest, keys)
+
+    @rule(
+        object_id=OBJECTS,
+        method=METHODS,
+        digest=DIGESTS,
+        keys=st.sets(STORAGE_KEYS, min_size=0, max_size=3),
+    )
+    def backup_store(self, object_id, method, digest, keys):
+        """A replica read memoised at the backup's applied point."""
+        self._store(self.backup, self.backup_storage, object_id, method, digest, keys)
 
     @rule(object_id=OBJECTS, method=METHODS, digest=DIGESTS)
     def primary_lookup(self, object_id, method, digest):
-        self.primary.lookup(object_id, method, digest, self._get(self.primary_storage))
+        self._lookup(self.primary, self.primary_storage, object_id, method, digest)
 
     @rule(object_id=OBJECTS, method=METHODS, digest=DIGESTS)
     def backup_lookup(self, object_id, method, digest):
-        self.backup.lookup(object_id, method, digest, self._get(self.backup_storage))
+        self._lookup(self.backup, self.backup_storage, object_id, method, digest)
 
     @rule(key=STORAGE_KEYS, value=st.integers(0, 100))
     def primary_commit_write(self, key, value):
@@ -207,34 +216,10 @@ class ReplicaCacheMachine(RuleBasedStateMachine):
             self.backup_storage[key] = encoded
         self.backup.invalidate_keys([key])
 
-    @rule()
-    def deliver_shared_entry(self):
-        """A piggybacked entry arrives: validate the read set against the
-        backup's committed state, install only on a full match (the store
-        node's ``_install_shared_cache``)."""
-        if not self.share_queue:
-            return
-        object_id, method, digest, value, read_set = self.share_queue.pop(0)
-        get = self._get(self.backup_storage)
-        for storage_key, expected_digest in read_set.items():
-            current = get(storage_key)
-            current_digest = (
-                value_digest(current) if current is not None else _ABSENT_DIGEST
-            )
-            if current_digest != expected_digest:
-                self.rejected += 1
-                return
-        self.backup.install(object_id, method, digest, value, read_set)
-        self.installed += 1
-
     @invariant()
     def no_replica_serves_stale_state(self):
-        assert self.primary.stale_entries(self._get(self.primary_storage)) == []
-        assert self.backup.stale_entries(self._get(self.backup_storage)) == []
-        # install() never echoes back to the wire: only the primary's
-        # locally-originated stores ever entered the share queue.
-        assert self.backup.stats.installs == self.installed
-        assert self.backup.stats.stores == 0
+        assert self.primary.stale_entries(self.primary_storage.get) == []
+        assert self.backup.stale_entries(self.backup_storage.get) == []
 
 
 ReplicaCacheMachine.TestCase.settings = settings(

@@ -7,11 +7,8 @@ must still invalidate the cached result, and the cached runtime must
 answer exactly what a cache-off runtime answers.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
-from repro.cluster.replica_reads import ReplicaReads
 from repro.core import LocalRuntime, keyspace
 from repro.errors import UnknownObjectError
 
@@ -104,29 +101,3 @@ def test_delete_object_invalidates_the_cached_scan():
     assert not after.cache_hit
     assert after.value == _newest(plain, oid).value == [(after.value[0][0], "reborn")]
 
-
-def _install_on(backup, entries):
-    """The store node's backup-side install, over a bare runtime."""
-    node = SimpleNamespace(runtime=backup)
-    ReplicaReads._install_shared_cache(SimpleNamespace(node=node), entries)
-
-
-def test_piggybacked_scan_entry_validates_and_installs_on_a_backup():
-    primary, backup, behind = _runtime(), _runtime(), _runtime()
-    shared = []
-    primary.cache.on_store = lambda *entry: shared.append(entry)
-    oid, _keys = _notebook(primary)
-    assert _notebook(backup)[0] == oid
-    assert _notebook(behind, notes=NOTES - 1)[0] == oid
-    value = _newest(primary, oid).value
-    [(_oid, _method, _digest, _value, read_set)] = shared
-    assert len(read_set) == 1 + LIMIT
-
-    _install_on(backup, shared)
-    assert backup.cache.stats.installs == 1
-    hit = _newest(backup, oid)
-    assert hit.cache_hit and hit.value == value
-
-    _install_on(behind, shared)  # one append short: its stamp differs
-    assert behind.cache.stats.installs == 0
-    assert not _newest(behind, oid).cache_hit

@@ -85,19 +85,14 @@ AGGREGATED_ONLY = (
 #: the consistent result cache's families (``enable_cache=True``)
 CACHE = (
     "cache_entries",
-    "cache_hits",
-    "cache_installs",
     "cache_invalidations",
-    "cache_misses",
     "cache_stores",
     "cache_validation_failures",
 )
 
 DISAGGREGATED_ONLY = (
     # always 0: the baseline has no consistent cache
-    "cache_hits",
     "cache_invalidations",
-    "cache_misses",
     "cache_stores",
     "cache_validation_failures",
     "node_failed",

@@ -1,12 +1,18 @@
 #!/usr/bin/env python
-"""Report the ``src/`` functions a run never calls, grouped by module.
+"""Report the ``src/`` functions a run never calls, and the branches it
+never takes in the functions it does call, grouped by module.
 
-The target runs under ``sys.setprofile``; every ``call`` event records
-its code object.  Each function ``def`` under ``src/repro`` (found with
-``ast``) that no recorded code object matches is reported, with its
-lines counted as ``tools/size_report.py`` counts them (``def`` line to
-last line).  A function nested in one that was never called is folded
-into its parent, so no line is counted twice.
+The target runs under ``sys.settrace``: every ``call`` event records its
+code object and every ``line`` event its file and line.  Each function
+``def`` under ``src/repro`` (found with ``ast``) that no recorded code
+object matches is reported, with its lines counted as
+``tools/size_report.py`` counts them (``def`` line to last line).  A
+function nested in one that was never called is folded into its parent,
+so no line is counted twice.  A second section lists, inside the
+functions that were called, every ``if`` body, ``else`` body and
+``except`` body of at least :data:`MIN_BRANCH_LINES` lines in which no
+line ran (first statement to last line); a branch nested in one that
+never ran is folded into it.
 
 The target is every registry experiment at the micro scale of
 ``tests/bench/test_experiment_rows.py`` (``mc`` at the quick preset,
@@ -15,7 +21,7 @@ payload at micro scale, and the benchmark ledger's four workloads at
 ``--smoke`` windows.  Each workload runs an end-to-end pass with its
 verification and a spans pass, through
 ``benchmarks.ledger.child.run_pass`` in this process: the ledger CLI
-runs its passes in subprocesses the profile hook cannot see.  Output
+runs its passes in subprocesses the trace hook cannot see.  Output
 files go to a temporary directory.  Stdlib only; the single-threaded
 simulator needs no per-thread hook.
 
@@ -38,6 +44,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: ``Calibration`` overrides of the quick preset: the micro scale
 MICRO = dict(num_accounts=40, num_clients=4, duration_ms=60.0, warmup_ms=10.0, avg_follows=3)
 
+#: the shortest ``if``/``else``/``except`` body the branch section lists
+MIN_BRANCH_LINES = 4
+
 #: (resolved file, first line, function name): what a code object and a
 #: ``def`` agree on.  A decorated function's code starts at its first
 #: decorator.
@@ -51,29 +60,62 @@ class Function(NamedTuple):
     lines: int
     #: key of the enclosing function, if this one is nested in a function
     parent: Optional[CodeKey]
+    node: ast.AST
 
 
-def calls_during(target: Callable[[], object]) -> set[CodeKey]:
-    """Run ``target()`` and return the key of every Python function it entered."""
+class Branch(NamedTuple):
+    module: str
+    #: the enclosing function's qualname, then the body's first line and
+    #: kind, e.g. ``SimpleClient.invoke:81 else``
+    qualname: str
+    lines: int
+
+
+class Trace(NamedTuple):
+    #: the key of every Python function entered
+    called: set[CodeKey]
+    #: resolved file -> the lines that ran in it
+    ran: dict[str, set[int]]
+
+
+def trace_during(target: Callable[[], object]) -> Trace:
+    """Run ``target()`` and record the functions it entered and the lines it ran."""
     codes = set()
+    lines: dict[str, set[int]] = {}
 
-    def profile(frame, event, _arg):
-        if event == "call":
-            codes.add(frame.f_code)
+    def on_call(frame, _event, _arg):
+        code = frame.f_code
+        codes.add(code)
+        ran = lines.get(code.co_filename)
+        if ran is None:
+            ran = lines[code.co_filename] = set()
+        add = ran.add
 
-    sys.setprofile(profile)
+        def on_line(frame, event, _arg):
+            if event == "line":
+                add(frame.f_lineno)
+            return on_line
+
+        return on_line
+
+    sys.settrace(on_call)
     try:
         target()
     finally:
-        sys.setprofile(None)
+        sys.settrace(None)
     resolved: dict[str, str] = {}
-    keys = set()
-    for code in codes:
-        path = resolved.get(code.co_filename)
+
+    def resolve(filename: str) -> str:
+        path = resolved.get(filename)
         if path is None:
-            path = resolved[code.co_filename] = str(Path(code.co_filename).resolve())
-        keys.add((path, code.co_firstlineno, code.co_name))
-    return keys
+            path = resolved[filename] = str(Path(filename).resolve())
+        return path
+
+    called = {(resolve(code.co_filename), code.co_firstlineno, code.co_name) for code in codes}
+    ran: dict[str, set[int]] = {}
+    for filename, numbers in lines.items():
+        ran.setdefault(resolve(filename), set()).update(numbers)
+    return Trace(called, ran)
 
 
 def functions_in(package: Path) -> list[Function]:
@@ -92,7 +134,9 @@ def functions_in(package: Path) -> list[Function]:
                     first = min([child.lineno] + [d.lineno for d in child.decorator_list])
                     key = (filename, first, child.name)
                     lines = child.end_lineno - child.lineno + 1
-                    found.append(Function(module, f"{prefix}{child.name}", key, lines, parent))
+                    found.append(
+                        Function(module, f"{prefix}{child.name}", key, lines, parent, child)
+                    )
                     walk(child, f"{prefix}{child.name}.", key)
 
         walk(tree, "", None)
@@ -106,26 +150,88 @@ def never_called(functions: Iterable[Function], called: set[CodeKey]) -> list[Fu
     return [function for function in missed if function.parent not in missed_keys]
 
 
-def report(package: Path, called: set[CodeKey], title: str) -> str:
-    functions = functions_in(package)
-    missed = never_called(functions, called)
-    by_module: dict[str, list[Function]] = {}
-    for function in missed:
-        by_module.setdefault(function.module, []).append(function)
-    total = sum(function.lines for function in missed)
-    out = [
-        f"target: {title}",
-        f"functions: {len(functions)} defined, {len(missed)} never called ({total} lines)",
-        "",
-        "never called, by module (lines  functions  module):",
-    ]
+def _bodies(statement: ast.stmt) -> Iterable[tuple[Optional[str], list[ast.stmt]]]:
+    """The statement lists directly inside ``statement``, each with the
+    kind the branch section reports it as (``None``: not reported)."""
+    if isinstance(statement, ast.If):
+        yield "if", statement.body
+        orelse = statement.orelse
+        if len(orelse) == 1 and isinstance(orelse[0], ast.If):
+            yield from _bodies(orelse[0])  # an elif: the chain's next branches
+        elif orelse:
+            yield "else", orelse
+        return
+    for handler in getattr(statement, "handlers", ()):
+        yield "except", handler.body
+    for field in ("body", "orelse", "finalbody"):
+        body = getattr(statement, field, None)
+        if body and isinstance(body[0], ast.stmt):
+            yield None, body
+    for case in getattr(statement, "cases", ()):
+        yield None, case.body
+
+
+def inert_branches(functions: Iterable[Function], trace: Trace) -> list[Branch]:
+    """The ``if``/``else``/``except`` bodies of at least
+    :data:`MIN_BRANCH_LINES` lines in which no line ran, inside the
+    functions ``trace`` entered.  Nested functions and classes are left
+    to their own entries; a body that never ran is not searched further."""
+    found: list[Branch] = []
+    for function in functions:
+        if function.key not in trace.called:
+            continue
+        ran = trace.ran.get(function.key[0], set())
+
+        def visit(statements: list[ast.stmt]) -> None:
+            for statement in statements:
+                if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    continue
+                for kind, body in _bodies(statement):
+                    first, last = body[0].lineno, body[-1].end_lineno
+                    if any(line in ran for line in range(first, last + 1)):
+                        visit(body)
+                    elif kind is not None and last - first + 1 >= MIN_BRANCH_LINES:
+                        label = f"{function.qualname}:{first} {kind}"
+                        found.append(Branch(function.module, label, last - first + 1))
+
+        visit(function.node.body)
+    return found
+
+
+def _by_module(items: Iterable[Function | Branch]) -> list[str]:
+    """Report lines for ``items``: by module with line totals, largest first."""
+    by_module: dict[str, list] = {}
+    for item in items:
+        by_module.setdefault(item.module, []).append(item)
+    out = []
     ranked = sorted(
-        by_module.items(), key=lambda item: (-sum(f.lines for f in item[1]), item[0])
+        by_module.items(), key=lambda entry: (-sum(i.lines for i in entry[1]), entry[0])
     )
     for module, members in ranked:
-        out.append(f"  {sum(f.lines for f in members):5d}  {len(members):4d}  {module}")
-        for function in sorted(members, key=lambda f: (-f.lines, f.qualname)):
-            out.append(f"         {function.lines:5d}  {function.qualname}")
+        out.append(f"  {sum(i.lines for i in members):5d}  {len(members):4d}  {module}")
+        for item in sorted(members, key=lambda i: (-i.lines, i.qualname)):
+            out.append(f"         {item.lines:5d}  {item.qualname}")
+    return out
+
+
+def report(package: Path, trace: Trace, title: str) -> str:
+    functions = functions_in(package)
+    missed = never_called(functions, trace.called)
+    branches = inert_branches(functions, trace)
+    out = [
+        f"target: {title}",
+        f"functions: {len(functions)} defined, {len(missed)} never called "
+        f"({sum(f.lines for f in missed)} lines)",
+        "",
+        "never called, by module (lines  functions  module):",
+        *_by_module(missed),
+        "",
+        f"branches: {len(branches)} if/else/except bodies of >= {MIN_BRANCH_LINES} lines "
+        f"never ran in functions that did ({sum(b.lines for b in branches)} lines)",
+        "",
+        "never ran, by module (lines  branches  module):",
+        *_by_module(branches),
+    ]
     return "\n".join(out)
 
 
@@ -185,12 +291,12 @@ def main(argv: list[str] | None = None) -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
     with tempfile.TemporaryDirectory() as out_dir:
-        called = calls_during(registry_target(out_dir))
+        trace = trace_during(registry_target(out_dir))
     title = (
         "every registry experiment and --metrics-out at micro scale (mc at quick), "
         "the ledger workloads at smoke windows"
     )
-    print(report(REPO_ROOT / "src" / "repro", called, title))
+    print(report(REPO_ROOT / "src" / "repro", trace, title))
     return 0
 
 
