@@ -3,8 +3,8 @@
 
 The paper's LambdaStore persists through LevelDB; this repository ships
 a from-scratch LSM tree (:mod:`repro.kvstore`) with the same structure:
-WAL, memtable, SSTables with bloom filters, leveled compaction,
-snapshots.  This example runs the object runtime on top of it and proves
+WAL, memtable, SSTables with bloom filters, leveled compaction and
+point-in-time scans.  This example runs the object runtime on top of it and proves
 the data survives a crash-and-reopen.
 
 Run with::

@@ -8,8 +8,8 @@ It is a from-scratch LSM tree:
 - full memtables flush to immutable SSTables (sorted blocks with prefix
   compression, a block index, and a bloom filter);
 - a leveled compactor merges tables down the tree in bounded (2 MiB)
-  tables, moves a table that overlaps nothing below it, and drops
-  shadowed versions not needed by any live snapshot;
+  tables, moves a table that overlaps nothing below it, and keeps only
+  the newest version of each key;
 - point reads at the head consult a row cache, then the memtable, then
   level files newest-first, through an LRU block cache;
 - a manifest records the live file set so ``DB.open`` recovers after a
@@ -22,9 +22,8 @@ Public API::
         batch = WriteBatch()
         batch.put(b"a", b"1"); batch.delete(b"k")
         db.write(batch)                  # atomic
-        snap = db.snapshot()
-        db.get(b"a", snapshot=snap)
-        for key, value in db.iterate(b"a", b"z"):
+        db.get(b"a")
+        for key, value in db.iterate(b"a", b"z"):  # point-in-time
             ...
 """
 

@@ -63,17 +63,6 @@ class WriteBatch:
         self._ops.append((ValueType.DELETION, bytes(key), b""))
         return self
 
-    def clear(self) -> None:
-        """Drop all recorded operations."""
-        self._check_private()
-        self._ops.clear()
-
-    def extend(self, other: "WriteBatch") -> "WriteBatch":
-        """Append all operations from ``other`` (after this batch's own)."""
-        self._check_private()
-        self._ops.extend(other._ops)
-        return self
-
     def _check_private(self) -> None:
         if self._shared:
             raise ReadOnlyError("write batch is shared through the decode memo; it is read-only")
@@ -226,9 +215,8 @@ def decode_round(data: bytes) -> tuple[tuple, tuple]:
     identical payloads; raises ``CorruptionError`` on damage.
 
     The batches are SHARED: they can be iterated and applied to storage,
-    and raise :class:`ReadOnlyError` on ``put``, ``delete``, ``extend`` or
-    ``clear``.  ``objects`` is what :func:`encode_round` returned for the
-    same round.
+    and raise :class:`ReadOnlyError` on ``put`` or ``delete``.
+    ``objects`` is what :func:`encode_round` returned for the same round.
     """
     entry = _DECODE_MEMO.get(data)
     if entry is None:

@@ -12,15 +12,14 @@ Policy (LevelDB-flavoured):
   rewrites the tables its inputs overlap and no others, and a single input
   table with nothing under it in the next level is *moved* there by a
   manifest edit, not rewritten;
-- during the merge, versions shadowed by a newer record *and* not needed
-  by any live snapshot are dropped; deletion tombstones are additionally
-  dropped when the compaction writes to the bottom-most level that could
-  contain the key.
+- the merge keeps only the newest version of each user key (every read
+  is at the head), and drops that too when it is a deletion tombstone and
+  the compaction writes to the bottom-most level that could contain the
+  key.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -100,38 +99,22 @@ def is_bottom_most_for_range(
 
 
 def prune_versions(
-    records: Iterable[InternalRecord],
-    live_snapshots: list[int],
-    drop_tombstones: bool,
+    records: Iterable[InternalRecord], drop_tombstones: bool
 ) -> Iterator[InternalRecord]:
-    """Drop record versions no snapshot can ever observe.
+    """Keep the newest version of each user key.
 
     ``records`` must arrive in internal sort order (newest version of each
-    user key first).  ``live_snapshots`` are the sequence numbers of open
-    snapshots plus the current head sequence, ascending.  Within one user
-    key, a version is kept iff it is the newest version visible to at
-    least one snapshot boundary.  With ``drop_tombstones`` set, kept
-    deletion markers that no longer shadow anything deeper are removed.
+    user key first).  With ``drop_tombstones`` set, a newest version that
+    is a deletion is dropped too: nothing deeper can resurrect the key,
+    and every older version in this merge is dropped anyway.
     """
-    boundaries = sorted(set(live_snapshots))
     current_key: bytes | None = None
-    # ``boundaries[:unclaimed]`` are the snapshots that have not yet seen
-    # their newest version of the current key.  Each kept version claims
-    # the ones at or above its sequence, so what is left is always a
-    # prefix; outside a snapshot it is one boundary, claimed by the first
-    # version of every key.
-    total = unclaimed = len(boundaries)
     deletion = ValueType.DELETION
     for record in records:
-        user_key, sequence, kind, _value = record
-        if user_key != current_key:
-            current_key = user_key
-            unclaimed = total
-        if not unclaimed or boundaries[unclaimed - 1] < sequence:
-            continue  # shadowed for every remaining snapshot
-        unclaimed = bisect_left(boundaries, sequence, 0, unclaimed)
-        if drop_tombstones and not unclaimed and kind == deletion:
-            # Nothing deeper can resurrect the key, and every older version
-            # in this compaction is being dropped anyway.
+        user_key, _sequence, kind, _value = record
+        if user_key == current_key:
+            continue  # shadowed by the newer version just seen
+        current_key = user_key
+        if drop_tombstones and kind == deletion:
             continue
         yield record

@@ -2,7 +2,7 @@
 
 ``DB`` wires the LSM pieces together: WAL + memtable for writes, leveled
 SSTables for persistence, synchronous flush/compaction (deterministic — no
-background threads), snapshots, and point-in-time range scans.
+background threads), point reads at the head and point-in-time range scans.
 """
 
 from __future__ import annotations
@@ -59,27 +59,6 @@ class DBOptions:
     sync_wal: bool = False
 
 
-class Snapshot:
-    """A point-in-time read view pinned at one sequence number."""
-
-    def __init__(self, db: "DB", sequence: int) -> None:
-        self._db = db
-        self.sequence = sequence
-        self.released = False
-
-    def release(self) -> None:
-        """Allow compaction to reclaim versions this snapshot pinned."""
-        if not self.released:
-            self.released = True
-            self._db._release_snapshot(self.sequence)
-
-    def __enter__(self) -> "Snapshot":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.release()
-
-
 class DBStats(StatsView):
     """Operational counters, reset at open."""
 
@@ -119,7 +98,6 @@ class DB:
         # records, never the newest version of a key, and need not touch it.
         self._row_cache = LRUCache(ROW_CACHE_BYTES)
         self._tables: dict[int, SSTableReader] = {}
-        self._snapshots: dict[int, int] = {}  # sequence -> refcount
         self._closed = False
         self.stats = DBStats(registry, labels)
         self._c_gets = self.stats.cell("gets")
@@ -259,17 +237,15 @@ class DB:
 
     # -- reads ------------------------------------------------------------
 
-    def get(self, key: bytes, snapshot: Optional[Snapshot] = None) -> Optional[bytes]:
+    def get(self, key: bytes) -> Optional[bytes]:
         """Return the value for ``key`` or ``None`` if absent."""
         self._check_open()
         self._c_gets.inc()
         key = bytes(key)
-        if snapshot is not None:
-            return self._lookup(key, snapshot.sequence)
         rows = self._row_cache
         value = rows.get(key)
         if value is None:
-            value = self._lookup(key, MAX_SEQUENCE)
+            value = self._lookup(key)
             if value is None:
                 rows.put(key, _ABSENT, len(key) + ROW_CHARGE)
             else:
@@ -277,9 +253,9 @@ class DB:
             return value
         return None if value is _ABSENT else value
 
-    def _lookup(self, key: bytes, sequence: int) -> Optional[bytes]:
-        """Descend the tree for the version of ``key`` visible at ``sequence``."""
-        record = self._mem.get(key, sequence)
+    def _lookup(self, key: bytes) -> Optional[bytes]:
+        """Descend the tree for the newest version of ``key``."""
+        record = self._mem.get(key, MAX_SEQUENCE)
         if record is not None:
             return None if record.is_deletion else record.value
 
@@ -288,7 +264,7 @@ class DB:
         # L0: newest file first; files overlap, so order matters.
         for meta in reversed(versions.levels[0]):
             if meta.smallest <= key <= meta.largest:
-                record = self._table(meta).get(key, sequence, key_hash)
+                record = self._table(meta).get(key, MAX_SEQUENCE, key_hash)
                 if record is not None:
                     return None if record.is_deletion else record.value
 
@@ -296,20 +272,28 @@ class DB:
         for level in range(1, len(versions.levels)):
             meta = versions.file_containing(level, key)
             if meta is not None:
-                record = self._table(meta).get(key, sequence, key_hash)
+                record = self._table(meta).get(key, MAX_SEQUENCE, key_hash)
                 if record is not None:
                     return None if record.is_deletion else record.value
         return None
 
     def iterate(
-        self,
-        start: Optional[bytes] = None,
-        end: Optional[bytes] = None,
-        snapshot: Optional[Snapshot] = None,
+        self, start: Optional[bytes] = None, end: Optional[bytes] = None
     ) -> Iterator[tuple[bytes, bytes]]:
-        """Scan live ``(key, value)`` pairs in ``[start, end)`` in key order."""
+        """Scan live ``(key, value)`` pairs in ``[start, end)`` in key order.
+
+        The scan reads the database as of its first ``next``: records
+        written after it are newer than its start sequence and are skipped,
+        so a write between two ``next`` calls changes nothing it yields.
+
+        Known defect: a scan must not be held across writes that flush and
+        compact.  A compaction closes the readers of the tables it retires
+        (``_remove_tables``) while the scan may still read them, and the
+        scan's next ``next`` raises ``ValueError`` (seek of closed file).
+        Every caller finishes its scan before it writes.
+        """
         self._check_open()
-        sequence = snapshot.sequence if snapshot is not None else self._versions.last_sequence
+        sequence = self._versions.last_sequence
         sources: list = []
         seek_key = start or b""
         sources.append(self._mem.iterate_from(seek_key, MAX_SEQUENCE))
@@ -321,20 +305,6 @@ class DB:
                 if meta.key_range.overlaps(start, end):
                     sources.append(self._table(meta).iterate_from(seek_key, MAX_SEQUENCE))
         yield from visible_items(merge_records(sources), sequence, start, end)
-
-    def snapshot(self) -> Snapshot:
-        """Pin the current state for consistent reads."""
-        self._check_open()
-        sequence = self._versions.last_sequence
-        self._snapshots[sequence] = self._snapshots.get(sequence, 0) + 1
-        return Snapshot(self, sequence)
-
-    def _release_snapshot(self, sequence: int) -> None:
-        count = self._snapshots.get(sequence, 0) - 1
-        if count <= 0:
-            self._snapshots.pop(sequence, None)
-        else:
-            self._snapshots[sequence] = count
 
     # -- table access ----------------------------------------------------
 
@@ -365,20 +335,18 @@ class DB:
     def _write_tables(self, records, cut_bytes: float = math.inf) -> list[FileMetadata]:
         """Write ``records`` (in sort order) to new table files.
 
-        A new table starts at the first user key after ``cut_bytes`` of
-        data blocks; all versions of a user key stay in one table, which
-        keeps the tables of a level disjoint.  Returns the tables' metadata
-        (none, and no file, when there were no records).  A failure removes
-        every file written before it propagates.
+        A new table starts at the first record after ``cut_bytes`` of data
+        blocks.  Only a merge cuts, and a merge holds one version per user
+        key, so the tables of a level stay disjoint.  Returns the tables'
+        metadata (none, and no file, when there were no records).  A
+        failure removes every file written before it propagates.
         """
         tables: list[FileMetadata] = []
         writer: Optional[SSTableWriter] = None
         number = 0
-        last_key = None
         try:
             for record in records:
-                user_key = record[0]
-                if writer is None or (writer.file_bytes >= cut_bytes and user_key != last_key):
+                if writer is None or writer.file_bytes >= cut_bytes:
                     if writer is not None:
                         tables.append(_file_metadata(number, writer.finish()))
                         writer = None
@@ -389,7 +357,6 @@ class DB:
                     )
                     add = writer.add
                 add(record)
-                last_key = user_key
             if writer is not None:
                 tables.append(_file_metadata(number, writer.finish()))
         except BaseException:
@@ -413,11 +380,6 @@ class DB:
             os.remove(os.path.join(self._dir, log_file_name(old_wal_number)))
         except FileNotFoundError:
             pass
-
-    def _live_snapshot_sequences(self) -> list[int]:
-        sequences = sorted(self._snapshots)
-        sequences.append(self._versions.last_sequence)
-        return sequences
 
     def _maybe_compact(self) -> None:
         while True:
@@ -485,7 +447,7 @@ class DB:
         sources += [iter(self._table(meta)) for meta in compaction.inputs_lower]
 
         merged = merge_records(sources)
-        pruned = prune_versions(merged, self._live_snapshot_sequences(), drop_tombstones)
+        pruned = prune_versions(merged, drop_tombstones)
         return self._write_tables(pruned, MAX_TABLE_BYTES)
 
     def _remove_tables(self, numbers) -> None:
@@ -556,11 +518,6 @@ class DB:
         """Number of live SSTables per level."""
         return [len(level) for level in self._versions.levels]
 
-    def level_size_bytes(self) -> list[int]:
-        """Bytes of live SSTables per level, as the manifest records them."""
-        versions = self._versions
-        return [versions.level_size_bytes(level) for level in range(len(versions.levels))]
-
     @property
     def last_sequence(self) -> int:
         return self._versions.last_sequence
@@ -592,20 +549,3 @@ def _numbered_files(directory: str, suffix: str) -> list[int]:
             if stem.isdigit():
                 numbers.append(int(stem))
     return numbers
-
-
-def destroy_db(directory: str) -> None:
-    """Delete every file a DB may have created in ``directory``."""
-    if not os.path.isdir(directory):
-        return
-    for name in os.listdir(directory):
-        if (
-            name.endswith((".log", ".sst"))
-            or name.startswith("MANIFEST-")
-            or name in ("CURRENT", "CURRENT.tmp")
-        ):
-            os.remove(os.path.join(directory, name))
-    try:
-        os.rmdir(directory)
-    except OSError:
-        pass

@@ -2,7 +2,8 @@
 
 These generators glue the read path together: point-in-time scans merge
 the memtable and every relevant table file, keep only the newest version
-of each user key visible to the snapshot, and drop deletion tombstones.
+of each user key visible at the scan's start sequence, and drop deletion
+tombstones.
 """
 
 from __future__ import annotations
@@ -45,19 +46,19 @@ def merge_records(sources: list[Iterable[InternalRecord]]) -> Iterator[InternalR
 
 def visible_items(
     records: Iterable[InternalRecord],
-    snapshot_sequence: int,
+    read_sequence: int,
     start: Optional[bytes] = None,
     end: Optional[bytes] = None,
 ) -> Iterator[tuple[bytes, bytes]]:
     """Reduce a merged record stream to user-visible ``(key, value)`` pairs.
 
-    Applies snapshot filtering (records newer than ``snapshot_sequence``
-    are invisible), picks the newest visible version per user key, skips
+    Records newer than ``read_sequence`` (the scan's start) are invisible;
+    of the rest it picks the newest visible version per user key, skips
     deletion tombstones, and bounds output to ``[start, end)``.
     """
     current_key: Optional[bytes] = None
     for user_key, sequence, kind, value in records:
-        if sequence > snapshot_sequence:
+        if sequence > read_sequence:
             continue
         if user_key == current_key:
             continue  # an older, shadowed version

@@ -30,22 +30,6 @@ def test_len_and_bool():
     assert len(batch) == 1
 
 
-def test_clear():
-    batch = WriteBatch()
-    batch.put(b"k", b"v")
-    batch.clear()
-    assert not batch
-
-
-def test_extend_appends():
-    a = WriteBatch()
-    a.put(b"x", b"1")
-    b = WriteBatch()
-    b.delete(b"y")
-    a.extend(b)
-    assert len(a) == 2
-
-
 def test_non_bytes_rejected():
     batch = WriteBatch()
     with pytest.raises(TypeError):
@@ -229,10 +213,6 @@ def _assert_read_only(batch: WriteBatch) -> None:
         batch.put(b"k", b"v")
     with pytest.raises(ReadOnlyError):
         batch.delete(b"k")
-    with pytest.raises(ReadOnlyError):
-        batch.extend(WriteBatch().put(b"k", b"v"))
-    with pytest.raises(ReadOnlyError):
-        batch.clear()
     assert list(batch.items()) == before
 
 
@@ -254,8 +234,6 @@ def test_shared_batches_refuse_mutation():
     batch_module._DECODE_MEMO.pop(payload)
     (decoded,), _objects = decode_round(payload)
     _assert_read_only(decoded)
-    # Reading a shared batch into a private one is not a mutation of it.
-    assert len(WriteBatch().extend(committed)) == len(committed)
 
 
 def test_decode_stays_private_and_mutable():
@@ -264,7 +242,6 @@ def test_decode_stays_private_and_mutable():
     private = WriteBatch.decode(shared.encode())
     assert private is not shared
     private.put(b"k", b"v").delete(b"memo/z")
-    private.clear()
     assert len(shared) == 3  # the shared one is untouched
 
 

@@ -139,8 +139,8 @@ def test_files_overlapping_matches_a_linear_scan(bounds, start, end):
         assert versions.file_containing(1, start_key) == (holder[0] if holder else None)
 
 
-def prune(records, snapshots, drop_tombstones=False):
-    return list(prune_versions(records, snapshots, drop_tombstones))
+def prune(records, drop_tombstones=False):
+    return list(prune_versions(records, drop_tombstones))
 
 
 def test_prune_keeps_only_newest_without_snapshots():
@@ -149,27 +149,14 @@ def test_prune_keeps_only_newest_without_snapshots():
         InternalRecord(b"k", 3, ValueType.VALUE, b"v3"),
         InternalRecord(b"k", 1, ValueType.VALUE, b"v1"),
     ]
-    kept = prune(records, snapshots=[10])
+    kept = prune(records)
     assert [(r.sequence) for r in kept] == [5]
 
 
-def test_prune_preserves_snapshot_visible_versions():
-    records = [
-        InternalRecord(b"k", 5, ValueType.VALUE, b"v5"),
-        InternalRecord(b"k", 3, ValueType.VALUE, b"v3"),
-        InternalRecord(b"k", 1, ValueType.VALUE, b"v1"),
-    ]
-    # Snapshot at 2 still needs v1; snapshot at 4 needs v3; head needs v5.
-    kept = prune(records, snapshots=[2, 4, 10])
-    assert [r.sequence for r in kept] == [5, 3, 1]
-
-
 def test_prune_drops_future_records_never():
-    # A record newer than every snapshot boundary cannot be claimed and is
-    # dropped only if a newer version already claimed all boundaries — with
-    # a single record nothing shadows it, head snapshot must keep it.
+    # A lone record is the newest version of its key: nothing shadows it.
     records = [InternalRecord(b"k", 5, ValueType.VALUE, b"v5")]
-    kept = prune(records, snapshots=[5])
+    kept = prune(records)
     assert len(kept) == 1
 
 
@@ -179,7 +166,7 @@ def test_prune_handles_multiple_keys_independently():
         InternalRecord(b"a", 2, ValueType.VALUE, b"a2"),
         InternalRecord(b"b", 3, ValueType.VALUE, b"b3"),
     ]
-    kept = prune(records, snapshots=[10])
+    kept = prune(records)
     assert [(r.user_key, r.sequence) for r in kept] == [(b"a", 4), (b"b", 3)]
 
 
@@ -188,22 +175,11 @@ def test_tombstone_dropped_at_bottom_when_nothing_older_survives():
         InternalRecord(b"k", 5, ValueType.DELETION, b""),
         InternalRecord(b"k", 3, ValueType.VALUE, b"v3"),
     ]
-    kept = prune(records, snapshots=[10], drop_tombstones=True)
+    kept = prune(records, drop_tombstones=True)
     assert kept == []
-
-
-def test_tombstone_kept_when_snapshot_needs_older_version():
-    records = [
-        InternalRecord(b"k", 5, ValueType.DELETION, b""),
-        InternalRecord(b"k", 3, ValueType.VALUE, b"v3"),
-    ]
-    # Snapshot at 4 must still see v3, so the tombstone must keep shadowing
-    # it for the head snapshot.
-    kept = prune(records, snapshots=[4, 10], drop_tombstones=True)
-    assert [(r.sequence, r.is_deletion) for r in kept] == [(5, True), (3, False)]
 
 
 def test_tombstone_kept_when_not_bottom_level():
     records = [InternalRecord(b"k", 5, ValueType.DELETION, b"")]
-    kept = prune(records, snapshots=[10], drop_tombstones=False)
+    kept = prune(records, drop_tombstones=False)
     assert len(kept) == 1 and kept[0].is_deletion

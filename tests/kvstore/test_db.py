@@ -87,24 +87,19 @@ def test_iterate_skips_deleted(db):
     assert [k for k, _ in db.iterate()] == [b"b"]
 
 
-def test_snapshot_isolates_reads(db):
-    db.put(b"k", b"old")
-    with db.snapshot() as snap:
-        db.put(b"k", b"new")
-        assert db.get(b"k", snapshot=snap) == b"old"
-        assert db.get(b"k") == b"new"
-
-
-def test_snapshot_sees_through_flush_and_compaction(tmp_path):
-    with DB.open(str(tmp_path / "db"), small_options()) as db:
-        db.put(b"k", b"old")
-        snap = db.snapshot()
-        for i in range(500):
-            db.put(b"fill%04d" % i, b"x" * 64)
-        db.put(b"k", b"new")
-        db.flush()
-        assert db.get(b"k", snapshot=snap) == b"old"
-        snap.release()
+def test_scan_stays_point_in_time_across_writes(db):
+    """A scan reads as of its first ``next``: a batch written while it is
+    suspended neither adds, changes nor removes what it yields next."""
+    db.put(b"a", b"old")
+    db.put(b"c", b"old")
+    db.put(b"e", b"old")
+    scan = db.iterate()
+    assert next(scan) == (b"a", b"old")
+    batch = WriteBatch()
+    batch.put(b"d", b"new").put(b"e", b"new").delete(b"c")
+    db.write(batch)
+    assert list(scan) == [(b"c", b"old"), (b"e", b"old")]
+    assert list(db.iterate()) == [(b"a", b"old"), (b"d", b"new"), (b"e", b"new")]
 
 
 def test_flush_creates_l0_file(tmp_path):
@@ -358,22 +353,6 @@ def test_row_cache_never_serves_a_stale_row(tmp_path):
         hits = rows.hits
         assert db.get(b"k") == b"v4" and rows.hits == hits + 1
         assert db.stats.gets == 10  # a cached read is still a read
-
-
-def test_snapshot_reads_bypass_the_row_cache(tmp_path):
-    with DB.open(str(tmp_path / "db")) as db:
-        db.put(b"k", b"old")
-        with db.snapshot() as snap:
-            db.put(b"k", b"new")
-            assert db.get(b"k") == b"new"  # cached at the head
-            rows = db.row_cache_stats
-            before = (rows.hits, rows.misses)
-            assert db.get(b"k", snapshot=snap) == b"old"
-            assert db.get(b"absent", snapshot=snap) is None
-            assert (rows.hits, rows.misses) == before
-            db.put(b"absent", b"now here")
-            assert db.get(b"absent", snapshot=snap) is None
-            assert db.get(b"absent") == b"now here"
 
 
 def test_row_cache_starts_empty_after_recovery(tmp_path):

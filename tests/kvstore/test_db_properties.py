@@ -64,24 +64,6 @@ def test_db_matches_dict_model(tmp_path_factory, ops):
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    st.dictionaries(_keys, _values, min_size=1, max_size=30),
-    st.dictionaries(_keys, _values, max_size=30),
-)
-def test_snapshot_reads_frozen_under_later_writes(tmp_path_factory, initial, updates):
-    directory = str(tmp_path_factory.mktemp("dbsnap"))
-    with DB.open(directory, tiny_options()) as db:
-        for key, value in initial.items():
-            db.put(key, value)
-        with db.snapshot() as snap:
-            for key, value in updates.items():
-                db.put(key, value + b"-new")
-            db.flush()
-            for key, value in initial.items():
-                assert db.get(key, snapshot=snap) == value
-
-
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.tuples(_keys, _values), min_size=1, max_size=40))
 def test_batch_atomicity_across_reopen(tmp_path_factory, pairs):
     directory = str(tmp_path_factory.mktemp("dbbatch"))

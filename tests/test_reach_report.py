@@ -92,3 +92,16 @@ def test_report_groups_by_module_with_line_totals(tmp_path):
         "that did (4 lines)"
     )
     assert [line.split() for line in lines[11:]] == [["4", "1", "demo"], ["4", "used:7", "if"]]
+
+
+def test_the_paths_only_runs_at_scale_reach_are_named_below_the_title(tmp_path):
+    from benchmarks.ledger.spec import WORKLOADS
+
+    at_scale = reach_report.at_scale_lines(WORKLOADS)
+    assert at_scale[0] == "reached only at scale (benchmarks.ledger.spec expect_at_scale):"
+    assert "  agg_durable_writes: kvstore.flushes >= 12, kvstore.compactions >= 3" in at_scale
+    package, module = _load(tmp_path)
+    trace = reach_report.trace_during(module.used)
+    lines = reach_report.report(package, trace, "demo", at_scale).splitlines()
+    assert lines[: len(at_scale) + 1] == ["target: demo", *at_scale]
+    assert lines[len(at_scale) + 1].startswith("functions: 6 defined")
