@@ -11,23 +11,23 @@ retries with backoff.  Successful replies carry a monotonic-read fence
 highest fence it has seen back into later reads as ``min_applied`` so it
 can never observe a settled write and then read older backup state.
 
-All request/reply traffic rides an :class:`RpcStub`; the stub re-resolves
-the route and rebuilds the request per attempt (so each retry re-draws
-the read replica and carries the client's refreshed epoch) and draws the
-backoff jitter from this client's own random stream — draw-for-draw the
-historical schedule, so fixed-seed runs are unchanged.
+All request/reply traffic rides an :class:`RpcStub`.  :meth:`invoke`
+runs its own retry loop inside one logical stub call: each attempt
+re-draws the route and rebuilds the request with the client's current
+epoch and fence, and the backoff before attempt ``n + 1`` is
+``uniform(0.1, 0.5) * (1 + n)`` ms drawn from this client's own random
+stream (``client.<name>``), or the server's advice after a
+:class:`RetryAfter`.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from typing import Optional
+from typing import Any, Optional
 
 from repro.cluster.messages import ClientReply, ClientRequest, ConfigQuery, ConfigReply
 from repro.core.ids import ObjectId
 from repro.errors import InvocationFailed, RequestTimeout
-from repro.rpc import LinearJitterBackoff, RetryAfter, RpcStub
+from repro.rpc import RetryAfter, RpcStub
 
 
 class ClusterClient:
@@ -71,11 +71,9 @@ class ClusterClient:
         self._rng = self.sim.rng(f"client.{name}")
         self.epoch = cluster.bootstrap_epoch
         self.shard_map = cluster.bootstrap_shard_map
-        self._timeout = request_timeout_ms
         self._max_attempts = max_attempts
-        config = getattr(cluster, "config", None)
         #: whether read-only requests prefer lease-holding backups
-        self.replica_reads = bool(config is not None and config.replica_reads)
+        self.replica_reads = cluster.config.replica_reads
         #: monotonic-read fences: (shard_id, primary) -> highest settled
         #: sequence this client has observed for that primaryship
         self._fences: dict[tuple[int, str], int] = {}
@@ -98,7 +96,6 @@ class ClusterClient:
             discard_unmatched=True,
             registry=cluster.metrics,
             tracer_fn=lambda: cluster.tracer,
-            rng=self._rng,
         )
         self.host = self.stub.host
 
@@ -115,19 +112,8 @@ class ClusterClient:
         if self.recorder is not None:
             record = self.recorder.begin(self.name, str(object_id), method, args, started)
 
-        def build_request(_attempt: int) -> ClientRequest:
-            # Rebuilt per attempt: the epoch (and hence the shard map the
-            # fence lookup uses) may have been refreshed.
-            return ClientRequest(
-                request_id=request_id,
-                client=self.name,
-                object_id=object_id,
-                method=method,
-                args=args,
-                epoch=self.epoch,
-                min_applied=self._fence_for(object_id) if readonly else 0,
-                tenant=self.tenant,
-            )
+        def is_reply(payload: Any) -> bool:
+            return isinstance(payload, ClientReply) and payload.request_id == request_id
 
         # Flips once a backup rejects this read: retries then go straight
         # to the primary, which can always serve.  Backups park for up to
@@ -135,41 +121,43 @@ class ClusterClient:
         # replicas could flap between lease-less backups for the whole
         # attempt budget (e.g. a primary partitioned from its backups).
         primary_only = False
-
-        def on_retry(_attempt: int, reply):
-            # Overload is not staleness: a RetryAfter means the server is
-            # shedding load, so the config is fine and a refresh would
-            # only add traffic to an already-hot cluster.  The stub
-            # sleeps the server-advised delay; nothing to do here.
-            if type(reply) is RetryAfter:
-                return
-            # A backup that rejected a read is skipped for a short while
-            # so other requests land somewhere that can actually serve.
-            nonlocal primary_only
-            if (
-                reply is not None
-                and reply.server
-                and reply.error in ("no lease", "replica behind")
-            ):
-                self._note_penalty(reply.server)
-                primary_only = True
-            yield from self.refresh_config()
-
-        def route(_attempt: int) -> str:
-            if primary_only:
-                return self.shard_map.shard_for(object_id).primary
-            return self._route(object_id, readonly)
-
-        reply = yield from self.stub.call(
-            route,
-            build_request,
-            lambda p: isinstance(p, ClientReply) and p.request_id == request_id,
-            retry=LinearJitterBackoff(self._max_attempts),
-            should_retry=lambda r: not r.ok and r.error in self.RETRYABLE_ERRORS,
-            on_retry=on_retry,
-            method=method,
-            request_id=request_id,
-        )
+        with self.stub.open(method, request_id) as call:
+            for attempt in range(self._max_attempts):
+                if primary_only:
+                    target = self.shard_map.shard_for(object_id).primary
+                else:
+                    target = self._route(object_id, readonly)
+                request = ClientRequest(
+                    request_id=request_id,
+                    client=self.name,
+                    object_id=object_id,
+                    method=method,
+                    args=args,
+                    epoch=self.epoch,
+                    min_applied=self._fence_for(object_id) if readonly else 0,
+                    tenant=self.tenant,
+                )
+                reply = yield from call.attempt(target, request, is_reply)
+                if attempt + 1 == self._max_attempts:
+                    break
+                if type(reply) is RetryAfter:
+                    # Overload is not staleness: the config is fine and a
+                    # refresh would only add traffic to a hot cluster.
+                    delay = reply.retry_after_ms
+                elif reply is None or (not reply.ok and reply.error in self.RETRYABLE_ERRORS):
+                    # A backup that rejected a read is skipped for a short
+                    # while so other requests land where they can be served.
+                    if reply is not None and reply.server and reply.error in (
+                        "no lease",
+                        "replica behind",
+                    ):
+                        self._note_penalty(reply.server)
+                        primary_only = True
+                    yield from self.refresh_config()
+                    delay = self._rng.uniform(0.1, 0.5) * (1 + attempt)
+                else:
+                    break
+                yield self.sim.timeout(delay)
         if type(reply) is RetryAfter:
             # Attempt budget exhausted while the cluster was shedding:
             # surface it like a timeout (retryable by the caller), not an

@@ -130,7 +130,6 @@ class CoordinatorNode:
             net,
             name,
             registry=registry,
-            labels={"node": name},
             gate=lambda: self.crashed,
         )
         self.host = self.endpoint.host

@@ -29,7 +29,7 @@ from repro.cluster.messages import CONTROL_RPC_DEADLINE_MS, CoordCommand, CoordR
 from repro.core.ids import ObjectId
 from repro.errors import ClusterError
 from repro.kvstore.batch import WriteBatch, encode_round
-from repro.rpc import RetryPolicy, RpcStub
+from repro.rpc import RpcStub
 
 
 @dataclass
@@ -167,25 +167,21 @@ class Migrator:
         self.stub.send(source.primary, unfreeze)
 
     def _submit_command(self, command: CoordCommand):
-        """Send a coordinator command, following leader hints."""
-        target = [self.cluster.coordinator_names()[0]]
+        """Send a coordinator command, following leader hints: up to ten
+        attempts, each retry straight after the last reply or timeout."""
+        target = self.cluster.coordinator_names()[0]
 
-        def retarget(_attempt: int, reply: Any) -> None:
-            if reply is not None and reply.leader_hint:
-                target[0] = reply.leader_hint
+        def is_reply(payload: Any) -> bool:
+            return isinstance(payload, CoordReply) and payload.command_id == command.command_id
 
-        reply = yield from self.stub.call(
-            lambda _attempt: target[0],
-            command,
-            lambda p: isinstance(p, CoordReply) and p.command_id == command.command_id,
-            retry=RetryPolicy(max_attempts=10),
-            should_retry=lambda r: not r.ok,
-            on_retry=retarget,
-            method=f"CoordCommand.{command.kind}",
-        )
-        if reply is None or not reply.ok:
-            raise ClusterError(f"coordinator command {command.kind} did not commit")
-        return reply
+        with self.stub.open(f"CoordCommand.{command.kind}") as call:
+            for _attempt in range(10):
+                reply = yield from call.attempt(target, command, is_reply)
+                if reply is not None and reply.ok:
+                    return reply
+                if reply is not None and reply.leader_hint:
+                    target = reply.leader_hint
+        raise ClusterError(f"coordinator command {command.kind} did not commit")
 
 
 class NodeMigration:

@@ -135,7 +135,6 @@ class StoreNode:
             net,
             name,
             registry=registry,
-            labels=labels,
             gate=lambda: self.crashed,
             dedupe_cap=COMPLETED_CAP,
         )

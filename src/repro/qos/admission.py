@@ -18,8 +18,8 @@ node).  Every inbound request passes three gates in order:
 
 A rejected request carries the *exact* time until its gate clears (the
 bucket's refill deficit, or a fixed hint for the other gates), which the
-server wraps in a :class:`repro.rpc.RetryAfter` reply — clients sleep
-that advice instead of their policy's blind backoff.
+server wraps in a :class:`repro.rpc.RetryAfter` reply — the cluster
+client sleeps that advice instead of its own jittered backoff.
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ class RpcEndpoint:
         name: str,
         *,
         registry: Optional[Any] = None,
-        labels: Optional[dict] = None,
         gate: Optional[Callable[[], bool]] = None,
         dedupe_cap: Optional[int] = None,
     ) -> None:
@@ -52,7 +51,7 @@ class RpcEndpoint:
         self._default: Optional[Callable[[Any], bool]] = None
         self._gate = gate
         self._registry = registry
-        self._labels = dict(labels) if labels else {"node": name}
+        self._labels = {"node": name}
         self._in_counters: dict[tuple[type, str], Any] = {}
         self._out_counters: dict[tuple[str, str], Any] = {}
         self._unhandled = (
@@ -113,19 +112,17 @@ class RpcEndpoint:
         handler: Callable[[Any], Any],
         *,
         reply_to: Callable[[Any], str],
-        make_error: Optional[Callable[[Any, Exception], Any]] = None,
     ) -> None:
         """Request/reply convenience: ``handler(message)`` returns the
         reply payload (or ``None`` for no reply), sent to
-        ``reply_to(message)``.  A raising handler produces
-        ``make_error(message, error)`` instead of killing the serve loop
-        (``None``/no factory drops the request silently)."""
+        ``reply_to(message)``.  A raising handler drops the request
+        instead of killing the serve loop."""
 
         def wrapped(message: Any) -> None:
             try:
                 reply = handler(message)
-            except Exception as error:  # noqa: BLE001 - error becomes the reply
-                reply = make_error(message, error) if make_error is not None else None
+            except Exception:  # noqa: BLE001 - the request is dropped
+                return
             if reply is not None:
                 self.send(reply_to(message), reply)
 
@@ -176,16 +173,11 @@ class RpcEndpoint:
     # -- sending -----------------------------------------------------------
 
     def send(
-        self,
-        target: str,
-        payload: Any,
-        *,
-        method: Optional[str] = None,
-        size_bytes: Optional[int] = None,
+        self, target: str, payload: Any, *, size_bytes: Optional[int] = None
     ) -> None:
         """Send with out-metrics; sizes default to ``payload.size()``."""
         if self._registry is not None:
-            name = method if method is not None else type(payload).__name__
+            name = type(payload).__name__
             counter = self._out_counters.get((name, target))
             if counter is None:
                 counter = self._registry.counter(

@@ -1,4 +1,4 @@
-"""Client-side RPC: request/reply correlation with deadlines and retries.
+"""Client-side RPC: request/reply correlation with deadlines.
 
 An :class:`RpcStub` owns one network host and one mailbox pump.  Every
 reply-consuming endpoint in the system (cluster clients, the migration
@@ -17,19 +17,20 @@ until the following poll (and concurrent awaiters silently overwrote
 each other's signal).  On the signal path the two shapes schedule the
 exact same events, so fault-free fixed-seed runs are byte-identical.
 
-Every :meth:`call` automatically records per-RPC counters (calls,
-retries, timeouts — labelled by method and peer) and
-opens a ``SpanTracer`` span when tracing is enabled.  Neither touches
-the event queue, so observability is determinism-free overhead only.
+:meth:`RpcStub.call` makes one attempt.  A caller that retries owns its
+loop: ``with stub.open(method, request_id) as call:``, then one
+:meth:`RpcCall.attempt` per try, with the route, payload and delay its
+own.  Either way the stub counts calls, retries, timeouts and
+server-advised backoffs by method and peer, and records one ``rpc.call``
+span per logical call when tracing is on; neither touches the event
+queue, so observability is determinism-free overhead only.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.rpc.policy import RetryAfter, RetryPolicy
-
-_SINGLE_ATTEMPT = RetryPolicy(1)
+from repro.rpc.policy import RetryAfter
 
 
 class _MethodHandles:
@@ -61,31 +62,20 @@ class RpcStub:
     Parameters
     ----------
     default_deadline_ms:
-        Per-attempt reply deadline of every call, and of an await that
-        passes none.
+        Reply deadline of every attempt and every await.
     discard_unmatched:
         Drop mailbox payloads no predicate matched on each scan.  Correct
         for strictly-sequential callers (every unmatched payload is a
         stale reply to an abandoned attempt); must stay off when several
         exchanges interleave on one stub (migration).
-    registry / labels:
-        Metrics destination; instruments are labelled ``{**labels,
-        method, peer}``.  ``None`` disables metrics entirely.
+    registry:
+        Metrics destination; instruments are labelled ``{node, method,
+        peer}``.  ``None`` disables metrics entirely.
     tracer_fn:
         Zero-arg callable returning the active ``SpanTracer`` or ``None``
         (platforms attach tracers after construction, so the stub must
         re-resolve at call time).
-    rng:
-        Random stream for retry-policy jitter.
     """
-
-    #: floor applied to the *second and later* consecutive zero-delay
-    #: retries that consumed no simulated time.  A policy returning
-    #: ``delay_ms == 0`` against a zero-latency rejector would otherwise
-    #: hot-loop its entire attempt budget at one simulated instant,
-    #: starving the now-lane; one immediate retry stays free so
-    #: leader-hint chasing and the migration retry loop are undisturbed.
-    MIN_BACKOFF_FLOOR_MS = 0.05
 
     def __init__(
         self,
@@ -93,24 +83,19 @@ class RpcStub:
         net: Any,
         name: str,
         *,
-        host: Optional[Any] = None,
         default_deadline_ms: float = 1_000.0,
         discard_unmatched: bool = False,
         registry: Optional[Any] = None,
-        labels: Optional[dict] = None,
         tracer_fn: Optional[Callable[[], Any]] = None,
-        rng: Optional[Any] = None,
     ) -> None:
         self.sim = sim
         self.net = net
         self.name = name
-        self.host = host if host is not None else net.add_host(name)
+        self.host = net.add_host(name)
         self.default_deadline_ms = default_deadline_ms
         self._discard_unmatched = discard_unmatched
         self._registry = registry
-        self._labels = dict(labels) if labels else {"node": name}
         self._tracer_fn = tracer_fn
-        self._rng = rng
         self._mail: list[Any] = []
         self._waiters: list[Any] = []
         self._handles: dict[tuple[str, str], _MethodHandles] = {}
@@ -131,17 +116,15 @@ class RpcStub:
                     if not waiter.triggered:
                         waiter.succeed()
 
-    def await_message(self, predicate: Callable[[Any], bool], deadline_ms: Optional[float] = None):
+    def await_message(self, predicate: Callable[[Any], bool]):
         """Simulation process: the first mailbox payload matching
-        ``predicate``, or ``None`` once the deadline passes.
+        ``predicate``, or ``None`` once the stub's deadline passes.
 
         A waiter that wakes by timeout removes itself from the waiter
         list — the stale-signal fix: the next message then wakes only
         live waiters instead of succeeding a consumed event.
         """
-        deadline = self.sim.now + (
-            self.default_deadline_ms if deadline_ms is None else deadline_ms
-        )
+        deadline = self.sim.now + self.default_deadline_ms
         while True:
             for index, payload in enumerate(self._mail):
                 if predicate(payload):
@@ -169,150 +152,131 @@ class RpcStub:
         handles = self._handles.get(key)
         if handles is None:
             handles = _MethodHandles(
-                self._registry, {**self._labels, "method": method, "peer": peer}
+                self._registry, {"node": self.name, "method": method, "peer": peer}
             )
             self._handles[key] = handles
         return handles
 
-    def send(
-        self,
-        target: str,
-        payload: Any,
-        *,
-        method: Optional[str] = None,
-        size_bytes: Optional[int] = None,
-    ) -> None:
+    def send(self, target: str, payload: Any) -> None:
         """One-way send (no reply correlation), with out-metrics."""
-        handles = self._handles_for(method or type(payload).__name__, target)
+        handles = self._handles_for(type(payload).__name__, target)
         if handles is not None:
             handles.sent.inc()
-        self.net.send(
-            self.name,
-            target,
-            payload,
-            size_bytes=payload.size() if size_bytes is None else size_bytes,
-        )
+        self.net.send(self.name, target, payload, size_bytes=payload.size())
 
     def call(
         self,
-        target: Any,
+        target: str,
         payload: Any,
         predicate: Callable[[Any], bool],
         *,
-        retry: Optional[RetryPolicy] = None,
-        should_retry: Optional[Callable[[Any], bool]] = None,
-        on_retry: Optional[Callable[[int, Any], Any]] = None,
         method: Optional[str] = None,
         request_id: Optional[str] = None,
     ):
-        """Simulation process: request/reply with deadline + retry.
-
-        ``target`` and ``payload`` may be callables of the attempt index,
-        so routing decisions (and payload fields like the client's
-        current epoch) are re-resolved per attempt in the caller's
-        historical order — including any routing rng draw.
-
-        Per attempt: resolve target/payload, send, await ``predicate``
-        for the default deadline.  A ``None`` reply (deadline) always
-        retries; a received reply retries only when
-        ``should_retry(reply)`` says so.  Between attempts
-        ``on_retry(attempt, reply)`` runs first (it may return a
-        generator, e.g. a config refresh, which is driven to completion),
-        then the policy's delay — a zero delay schedules no timeout
-        event, except that consecutive zero-delay retries of zero-time
-        attempts are floored at :attr:`MIN_BACKOFF_FLOOR_MS` after the
-        first (now-lane starvation guard).  Returns the last reply, or
-        ``None`` when every attempt timed out.  Callers classify the
-        result; the stub never raises on exhaustion.
-
-        ``request_id`` keys the call's span and escalations, and opts it
-        into server-advised backoff: the predicate also matches a
-        :class:`RetryAfter` carrying that id, and such a reply always
-        retries after the *server's* ``retry_after_ms`` instead of the
-        policy's delay (the server knows when its admission gate clears;
-        the policy is guessing).  On exhaustion the ``RetryAfter``
-        itself is returned so callers can classify it as overload.
+        """Simulation process: send ``payload`` to ``target`` once and
+        return the first mailbox payload matching ``predicate``, or
+        ``None`` at the deadline; callers classify the result.  ``method``
+        labels metrics and span (default: the payload's type name).
+        ``request_id`` keys the span and escalations and widens the
+        predicate to a :class:`RetryAfter` carrying that id.
         """
-        policy = retry if retry is not None else _SINGLE_ATTEMPT
+        name = method if method is not None else type(payload).__name__
+        handles = self._handles_for(name, target)
+        if handles is not None:
+            handles.calls.inc()
         tracer = self._tracer_fn() if self._tracer_fn is not None else None
-        if request_id is not None:
-            match = predicate
-
-            def predicate(p, _rid=request_id, _match=match):  # noqa: F811
-                return (
-                    type(p) is RetryAfter and p.request_id == _rid
-                ) or _match(p)
-
         span = None
+        if tracer is not None:
+            span = tracer.start(
+                "rpc.call", trace_id=request_id, node=self.name, method=name, peer=target
+            )
         reply = None
-        immediate_retries = 0
         try:
-            for attempt in range(policy.max_attempts):
-                dst = target(attempt) if callable(target) else target
-                message = payload(attempt) if callable(payload) else payload
-                name = method if method is not None else type(message).__name__
-                handles = self._handles_for(name, dst)
-                if attempt == 0:
-                    if tracer is not None:
-                        span = tracer.start(
-                            "rpc.call",
-                            trace_id=request_id,
-                            node=self.name,
-                            method=name,
-                            peer=dst,
-                        )
-                    if handles is not None:
-                        handles.calls.inc()
-                else:
-                    if handles is not None:
-                        handles.retries.inc()
-                    if tracer is not None and request_id is not None:
-                        # retries and timeouts stay visible under sampling
-                        tracer.escalate(
-                            request_id, reason="rpc.retry", node=self.name
-                        )
-                attempt_started = self.sim.now
-                self.net.send(
-                    self.name, dst, message, size_bytes=message.size()
-                )
-                reply = yield from self.await_message(predicate)
-                advised = None
-                if reply is None:
-                    if handles is not None:
-                        handles.timeouts.inc()
-                    if tracer is not None and request_id is not None:
-                        tracer.escalate(
-                            request_id, reason="rpc.timeout", node=self.name
-                        )
-                elif type(reply) is RetryAfter:
-                    # An admission gate shed the request: always
-                    # retryable, and the server said exactly when.
-                    advised = max(0.0, reply.retry_after_ms)
-                    if handles is not None:
-                        handles.retry_after.inc()
-                elif should_retry is None or not should_retry(reply):
-                    return reply
-                if attempt + 1 >= policy.max_attempts:
-                    return reply
-                if on_retry is not None:
-                    step = on_retry(attempt, reply)
-                    if step is not None:
-                        yield from step
-                if advised is not None:
-                    delay = advised
-                else:
-                    delay = policy.delay_ms(attempt, self._rng)
-                if delay <= 0 and self.sim.now <= attempt_started:
-                    immediate_retries += 1
-                    if immediate_retries > 1:
-                        delay = self.MIN_BACKOFF_FLOOR_MS
-                else:
-                    immediate_retries = 0
-                if delay > 0:
-                    yield self.sim.timeout(delay)
+            reply = yield from self._exchange(
+                target, payload, predicate, handles, tracer, request_id
+            )
             return reply
         finally:
             if span is not None:
-                tracer.end(
-                    span, status="ok" if reply is not None else "timeout"
+                tracer.end(span, status="ok" if reply is not None else "timeout")
+
+    def open(self, method: Optional[str] = None, request_id: Optional[str] = None) -> RpcCall:
+        """A logical call for a caller that runs its own retry loop; use
+        it as a context manager so its span ends with the call."""
+        return RpcCall(self, method, request_id)
+
+    def _exchange(self, target, payload, predicate, handles, tracer, request_id):
+        """Send one attempt, await its reply, and count a timeout or a
+        server-advised backoff."""
+        if request_id is not None:
+            match = predicate
+
+            def predicate(p):  # noqa: F811
+                return (type(p) is RetryAfter and p.request_id == request_id) or match(p)
+
+        self.net.send(self.name, target, payload, size_bytes=payload.size())
+        reply = yield from self.await_message(predicate)
+        if reply is None:
+            if handles is not None:
+                handles.timeouts.inc()
+            if tracer is not None and request_id is not None:
+                tracer.escalate(request_id, reason="rpc.timeout", node=self.name)
+        elif type(reply) is RetryAfter and handles is not None:
+            handles.retry_after.inc()
+        return reply
+
+
+class RpcCall:
+    """One logical call of one or more attempts (see :meth:`RpcStub.open`).
+
+    The caller picks each attempt's target and payload, whether to try
+    again and how long to wait; the call counts ``rpc_calls`` once,
+    ``rpc_retries`` (and an ``rpc.retry`` escalation) per further attempt,
+    and keeps one ``rpc.call`` span open until the ``with`` block exits.
+    """
+
+    __slots__ = ("_stub", "_method", "_request_id", "_tracer", "_span", "attempts", "reply")
+
+    def __init__(self, stub: RpcStub, method: Optional[str], request_id: Optional[str]) -> None:
+        self._stub = stub
+        self._method = method
+        self._request_id = request_id
+        self._tracer = stub._tracer_fn() if stub._tracer_fn is not None else None
+        self._span = None
+        self.attempts = 0
+        #: the last attempt's reply (``None`` after a timeout)
+        self.reply: Any = None
+
+    def __enter__(self) -> "RpcCall":
+        return self
+
+    def __exit__(self, *_exc: Any) -> None:
+        if self._span is not None:
+            self._tracer.end(self._span, status="ok" if self.reply is not None else "timeout")
+
+    def attempt(self, target: str, payload: Any, predicate: Callable[[Any], bool]):
+        """Simulation process: one attempt of the call, as
+        :meth:`RpcStub.call` makes it."""
+        stub = self._stub
+        tracer = self._tracer
+        request_id = self._request_id
+        name = self._method if self._method is not None else type(payload).__name__
+        handles = stub._handles_for(name, target)
+        if self.attempts == 0:
+            if handles is not None:
+                handles.calls.inc()
+            if tracer is not None:
+                self._span = tracer.start(
+                    "rpc.call", trace_id=request_id, node=stub.name, method=name, peer=target
                 )
+        else:
+            if handles is not None:
+                handles.retries.inc()
+            if tracer is not None and request_id is not None:
+                # retries and timeouts stay visible under sampling
+                tracer.escalate(request_id, reason="rpc.retry", node=stub.name)
+        self.attempts += 1
+        self.reply = yield from stub._exchange(
+            target, payload, predicate, handles, tracer, request_id
+        )
+        return self.reply

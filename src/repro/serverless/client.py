@@ -42,8 +42,8 @@ class SimpleClient:
             name,
             default_deadline_ms=request_timeout_ms,
             discard_unmatched=True,
-            registry=getattr(platform, "metrics", None),
-            tracer_fn=lambda: getattr(platform, "tracer", None),
+            registry=platform.metrics,
+            tracer_fn=lambda: platform.tracer,
         )
         self.host = self.stub.host
 

@@ -83,9 +83,7 @@ class ComputeNode:
         self.net = net
         self.platform = platform
         self.name = name
-        self.endpoint = RpcEndpoint(
-            sim, net, name, registry=getattr(platform, "metrics", None)
-        )
+        self.endpoint = RpcEndpoint(sim, net, name, registry=platform.metrics)
         self.host = self.endpoint.host
         self.endpoint.on(ClientRequest, self._handle, spawn="req")
         self.cpu = Resource(sim, cores)
@@ -97,7 +95,7 @@ class ComputeNode:
         self.storage = RecordingStorage(
             [node.backend for node in storage_nodes], costs=platform.costs
         )
-        registry = getattr(platform, "metrics", None)
+        registry = platform.metrics
         labels = {"node": name}
         self.runtime = LocalRuntime(
             storage=self.storage,
@@ -119,7 +117,7 @@ class ComputeNode:
     @property
     def tracer(self):
         """The platform-wide span tracer, or None when tracing is off."""
-        return getattr(self.platform, "tracer", None)
+        return self.platform.tracer
 
     def start(self) -> None:
         self.endpoint.start()

@@ -32,9 +32,9 @@ def test_shed_request_retries_after_server_advice_and_succeeds():
     started = sim.now
     assert run_process(sim, driver()) == 9
     assert total_shed(cluster) >= 1
-    # The wait was the server-advised bucket deficit, not the retry
-    # policy's jitter: LinearJitterBackoff would add ~1 ms, the advice
-    # is ~1000 ms at 1 req/s.
+    # The wait was the server-advised bucket deficit, not the client's
+    # own jitter: the jitter would add ~1 ms, the advice is ~1000 ms at
+    # 1 req/s.
     assert sim.now - started > 100.0
 
 

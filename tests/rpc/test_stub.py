@@ -1,9 +1,12 @@
-"""RpcStub: deadlines, retries, waiter wake-ups, and auto-metrics."""
+"""RpcStub: deadlines, logical calls, waiter wake-ups, and auto-metrics."""
 
 from dataclasses import dataclass
 
+import pytest
+
 from repro.obs.registry import MetricsRegistry
-from repro.rpc import RetryPolicy, RpcEndpoint, RpcStub
+from repro.obs.spans import SpanTracer
+from repro.rpc import RetryAfter, RpcEndpoint, RpcStub
 from repro.sim import ConstantLatency, Network, Simulation
 
 
@@ -26,8 +29,20 @@ class Pong:
 def build(latency_ms: float = 1.0, registry=None):
     sim = Simulation(seed=1)
     net = Network(sim, latency=ConstantLatency(latency_ms))
-    stub = RpcStub(sim, net, "client", default_deadline_ms=20.0, registry=registry)
+    tracer = SpanTracer(clock=lambda: sim.now)
+    stub = RpcStub(
+        sim,
+        net,
+        "client",
+        default_deadline_ms=20.0,
+        registry=registry,
+        tracer_fn=lambda: tracer,
+    )
     return sim, net, stub
+
+
+def rpc_spans(stub):
+    return [span for span in stub._tracer_fn().spans if span.name == "rpc.call"]
 
 
 def echo_server(sim, net, name="server", drop_first=0):
@@ -78,118 +93,82 @@ def test_deadline_expiry_returns_none():
     assert got == [(None, 20.0)]  # exactly the default deadline
 
 
-def test_retry_recovers_from_lost_request():
+def test_call_makes_one_attempt():
+    """A lost request is not resent: the call times out after one
+    deadline, counted as one call and one timeout, no retry."""
     registry = MetricsRegistry()
     sim, net, stub = build(registry=registry)
     state = echo_server(sim, net, drop_first=1)
     got = []
 
     def caller():
-        reply = yield from stub.call(
-            "server",
-            Ping(3),
-            lambda p: isinstance(p, Pong) and p.seq == 3,
-            retry=RetryPolicy(max_attempts=3),
-        )
-        got.append(reply)
+        reply = yield from stub.call("server", Ping(3), lambda p: isinstance(p, Pong))
+        got.append((reply, sim.now))
 
     sim.process(caller())
     sim.run()
-    assert got == [Pong(3)]
+    assert got == [(None, 20.0)]
+    assert state["seen"] == 1
+    labels = {"node": "client", "method": "Ping", "peer": "server"}
+    assert registry.get("rpc_calls", labels).value == 1
+    assert registry.get("rpc_retries", labels).value == 0
+    assert registry.get("rpc_timeouts", labels).value == 1
+    (span,) = rpc_spans(stub)
+    assert (span.end_ms, span.status) == (20.0, "timeout")
+
+
+def test_retry_recovers_from_lost_request():
+    """The caller's loop resends after a timeout; the logical call counts
+    one call, one retry and one timeout, and records one span from the
+    first send to the end of the call."""
+    registry = MetricsRegistry()
+    sim, net, stub = build(registry=registry)
+    state = echo_server(sim, net, drop_first=1)
+    got = []
+
+    def caller():
+        with stub.open(request_id="req-3") as call:
+            for _attempt in range(3):
+                reply = yield from call.attempt(
+                    "server", Ping(3), lambda p: isinstance(p, Pong) and p.seq == 3
+                )
+                if reply is not None:
+                    break
+        got.append((reply, call.attempts, sim.now))
+
+    sim.process(caller())
+    sim.run()
+    reply, attempts, finished_at = got[0]
+    assert (reply, attempts) == (Pong(3), 2)
+    assert finished_at == pytest.approx(22.0, abs=1e-3)  # 20 ms deadline + 2 ms trip
     assert state["seen"] == 2
     labels = {"node": "client", "method": "Ping", "peer": "server"}
     assert registry.get("rpc_calls", labels).value == 1
     assert registry.get("rpc_retries", labels).value == 1
     assert registry.get("rpc_timeouts", labels).value == 1
-
-
-def test_should_retry_and_on_retry_drive_the_schedule():
-    sim, net, stub = build()
-    endpoint = RpcEndpoint(sim, net, "server")
-    endpoint.on(Ping, lambda ping: endpoint.send("client", Pong(ping.seq)))
-    endpoint.start()
-    retries_seen = []
-
-    def caller():
-        # Pongs with seq < 2 are "retryable errors"; the payload callable
-        # bumps seq per attempt, so the third attempt succeeds.
-        reply = yield from stub.call(
-            "server",
-            lambda attempt: Ping(attempt),
-            lambda p: isinstance(p, Pong),
-            retry=RetryPolicy(max_attempts=5),
-            should_retry=lambda pong: pong.seq < 2,
-            on_retry=lambda attempt, pong: retries_seen.append((attempt, pong.seq)),
-        )
-        return reply
-
-    process = sim.process(caller())
-    sim.run()
-    assert process.value == Pong(2)
-    assert retries_seen == [(0, 0), (1, 1)]
-
-
-def test_generator_on_retry_runs_before_next_attempt():
-    """``on_retry`` may be a generator (e.g. the cluster client's config
-    refresh round trip); the stub must drive it to completion — including
-    its timeouts — before rebuilding the next attempt's payload."""
-    sim, net, stub = build()
-    endpoint = RpcEndpoint(sim, net, "server")
-    endpoint.on(Ping, lambda ping: endpoint.send("client", Pong(ping.seq)))
-    endpoint.start()
-    state = {"config": 0}
-    hook_done_at = []
-
-    def on_retry(_attempt, pong):
-        # Simulate a refresh: only after a simulated round trip does the
-        # shared config advance past the retry threshold.
-        yield sim.timeout(3.0)
-        state["config"] = pong.seq + 10
-        hook_done_at.append(sim.now)
-
-    def caller():
-        return (
-            yield from stub.call(
-                "server",
-                lambda attempt: Ping(state["config"] + attempt),
-                lambda p: isinstance(p, Pong),
-                retry=RetryPolicy(max_attempts=5),
-                should_retry=lambda pong: pong.seq < 10,
-                on_retry=on_retry,
-            )
-        )
-
-    process = sim.process(caller())
-    sim.run()
-    # Attempt 0 sent Ping(0) -> Pong(0), retryable.  The generator hook
-    # ran to completion (config = 10) BEFORE attempt 1 built its payload,
-    # so attempt 1 sent Ping(11) and was accepted.  If the stub had only
-    # invoked the hook without driving the generator, config would still
-    # be 0 and every attempt would exhaust on seq < 10.
-    assert process.value == Pong(11)
-    assert hook_done_at and hook_done_at[0] >= 3.0
+    (span,) = rpc_spans(stub)
+    assert (span.trace_id, span.start_ms, span.end_ms, span.status) == (
+        "req-3", 0.0, finished_at, "ok"
+    )
 
 
 def test_exhausted_retries_return_last_reply():
     sim, net, stub = build()
     endpoint = RpcEndpoint(sim, net, "server")
-    endpoint.on(Ping, lambda ping: endpoint.send("client", Pong(-1)))
+    endpoint.on(Ping, lambda ping: endpoint.send("client", Pong(-ping.seq)))
     endpoint.start()
 
     def caller():
-        return (
-            yield from stub.call(
-                "server",
-                Ping(0),
-                lambda p: isinstance(p, Pong),
-                retry=RetryPolicy(max_attempts=3),
-                should_retry=lambda pong: True,  # never satisfied
-            )
-        )
+        # Every Pong is a "retryable error" to this caller: it gives up
+        # after three attempts, holding the last one's reply.
+        with stub.open() as call:
+            for attempt in range(3):
+                yield from call.attempt("server", Ping(attempt), lambda p: isinstance(p, Pong))
+        return call.reply
 
     process = sim.process(caller())
     sim.run()
-    assert process.value == Pong(-1)  # the caller classifies, the stub never raises
+    assert process.value == Pong(-2)  # the caller classifies, the stub never raises
 
 
 def test_duplicate_replies_are_suppressed_by_predicate_consumption():
@@ -280,97 +259,36 @@ def test_timed_out_waiter_leaves_the_waiter_list():
     assert stub._waiters == []
 
 
-def test_zero_delay_retries_floor_after_the_first_immediate_one():
-    """A zero-delay policy retrying zero-time attempts must not spin the
-    now-lane: the first immediate retry is free (the historical leader-
-    hint-chasing shape), every later consecutive one advances time by the
-    backoff floor."""
-    sim = Simulation(seed=1)
-    # Zero latency AND infinite bandwidth: every attempt completes at the
-    # instant it was sent, the case the floor exists for.
-    net = Network(sim, latency=ConstantLatency(0.0), bandwidth_mbps=float("inf"))
-    stub = RpcStub(sim, net, "client", default_deadline_ms=20.0)
+def test_retry_after_matches_only_the_calls_own_request_id():
+    """A call given a request id also accepts a RetryAfter carrying that
+    id — the server's advice comes back as the reply and is counted — but
+    never one for another request, nor any when it has no request id."""
+    registry = MetricsRegistry()
+    sim, net, stub = build(registry=registry)
     endpoint = RpcEndpoint(sim, net, "server")
-    endpoint.on(Ping, lambda ping: endpoint.send("client", Pong(ping.seq)))
-    endpoint.start()
-    got = []
-
-    def caller():
-        # Pongs with seq < 3 are "retryable"; the payload callable bumps
-        # seq per attempt, so the fourth attempt succeeds.
-        reply = yield from stub.call(
-            "server",
-            lambda attempt: Ping(attempt),
-            lambda p: isinstance(p, Pong),
-            retry=RetryPolicy(max_attempts=4),
-            should_retry=lambda p: p.seq < 3,
-        )
-        got.append((reply, sim.now))
-
-    sim.process(caller())
-    sim.run()
-    reply, finished_at = got[0]
-    assert reply == Pong(3)
-    # attempt 0 -> 1 free, attempts 1 -> 2 and 2 -> 3 floored.
-    expected = 2 * RpcStub.MIN_BACKOFF_FLOOR_MS
-    assert abs(finished_at - expected) < 1e-9, finished_at
-
-
-def test_retry_after_overrides_policy_delay_and_returns_on_exhaustion():
-    """A RetryAfter matching the call's request_id always retries after
-    the *server's* advice; when attempts run out, the RetryAfter itself
-    comes back so the caller can classify the failure as overload."""
-    from repro.rpc import RetryAfter
-
-    sim, net, stub = build(latency_ms=1.0)
-    endpoint = RpcEndpoint(sim, net, "server")
-    mode = {"shed_first": 1, "request_id": "req-1", "advice_ms": 40.0}
+    shed_as = {"request_id": "other"}
 
     def handle(ping):
-        if mode["shed_first"] > 0:
-            mode["shed_first"] -= 1
-            endpoint.send(
-                "client",
-                RetryAfter(mode["request_id"], mode["advice_ms"], server="server"),
-            )
-        else:
-            endpoint.send("client", Pong(ping.seq))
+        endpoint.send("client", RetryAfter(shed_as["request_id"], 7.5, server="server"))
 
     endpoint.on(Ping, handle)
     endpoint.start()
     got = []
 
-    def caller():
+    def caller(seq, request_id):
         reply = yield from stub.call(
-            "server",
-            Ping(5),
-            lambda p: isinstance(p, Pong) and p.seq == 5,
-            retry=RetryPolicy(max_attempts=2),  # zero policy delay
-            request_id="req-1",
-        )
-        got.append((reply, sim.now))
-
-    sim.process(caller())
-    sim.run()
-    reply, finished_at = got[0]
-    assert reply == Pong(5)
-    # 2 ms round trip + the advised 40 ms + the second round trip: the
-    # 40 ms sleep came from the server, not the (zero-delay) policy.
-    assert finished_at >= 42.0
-
-    def exhausted():
-        reply = yield from stub.call(
-            "server",
-            Ping(6),
-            lambda p: isinstance(p, Pong) and p.seq == 6,
-            request_id="req-2",
+            "server", Ping(seq), lambda p: isinstance(p, Pong), request_id=request_id
         )
         got.append(reply)
 
-    # Shed every remaining attempt: the single-attempt call exhausts.
-    mode.update(shed_first=10_000, request_id="req-2", advice_ms=7.5)
-    sim.process(exhausted())
+    sim.process(caller(1, "mine"))  # someone else's RetryAfter: times out
     sim.run()
-    last = got[-1]
-    assert type(last) is RetryAfter
-    assert last.retry_after_ms == 7.5
+    sim.process(caller(2, None))  # no request id: a RetryAfter never matches
+    sim.run()
+    shed_as["request_id"] = "mine"
+    sim.process(caller(3, "mine"))
+    sim.run()
+    assert got == [None, None, RetryAfter("mine", 7.5, server="server")]
+    labels = {"node": "client", "method": "Ping", "peer": "server"}
+    assert registry.get("rpc_retry_after", labels).value == 1
+    assert registry.get("rpc_timeouts", labels).value == 2

@@ -9,9 +9,7 @@ regression to the hand-rolled pump/await pattern the RPC layer replaced
 Allowlisted:
 
 - ``src/repro/rpc/`` — the layer itself (stub pump, endpoint serve loop);
-- ``src/repro/sim/`` — the primitive being wrapped;
-- ``src/repro/cluster/replication.py`` — the group-commit pipeline keeps
-  its own framed stream (frames still *ship* through the endpoint).
+- ``src/repro/sim/`` — the primitive being wrapped.
 
 Tests may use raw hosts freely; only ``src/`` is scanned.
 """
@@ -25,7 +23,6 @@ from pathlib import Path
 ALLOWLIST = (
     "src/repro/rpc/",
     "src/repro/sim/",
-    "src/repro/cluster/replication.py",
 )
 
 RECV_CALL = re.compile(r"\.recv\(")
