@@ -112,8 +112,9 @@ def mc(cal: CalibrationLike = None, out_path: str = "BENCH_mc.json") -> dict:
            if sensitivity["found"] else "NOT FOUND (detector is vacuous!)")
     )
 
+    # wall time is printed, never written: a rerun leaves the file byte-identical
     payload = {
-        "rows": rows,
+        "rows": [{k: v for k, v in row.items() if k != "wall_s"} for row in rows],
         "sensitivity": sensitivity,
         "counterexamples": counterexamples,
         "seeded_counterexample": (

@@ -14,10 +14,8 @@ time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
-
-from repro.core.linearizability import History
+from dataclasses import dataclass
+from typing import Any, Optional
 
 
 @dataclass
@@ -105,22 +103,3 @@ class HistoryRecorder:
     def __len__(self) -> int:
         return len(self._records)
 
-    def to_history(
-        self,
-        records: Optional[list[RecordedInvocation]] = None,
-        kind_of: Optional[Callable[[RecordedInvocation], str]] = None,
-    ) -> History:
-        """Convert completed records to a core :class:`History`.
-
-        ``kind_of`` maps an invocation to the sequential model's operation
-        kind (defaults to the method name, which matches the register
-        model's ``read``/``write``).
-        """
-        history = History()
-        for record in records if records is not None else self.completed():
-            kind = kind_of(record) if kind_of is not None else record.method
-            op = history.begin(
-                record.client, kind, record.object_id, record.args, record.invoke_at
-            )
-            history.finish(op, record.return_at, record.result)
-        return history

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from repro.cluster.client import ClusterClient
 from repro.cluster.coordinator import CoordinatorNode
@@ -12,6 +12,7 @@ from repro.cluster.execution import ExecutionCapture
 from repro.cluster.store_node import StoreNode
 from repro.core.ids import ObjectId
 from repro.core.object_type import ObjectType
+from repro.core.storage import MemoryBackend
 from repro.errors import ClusterError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanTracer
@@ -177,7 +178,8 @@ class Cluster:
             )
             node.install_config(self.bootstrap_epoch, self.bootstrap_shard_map.copy())
             self.nodes[name] = node
-            self._register_storage_gauges(name, node.runtime.storage)
+            if isinstance(node.runtime.storage, MemoryBackend):
+                node.runtime.storage.register_gauges(self.metrics, {"node": name})
 
         self.coordinators: dict[str, CoordinatorNode] = {}
         for name in coordinator_names:
@@ -200,22 +202,6 @@ class Cluster:
         self.capture: Optional[ExecutionCapture] = None
         self._clients: list[ClusterClient] = []
         self._started = False
-
-    def _register_storage_gauges(self, name: str, storage: Any) -> None:
-        """Expose an in-memory backend's plain op counters as callback
-        gauges (a ``DB``-backed node registers its own counters instead)."""
-        labels = {"node": name}
-        for op in ("gets", "puts", "deletes", "applies"):
-            if hasattr(storage, op):
-                self.metrics.gauge(
-                    f"kvstore_{op}",
-                    labels,
-                    fn=lambda backend=storage, attr=op: getattr(backend, attr),
-                )
-        if hasattr(storage, "size_bytes"):
-            self.metrics.gauge(
-                "kvstore_size_bytes", labels, fn=storage.size_bytes
-            )
 
     def _build_shard_map(self, storage_names: list[str]) -> ShardMap:
         groups: list[list[str]] = [[] for _ in range(self.config.num_shards)]
@@ -293,10 +279,6 @@ class Cluster:
         self._types[object_type.name] = object_type
         for node in self.nodes.values():
             node.runtime.register_type(object_type)
-
-    def register_types(self, object_types: Iterable[ObjectType]) -> None:
-        for object_type in object_types:
-            self.register_type(object_type)
 
     def create_object(
         self,

@@ -21,18 +21,6 @@ class ClusterNodeRuntime(LocalRuntime):
         super().__init__(**kwargs)
         self.node = node
 
-    def invoke_request(self, request: Any, root=None) -> InvocationResult:
-        """Run a client request's invocation with the request's root span
-        active, so invoke / cache / commit / nested-call spans nest under
-        it (guest execution is synchronous: no other process interleaves)."""
-        tracer = self.node.tracer
-        if tracer is not None and root is not None:
-            with tracer.activate(root):
-                return self.invoke_detailed(
-                    request.object_id, request.method, *request.args
-                )
-        return self.invoke_detailed(request.object_id, request.method, *request.args)
-
     def _commit(self, ctx, reason: str = "final"):
         # Replica-state safety net: only an object's primary may commit
         # writes through the execution path.  This catches e.g. a
@@ -48,7 +36,7 @@ class ClusterNodeRuntime(LocalRuntime):
                     f"at {self.node.name}, which is not its primary "
                     f"({replica_set.primary}); route writes to the primary"
                 )
-        return super()._commit(ctx, reason=reason)
+        super()._commit(ctx, reason=reason)
 
     def nested_invoke(self, parent_ctx, object_id, method, args):
         owner = self.node.owner_node_for(object_id)
@@ -57,20 +45,7 @@ class ClusterNodeRuntime(LocalRuntime):
         # Remote microshard: commit the caller (§3.1), execute at the
         # owner's runtime now, and record the time/replication charge the
         # replay phase will bill to the owner.
-        if parent_ctx.readonly:
-            # Read-only transitivity, resolved against the owner (this
-            # node may not hold the remote object's metadata).
-            try:
-                target_readonly = (
-                    owner.runtime.type_of(object_id).method_def(method).readonly
-                )
-            except Exception:
-                target_readonly = True  # let the dispatch raise precisely
-            if not target_readonly:
-                raise InvocationError(
-                    f"read-only invocation cannot dispatch mutating method "
-                    f"{method!r} on {object_id.short}"
-                )
+        self._check_nested_readonly(parent_ctx, owner.runtime, object_id, method)
         self._commit(parent_ctx, reason="pre-nested")
         capture = self.node.cluster.capture
         result = owner.runtime.invoke_detailed(

@@ -39,7 +39,7 @@ from repro.core.ids import ObjectId
 from repro.core.invocation import InvocationResult, InvocationStats
 from repro.core.linearizability import History, Operation, check_linearizable, register_model
 from repro.core.method import method, readonly_method
-from repro.core.object_type import ObjectType, object_type
+from repro.core.object_type import ObjectType
 from repro.core.runtime import LocalRuntime
 from repro.core.storage import KVBackend, MemoryBackend, StorageBackend
 from repro.core.writeset import WriteSet
@@ -65,7 +65,6 @@ __all__ = [
     "WriteSet",
     "check_linearizable",
     "method",
-    "object_type",
     "readonly_method",
     "register_model",
 ]

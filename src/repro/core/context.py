@@ -8,8 +8,8 @@ The context is the *only* capability a method holds.  It exposes:
   (paper §3) structural rather than a convention;
 - cross-object invocation (``self.get_object(oid).some_method(...)``),
   which commits buffered writes first (§3.1);
-- metered utilities (``now``, ``random``, ``log``) that mark the
-  invocation non-deterministic where appropriate.
+- metered utilities (``now``, ``random``) that mark the invocation
+  non-deterministic.
 
 Method-call sugar mirrors the paper's pseudocode: attribute access for a
 declared method returns a dispatcher, so ``self.store_post(...)`` and
@@ -56,12 +56,7 @@ class InvocationContext(HostAPI):
         self.deterministic = True
         #: set true when a nested invocation was dispatched
         self.dispatched_nested = False
-        #: number of commit segments so far (bumped by the runtime)
-        self.parts = 0
-        self.logs: list[str] = []
         self.sub_results: list[Any] = []
-        #: keys committed across every segment of this invocation
-        self.all_written_keys: list[bytes] = []
         self._memory: Optional[MemoryMeter] = None
 
     # -- wiring ------------------------------------------------------------
@@ -260,10 +255,6 @@ class InvocationContext(HostAPI):
         self._charge(self._costs.utility)
         self.deterministic = False
         return self._runtime.guest_rng.random()
-
-    def log(self, message: str) -> None:
-        self._charge(self._costs.utility)
-        self.logs.append(str(message))
 
     def self_id(self) -> ObjectId:
         return self._object_id

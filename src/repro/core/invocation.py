@@ -1,4 +1,12 @@
-"""Invocation results and statistics."""
+"""Invocation results and statistics.
+
+An invocation produces a value and commits its writes (§3); what the
+writes did is observable through committed storage and the runtime's
+``runtime_commits`` counter (one per commit segment: a nested call splits
+its caller in two, §3.1), so the result carries only what the platforms
+read: the value, the fuel that prices the CPU time, the read set the
+result cache keys on, and the nested results.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +19,7 @@ from repro.obs.registry import StatsView
 
 @dataclass
 class InvocationResult:
-    """Everything the runtime knows about one completed invocation."""
+    """What the platforms read of one completed invocation."""
 
     object_id: ObjectId
     method: str
@@ -20,19 +28,10 @@ class InvocationResult:
     fuel_used: float
     #: committed-state observations: key -> value digest
     read_set: dict[bytes, bytes]
-    #: keys written across all commit segments of this invocation
-    written_keys: list[bytes]
-    #: storage sequence number of the final commit (0 if nothing written)
-    commit_sequence: int
-    #: number of commit segments (> 1 when nested calls split the caller,
-    #: §3.1: "treated as two separate function invocations")
-    parts: int
     #: results of nested invocations dispatched by this one
     sub_results: list["InvocationResult"] = field(default_factory=list)
     #: served from the consistent result cache without executing
     cache_hit: bool = False
-    #: guest log lines
-    logs: list[str] = field(default_factory=list)
 
     def total_invocations(self) -> int:
         """This invocation plus all transitively nested ones."""

@@ -1,31 +1,15 @@
-"""Object types: a set of fields plus a compiled method module.
-
-Two declaration styles are supported.  Explicit construction::
+"""Object types: a set of fields plus a compiled method module::
 
     account = ObjectType(
         "Account",
         fields=[ValueField("balance", default=0)],
         methods=[method(deposit), readonly_method(balance)],
     )
-
-and the class-decorator sugar, which reads closest to the paper's
-Listing 1::
-
-    @object_type
-    class User:
-        name = ValueField("name")
-        followers = CollectionField("followers")
-
-        @method
-        def create_post(self, msg): ...
-
-Both produce the same :class:`ObjectType`; the decorator simply collects
-field specs and guest functions from the class body.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.errors import ModelError, UnknownFieldError
 from repro.core.fields import FieldKind, FieldSpec
@@ -78,12 +62,6 @@ class ObjectType:
             )
         return spec
 
-    def value_fields(self) -> list[FieldSpec]:
-        return [f for f in self.fields.values() if f.kind == FieldKind.VALUE]
-
-    def collection_fields(self) -> list[FieldSpec]:
-        return [f for f in self.fields.values() if f.kind == FieldKind.COLLECTION]
-
     # -- method queries --------------------------------------------------
 
     def has_method(self, method_name: str) -> bool:
@@ -98,19 +76,3 @@ class ObjectType:
             f"methods={list(self.module.functions)}>"
         )
 
-
-def object_type(cls: type, name: Optional[str] = None) -> ObjectType:
-    """Build an :class:`ObjectType` from a class body (decorator form)."""
-    fields = []
-    methods = []
-    for attr_name, attr in vars(cls).items():
-        if isinstance(attr, FieldSpec):
-            if attr.name != attr_name:
-                raise ModelError(
-                    f"field declared as {attr_name!r} but named {attr.name!r}; "
-                    "use the same name in both places"
-                )
-            fields.append(attr)
-        elif isinstance(attr, GuestFunction):
-            methods.append(attr)
-    return ObjectType(name or cls.__name__, fields=fields, methods=methods)

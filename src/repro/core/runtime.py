@@ -3,16 +3,18 @@
 This is the model's reference implementation: one storage backend, one
 scheduler-free executor (invocations are sequential, so per-object mutual
 exclusion holds trivially), full invocation-linearizability semantics,
-and the consistent result cache.  The distributed LambdaStore
-(:mod:`repro.cluster`) runs the same context/commit machinery on every
-storage node; the serverless baseline reuses it with remote storage.
+and the consistent result cache.  It is also the one invocation entry
+point of both platforms: a LambdaStore storage node (:mod:`repro.cluster`)
+and a serverless compute node each run a client request through
+:meth:`LocalRuntime.invoke_request`, the first over its local store, the
+second over remote storage.
 """
 
 from __future__ import annotations
 
 import random
 from contextlib import nullcontext
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import (
     InvocationError,
@@ -70,7 +72,6 @@ class LocalRuntime:
         memory_limit_bytes: int = DEFAULT_MEMORY_LIMIT,
         registry: Optional[MetricsRegistry] = None,
         metrics_labels: Optional[dict] = None,
-        tracer: Optional[SpanTracer] = None,
         trace_node: str = "",
     ) -> None:
         self.storage: StorageBackend = storage if storage is not None else MemoryBackend()
@@ -99,12 +100,11 @@ class LocalRuntime:
         self._c_cache_hits = self.stats.cell("cache_hits")
         self._c_cache_misses = self.stats.cell("cache_misses")
         self._c_fuel_used = self.stats.cell("fuel_used")
-        #: span tracer for invocation-lifecycle tracing (platforms share one
-        #: tracer across nodes; ``trace_node`` names this runtime's host)
-        self.tracer = tracer
+        #: span tracer for invocation-lifecycle tracing, set by the
+        #: platform's ``enable_tracing`` (one tracer across nodes;
+        #: ``trace_node`` names this runtime's host)
+        self.tracer: Optional[SpanTracer] = None
         self.trace_node = trace_node
-        #: optional hook called with each top-level InvocationResult
-        self.on_invocation: Optional[Callable[[InvocationResult], None]] = None
         #: optional hook called with each committed WriteBatch (the
         #: replication layer ships these to backups)
         self.commit_hook: Optional[Callable[[WriteBatch], None]] = None
@@ -114,10 +114,6 @@ class LocalRuntime:
     def register_type(self, object_type: ObjectType) -> None:
         """Register (or replace) an object type by name."""
         self._types[object_type.name] = object_type
-
-    def register_types(self, object_types: Iterable[ObjectType]) -> None:
-        for object_type in object_types:
-            self.register_type(object_type)
 
     def type_named(self, name: str) -> ObjectType:
         try:
@@ -222,6 +218,17 @@ class LocalRuntime:
         """Invoke a public method; returns its value."""
         return self.invoke_detailed(object_id, method, *args).value
 
+    def invoke_request(self, request: Any, root=None) -> InvocationResult:
+        """Run a client request's invocation with the request's root span
+        active, so invoke / cache / commit / nested-call spans nest under
+        it (guest execution is synchronous: no other process interleaves)."""
+        if self.tracer is not None and root is not None:
+            with self.tracer.activate(root):
+                return self.invoke_detailed(
+                    request.object_id, request.method, *request.args
+                )
+        return self.invoke_detailed(request.object_id, request.method, *request.args)
+
     def invoke_detailed(
         self,
         object_id: ObjectId,
@@ -267,9 +274,6 @@ class LocalRuntime:
                             value=value,
                             fuel_used=self.costs.utility,  # a cache probe is ~free
                             read_set={},
-                            written_keys=[],
-                            commit_sequence=self.storage.last_sequence,
-                            parts=0,
                             cache_hit=True,
                         )
                     self._c_cache_misses.inc()
@@ -303,20 +307,7 @@ class LocalRuntime:
                 raise InvocationError(str(trap)) from trap
 
             read_set = writeset.read_set()
-            commit_sequence = self._commit(ctx, reason="final")
-
-            result = InvocationResult(
-                object_id=object_id,
-                method=method,
-                value=value,
-                fuel_used=fuel.used,
-                read_set=read_set,
-                written_keys=ctx.all_written_keys,
-                commit_sequence=commit_sequence,
-                parts=max(ctx.parts, 1),
-                sub_results=ctx.sub_results,
-                logs=ctx.logs,
-            )
+            self._commit(ctx, reason="final")
 
             if (
                 method_def.readonly
@@ -325,13 +316,18 @@ class LocalRuntime:
                 and ctx.deterministic
                 and not ctx.dispatched_nested
             ):
-                self.cache.store(object_id, method, digest, value, result.read_set)
+                self.cache.store(object_id, method, digest, value, read_set)
 
             self._c_invocations.inc()
             self._c_fuel_used.inc(fuel.used)
-            if _depth == 0 and self.on_invocation is not None:
-                self.on_invocation(result)
-            return result
+            return InvocationResult(
+                object_id=object_id,
+                method=method,
+                value=value,
+                fuel_used=fuel.used,
+                read_set=read_set,
+                sub_results=ctx.sub_results,
+            )
 
     # -- nested calls (invoked by the context) ------------------------------
 
@@ -339,7 +335,7 @@ class LocalRuntime:
         self, parent_ctx: InvocationContext, object_id: ObjectId, method: str, args: tuple
     ) -> Any:
         """Dispatch a nested invocation, committing the parent first (§3.1)."""
-        self._check_nested_readonly(parent_ctx, object_id, method)
+        self._check_nested_readonly(parent_ctx, self, object_id, method)
         self._commit(parent_ctx, reason="pre-nested")
         self._c_nested_invocations.inc()
         result = self.invoke_detailed(
@@ -348,17 +344,23 @@ class LocalRuntime:
         parent_ctx.sub_results.append(result)
         return result.value
 
+    @staticmethod
     def _check_nested_readonly(
-        self, parent_ctx: InvocationContext, object_id: ObjectId, method: str
+        parent_ctx: InvocationContext,
+        owner_runtime: "LocalRuntime",
+        object_id: ObjectId,
+        method: str,
     ) -> None:
         """Read-only is transitive: a read-only invocation may only nest
         read-only calls.  (Besides being the sane semantic, this is what
         lets read-only invocations run at any replica — a hidden mutating
-        dispatch from a replica would fork state.)"""
+        dispatch from a replica would fork state.)  The target's type is
+        resolved at ``owner_runtime``, the runtime holding the object: a
+        caller's node may not hold a remote object's metadata."""
         if not parent_ctx.readonly:
             return
         try:
-            target_readonly = self.type_of(object_id).method_def(method).readonly
+            target_readonly = owner_runtime.type_of(object_id).method_def(method).readonly
         except Exception:
             return  # let the dispatch itself produce the precise error
         if not target_readonly:
@@ -367,7 +369,7 @@ class LocalRuntime:
                 f"{method!r} on {object_id.short}"
             )
 
-    def _commit(self, ctx: InvocationContext, reason: str = "final") -> int:
+    def _commit(self, ctx: InvocationContext, reason: str = "final") -> None:
         """Commit a context's buffered writes as one atomic batch.
 
         ``reason`` is trace metadata: ``"pre-nested"`` marks the §3.1
@@ -376,23 +378,20 @@ class LocalRuntime:
         """
         writeset = ctx.writeset
         if not writeset.has_writes:
-            return self.storage.last_sequence
+            return
         written = writeset.written_keys()
         span = _NULL_SPAN
         if self.tracer is not None:
             span = self._span("commit", reason=reason, keys=len(written))
         with span:
             batch = writeset.to_batch()
-            sequence = self.storage.apply(batch)
+            self.storage.apply(batch)
             if self.commit_hook is not None:
                 self.commit_hook(batch)
             if self.cache is not None:
                 self.cache.invalidate_keys(written)
-            ctx.all_written_keys.extend(written)
-            ctx.parts += 1
             self._c_commits.inc()
             writeset.clear()
-            return sequence
 
     def _span(self, name: str, **attrs):
         """A tracer span on the current stack, or a no-op without a tracer."""

@@ -24,6 +24,7 @@ from repro.core.keyspace import OBJECT_PREFIX_WIDTH
 from repro.kvstore.batch import WriteBatch
 from repro.kvstore.db import DB
 from repro.kvstore.record import ValueType
+from repro.obs.registry import MetricsRegistry
 
 
 class StorageBackend(Protocol):
@@ -88,7 +89,7 @@ class MemoryBackend:
         self._prefixes_sorted = True
         self._sequence = 0
         # Plain ints, not registry instruments: `get` is the hottest call in
-        # the simulator, so platforms expose these via callback gauges.
+        # the simulator, so `register_gauges` exposes them as callbacks.
         self.gets = 0
         self.puts = 0
         self.deletes = 0
@@ -192,6 +193,13 @@ class MemoryBackend:
     def size_bytes(self) -> int:
         """Total payload held, for placement/migration heuristics."""
         return sum(len(k) + len(v) for k, v in self._data.items())
+
+    def register_gauges(self, registry: MetricsRegistry, labels: dict) -> None:
+        """Expose the op counters and the bytes held as ``kvstore_*``
+        callback gauges (a ``DB`` registers its own instruments)."""
+        for op in ("gets", "puts", "deletes", "applies"):
+            registry.gauge(f"kvstore_{op}", labels, fn=lambda attr=op: getattr(self, attr))
+        registry.gauge("kvstore_size_bytes", labels, fn=self.size_bytes)
 
 
 class KVBackend:

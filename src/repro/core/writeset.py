@@ -87,10 +87,6 @@ class WriteSet:
     def has_writes(self) -> bool:
         return bool(self._writes)
 
-    @property
-    def write_count(self) -> int:
-        return len(self._writes)
-
     def written_keys(self) -> list[bytes]:
         """Keys this invocation wrote, in first-write order."""
         return list(self._writes)

@@ -152,15 +152,7 @@ class ComputeNode:
             # Execute the function; its storage accesses are recorded.
             trace = self.storage.begin_trace()
             try:
-                if tracer is not None and root is not None:
-                    with tracer.activate(root):
-                        result = self.runtime.invoke_detailed(
-                            request.object_id, request.method, *request.args
-                        )
-                else:
-                    result = self.runtime.invoke_detailed(
-                        request.object_id, request.method, *request.args
-                    )
+                result = self.runtime.invoke_request(request, root)
             except (InvocationError, UnknownObjectError, WasmError) as error:
                 # WasmError covers link failures (unknown method) and guest
                 # traps: without it the request died here unanswered and the

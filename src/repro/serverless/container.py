@@ -28,10 +28,6 @@ class ContainerStats(StatsView):
     PREFIX = "scheduler"
     COUNTERS = {"cold_starts": 0, "warm_starts": 0, "expirations": 0}
 
-    @property
-    def total_starts(self) -> int:
-        return self.cold_starts + self.warm_starts
-
 
 class ContainerPool:
     """A bounded pool of containers with keep-alive semantics."""

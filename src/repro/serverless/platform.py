@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from repro.core.ids import ObjectId
 from repro.core.object_type import ObjectType
@@ -84,7 +84,8 @@ class ServerlessPlatform:
             for i in range(self.config.num_storage_nodes)
         ]
         for node in self.storage_nodes:
-            self._register_storage_gauges(node)
+            node.backend.register_gauges(self.metrics, {"node": node.name})
+            self.metrics.gauge("node_busy_ms", {"node": node.name}, fn=lambda n=node: n.busy_ms)
 
         self.compute_nodes: list[ComputeNode] = []
         for i in range(self.config.num_compute_nodes):
@@ -161,21 +162,6 @@ class ServerlessPlatform:
         self._next_compute = 0
         self._started = False
 
-    def _register_storage_gauges(self, node: Any) -> None:
-        """Expose a baseline storage node's backend counters + busy time."""
-        labels = {"node": node.name}
-        backend = node.backend
-        for op in ("gets", "puts", "deletes", "applies"):
-            if hasattr(backend, op):
-                self.metrics.gauge(
-                    f"kvstore_{op}",
-                    labels,
-                    fn=lambda b=backend, attr=op: getattr(b, attr),
-                )
-        if hasattr(backend, "size_bytes"):
-            self.metrics.gauge("kvstore_size_bytes", labels, fn=backend.size_bytes)
-        self.metrics.gauge("node_busy_ms", labels, fn=lambda n=node: n.busy_ms)
-
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
@@ -217,10 +203,6 @@ class ServerlessPlatform:
         self._setup_runtime.register_type(object_type)
         for node in self.compute_nodes:
             node.runtime.register_type(object_type)
-
-    def register_types(self, object_types: Iterable[ObjectType]) -> None:
-        for object_type in object_types:
-            self.register_type(object_type)
 
     def create_object(
         self,

@@ -181,11 +181,6 @@ class _Delivery:
         message = self.message
         return ("deliver", message.src, message.dst, type(message.payload).__name__)
 
-    @property
-    def mc_messages(self) -> list[Message]:
-        """The frames this delivery carries (one, here)."""
-        return [self.message]
-
     def __call__(self) -> None:
         net = self.net
         message = self.message
@@ -231,11 +226,6 @@ class _BatchDelivery:
         messages = self.messages
         kinds = ",".join(sorted({type(m.payload).__name__ for m in messages}))
         return ("deliver", messages[0].src, messages[0].dst, kinds)
-
-    @property
-    def mc_messages(self) -> list[Message]:
-        """The frames this wire message carries, in send order."""
-        return self.messages
 
     def __call__(self) -> None:
         net = self.net

@@ -1,7 +1,8 @@
 """The host-function surface a guest instance may call.
 
-A wasm module imports a fixed set of host functions; everything else is
-sealed off.  :class:`HostAPI` is the abstract import object the
+A wasm module imports a fixed set of host functions — the object's own
+fields, nested invocation, and the ``now``/``random`` utilities;
+everything else is sealed off.  :class:`HostAPI` is the abstract import object the
 LambdaObjects runtime implements (its concrete form is the invocation
 context in :mod:`repro.core.context`).  :class:`OpCosts` assigns a fuel
 price to every host operation so metering and the simulator's CPU-time
@@ -29,7 +30,7 @@ class OpCosts:
     collection_append: float = 15.0
     collection_scan_per_item: float = 2.0
     invoke_dispatch: float = 30.0  # asking the host to call another object
-    utility: float = 1.0  # now(), random(), log()
+    utility: float = 1.0  # now(), random()
     bytes_per_unit: int = 64
 
     def payload(self, num_bytes: int) -> float:
@@ -94,10 +95,6 @@ class HostAPI:
 
     def random(self) -> float:
         """Uniform random in [0, 1); marks the invocation non-deterministic."""
-        raise NotImplementedError
-
-    def log(self, message: str) -> None:
-        """Append to the invocation's log (a debugging side channel)."""
         raise NotImplementedError
 
     def self_id(self) -> Any:

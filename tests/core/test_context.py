@@ -136,18 +136,6 @@ def test_guest_random_is_seeded():
     assert rt1.invoke(o1, "draw") == rt2.invoke(o2, "draw")
 
 
-def test_guest_logs_captured(runtime):
-    def chatty(self):
-        self.log("hello")
-        self.log("world")
-
-    t = ObjectType("Chatty", fields=[], methods=[method(chatty)])
-    runtime.register_type(t)
-    oid = runtime.create_object("Chatty")
-    result = runtime.invoke_detailed(oid, "chatty")
-    assert result.logs == ["hello", "world"]
-
-
 def test_self_id_matches(runtime):
     def who(self):
         return self.self_id()

@@ -1,9 +1,8 @@
-"""Unit tests for ObjectType and the class-decorator form."""
+"""Unit tests for ObjectType construction and validation."""
 
 import pytest
 
 from repro.core import CollectionField, FieldKind, ObjectType, ValueField, method, readonly_method
-from repro.core.object_type import object_type
 from repro.errors import ModelError, UnknownFieldError
 from repro.wasm.module import Module
 
@@ -40,14 +39,6 @@ def test_require_field_checks_kind():
         otype.require_field("c", FieldKind.VALUE)
 
 
-def test_field_kind_queries():
-    otype = ObjectType(
-        "T", fields=[ValueField("v"), CollectionField("c")], methods=[method(noop)]
-    )
-    assert [f.name for f in otype.value_fields()] == ["v"]
-    assert [f.name for f in otype.collection_fields()] == ["c"]
-
-
 def test_duplicate_field_rejected():
     with pytest.raises(ModelError):
         ObjectType("T", fields=[ValueField("a"), ValueField("a")], methods=[method(noop)])
@@ -63,39 +54,28 @@ def test_empty_name_rejected():
         ObjectType("", methods=[method(noop)])
 
 
-def test_decorator_form_collects_fields_and_methods():
-    @object_type
-    class User:
-        name = ValueField("name")
-        posts = CollectionField("posts")
+def test_construction_carries_method_flags():
+    def rename(self, new_name):
+        self.set("name", new_name)
 
-        @method
-        def rename(self, new_name):
-            self.set("name", new_name)
+    def get_name(self):
+        return self.get("name")
 
-        @readonly_method
-        def get_name(self):
-            return self.get("name")
+    def internal_hook(self):
+        pass
 
-        @method(public=False)
-        def internal_hook(self):
-            pass
-
-    assert isinstance(User, ObjectType)
-    assert User.name == "User"
-    assert set(User.fields) == {"name", "posts"}
-    assert User.method_def("rename").public
-    assert User.method_def("get_name").readonly
-    assert not User.method_def("internal_hook").public
-
-
-def test_decorator_rejects_mismatched_field_name():
-    with pytest.raises(ModelError):
-
-        @object_type
-        class Bad:
-            wrong = ValueField("right")
-
-            @method
-            def touch(self):
-                pass
+    user = ObjectType(
+        "User",
+        fields=[ValueField("name"), CollectionField("posts")],
+        methods=[
+            method(rename),
+            readonly_method(get_name),
+            method(internal_hook, public=False),
+        ],
+    )
+    assert user.name == "User"
+    assert set(user.fields) == {"name", "posts"}
+    assert user.method_def("rename").public
+    assert not user.method_def("rename").readonly
+    assert user.method_def("get_name").readonly
+    assert not user.method_def("internal_hook").public

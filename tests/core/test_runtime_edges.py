@@ -11,6 +11,8 @@ from repro.core import (
     method,
     readonly_method,
 )
+from repro.core import keyspace
+from repro.core.fields import decode_value
 from repro.errors import InvocationError, MemoryLimitExceeded
 
 
@@ -139,20 +141,19 @@ def test_invocation_result_metadata():
 
     def touch(self):
         self.set("v", 1)
-        self.log("did it")
         return "ok"
 
     t = ObjectType("Meta", fields=[ValueField("v")], methods=[method(touch)])
     runtime.register_type(t)
     oid = runtime.create_object("Meta")
+    sequence = runtime.storage.last_sequence
     result = runtime.invoke_detailed(oid, "touch")
     assert result.value == "ok"
-    assert result.logs == ["did it"]
-    assert result.parts == 1
     assert result.fuel_used > 0
-    assert len(result.written_keys) == 1
     assert result.total_invocations() == 1
-    assert result.commit_sequence > 0
+    assert runtime.stats.commits == 1
+    assert runtime.storage.last_sequence == sequence + 1
+    assert decode_value(runtime.storage.get(keyspace.value_key(oid, "v"))) == 1
 
 
 def test_written_keys_span_all_segments():
@@ -174,9 +175,11 @@ def test_written_keys_span_all_segments():
     runtime.register_type(t)
     a = runtime.create_object("TwoPhase")
     b = runtime.create_object("TwoPhase")
-    result = runtime.invoke_detailed(a, "two_phase", b)
-    assert len(result.written_keys) == 2
-    assert result.parts == 2
+    runtime.invoke(a, "two_phase", b)
+    # §3.1: the nested call splits the caller into two commit segments.
+    assert runtime.stats.commits == 2
+    committed = [runtime.storage.get(keyspace.value_key(a, f)) for f in ("v", "w")]
+    assert [decode_value(data) for data in committed] == ["before", "after"]
 
 
 def test_collection_len_and_contains_through_invocation():

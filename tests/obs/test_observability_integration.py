@@ -20,6 +20,7 @@ from repro.bench.calibration import preset
 from repro.bench.harness import VARIANTS
 from repro.bench.observability import collect_observability
 from repro.cluster import Cluster, ClusterConfig
+from repro.serverless import ServerlessPlatform
 from repro.sim import Simulation
 
 FAMILY_PREFIXES = ("node_", "scheduler_", "cache_", "kvstore_", "replication_")
@@ -137,6 +138,32 @@ class TestTransferSpanTree:
             "remote_charge",
         ):
             assert needle in rendered, rendered
+
+
+class TestServerlessSpanTree:
+    def test_invoke_spans_nest_under_the_request_root(self):
+        sim = Simulation(seed=7)
+        platform = ServerlessPlatform(sim)
+        platform.register_type(account_type())
+        tracer = platform.enable_tracing()
+        payer = platform.create_object("Account", initial={"balance": 100})
+        payee = platform.create_object("Account", initial={"balance": 5})
+        client = platform.client("acct")
+        assert platform.run_invoke(client, payer, "transfer", payee, 30) is True
+
+        (trace_id,) = tracer.trace_ids()
+        (root,) = [s for s in tracer.roots(trace_id) if s.name == "request"]
+        assert root.attrs["method"] == "transfer"
+        spans = tracer.trace(trace_id)
+        (transfer,) = [
+            s for s in spans if s.name == "invoke" and s.attrs["method"] == "transfer"
+        ]
+        assert transfer.parent_id == root.span_id
+        assert transfer.node == root.node
+        deposits = [
+            s for s in spans if s.name == "invoke" and s.attrs["method"] == "deposit"
+        ]
+        assert deposits and all(s.parent_id == transfer.span_id for s in deposits)
 
 
 class TestMetricsOutPayload:
