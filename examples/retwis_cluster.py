@@ -26,9 +26,13 @@ def main():
     bob = cluster.create_object("User", initial={"name": "bob"})
     carol = cluster.create_object("User", initial={"name": "carol"})
     client = cluster.client("demo")
+    latencies = []
 
     def run(object_id, method, *args):
-        return cluster.run_invoke(client, object_id, method, *args)
+        started = sim.now
+        value = cluster.run_invoke(client, object_id, method, *args)
+        latencies.append(f"{sim.now - started:.2f}")
+        return value
 
     print("== follow graph ==")
     run(bob, "follow", alice)
@@ -57,7 +61,6 @@ def main():
     timeline = run(bob, "get_timeline", 5)
     print(f"bob still sees everything: {[post['text'] for post in timeline]}")
 
-    latencies = [f"{latency:.2f}" for latency, _m in client.completions]
     print(f"\nper-invocation latencies (simulated ms): {latencies}")
 
 

@@ -226,9 +226,12 @@ def startup_latencies(cal: Calibration, variant: str, **platform_overrides) -> l
     platform = build_platform(variant, sim, small, **platform_overrides)
     dataset = load_dataset(platform, small)
     client = platform.client("probe")
+    latencies = []
     for account in dataset.accounts[:2]:
+        started = sim.now
         platform.run_invoke(client, account, "get_timeline", 10)
-    return [latency for latency, _method in client.completions]
+        latencies.append(sim.now - started)
+    return latencies
 
 
 #: the fan-out probe's post text length: long enough that one copy per

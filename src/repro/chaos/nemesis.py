@@ -95,7 +95,6 @@ class Nemesis:
         the cluster can quiesce.  Permanently failed-over nodes stay down."""
         self.stop()
         self.net.set_drop_probability(0.0)
-        self.net.clear_link_drops()
         self.net.drop_filter = None
         self.net.heal()
         for name in sorted(self._down_transiently):

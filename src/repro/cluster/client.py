@@ -83,8 +83,6 @@ class ClusterClient:
         #: optional chaos-harness HistoryRecorder: every invocation is
         #: logged as (invoke_at, return_at, object, method, args, result)
         self.recorder = recorder
-        #: (latency_ms, method) per successful invocation, for metrics
-        self.completions: list[tuple[float, str]] = []
         # Unmatched mailbox payloads are stale replies to abandoned
         # attempts (every wait in this client is strictly sequential), so
         # the stub discards them on each scan.
@@ -105,12 +103,11 @@ class ClusterClient:
         """Invoke a method; returns its value (use ``yield from`` in a
         simulation process)."""
         readonly = self.cluster.is_readonly(object_id, method)
-        started = self.sim.now
         self._counter += 1
         request_id = f"{self.name}#{self._counter}"
         record = None
         if self.recorder is not None:
-            record = self.recorder.begin(self.name, str(object_id), method, args, started)
+            record = self.recorder.begin(self.name, str(object_id), method, args, self.sim.now)
 
         def is_reply(payload: Any) -> bool:
             return isinstance(payload, ClientReply) and payload.request_id == request_id
@@ -174,7 +171,6 @@ class ClusterClient:
                 key = (shard_id, primary)
                 if watermark > self._fences.get(key, 0):
                     self._fences[key] = watermark
-            self.completions.append((self.sim.now - started, method))
             if record is not None:
                 self.recorder.finish(record, self.sim.now, reply.value)
             return reply.value

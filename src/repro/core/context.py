@@ -1,6 +1,7 @@
 """The invocation context: the host API guest methods see as ``self``.
 
-The context is the *only* capability a method holds.  It exposes:
+The context is the sandbox boundary of one invocation (paper §4.2) and
+the *only* capability a method holds.  It exposes:
 
 - the current object's fields (reads through the write buffer, writes into
   it) — and nothing of any other object's data, which is what makes
@@ -10,6 +11,11 @@ The context is the *only* capability a method holds.  It exposes:
   which commits buffered writes first (§3.1);
 - metered utilities (``now``, ``random``) that mark the invocation
   non-deterministic.
+
+Every host operation burns fuel at its :class:`~repro.wasm.OpCosts`
+price, and every value marshalled into the guest is charged to the
+context's own :class:`~repro.wasm.MemoryMeter`; exhausting either traps,
+and a trap aborts the invocation with its buffered writes discarded.
 
 Method-call sugar mirrors the paper's pseudocode: attribute access for a
 declared method returns a dispatcher, so ``self.store_post(...)`` and
@@ -27,11 +33,11 @@ from repro.core.ids import ObjectId
 from repro.core.object_type import ObjectType
 from repro.core.writeset import WriteSet
 from repro.wasm.fuel import FuelMeter, MemoryMeter
-from repro.wasm.host_api import HostAPI, OpCosts
+from repro.wasm.host_api import OpCosts
 
 
-class InvocationContext(HostAPI):
-    """Concrete host API bound to one invocation of one object."""
+class InvocationContext:
+    """The host API bound to one invocation of one object."""
 
     def __init__(
         self,
@@ -57,15 +63,7 @@ class InvocationContext(HostAPI):
         #: set true when a nested invocation was dispatched
         self.dispatched_nested = False
         self.sub_results: list[Any] = []
-        self._memory: Optional[MemoryMeter] = None
-
-    # -- wiring ------------------------------------------------------------
-
-    def bind_memory(self, memory: MemoryMeter) -> None:
-        """Attach the sandbox instance's memory meter.  The meter, not the
-        instance: the instance holds this context as its host API, and a
-        reference back would tie the two into a cycle per invocation."""
-        self._memory = memory
+        self._memory = MemoryMeter(runtime.memory_limit_bytes)
 
     @property
     def writeset(self) -> WriteSet:
@@ -77,10 +75,6 @@ class InvocationContext(HostAPI):
 
     def _charge(self, units: float, payload_bytes: int = 0) -> None:
         self._fuel.consume(units + self._costs.payload(payload_bytes))
-
-    def _charge_memory(self, num_bytes: int) -> None:
-        if self._memory is not None:
-            self._memory.charge(num_bytes)
 
     def _forbid_write(self, what: str) -> None:
         if self._readonly:
@@ -97,7 +91,7 @@ class InvocationContext(HostAPI):
         self._charge(self._costs.kv_get, len(data) if data else 0)
         if data is None:
             return spec.default
-        self._charge_memory(len(data))
+        self._memory.charge(len(data))
         return decode_value(data)
 
     def set_value(self, field: str, value: Any) -> None:
@@ -124,7 +118,7 @@ class InvocationContext(HostAPI):
         self._charge(self._costs.kv_get, len(data) if data else 0)
         if data is None:
             return None
-        self._charge_memory(len(data))
+        self._memory.charge(len(data))
         return decode_value(data)
 
     def collection_put(self, field: str, key: str, value: Any) -> None:
@@ -209,15 +203,14 @@ class InvocationContext(HostAPI):
         consume = self._fuel.consume
         per_item = self._costs.collection_scan_per_item
         payload = self._costs.payload
-        memory = self._memory
+        charge_memory = self._memory.charge
         for storage_key, data in entries:
             if data is None:
                 continue  # buffered deletion
             if limit is not None and count >= limit:
                 return
             consume(per_item + payload(len(data)))
-            if memory is not None:
-                memory.charge(len(data))
+            charge_memory(len(data))
             yield keyspace.entry_key_from_storage_key(storage_key, prefix), decode_value(data)
             count += 1
 

@@ -1,4 +1,4 @@
-"""Object types: a set of fields plus a compiled method module::
+"""Object types: a set of fields plus a table of guest methods::
 
     account = ObjectType(
         "Account",
@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.errors import ModelError, UnknownFieldError
+from repro.errors import LinkError, ModelError, UnknownFieldError
 from repro.core.fields import FieldKind, FieldSpec
-from repro.wasm.module import GuestFunction, Module
+from repro.wasm.module import GuestFunction
 
 
 class ObjectType:
-    """An immutable object type: named fields and a method module."""
+    """An immutable object type: named fields and named guest methods."""
 
     def __init__(
         self,
@@ -33,13 +33,17 @@ class ObjectType:
             if spec.name in self.fields:
                 raise ModelError(f"type {name!r} declares field {spec.name!r} twice")
             self.fields[spec.name] = spec
-        method_list = list(methods)
-        for function in method_list:
+        self.methods: dict[str, GuestFunction] = {}
+        for function in methods:
             if function.name in self.fields:
                 raise ModelError(
                     f"type {name!r} uses {function.name!r} as both field and method"
                 )
-        self.module = Module.compile(name, method_list)
+            if function.name in self.methods:
+                raise LinkError(f"module {name!r} exports {function.name!r} twice")
+            self.methods[function.name] = function
+        if not self.methods:
+            raise LinkError(f"module {name!r} has no exports")
 
     # -- field queries -----------------------------------------------------
 
@@ -65,14 +69,20 @@ class ObjectType:
     # -- method queries --------------------------------------------------
 
     def has_method(self, method_name: str) -> bool:
-        return method_name in self.module.functions
+        return method_name in self.methods
 
     def method_def(self, method_name: str) -> GuestFunction:
-        return self.module.export(method_name)
+        """Look up a method, raising :class:`LinkError` when missing."""
+        try:
+            return self.methods[method_name]
+        except KeyError:
+            raise LinkError(
+                f"module {self.name!r} has no export {method_name!r}"
+            ) from None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<ObjectType {self.name} fields={list(self.fields)} "
-            f"methods={list(self.module.functions)}>"
+            f"methods={list(self.methods)}>"
         )
 

@@ -36,9 +36,8 @@ from repro.core.writeset import WriteSet
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanTracer
 from repro.kvstore.batch import WriteBatch
-from repro.wasm.fuel import FuelMeter
+from repro.wasm.fuel import DEFAULT_MEMORY_LIMIT, FuelMeter
 from repro.wasm.host_api import OpCosts
-from repro.wasm.instance import DEFAULT_MEMORY_LIMIT, Instance
 
 #: maximum nested-call depth before the runtime assumes a cycle
 MAX_CALL_DEPTH = 64
@@ -88,7 +87,8 @@ class LocalRuntime:
         )
         self._fuel_budget = fuel_budget
         self.costs = costs or OpCosts()
-        self._memory_limit = memory_limit_bytes
+        #: each invocation context's guest-memory allowance
+        self.memory_limit_bytes = memory_limit_bytes
         self.stats = InvocationStats(registry, metrics_labels)
         # Preresolved counter cells for the invoke hot path (see
         # StatsView.cell): increments land in a handle-local slot and
@@ -292,14 +292,10 @@ class LocalRuntime:
                 readonly=method_def.readonly,
                 depth=_depth,
             )
-            instance = Instance(
-                object_type.module, ctx, fuel=fuel, memory_limit_bytes=self._memory_limit
-            )
-            ctx.bind_memory(instance.memory)
             fuel.consume(self.costs.call_base)
 
             try:
-                value = instance.call(method, *args)
+                value = method_def.call(ctx, fuel, *args)
             except Trap as trap:
                 self._c_aborts.inc()
                 # Buffered writes of the *current segment* are discarded; commits

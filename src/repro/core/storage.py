@@ -10,8 +10,9 @@ Two implementations share one protocol:
   (the paper persists through LevelDB).  Integration tests and the
   durability examples use it.
 
-Both apply write batches atomically and return a commit sequence number,
-which the replication layer uses for ordering.
+Both apply write batches atomically.  Replication orders batches
+itself (the group-commit pipeline in :mod:`repro.cluster.replication`);
+no backend sequence number is read.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ class StorageBackend(Protocol):
         """Committed value for ``key`` or ``None``."""
         ...
 
-    def apply(self, batch: WriteBatch) -> int:
-        """Apply atomically; returns the commit sequence number."""
+    def apply(self, batch: WriteBatch) -> None:
+        """Apply atomically."""
         ...
 
     def iterate(self, start: bytes, end: Optional[bytes]) -> Iterator[tuple[bytes, bytes]]:
@@ -53,11 +54,6 @@ class StorageBackend(Protocol):
         a limit (GetTimeline) therefore reads through this call and keeps
         ``limit`` entries, not the whole collection.
         """
-        ...
-
-    @property
-    def last_sequence(self) -> int:
-        """Sequence number of the most recent commit."""
         ...
 
 
@@ -87,7 +83,6 @@ class MemoryBackend:
         #: every bucket prefix, in order unless ``_prefixes_sorted`` is off
         self._prefixes: list[bytes] = []
         self._prefixes_sorted = True
-        self._sequence = 0
         # Plain ints, not registry instruments: `get` is the hottest call in
         # the simulator, so `register_gauges` exposes them as callbacks.
         self.gets = 0
@@ -112,7 +107,7 @@ class MemoryBackend:
             self._unsorted.discard(prefix)
         return keys
 
-    def apply(self, batch: WriteBatch) -> int:
+    def apply(self, batch: WriteBatch) -> None:
         data = self._data
         buckets = self._buckets
         put = ValueType.VALUE
@@ -145,8 +140,6 @@ class MemoryBackend:
         self.applies += 1
         self.puts += puts
         self.deletes += deletes
-        self._sequence += puts + deletes
-        return self._sequence
 
     def iterate(self, start: bytes, end: Optional[bytes]) -> Iterator[tuple[bytes, bytes]]:
         data = self._data
@@ -183,10 +176,6 @@ class MemoryBackend:
             out.extend((key, data[key]) for key in reversed(keys[low:high]))
         return out
 
-    @property
-    def last_sequence(self) -> int:
-        return self._sequence
-
     def __len__(self) -> int:
         return len(self._data)
 
@@ -207,7 +196,6 @@ class KVBackend:
 
     def __init__(self, db: DB) -> None:
         self._db = db
-        self._sequence = db.last_sequence
 
     @property
     def db(self) -> DB:
@@ -216,10 +204,8 @@ class KVBackend:
     def get(self, key: bytes) -> Optional[bytes]:
         return self._db.get(key)
 
-    def apply(self, batch: WriteBatch) -> int:
+    def apply(self, batch: WriteBatch) -> None:
         self._db.write(batch)
-        self._sequence = self._db.last_sequence
-        return self._sequence
 
     def iterate(self, start: bytes, end: Optional[bytes]) -> Iterator[tuple[bytes, bytes]]:
         return self._db.iterate(start=start, end=end)
@@ -230,7 +216,3 @@ class KVBackend:
         if limit <= 0:
             return []
         return list(reversed(deque(self._db.iterate(start=start, end=end), maxlen=limit)))
-
-    @property
-    def last_sequence(self) -> int:
-        return self._sequence

@@ -57,7 +57,8 @@ class ReadOnlyError(KVError):
 
 
 class WasmError(ReproError):
-    """Base class for sandbox runtime failures."""
+    """Base class for sandbox failures: traps during a guest call, and
+    link errors in an object type's method table."""
 
 
 class Trap(WasmError):
@@ -69,11 +70,12 @@ class FuelExhausted(Trap):
 
 
 class MemoryLimitExceeded(Trap):
-    """The instance exceeded its memory allowance."""
+    """The invocation exceeded its guest-memory allowance."""
 
 
 class LinkError(WasmError):
-    """Module instantiation failed (missing export / bad host binding)."""
+    """An object type's method table cannot serve a call: a duplicate,
+    missing or non-callable method, or a type with no methods."""
 
 
 # ---------------------------------------------------------------------------

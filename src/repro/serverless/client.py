@@ -34,7 +34,6 @@ class SimpleClient:
         #: the tenant requests bill against under gateway admission
         #: control (defaults to the client name)
         self.tenant = tenant if tenant is not None else name
-        self.completions: list[tuple[float, str]] = []
         # Sequential waits: unmatched payloads are stale, discard them.
         self.stub = RpcStub(
             platform.sim,
@@ -51,7 +50,6 @@ class SimpleClient:
         """Simulation process: invoke and return the function's value."""
         self._counter += 1
         request_id = f"{self.name}#{self._counter}"
-        started = self.sim.now
         request = ClientRequest(
             request_id=request_id,
             client=self.name,
@@ -79,5 +77,4 @@ class SimpleClient:
             # The platform answered: the invocation itself failed (bad
             # method, unknown object, application error) — not a timeout.
             raise InvocationFailed(f"{method} failed: {reply.error}", error=reply.error)
-        self.completions.append((self.sim.now - started, method))
         return reply.value

@@ -70,18 +70,16 @@ class RecordingStorage:
         self._record("get", self._costs.kv_get + self._costs.payload(size), size + len(key), True)
         return value
 
-    def apply(self, batch: WriteBatch) -> int:
+    def apply(self, batch: WriteBatch) -> None:
         total_bytes = sum(len(k) + len(v) for _kind, k, v in batch.items())
-        sequence = 0
         for backend in self._backends:
-            sequence = backend.apply(batch)  # read, never kept: one batch serves all
+            backend.apply(batch)  # read, never kept: one batch serves all
         self._record(
             "commit",
             self._costs.kv_put * max(len(batch), 1) + self._costs.payload(total_bytes),
             total_bytes,
             False,
         )
-        return sequence
 
     def iterate(self, start: bytes, end: Optional[bytes]) -> Iterator[tuple[bytes, bytes]]:
         return iter(self._scan(start, end))
@@ -104,7 +102,3 @@ class RecordingStorage:
             True,
         )
         return items
-
-    @property
-    def last_sequence(self) -> int:
-        return self._primary.last_sequence

@@ -29,7 +29,6 @@ from repro.sim.network import (
     LogNormalLatency,
     Network,
     NetworkHost,
-    UniformLatency,
 )
 from repro.sim.rand import RandomStreams
 
@@ -52,5 +51,4 @@ __all__ = [
     "Simulation",
     "Store",
     "Timeout",
-    "UniformLatency",
 ]

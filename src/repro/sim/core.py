@@ -43,8 +43,8 @@ class SchedulerPolicy:
 class FifoPolicy(SchedulerPolicy):
     """The default order, expressed as a policy: lowest ``seq`` first.
 
-    Byte-identical to running with no policy installed (the built-in fast
-    loops); exists so the policy-driven step core has a reference
+    Byte-identical to running with no policy installed (the built-in FIFO
+    drain); exists so the policy-driven step core has a reference
     implementation to pin equivalence tests against.
     """
 
@@ -159,7 +159,7 @@ class Simulation:
         self._cancelled = 0
         self._streams = RandomStreams(seed)
         self._running = False
-        #: None = built-in FIFO fast loops; a SchedulerPolicy routes every
+        #: None = the built-in FIFO drain; a SchedulerPolicy routes every
         #: run through the (slower) policy-driven step core
         self._policy: Optional[SchedulerPolicy] = None
 
@@ -310,14 +310,11 @@ class Simulation:
             raise SimulationError("simulation is already running (re-entrant run())")
         self._running = True
         try:
+            bound = float("inf") if until is None else until
             if self._policy is not None:
-                self._drain_policy(
-                    self._policy, None, float("inf") if until is None else until
-                )
-            elif until is None:
-                self._drain_fast(None)
+                self._drain_policy(self._policy, None, bound)
             else:
-                self._drain_bounded(until, None)
+                self._drain_bounded(bound, None)
             if until is not None and until > self._now:
                 self._now = until
         finally:
@@ -340,8 +337,6 @@ class Simulation:
         try:
             if self._policy is not None:
                 self._drain_policy(self._policy, event, limit)
-            elif limit == float("inf"):
-                self._drain_fast(event)
             else:
                 self._drain_bounded(limit, event)
         finally:
@@ -354,42 +349,14 @@ class Simulation:
 
     # -- step cores --------------------------------------------------------
     #
-    # One shared drain per loop shape, parameterised by the stop event:
-    # ``stop_event is None`` is the ``run()`` family (stop when drained /
-    # past the bound), a stop event is the ``run_until_triggered`` family
-    # (deadlock on drained, raise on past the bound).
-
-    def _drain_fast(self, stop_event: Optional[Event]) -> None:
-        """Unbounded pop-and-execute drain, no peek step.
-
-        (when, seq) tuple order; seqs are unique so the compare never
-        reaches the callables.  The heap head is re-read every iteration
-        because a callback may push an earlier entry; zero-delay runs
-        drain as O(1) poplefts.
-        """
-        lane = self._now_lane
-        queue = self._queue
-        heappop = heapq.heappop
-        popleft = lane.popleft
-        while stop_event is None or stop_event._value is _PENDING:
-            if lane:
-                if queue and queue[0] < lane[0]:
-                    entry = heappop(queue)
-                else:
-                    entry = popleft()
-            elif queue:
-                entry = heappop(queue)
-            elif stop_event is None:
-                return
-            else:
-                raise SimulationError(
-                    "deadlock: event queue drained before target event triggered"
-                )
-            self._now = entry[0]
-            entry[2]()
+    # Two drains, FIFO and policy-driven, each parameterised by a bound
+    # (``inf`` for an unbounded run) and a stop event: ``stop_event is
+    # None`` is the ``run()`` family (stop when drained / past the bound),
+    # a stop event is the ``run_until_triggered`` family (deadlock on
+    # drained, raise on past the bound).
 
     def _drain_bounded(self, bound: float, stop_event: Optional[Event]) -> None:
-        """Bounded drain: peek before popping so the first entry past
+        """FIFO drain: peek before popping so the first entry past
         ``bound`` stays queued and the clock does not advance to it —
         ``run(until=...)`` returns, ``run_until_triggered`` raises, and
         either way a caller can keep running without losing an event.
@@ -437,10 +404,10 @@ class Simulation:
         pending instant (both lanes, sorted by seq), let the policy pick
         one, push the rest back into the heap, execute, repeat.
 
-        Keeps the peek-before-pop bound contract of the fast loops: an
+        Keeps the peek-before-pop bound contract of the FIFO drain: an
         over-bound instant is never collected.  Entries pushed back keep
-        their (when, seq) keys, so a FIFO policy reproduces the fast
-        loops' order exactly.
+        their (when, seq) keys, so a FIFO policy reproduces the FIFO
+        drain's order exactly.
         """
         lane = self._now_lane
         queue = self._queue

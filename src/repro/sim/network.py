@@ -42,19 +42,6 @@ class ConstantLatency(LatencyModel):
         return self.latency_ms
 
 
-class UniformLatency(LatencyModel):
-    """Uniformly distributed latency in ``[low_ms, high_ms]``."""
-
-    def __init__(self, low_ms: float, high_ms: float) -> None:
-        if not 0 <= low_ms <= high_ms:
-            raise SimulationError(f"bad uniform latency range [{low_ms}, {high_ms}]")
-        self.low_ms = low_ms
-        self.high_ms = high_ms
-
-    def sample(self, rng: Any) -> float:
-        return rng.uniform(self.low_ms, self.high_ms)
-
-
 class BimodalLatency(LatencyModel):
     """Mostly-fast latency with occasional slow outliers.
 
@@ -265,9 +252,6 @@ class Network:
         self._hosts: dict[str, NetworkHost] = {}
         self.stats = NetworkStats()
         self._drop_probability = 0.0
-        #: per-link drop probabilities, overriding nothing — they compose
-        #: with the global probability (either may drop)
-        self._link_drop: dict[tuple[str, str], float] = {}
         self._drop_filter: Optional[Callable[[Message], bool]] = None
         #: pairs (src, dst) that cannot communicate (directional)
         self._partitions: set[tuple[str, str]] = set()
@@ -360,32 +344,10 @@ class Network:
             for message in frames:
                 total_bytes += message.size_bytes
             stats.messages_sent += 1
-            link = (src, dst)
-            if self._faults_active:
-                # One atomic drop decision per wire message: the whole
-                # batch drops or the whole batch flies.
-                link_drop = self._link_drop.get(link, 0.0)
-                drop_filter = self._drop_filter
-                dropped = (
-                    self._hosts[src].crashed
-                    or self.is_partitioned(src, dst)
-                    or (
-                        self._drop_probability > 0
-                        and self._rng.random() < self._drop_probability
-                    )
-                    or (link_drop > 0 and self._rng.random() < link_drop)
-                    or (
-                        drop_filter is not None
-                        and any(drop_filter(m) for m in frames)
-                    )
-                )
-                if dropped:
-                    stats.messages_dropped += 1
-                    stats.per_link_dropped[link] = (
-                        stats.per_link_dropped.get(link, 0) + 1
-                    )
-                    continue
-                stats.per_link[link] = stats.per_link.get(link, 0) + 1
+            # One atomic drop decision per wire message: the whole batch
+            # drops or the whole batch flies.
+            if self._faults_active and self._dropped_at_send(src, dst, frames):
+                continue
             const = self._const_latency_ms
             delay = (
                 const if const is not None else self._sample(self._rng)
@@ -398,10 +360,29 @@ class Network:
                     delay, _BatchDelivery(self, frames, dst_host, total_bytes)
                 )
 
+    def _dropped_at_send(self, src: str, dst: str, frames) -> bool:
+        """The send-time drop decision for one wire message, made only
+        while faults are active: a crashed sender, a cut link, the global
+        drop probability (one RNG draw, only when set) or the drop filter
+        on any frame.  Counts the drop, or the pass, on the link."""
+        stats = self.stats
+        link = (src, dst)
+        drop_filter = self._drop_filter
+        if (
+            self._hosts[src].crashed
+            or link in self._partitions
+            or (self._drop_probability > 0 and self._rng.random() < self._drop_probability)
+            or (drop_filter is not None and any(drop_filter(m) for m in frames))
+        ):
+            stats.messages_dropped += 1
+            stats.per_link_dropped[link] = stats.per_link_dropped.get(link, 0) + 1
+            return True
+        stats.per_link[link] = stats.per_link.get(link, 0) + 1
+        return False
+
     def _refresh_faults(self) -> None:
         self._faults_active = bool(
             self._drop_probability > 0
-            or self._link_drop
             or self._drop_filter is not None
             or self._partitions
             or any(host.crashed for host in self._hosts.values())
@@ -456,20 +437,6 @@ class Network:
         if not 0 <= probability <= 1:
             raise SimulationError(f"drop probability must be in [0, 1], got {probability}")
         self.drop_probability = probability
-
-    def set_link_drop(self, src: str, dst: str, probability: float) -> None:
-        """Drop messages on one directional link with ``probability``."""
-        if not 0 <= probability <= 1:
-            raise SimulationError(f"drop probability must be in [0, 1], got {probability}")
-        if probability == 0:
-            self._link_drop.pop((src, dst), None)
-        else:
-            self._link_drop[(src, dst)] = probability
-        self._refresh_faults()
-
-    def clear_link_drops(self) -> None:
-        self._link_drop.clear()
-        self._refresh_faults()
 
     def schedule(self, delay_ms: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` after ``delay_ms`` of simulated time — the primitive
@@ -554,21 +521,8 @@ class Network:
             return
 
         stats.messages_sent += 1
-        if self._faults_active:
-            link = (src, dst)
-            link_drop = self._link_drop.get(link, 0.0)
-            dropped = (
-                src_host.crashed
-                or self.is_partitioned(src, dst)
-                or (self._drop_probability > 0 and self._rng.random() < self._drop_probability)
-                or (link_drop > 0 and self._rng.random() < link_drop)
-                or (self._drop_filter is not None and self._drop_filter(message))
-            )
-            if dropped:
-                stats.messages_dropped += 1
-                stats.per_link_dropped[link] = stats.per_link_dropped.get(link, 0) + 1
-                return
-            stats.per_link[link] = stats.per_link.get(link, 0) + 1
+        if self._faults_active and self._dropped_at_send(src, dst, (message,)):
+            return
 
         if src == dst:
             delay = 0.001  # loopback: scheduling cost only

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from repro.errors import FuelExhausted, MemoryLimitExceeded
 
+#: bytes a guest may have marshalled into it per invocation
+DEFAULT_MEMORY_LIMIT = 64 * 1024 * 1024
+
 
 class FuelMeter:
     """Counts abstract execution units and traps when the budget is gone.
@@ -42,12 +45,8 @@ class FuelMeter:
 
 
 class MemoryMeter:
-    """Counts the bytes marshalled into a guest and traps past the allowance.
-
-    Like the fuel meter it is shared by the instance, which owns the
-    allowance, and the host API object, which does the marshalling — so
-    the host API needs no reference to the instance that calls it.
-    """
+    """Counts the bytes an invocation marshals into its guest and traps
+    past the allowance."""
 
     def __init__(self, limit_bytes: int) -> None:
         self._limit = limit_bytes

@@ -1,27 +1,26 @@
-"""Modules: the compiled unit of guest code.
+"""Guest functions: one object method's code, run under the sandbox contract.
 
-An object type's methods are deployed as one module ("each object type
-holds a set of functions in a format specific to the implementation, e.g.
-as ELF binaries" — paper §3).  Compilation here validates the function
-set, freezes it, and records a size used to model compile/instantiate
-latency in the simulator.
+An object type holds its methods as a name → :class:`GuestFunction` table
+("each object type holds a set of functions in a format specific to the
+implementation, e.g. as ELF binaries" — paper §3).
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import LinkError
+from repro.errors import LinkError, Trap
+from repro.wasm.fuel import FuelMeter
 
 
 @dataclass(frozen=True)
 class GuestFunction:
     """One exported guest function.
 
-    ``fn`` receives the host API object first, then the call arguments —
-    the analogue of a wasm export taking its imports implicitly.
+    ``fn`` receives the invocation context first, then the call arguments
+    — the analogue of a wasm export taking its imports implicitly.
     """
 
     name: str
@@ -42,40 +41,20 @@ class GuestFunction:
                 "first parameter"
             )
 
+    def call(self, ctx: Any, fuel: FuelMeter, *args: Any) -> Any:
+        """Charge ``compute_fuel``, then run the function against ``ctx``.
 
-@dataclass(frozen=True)
-class Module:
-    """A compiled, immutable set of guest functions."""
-
-    name: str
-    functions: dict[str, GuestFunction] = field(default_factory=dict)
-
-    @classmethod
-    def compile(cls, name: str, functions: list[GuestFunction]) -> "Module":
-        """Validate and freeze a function set into a module."""
-        table: dict[str, GuestFunction] = {}
-        for function in functions:
-            if function.name in table:
-                raise LinkError(f"module {name!r} exports {function.name!r} twice")
-            table[function.name] = function
-        if not table:
-            raise LinkError(f"module {name!r} has no exports")
-        return cls(name, table)
-
-    def export(self, function_name: str) -> GuestFunction:
-        """Look up an export, raising :class:`LinkError` when missing."""
+        Host-originated traps (fuel, memory) pass through; any other
+        exception escaping the guest becomes :class:`Trap`, with the
+        original chained as ``__cause__`` for debugging.
+        """
+        fuel.consume(self.compute_fuel)
         try:
-            return self.functions[function_name]
-        except KeyError:
-            raise LinkError(
-                f"module {self.name!r} has no export {function_name!r}"
-            ) from None
-
-    @property
-    def code_size(self) -> int:
-        """A proxy for binary size (bytes), used by start-up cost models."""
-        total = 0
-        for function in self.functions.values():
-            code = getattr(function.fn, "__code__", None)
-            total += len(code.co_code) if code is not None else 64
-        return total * 8  # bytecode is denser than wasm; scale up
+            return self.fn(ctx, *args)
+        except Trap:
+            raise
+        except Exception as error:
+            raise Trap(
+                f"guest function {ctx.type_name}.{self.name} trapped: "
+                f"{type(error).__name__}: {error}"
+            ) from error

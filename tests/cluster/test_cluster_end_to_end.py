@@ -148,9 +148,15 @@ def test_deterministic_replay():
         sim, cluster = build_cluster(seed=42)
         oid = cluster.create_object("Counter", object_id=ObjectId.from_name("det"))
         clients = [cluster.client(f"c{i}") for i in range(5)]
-        ops = [(c, oid, "increment", (1,)) for c in clients]
-        run_ops(sim, cluster, ops)
-        return [round(l, 6) for c in clients for l, _ in c.completions]
+
+        def timed(client):
+            started = sim.now
+            yield from client.invoke(oid, "increment", 1)
+            return sim.now - started
+
+        processes = [sim.process(timed(c)) for c in clients]
+        sim.run_until_triggered(sim.all_of(processes), limit=sim.now + 120_000)
+        return [round(p.value, 6) for p in processes]
 
     assert run_once() == run_once()
 

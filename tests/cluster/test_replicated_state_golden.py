@@ -4,8 +4,9 @@ A 3-replica cluster (group commit and lease reads at their defaults) runs
 a few hundred mixed Retwis jobs from closed-loop clients, quiesces, and
 every node's committed state is digested: sha256 over
 ``dump_object_state`` of every account plus the node's
-``storage.last_sequence``, so a change in apply order, key set, value
-bytes or sequence numbering on the primary or on a backup fails here
+``storage.puts + storage.deletes``, so a change in apply order, key set,
+value bytes or the number of applied writes on the primary or on a
+backup (a double-applied round, say) fails here
 rather than in a ledger run.  Post timestamps are simulated times, so a
 change that moves message timing moves the digest too; it is re-captured
 on purpose then, and every replica must still share one digest (last
@@ -26,7 +27,7 @@ NUM_ACCOUNTS = 24
 NUM_CLIENTS = 6
 JOBS_PER_CLIENT = 50
 
-#: node -> (storage.last_sequence, sha256 of every account's dumped state)
+#: node -> (storage.puts + storage.deletes, sha256 of every account's dumped state)
 _STATE = "35dbae65e69f6b691d40ce9d09a95469d42d11f6b2d581aa5203706b7d5bb3b4"
 GOLDEN = {"store-0": (2191, _STATE), "store-1": (2191, _STATE), "store-2": (2191, _STATE)}
 
@@ -81,7 +82,8 @@ def _run():
         for oid in accounts:
             for key, value in node.dump_object_state(oid):
                 state.update(b"%d:%b%d:%b" % (len(key), key, len(value), value))
-        digests[name] = (node.runtime.storage.last_sequence, state.hexdigest())
+        storage = node.runtime.storage
+        digests[name] = (storage.puts + storage.deletes, state.hexdigest())
     return digests
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import CollectionField, FieldKind, ObjectType, ValueField, method, readonly_method
 from repro.errors import ModelError, UnknownFieldError
-from repro.wasm.module import Module
 
 
 def noop(self):
@@ -19,7 +18,7 @@ def test_explicit_construction():
     )
     assert otype.field("balance").default == 0
     assert otype.has_method("touch")
-    assert isinstance(otype.module, Module)
+    assert list(otype.methods) == ["touch"]
 
 
 def test_unknown_field_raises():

@@ -37,12 +37,10 @@ def test_memory_limit_trap_aborts_cleanly():
 
 
 def test_an_invocation_is_freed_by_reference_count():
-    """The context gets the instance's memory meter, not the instance
-    (which holds the context as its host API): no cycle per invocation."""
+    """Nothing an invocation builds refers back to its context: no cycle
+    per invocation."""
     import gc
     import weakref
-
-    from repro.wasm import Instance
 
     runtime = LocalRuntime()
     kept, seen = [], []
@@ -60,7 +58,6 @@ def test_an_invocation_is_freed_by_reference_count():
     try:
         assert runtime.invoke(oid, "peek") == "x"
         (ctx,) = kept
-        assert not any(isinstance(value, Instance) for value in vars(ctx).values())
         assert ctx._memory.used > 0
         del ctx
         kept.clear()
@@ -146,13 +143,14 @@ def test_invocation_result_metadata():
     t = ObjectType("Meta", fields=[ValueField("v")], methods=[method(touch)])
     runtime.register_type(t)
     oid = runtime.create_object("Meta")
-    sequence = runtime.storage.last_sequence
+    storage = runtime.storage
+    writes = storage.puts + storage.deletes
     result = runtime.invoke_detailed(oid, "touch")
     assert result.value == "ok"
     assert result.fuel_used > 0
     assert result.total_invocations() == 1
     assert runtime.stats.commits == 1
-    assert runtime.storage.last_sequence == sequence + 1
+    assert storage.puts + storage.deletes == writes + 1
     assert decode_value(runtime.storage.get(keyspace.value_key(oid, "v"))) == 1
 
 

@@ -44,6 +44,13 @@ def build_platform(seed=1, **kwargs):
     return sim, platform
 
 
+def timed_invoke(platform, client, oid, method_name, *args):
+    """Run one invocation to completion; returns its simulated latency."""
+    started = platform.sim.now
+    platform.run_invoke(client, oid, method_name, *args)
+    return platform.sim.now - started
+
+
 def test_invoke_roundtrip():
     sim, platform = build_platform()
     oid = platform.create_object("Counter")
@@ -87,10 +94,8 @@ def test_latency_grows_with_storage_ops():
     oid = platform.create_object("Counter")
     targets = [platform.create_object("Counter") for _ in range(8)]
     client = platform.client("c0")
-    platform.run_invoke(client, oid, "increment", 1)
-    simple_latency = client.completions[-1][0]
-    platform.run_invoke(client, oid, "fan_out", list(targets))
-    fanout_latency = client.completions[-1][0]
+    simple_latency = timed_invoke(platform, client, oid, "increment", 1)
+    fanout_latency = timed_invoke(platform, client, oid, "fan_out", list(targets))
     assert fanout_latency > simple_latency * 2
 
 
@@ -99,10 +104,8 @@ def test_cold_start_dominates_first_request_without_prewarm():
     cold_start_ms = platform.compute_nodes[0].pool.cold_start_ms
     oid = platform.create_object("Counter")
     client = platform.client("c0")
-    platform.run_invoke(client, oid, "read")
-    first = client.completions[-1][0]
-    platform.run_invoke(client, oid, "read")
-    second = client.completions[-1][0]
+    first = timed_invoke(platform, client, oid, "read")
+    second = timed_invoke(platform, client, oid, "read")
     assert first > cold_start_ms
     assert second < first / 10
 
@@ -131,8 +134,7 @@ def test_gateway_latency_higher_than_direct():
     for platform in (direct, gated):
         oid = platform.create_object("Counter")
         client = platform.client("c0")
-        platform.run_invoke(client, oid, "increment", 1)
-        results.append(client.completions[-1][0])
+        results.append(timed_invoke(platform, client, oid, "increment", 1))
     assert results[1] > results[0]
 
 

@@ -44,8 +44,9 @@ def test_dispatch_overhead_scales_with_invocation_count():
         hub = platform.create_object("Chain")
         targets = [platform.create_object("Chain") for _ in range(6)]
         client = platform.client("c")
+        started = platform.sim.now
         platform.run_invoke(client, hub, "fan", list(targets))
-        latencies[label] = client.completions[-1][0]
+        latencies[label] = platform.sim.now - started
     # 7 invocations x 500 fuel x 0.005 ms/fuel = 17.5 ms extra, at least.
     assert latencies["costly"] > latencies["cheap"] + 15.0
 
@@ -65,9 +66,15 @@ def test_storage_cpu_contention_slows_requests():
     sim, platform = build(seed=5, num_storage_nodes=1, cores_per_storage_node=1)
     oid = platform.create_object("Chain")
     clients = [platform.client(f"c{i}") for i in range(8)]
-    processes = [sim.process(c.invoke(oid, "read")) for c in clients]
+
+    def timed(client):
+        started = sim.now
+        yield from client.invoke(oid, "read")
+        return sim.now - started
+
+    processes = [sim.process(timed(c)) for c in clients]
     sim.run_until_triggered(sim.all_of(processes), limit=600_000)
-    latencies = sorted(c.completions[0][0] for c in clients)
+    latencies = sorted(p.value for p in processes)
     assert latencies[-1] > latencies[0]  # the queue is visible
 
 

@@ -41,30 +41,6 @@ def test_set_drop_probability_validates_and_drops():
     assert net.stats.messages_dropped == 5
 
 
-def test_link_drop_is_directional():
-    sim, net = make_net()
-    got_b = collect(sim, net, "b")
-    got_a = collect(sim, net, "a")
-    net.set_link_drop("a", "b", 1.0)
-    net.send("a", "b", "forward")  # dropped
-    net.send("b", "a", "reverse")  # unaffected
-    net.set_link_drop("a", "b", 0.0)  # probability 0 removes the rule
-    net.send("a", "b", "after-clear")
-    sim.run()
-    assert [p for p, _t in got_b] == ["after-clear"]
-    assert [p for p, _t in got_a] == ["reverse"]
-
-
-def test_clear_link_drops():
-    sim, net = make_net()
-    got = collect(sim, net, "b")
-    net.set_link_drop("a", "b", 1.0)
-    net.clear_link_drops()
-    net.send("a", "b", "through")
-    sim.run()
-    assert [p for p, _t in got] == ["through"]
-
-
 def test_drop_filter_targets_specific_messages():
     sim, net = make_net()
     got = collect(sim, net, "b")

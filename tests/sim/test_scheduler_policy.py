@@ -2,7 +2,7 @@
 
 The contract: with no policy (or the default FifoPolicy) the simulator
 dispatches in global (time, seq) order — byte-identical to the historical
-fast loops — while a custom policy may reorder *same-instant* entries,
+FIFO drain — while a custom policy may reorder *same-instant* entries,
 ask for a fresh candidate collection (RECOLLECT) after mutating state,
 and is pinned for the duration of a run.
 """

@@ -130,10 +130,6 @@ def _arm_rebuild(sim, log):
     _listen(sim.timeout(2.0, value="survivor"), log, "survivor")
 
 
-def _drain_fast(sim):
-    return sim.run()
-
-
 def _drain_bounded(sim):
     return sim.run(until=2.0)
 
@@ -143,7 +139,7 @@ def _drain_policy(sim):
     return sim.run()
 
 
-@pytest.mark.parametrize("drain", [_drain_fast, _drain_bounded, _drain_policy])
+@pytest.mark.parametrize("drain", [_drain_bounded, _drain_policy])
 def test_rebuild_during_a_drain_mutates_the_aliased_list_in_place(drain):
     sim = Simulation()
     log = []

@@ -24,6 +24,32 @@ def test_report_sections_and_package_sum():
     assert "ClusterConfig" in text and "ServerlessConfig" in text and "Calibration" in text
 
 
+def test_constructor_options_count_defaults_and_keyword_only_parameters():
+    import ast
+
+    tree = ast.parse(
+        "class A:\n"
+        "    def __init__(self, sim, name, seed=0, *, budget, trace=False):\n"
+        "        pass\n"
+        "class B:\n"
+        "    def __init__(self, sim):\n"
+        "        pass\n"
+    )
+    assert size_report._init_options(tree, "A") == 3
+    assert size_report._init_options(tree, "B") == 0
+    assert size_report._init_options(tree, "C") == 0
+    text = size_report.report(REPO_ROOT, top=3)
+    knobs = text.splitlines()[text.splitlines().index("config fields (knobs):") + 1 :]
+    assert {line.split()[1] for line in knobs} >= {
+        "LocalRuntime.__init__",
+        "ClusterClient.__init__",
+        "SimpleClient.__init__",
+        "RpcStub.__init__",
+        "Network.__init__",
+    }
+    assert all(int(line.split()[0]) > 0 for line in knobs)
+
+
 def test_functions_are_named_by_module_and_qualified_name():
     import ast
 

@@ -1,42 +1,51 @@
-"""Unit tests for the wasm-like runtime: fuel, modules, instances."""
+"""Unit tests for the sandbox contract: fuel and memory meters, method
+tables, and guest calls through the runtime that owns them."""
 
 import pytest
 
-from repro.errors import FuelExhausted, LinkError, MemoryLimitExceeded, Trap, WasmError
-from repro.wasm import FuelMeter, GuestFunction, Instance, Module, OpCosts
+from repro.core import LocalRuntime, ObjectType, ValueField, method
+from repro.core import keyspace
+from repro.errors import (
+    FuelExhausted,
+    InvocationError,
+    LinkError,
+    MemoryLimitExceeded,
+    Trap,
+)
+from repro.wasm import FuelMeter, GuestFunction, MemoryMeter, OpCosts
 
 
-def make_module(**kwargs):
-    def add(host, a, b):
-        return a + b
-
-    def boom(host):
-        raise ValueError("guest bug")
-
-    def burn(host, units):
-        host.fuel.consume(units)
-
-    functions = [
-        GuestFunction("add", add),
-        GuestFunction("boom", boom),
-        GuestFunction("burn", burn, **kwargs),
-    ]
-    return Module.compile("test", functions)
+def add(ctx, a, b):
+    return a + b
 
 
-class FuelHost:
-    """Minimal host exposing the instance's fuel meter to the guest."""
-
-    def __init__(self):
-        self.fuel = None
+def boom(ctx):
+    ctx.set("v", 1)
+    raise ValueError("guest bug")
 
 
-def make_instance(module=None, **kwargs):
-    module = module or make_module()
-    host = FuelHost()
-    instance = Instance(module, host, **kwargs)
-    host.fuel = instance.fuel
-    return instance
+def touch(ctx, times):
+    for _ in range(times):
+        ctx.now()
+    ctx.set("v", times)
+
+
+def make_type(compute_fuel=0.0):
+    return ObjectType(
+        "Test",
+        fields=[ValueField("v")],
+        methods=[method(add), method(boom), method(touch, compute_fuel=compute_fuel)],
+    )
+
+
+def make_runtime(compute_fuel=0.0, **kwargs):
+    runtime = LocalRuntime(enable_cache=False, **kwargs)
+    runtime.register_type(make_type(compute_fuel))
+    return runtime, runtime.create_object("Test")
+
+
+def stored_v(runtime, oid):
+    return runtime.storage.get(keyspace.value_key(oid, "v"))
 
 
 # -- FuelMeter ---------------------------------------------------------
@@ -69,29 +78,41 @@ def test_negative_fuel_rejected():
         FuelMeter(budget=10).consume(-1)
 
 
-# -- Module --------------------------------------------------------------
+def test_memory_limit_traps():
+    meter = MemoryMeter(1024)
+    meter.charge(1000)
+    assert meter.used == 1000
+    with pytest.raises(MemoryLimitExceeded):
+        meter.charge(100)
+
+
+def test_op_costs_payload_scaling():
+    costs = OpCosts(bytes_per_unit=64)
+    assert costs.payload(128) == 2.0
+    assert costs.payload(0) == 0.0
+
+
+# -- method tables -------------------------------------------------------
 
 
 def test_compile_and_export():
-    module = make_module()
-    assert module.export("add").public
+    assert make_type().method_def("add").public
 
 
 def test_missing_export_raises_link_error():
-    module = make_module()
-    with pytest.raises(LinkError):
-        module.export("nope")
+    with pytest.raises(LinkError, match="has no export 'nope'"):
+        make_type().method_def("nope")
 
 
 def test_duplicate_export_rejected():
-    fn = GuestFunction("f", lambda host: None)
-    with pytest.raises(LinkError):
-        Module.compile("dup", [fn, fn])
+    fn = GuestFunction("f", lambda ctx: None)
+    with pytest.raises(LinkError, match="exports 'f' twice"):
+        ObjectType("Dup", methods=[fn, fn])
 
 
 def test_empty_module_rejected():
-    with pytest.raises(LinkError):
-        Module.compile("empty", [])
+    with pytest.raises(LinkError, match="has no exports"):
+        ObjectType("Empty", methods=[])
 
 
 def test_function_without_parameters_rejected():
@@ -104,52 +125,47 @@ def test_non_callable_rejected():
         GuestFunction("bad", 42)  # type: ignore[arg-type]
 
 
-def test_code_size_positive():
-    assert make_module().code_size > 0
-
-
-# -- Instance ------------------------------------------------------------
+# -- guest calls -----------------------------------------------------------
 
 
 def test_call_returns_guest_value():
-    assert make_instance().call("add", 2, 3) == 5
+    runtime, oid = make_runtime()
+    assert runtime.invoke(oid, "add", 2, 3) == 5
 
 
 def test_guest_exception_becomes_trap():
-    with pytest.raises(Trap) as excinfo:
-        make_instance().call("boom")
-    assert isinstance(excinfo.value.__cause__, ValueError)
-
-
-def test_instance_is_single_use():
-    instance = make_instance()
-    instance.call("add", 1, 1)
-    with pytest.raises(WasmError):
-        instance.call("add", 1, 1)
+    runtime, oid = make_runtime()
+    with pytest.raises(InvocationError) as excinfo:
+        runtime.invoke(oid, "boom")
+    trap = excinfo.value.__cause__
+    assert type(trap) is Trap
+    assert str(trap) == "guest function Test.boom trapped: ValueError: guest bug"
+    assert isinstance(trap.__cause__, ValueError)
+    assert stored_v(runtime, oid) is None
 
 
 def test_fuel_budget_enforced_during_guest_execution():
-    instance = make_instance(fuel=FuelMeter(budget=100))
-    with pytest.raises(FuelExhausted):
-        instance.call("burn", 1000)
+    runtime, oid = make_runtime(fuel_budget=100)
+    with pytest.raises(InvocationError) as excinfo:
+        runtime.invoke(oid, "touch", 1000)
+    assert isinstance(excinfo.value.__cause__, FuelExhausted)
+    assert stored_v(runtime, oid) is None
 
 
 def test_compute_fuel_charged_on_entry():
-    module = make_module(compute_fuel=40.0)
-    instance = make_instance(module, fuel=FuelMeter(budget=100))
-    instance.call("burn", 10)
-    assert instance.fuel.used == 50.0
+    runtime, oid = make_runtime(compute_fuel=40.0)
+    costs = runtime.costs
+    result = runtime.invoke_detailed(oid, "touch", 3)
+    value_bytes = len(runtime.storage.get(keyspace.value_key(oid, "v")))
+    ops = 3 * costs.utility + costs.kv_put + costs.payload(value_bytes)
+    assert result.fuel_used == costs.call_base + 40.0 + ops
 
 
-def test_memory_limit_traps():
-    instance = make_instance(memory_limit_bytes=1024)
-    instance.memory.charge(1000)
-    assert instance.memory.used == 1000
-    with pytest.raises(MemoryLimitExceeded):
-        instance.memory.charge(100)
-
-
-def test_op_costs_payload_scaling():
-    costs = OpCosts(bytes_per_unit=64)
-    assert costs.payload(128) == 2.0
-    assert costs.payload(0) == 0.0
+def test_compute_fuel_exhaustion_commits_nothing():
+    runtime, oid = make_runtime(compute_fuel=1_000.0, fuel_budget=500)
+    with pytest.raises(InvocationError) as excinfo:
+        runtime.invoke(oid, "touch", 0)
+    assert isinstance(excinfo.value.__cause__, FuelExhausted)
+    assert stored_v(runtime, oid) is None
+    assert runtime.stats.commits == 0
+    assert runtime.stats.aborts == 1

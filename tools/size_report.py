@@ -1,6 +1,7 @@
 #!/usr/bin/env python
 """Report the size of ``src/``: lines per package, the largest files, the
-largest functions, and the settable fields of each config dataclass.
+largest functions, the settable fields of each config dataclass and the
+settable parameters of the main constructors.
 
 Stdlib only (``ast``); lines are physical lines, as ``wc -l`` counts
 them, and a function's size runs from its ``def`` line to its last line.
@@ -22,6 +23,15 @@ CONFIGS = (
     ("cluster/cluster.py", "ClusterConfig"),
     ("serverless/platform.py", "ServerlessConfig"),
     ("bench/calibration.py", "Calibration"),
+)
+
+#: (file under src/repro, class) whose ``__init__`` options are knobs too
+CONSTRUCTORS = (
+    ("core/runtime.py", "LocalRuntime"),
+    ("cluster/client.py", "ClusterClient"),
+    ("serverless/client.py", "SimpleClient"),
+    ("rpc/stub.py", "RpcStub"),
+    ("sim/network.py", "Network"),
 )
 
 
@@ -46,6 +56,17 @@ def _config_fields(tree: ast.AST, class_name: str) -> int:
                 isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
                 for stmt in node.body
             )
+    return 0
+
+
+def _init_options(tree: ast.AST, class_name: str) -> int:
+    """Settable ``__init__`` parameters: those with a default, plus
+    every keyword-only one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == class_name:
+            for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                    return len(stmt.args.defaults) + len(stmt.args.kwonlyargs)
     return 0
 
 
@@ -81,6 +102,10 @@ def report(root: Path, top: int = 10) -> str:
         tree = trees.get(rel)
         count = _config_fields(tree, class_name) if tree is not None else 0
         out.append(f"  {count:7d}  {class_name}")
+    for rel, class_name in CONSTRUCTORS:
+        tree = trees.get(rel)
+        count = _init_options(tree, class_name) if tree is not None else 0
+        out.append(f"  {count:7d}  {class_name}.__init__")
     return "\n".join(out)
 
 
