@@ -329,10 +329,10 @@ class ConsistencyChecker:
                 replica_set = shard_map.replica_set_or_none(shard_id)
                 if replica_set is None or replica_set.primary != name:
                     continue  # deposed primary's pipeline; not reachable
-                if pipeline.log.retained:
+                if pipeline.history:
                     flag(
                         f"primary replication log for shard {shard_id} retains "
-                        f"{pipeline.log.retained} acked-and-done sequences"
+                        f"{len(pipeline.history)} acked-and-done sequences"
                     )
                 if not pipeline.idle:
                     flag(

@@ -184,11 +184,11 @@ class CoordinatorNode:
     # -- serving ------------------------------------------------------------
 
     def _on_config_query(self, message: ConfigQuery) -> ConfigReply:
-        self.stats.config_queries += 1
+        self.stats.handle("config_queries").inc()
         return ConfigReply(message.query_id, self.state.epoch, self.state.shard_map.copy())
 
     def _on_heartbeat(self, message: Heartbeat) -> None:
-        self.stats.heartbeats_seen += 1
+        self.stats.handle("heartbeats_seen").inc()
         self._last_heartbeat[message.sender] = self.sim.now
 
     def _on_command(self, command: CoordCommand) -> None:
@@ -223,9 +223,9 @@ class CoordinatorNode:
     def _on_decide(self, _slot: int, command: CoordCommand) -> None:
         old_epoch = self.state.epoch
         result = self.state.apply(command)
-        self.stats.commands_applied += 1
+        self.stats.handle("commands_applied").inc()
         if self.state.epoch != old_epoch:
-            self.stats.reconfigurations += 1
+            self.stats.handle("reconfigurations").inc()
         sender = self._pending_replies.pop(command.command_id, None)
         if sender is not None:
             reply = CoordReply(command.command_id, True, result=result)
@@ -234,7 +234,7 @@ class CoordinatorNode:
             self._broadcast_config()
 
     def _broadcast_config(self) -> None:
-        self.stats.config_broadcasts += 1
+        self.stats.handle("config_broadcasts").inc()
         message = NewConfig(self.state.epoch, self.state.shard_map.copy())
         targets = list(self._storage_nodes)
         # Nodes that joined a replica set after bootstrap (add_backup)
@@ -264,7 +264,7 @@ class CoordinatorNode:
                     if self.state.shard_map.shard_of_node(node) is None:
                         continue
                     self._command_counter += 1
-                    self.stats.failures_reported += 1
+                    self.stats.handle("failures_reported").inc()
                     command = CoordCommand(
                         command_id=f"{self.name}#fail-{node}-{self._command_counter}",
                         kind="report_failure",
@@ -322,7 +322,7 @@ class NodeMembership:
         if node.sim.now - self._last_config_query < HEARTBEAT_INTERVAL_MS:
             return
         self._last_config_query = node.sim.now
-        node.stats.config_refreshes += 1
+        node.stats.handle("config_refreshes").inc()
         self._config_query_counter += 1
         target = coordinators[self._config_query_counter % len(coordinators)]
         query = ConfigQuery(f"{node.name}#{self._config_query_counter}")

@@ -99,13 +99,13 @@ class RemoteCharges:
         try:
             for attempt in range(CHARGE_MAX_ATTEMPTS):
                 if attempt:
-                    node.stats.remote_charge_retries += 1
+                    node.stats.handle("remote_charge_retries").inc()
                 node.endpoint.send(owner_name, charge)
                 yield from node.sim.wait(event, timeout_ms)
                 if event.triggered:
                     return True
                 timeout_ms *= 2
-            node.stats.remote_charge_timeouts += 1
+            node.stats.handle("remote_charge_timeouts").inc()
             if span is not None:
                 span.status = "timeout"
             return False
@@ -138,7 +138,7 @@ class RemoteCharges:
     def _settle(self, message: RemoteCharge):
         """Charge CPU + replication for a nested invocation executed here."""
         node = self.node
-        node.stats.remote_charges += 1
+        node.stats.handle("remote_charges").inc()
         tracer = node.tracer
         span = None
         if tracer is not None and message.trace_id:

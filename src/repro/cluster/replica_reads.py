@@ -100,8 +100,8 @@ class ReplicaReads:
         self.parked = 0
         #: shard -> last LeaseQuery send time (rate limiting)
         self._last_query: dict[int, float] = {}
-        self._c_served = node.stats.cell("replica_reads_served")
-        self._c_readonly = node.stats.cell("readonly_requests")
+        self._c_served = node.stats.handle("replica_reads_served")
+        self._c_readonly = node.stats.handle("readonly_requests")
         node.endpoint.on(LeaseQuery, self._on_lease_query)
         node.endpoint.on(LeaseGrant, self._on_lease_grant)
 
@@ -353,7 +353,7 @@ class ReplicaReads:
             return  # deposed (or never) primary: grant nothing
         pipeline = node.pipelines.get(message.shard_id)
         settled = pipeline.settled_through if pipeline is not None else 0
-        node.stats.lease_grants += 1
+        node.stats.handle("lease_grants").inc()
         grant = LeaseGrant(
             message.shard_id, node.epoch, node.name, settled, REPLICA_READ_LEASE_MS
         )

@@ -18,7 +18,7 @@ from repro.obs.registry import MetricsRegistry, StatsView
 
 
 class ReplicationStats(StatsView):
-    """Replication counters, per log/applier.
+    """Replication counters, per primary pipeline or backup applier.
 
     ``retransmitted`` counts retransmission rounds separately from
     ``shipped`` (which counts first-time sequence assignments only).
@@ -32,83 +32,6 @@ class ReplicationStats(StatsView):
         "buffered_out_of_order": 0,
         "retransmitted": 0,
     }
-
-
-class PrimaryReplicationLog:
-    """Primary-side sequence assignment and ack tracking.
-
-    History entries are retained only while their replication round is in
-    flight: :meth:`complete_through` advances the settlement watermark and
-    prunes everything at or below it, so the log's memory is bounded by
-    the number of concurrently outstanding rounds instead of growing for
-    the node's lifetime.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        registry: Optional[MetricsRegistry] = None,
-        labels: Optional[dict] = None,
-    ) -> None:
-        self.shard_id = shard_id
-        self._next_sequence = 1
-        #: backup name -> highest cumulatively-acked sequence
-        self.acked_through: dict[str, int] = {}
-        #: sequence -> encoded round (:func:`~repro.kvstore.batch.encode_round`),
-        #: kept for retransmission while the round is outstanding
-        self.history: dict[int, bytes] = {}
-        #: every sequence <= this has finished replicating and been pruned
-        self.completed_through = 0
-        self.stats = ReplicationStats(registry, labels)
-        # per-round counters: preresolved cells, one slot add each
-        self._c_shipped = self.stats.cell("shipped")
-        self._c_acked = self.stats.cell("acked")
-
-    def next_sequence(self, payload: bytes) -> int:
-        """Assign the next shard sequence number to a committed round."""
-        sequence = self._next_sequence
-        self._next_sequence += 1
-        self.history[sequence] = payload
-        self._c_shipped.inc()
-        return sequence
-
-    @property
-    def last_assigned(self) -> int:
-        return self._next_sequence - 1
-
-    def record_cumulative_ack(self, backup: str, applied_through: int) -> bool:
-        """Record that ``backup`` has applied every sequence up to and
-        including ``applied_through``.  Returns True when this advanced
-        the backup's watermark (stale/duplicate acks return False).
-
-        ``stats.acked`` counts each (sequence, backup) pair once, and only
-        for rounds still in flight: those above both the backup's previous
-        watermark and the pruned prefix, up to the last one assigned."""
-        previous = self.acked_through.get(backup, 0)
-        if applied_through <= previous:
-            return False
-        self.acked_through[backup] = applied_through
-        newly_acked = min(applied_through, self.last_assigned) - max(
-            previous, self.completed_through
-        )
-        if newly_acked > 0:
-            self._c_acked.inc(newly_acked)
-        return True
-
-    def complete_through(self, sequence: int) -> None:
-        """Every sequence up to and including ``sequence`` finished
-        replicating (acked by every live backup, or the stragglers left
-        the replica set): advance the watermark and prune its history."""
-        if sequence <= self.completed_through:
-            return
-        for done in range(self.completed_through + 1, sequence + 1):
-            self.history.pop(done, None)
-        self.completed_through = sequence
-
-    @property
-    def retained(self) -> int:
-        """History entries still held for in-flight rounds."""
-        return len(self.history)
 
 
 class BackupApplier:
@@ -130,8 +53,8 @@ class BackupApplier:
         self.applied_through = start_sequence
         self._pending: dict[int, bytes] = {}
         self.stats = ReplicationStats(registry, labels)
-        self._c_applied = self.stats.cell("applied")
-        self._c_buffered = self.stats.cell("buffered_out_of_order")
+        self._c_applied = self.stats.handle("applied")
+        self._c_buffered = self.stats.handle("buffered_out_of_order")
 
     def receive(self, sequence: int, payload: bytes) -> list[tuple[int, bytes]]:
         """Accept a replicated round; returns ``(sequence, payload)`` pairs
@@ -173,7 +96,8 @@ FLUSH_REASONS = ("open", "size", "timer", "ack", "drain")
 
 #: group-commit frames carry at most this many rounds by default
 DEFAULT_MAX_ROUNDS = 32
-DEFAULT_MAX_BYTES = 64 * 1024
+#: queued rounds of at least this many bytes are flushed at once
+MAX_FRAME_BYTES = 64 * 1024
 #: backstop flush interval (simulated ms) while earlier frames are in flight
 DEFAULT_FLUSH_INTERVAL_MS = 0.25
 #: how long a primary waits for a backup's ack before retransmitting; the
@@ -228,7 +152,7 @@ class BackupAcks:
         if pending is None:
             pending = self.pending[primary] = {}
         pending[shard_id] = applied_through
-        node.stats.acks_deferred += 1
+        node.stats.handle("acks_deferred").inc()
         if primary not in self._timer_armed:
             self._timer_armed.add(primary)
             node.sim._schedule(self.flush_ms, lambda dst=primary: self._flush(dst))
@@ -268,8 +192,8 @@ class BackupAcks:
         frames = self._drain(dst)
         if not frames:
             return None
-        self.node.stats.acks_piggybacked += sum(
-            1 for payload, _size in frames if type(payload) is ReplicateAck
+        self.node.stats.handle("acks_piggybacked").inc(
+            sum(1 for payload, _size in frames if type(payload) is ReplicateAck)
         )
         return frames
 
@@ -286,8 +210,8 @@ class BackupAcks:
         frames = self._drain(dst)
         if not frames:
             return
-        node.stats.acks_timer_flushed += sum(
-            1 for payload, _size in frames if type(payload) is ReplicateAck
+        node.stats.handle("acks_timer_flushed").inc(
+            sum(1 for payload, _size in frames if type(payload) is ReplicateAck)
         )
         send = node.endpoint.send
         for payload, size_bytes in frames:
@@ -324,27 +248,30 @@ class ReplicationPipeline:
         self,
         sim,
         shard_id: int,
-        log: PrimaryReplicationLog,
         send_frame: Callable[[list[str], int, list[bytes]], None],
         backups_fn: Callable[[], list[str]],
         max_rounds: int = DEFAULT_MAX_ROUNDS,
-        max_bytes: int = DEFAULT_MAX_BYTES,
         flush_interval_ms: float = DEFAULT_FLUSH_INTERVAL_MS,
-        ack_timeout_ms: float = ACK_TIMEOUT_MS,
         name: str = "",
         registry: Optional[MetricsRegistry] = None,
         labels: Optional[dict] = None,
     ) -> None:
         self.sim = sim
         self.shard_id = shard_id
-        self.log = log
         self._send_frame = send_frame
         self._backups_fn = backups_fn
         self._max_rounds = max(1, max_rounds)
-        self._max_bytes = max(1, max_bytes)
         self._flush_interval = flush_interval_ms
-        self._ack_timeout = ack_timeout_ms
         self._name = name or f"shard-{shard_id}"
+        self._next_sequence = 1
+        #: backup name -> highest cumulatively-acked sequence
+        self.acked_through: dict[str, int] = {}
+        #: sequence -> encoded round (:func:`~repro.kvstore.batch.encode_round`),
+        #: kept for retransmission until the watermark settles it
+        self.history: dict[int, bytes] = {}
+        self.stats = ReplicationStats(registry, labels)
+        self._c_shipped = self.stats.handle("shipped")
+        self._c_acked = self.stats.handle("acked")
         #: (sequence, round payload) committed but not yet framed
         self._pending: list[tuple[int, bytes]] = []
         self._pending_bytes = 0
@@ -353,6 +280,8 @@ class ReplicationPipeline:
         #: sequence -> read-barrier events parked on the watermark
         self._barriers: dict[int, list] = {}
         self.highest_flushed = 0
+        #: every sequence <= this is acked by every live backup shipped to
+        #: (or those stragglers left the replica set); its history is pruned
         self.settled_through = 0
         #: backups ever shipped a frame (never-sent members need a state
         #: transfer, not log replay, so they don't hold the watermark)
@@ -381,6 +310,11 @@ class ReplicationPipeline:
     # -- state ----------------------------------------------------------------
 
     @property
+    def last_assigned(self) -> int:
+        """The highest sequence handed to a committed round."""
+        return self._next_sequence - 1
+
+    @property
     def in_flight(self) -> int:
         """Rounds flushed but not yet settled by every live backup."""
         return self.highest_flushed - self.settled_through
@@ -405,9 +339,9 @@ class ReplicationPipeline:
         frames over the new primary's stream — and settles nothing:
         releasing a parked reply against the *new* backup set could
         acknowledge a write only departed stragglers ever applied.  Late
-        acks still land on the log (facts are monotonic), and queued
-        rounds are kept so a later re-promotion resumes the sequence
-        space where it left off."""
+        acks still land in ``acked_through`` (facts are monotonic), and
+        queued rounds are kept so a later re-promotion resumes the
+        sequence space where it left off."""
         self._retired = True
         # Cancel any armed backstop flush.
         self._timer_generation += 1
@@ -430,7 +364,7 @@ class ReplicationPipeline:
         having been released for it.
         """
         if sequence is None:
-            sequence = self.log.last_assigned
+            sequence = self.last_assigned
         event = self.sim.event(name=f"repl-barrier:{self._name}:{sequence}")
         if sequence <= 0:
             event.succeed()
@@ -463,7 +397,10 @@ class ReplicationPipeline:
         is acked by all live backups.  ``objects`` lists the ids of the
         objects the round wrote, driving per-object read barriers here
         (backups derive the same list from the payload)."""
-        sequence = self.log.next_sequence(payload)
+        sequence = self._next_sequence
+        self._next_sequence += 1
+        self.history[sequence] = payload
+        self._c_shipped.inc()
         for obj in objects:
             self._dirty_last[obj] = sequence
         event = self.sim.event(name=f"repl:{self._name}:{sequence}")
@@ -477,7 +414,7 @@ class ReplicationPipeline:
             return event
         if (
             len(self._pending) >= self._max_rounds
-            or self._pending_bytes >= self._max_bytes
+            or self._pending_bytes >= MAX_FRAME_BYTES
         ):
             self.flush("size")
         elif self.in_flight == 0:
@@ -509,7 +446,7 @@ class ReplicationPipeline:
             self._send_frame(behind, first, rounds)
             if fresh and behind is not targets:
                 start = self.settled_through + 1
-                full = [self.log.history[s] for s in range(start, self.highest_flushed + 1)]
+                full = [self.history[s] for s in range(start, self.highest_flushed + 1)]
                 self._send_frame(fresh, start, full)
             self._ever_sent.update(targets)
             if not self._watchdog_running:
@@ -522,7 +459,21 @@ class ReplicationPipeline:
     # -- acks ------------------------------------------------------------------
 
     def on_ack(self, backup: str, applied_through: int) -> None:
-        advanced = self.log.record_cumulative_ack(backup, applied_through)
+        """``backup`` applied every sequence up to and including
+        ``applied_through``.  Stale and duplicate acks leave the
+        watermarks alone.  ``stats.acked`` counts each (sequence, backup)
+        pair once, and only for rounds still in flight: those above both
+        the backup's previous watermark and the settled prefix, up to the
+        last one assigned."""
+        previous = self.acked_through.get(backup, 0)
+        advanced = applied_through > previous
+        if advanced:
+            self.acked_through[backup] = applied_through
+            newly_acked = min(applied_through, self.last_assigned) - max(
+                previous, self.settled_through
+            )
+            if newly_acked > 0:
+                self._c_acked.inc(newly_acked)
         if self._retired:
             return
         if advanced:
@@ -545,15 +496,16 @@ class ReplicationPipeline:
             return
         backups = [b for b in self._backups_fn() if b in self._ever_sent]
         if backups:
-            watermark = min(self.log.acked_through.get(b, 0) for b in backups)
+            watermark = min(self.acked_through.get(b, 0) for b in backups)
             watermark = min(watermark, self.highest_flushed)
         else:
             # No live backups shipped to: everything flushed is settled.
             watermark = self.highest_flushed
         if watermark <= self.settled_through:
             return
+        for done in range(self.settled_through + 1, watermark + 1):
+            self.history.pop(done, None)
         self.settled_through = watermark
-        self.log.complete_through(watermark)
         if self._dirty_last:
             for obj in [o for o, s in self._dirty_last.items() if s <= watermark]:
                 del self._dirty_last[obj]
@@ -593,15 +545,15 @@ class ReplicationPipeline:
             self.flush("timer")
 
     def _progress_mark(self) -> tuple:
-        return (self.settled_through, tuple(sorted(self.log.acked_through.items())))
+        return (self.settled_through, tuple(sorted(self.acked_through.items())))
 
     def _watchdog(self):
         """Targeted gap repair: while rounds are unsettled, retransmit each
         lagging backup exactly its missing range, with exponential backoff
         (reset on progress) + jitter, capped at 8x the ack timeout."""
         try:
-            delay = self._ack_timeout
-            cap = self._ack_timeout * 8
+            delay = ACK_TIMEOUT_MS
+            cap = ACK_TIMEOUT_MS * 8
             last_progress = self._progress_mark()
             while True:
                 yield self.sim.timeout(delay)
@@ -613,7 +565,7 @@ class ReplicationPipeline:
                 mark = self._progress_mark()
                 if mark != last_progress:
                     last_progress = mark
-                    delay = self._ack_timeout
+                    delay = ACK_TIMEOUT_MS
                     continue  # acks are flowing; no retransmission needed
                 current = set(self._backups_fn())
                 if not (current & self._ever_sent):
@@ -622,18 +574,18 @@ class ReplicationPipeline:
                     if self.in_flight == 0:
                         return
                 for backup in sorted(current & self._ever_sent):
-                    acked = self.log.acked_through.get(backup, 0)
+                    acked = self.acked_through.get(backup, 0)
                     if acked >= self.highest_flushed:
                         continue
-                    start = max(acked + 1, self.log.completed_through + 1)
+                    start = max(acked, self.settled_through) + 1
                     rounds = [
-                        self.log.history[s]
+                        self.history[s]
                         for s in range(start, self.highest_flushed + 1)
-                        if s in self.log.history
+                        if s in self.history
                     ]
                     if rounds:
                         self._send_frame([backup], start, rounds)
-                        self.log.stats.retransmitted += 1
+                        self.stats.handle("retransmitted").inc()
                 if self._retry_rng is None:
                     self._retry_rng = self.sim.rng(f"repl-retry:{self._name}")
                 delay = min(delay * 2, cap)

@@ -43,10 +43,8 @@ class ObjectLockTable:
         self._held: set[str] = set()
         self._waiting: dict[str, deque[Event]] = {}
         self.stats = SchedulerStats(registry, labels)
-        # acquire() runs once per mutating invocation; preresolved handles
-        # keep the increments off the StatsView attribute protocol.
-        self._c_acquisitions = self.stats.cell("acquisitions")
-        self._c_contentions = self.stats.cell("contentions")
+        self._c_acquisitions = self.stats.handle("acquisitions")
+        self._c_contentions = self.stats.handle("contentions")
         self._g_max_queue_length = self.stats.handle("max_queue_length")
 
     def acquire(self, object_id: str) -> Event:

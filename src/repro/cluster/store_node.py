@@ -34,7 +34,6 @@ from repro.cluster.replica_reads import ReplicaReads
 from repro.cluster.replication import (
     BackupAcks,
     BackupApplier,
-    PrimaryReplicationLog,
     ReplicationPipeline,
 )
 from repro.cluster.scheduler import ObjectLockTable
@@ -178,14 +177,12 @@ class StoreNode:
     def _init_metrics(self, registry, labels: dict) -> None:
         """The node's counters."""
         self.stats = NodeStats(registry, labels)
-        # Preresolved counter handles for the per-request hot path (see
-        # StatsView.handle): one attribute bump instead of dict lookups.
-        self._c_requests = self.stats.cell("requests")
-        self._c_readonly_requests = self.stats.cell("readonly_requests")
-        self._c_mutating_requests = self.stats.cell("mutating_requests")
-        self._c_failed_invocations = self.stats.cell("failed_invocations")
-        self._c_replication_rounds = self.stats.cell("replication_rounds")
-        self._c_busy_ms = self.stats.cell("busy_ms")
+        self._c_requests = self.stats.handle("requests")
+        self._c_readonly_requests = self.stats.handle("readonly_requests")
+        self._c_mutating_requests = self.stats.handle("mutating_requests")
+        self._c_failed_invocations = self.stats.handle("failed_invocations")
+        self._c_replication_rounds = self.stats.handle("replication_rounds")
+        self._c_busy_ms = self.stats.handle("busy_ms")
 
     def _wire_protocols(self, config) -> None:
         """Build the protocol components (each registers its own message
@@ -417,7 +414,6 @@ class StoreNode:
             pipeline = ReplicationPipeline(
                 self.sim,
                 shard_id,
-                PrimaryReplicationLog(shard_id, self._registry, labels),
                 send_frame=lambda targets, first, rounds, _sid=shard_id: (
                     self._send_range_frame(_sid, targets, first, rounds)
                 ),
@@ -490,7 +486,7 @@ class StoreNode:
         """Send a retryable rejection carrying this node's epoch, counted
         under the ``counter`` stat when one is named."""
         if counter is not None:
-            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            self.stats.handle(counter).inc()
         self.reply(
             request,
             ClientReply(request.request_id, False, error=error, current_epoch=self.epoch),
@@ -524,7 +520,7 @@ class StoreNode:
             # long since consumed (it moved on to higher counters).  The
             # stored reply was pruned; re-executing would break
             # at-most-once, and nobody is waiting — drop it.
-            self.stats.dropped_stale_duplicates += 1
+            self.stats.handle("dropped_stale_duplicates").inc()
             return
         pending = self._inflight.get(request.request_id)
         if pending is not None:
@@ -593,7 +589,7 @@ class StoreNode:
         Nothing executed, so nothing enters the at-most-once table — a
         retry of a shed request is a fresh admission decision.
         """
-        self.stats.shed_requests += 1
+        self.stats.handle("shed_requests").inc()
         self._escalate_trace(request.request_id, "shed")
         self.endpoint.send(
             request.client,
@@ -654,7 +650,7 @@ class StoreNode:
             if result.sub_results:
                 # Nested dispatches may have exposed *any* object's
                 # unsettled writes: fall back to the full watermark.
-                required = pipeline.log.last_assigned
+                required = pipeline.last_assigned
             else:
                 required = pipeline.required_for((str(request.object_id).encode(),))
             if required > pipeline.settled_through:

@@ -74,12 +74,9 @@ class ResultCache:
         #: inverted index: storage key -> cache keys whose read set uses it
         self._by_read_key: dict[bytes, set[tuple]] = {}
         self.stats = CacheStats(registry, labels)
-        # Preresolved counter handles: lookup() runs on every read-only
-        # invocation, so increments must not pay the StatsView attribute
-        # protocol (see StatsView.handle).
-        self._c_validation_failures = self.stats.cell("validation_failures")
-        self._c_invalidations = self.stats.cell("invalidations")
-        self._c_stores = self.stats.cell("stores")
+        self._c_validation_failures = self.stats.handle("validation_failures")
+        self._c_invalidations = self.stats.handle("invalidations")
+        self._c_stores = self.stats.handle("stores")
         if registry is not None:
             registry.gauge("cache_entries", labels, fn=lambda: len(self._entries))
 

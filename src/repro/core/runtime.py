@@ -90,16 +90,14 @@ class LocalRuntime:
         #: each invocation context's guest-memory allowance
         self.memory_limit_bytes = memory_limit_bytes
         self.stats = InvocationStats(registry, metrics_labels)
-        # Preresolved counter cells for the invoke hot path (see
-        # StatsView.cell): increments land in a handle-local slot and
-        # fold into the registry at read/sample time.
-        self._c_invocations = self.stats.cell("invocations")
-        self._c_nested_invocations = self.stats.cell("nested_invocations")
-        self._c_commits = self.stats.cell("commits")
-        self._c_aborts = self.stats.cell("aborts")
-        self._c_cache_hits = self.stats.cell("cache_hits")
-        self._c_cache_misses = self.stats.cell("cache_misses")
-        self._c_fuel_used = self.stats.cell("fuel_used")
+        # Counter handles, resolved once for the invoke hot path.
+        self._c_invocations = self.stats.handle("invocations")
+        self._c_nested_invocations = self.stats.handle("nested_invocations")
+        self._c_commits = self.stats.handle("commits")
+        self._c_aborts = self.stats.handle("aborts")
+        self._c_cache_hits = self.stats.handle("cache_hits")
+        self._c_cache_misses = self.stats.handle("cache_misses")
+        self._c_fuel_used = self.stats.handle("fuel_used")
         #: span tracer for invocation-lifecycle tracing, set by the
         #: platform's ``enable_tracing`` (one tracer across nodes;
         #: ``trace_node`` names this runtime's host)

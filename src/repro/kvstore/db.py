@@ -100,7 +100,9 @@ class DB:
         self._tables: dict[int, SSTableReader] = {}
         self._closed = False
         self.stats = DBStats(registry, labels)
-        self._c_gets = self.stats.cell("gets")
+        self._c_gets = self.stats.handle("gets")
+        self._c_puts = self.stats.handle("puts")
+        self._c_deletes = self.stats.handle("deletes")
         #: optional span tracer: flush/compaction become child spans of
         #: whatever invocation is active when they happen
         self.tracer = None
@@ -215,9 +217,9 @@ class DB:
         self._wal.append(start_sequence.to_bytes(8, "big") + batch.encode())
         self._versions.last_sequence, puts = self._apply_to_memtable(batch, start_sequence)
         if puts:
-            self.stats.puts += puts
+            self._c_puts.inc(puts)
         if puts != len(batch):
-            self.stats.deletes += len(batch) - puts
+            self._c_deletes.inc(len(batch) - puts)
         if self._mem.approximate_size >= self.options.memtable_size_bytes:
             self._flush_memtable()
             self._maybe_compact()
@@ -374,8 +376,8 @@ class DB:
         self._new_wal()
         edit = VersionEdit(added=[(0, meta)], log_number=self._wal_number)
         self._versions.log_and_apply(edit)
-        self.stats.flushes += 1
-        self.stats.bytes_flushed += meta.size_bytes
+        self.stats.handle("flushes").inc()
+        self.stats.handle("bytes_flushed").inc(meta.size_bytes)
         try:
             os.remove(os.path.join(self._dir, log_file_name(old_wal_number)))
         except FileNotFoundError:
@@ -423,13 +425,15 @@ class DB:
             retired = []
         else:
             outputs = self._merge_tables(compaction)
-            self.stats.bytes_compacted += sum(meta.size_bytes for meta in outputs)
+            self.stats.handle("bytes_compacted").inc(
+                sum(meta.size_bytes for meta in outputs)
+            )
             retired = [meta.number for meta in compaction.all_inputs()]
         edit = VersionEdit(added=[(compaction.output_level, meta) for meta in outputs])
         edit.deleted = [(compaction.level, f.number) for f in compaction.inputs_upper]
         edit.deleted += [(compaction.output_level, f.number) for f in compaction.inputs_lower]
         self._versions.log_and_apply(edit)
-        self.stats.compactions += 1
+        self.stats.handle("compactions").inc()
         self._remove_tables(retired)
 
     def _merge_tables(self, compaction: Compaction) -> list[FileMetadata]:

@@ -272,7 +272,7 @@ def _state_fingerprint(
                     pipeline.in_flight,
                     len(pipeline._pending),
                     tuple(sorted(pipeline._waiters)),
-                    tuple(sorted(pipeline.log.acked_through.items())),
+                    tuple(sorted(pipeline.acked_through.items())),
                 )
                 for shard_id, pipeline in node.pipelines.items()
             )

@@ -9,8 +9,7 @@ registry per platform holds every counter, gauge, and histogram, keyed by
 
 Three instrument kinds:
 
-- :class:`Counter` — monotonically-ish increasing value (the existing
-  ``*Stats`` dataclasses map their ``int`` fields here);
+- :class:`Counter` — a total that only grows, by ``inc``;
 - :class:`Gauge` — a settable level, optionally *callback-backed* (the
   value is pulled from a function when read, which keeps ultra-hot code
   paths free of registry writes);
@@ -20,10 +19,9 @@ An instrument holds its current value only; readers (the cost goldens,
 the benchmark ledger, the bench CLI's ``--metrics-out``) take totals
 when they need them.
 
-The existing ``*Stats`` dataclasses migrate onto the registry via
-:class:`StatsView`: attribute reads/writes proxy registry instruments, so
-``node.stats.requests += 1`` keeps working everywhere while the value
-lives in (and is exported from) the registry.
+Components declare their instruments through :class:`StatsView`: reads
+are by attribute (``node.stats.requests``), writes go through the
+instrument returned by ``handle(name)``.
 """
 
 from __future__ import annotations
@@ -76,63 +74,23 @@ class Instrument:
         }
 
 
-class CounterCell:
-    """A handle-local pre-aggregation cell of one :class:`Counter`.
-
-    Ultra-hot paths increment the cell (one attribute add on a one-slot
-    object) instead of calling into the registry instrument; the parent
-    counter folds every cell lazily whenever its value is read.
-    """
-
-    __slots__ = ("n",)
-
-    def __init__(self) -> None:
-        self.n: float = 0
-
-    def inc(self, amount: float = 1) -> None:
-        self.n += amount
-
-
 class Counter(Instrument):
-    """A numeric total.  ``set()`` exists so :class:`StatsView` attribute
-    assignment (``stats.x += 1`` desugars to a read + a set) works."""
+    """A numeric total, advanced by :meth:`inc`."""
 
-    __slots__ = ("_value", "_cells")
+    __slots__ = ("_value",)
 
     kind = "counter"
 
     def __init__(self, name: str, labels: LabelSet, help: str = "") -> None:
         super().__init__(name, labels, help)
         self._value: float = 0.0
-        self._cells: list[CounterCell] = []
-
-    def cell(self) -> CounterCell:
-        """Mint a pre-aggregation cell owned by this counter."""
-        cell = CounterCell()
-        self._cells.append(cell)
-        return cell
-
-    def _fold(self) -> None:
-        for cell in self._cells:
-            if cell.n:
-                self._value += cell.n
-                cell.n = 0
 
     @property
     def value(self) -> float:
-        if self._cells:
-            self._fold()
         return self._value
 
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
-
-    def set(self, value: float) -> None:
-        # Setting overrides the total: discard unfolded cell increments so
-        # they cannot resurface on the next fold.
-        for cell in self._cells:
-            cell.n = 0
-        self._value = value
 
 
 class Gauge(Instrument):
@@ -302,13 +260,14 @@ class MetricsRegistry:
 
 
 class StatsView:
-    """Attribute-style view over registry instruments.
+    """A component's named instruments: attribute reads, handle writes.
 
-    Subclasses declare ``COUNTERS`` (int/float totals) and ``GAUGES``
-    (settable levels) as ``{field: default}`` plus a ``PREFIX``; instances
-    then behave like the old ad-hoc dataclasses (``stats.requests += 1``,
-    ``stats.busy_ms`` reads) while each field is a registry instrument —
-    one source of truth for hot-path accounting and exported values.
+    Subclasses declare ``COUNTERS`` and ``GAUGES`` as ``{field: 0}`` (an
+    ``int`` zero reads back as an ``int``, a ``float`` one as a ``float``)
+    plus a ``PREFIX``; each field is the registry instrument
+    ``<PREFIX>_<field>``.  ``stats.requests`` reads it; writers resolve
+    ``stats.handle("requests")`` once and call ``inc`` (or a gauge's
+    ``set``) on it.  Writing a field by attribute raises.
 
     Constructed bare (``NodeStats()``) a view owns a private registry, so
     standalone components keep working; platforms pass their shared
@@ -328,16 +287,10 @@ class StatsView:
     ) -> None:
         registry = registry if registry is not None else MetricsRegistry()
         metrics: dict[str, Instrument] = {}
-        for name, default in self.COUNTERS.items():
-            metric = registry.counter(f"{self.PREFIX}_{name}", labels)
-            if default:
-                metric.set(default)
-            metrics[name] = metric
-        for name, default in self.GAUGES.items():
-            metric = registry.gauge(f"{self.PREFIX}_{name}", labels)
-            if default:
-                metric.set(default)
-            metrics[name] = metric
+        for name in self.COUNTERS:
+            metrics[name] = registry.counter(f"{self.PREFIX}_{name}", labels)
+        for name in self.GAUGES:
+            metrics[name] = registry.gauge(f"{self.PREFIX}_{name}", labels)
         object.__setattr__(self, "_metrics", metrics)
 
     def __getattr__(self, name: str) -> float:
@@ -348,7 +301,7 @@ class StatsView:
                 f"{type(self).__name__} has no stat {name!r}"
             ) from None
         value = metric.value
-        # Counters declared with integral defaults read back as ints so
+        # Fields declared with an int zero read back as ints so
         # equality assertions (`stats.requests == 1`) stay exact.
         if isinstance(type(self).COUNTERS.get(name), int) or isinstance(
             type(self).GAUGES.get(name), int
@@ -358,21 +311,18 @@ class StatsView:
         return value
 
     def __setattr__(self, name: str, value: float) -> None:
-        try:
-            self._metrics[name].set(value)
-        except KeyError:
-            raise AttributeError(
-                f"{type(self).__name__} has no stat {name!r}"
-            ) from None
+        # Subclasses have a __dict__: without this, ``stats.x += 1`` would
+        # silently shadow the instrument with a plain attribute.
+        raise AttributeError(
+            f"{type(self).__name__} stats are read-only attributes; "
+            f"write through handle({name!r})"
+        )
 
     def handle(self, name: str) -> Instrument:
-        """The underlying instrument for ``name``.
-
-        Hot paths preresolve handles once (``self._c_requests =
-        stats.handle("requests")``) so each increment is a single
-        ``Counter.inc`` instead of two dict lookups through the
-        attribute protocol.  Snapshots read the same instrument.
-        """
+        """The underlying instrument for ``name``: the one way to write
+        a stat.  Hot-path writers resolve it once (``self._c_requests =
+        stats.handle("requests")``), so each increment is a single
+        ``Counter.inc``; attribute reads see the same instrument."""
         try:
             return self._metrics[name]
         except KeyError:
@@ -380,31 +330,5 @@ class StatsView:
                 f"{type(self).__name__} has no stat {name!r}"
             ) from None
 
-    def cell(self, name: str) -> CounterCell:
-        """A pre-aggregation cell for counter ``name``.
-
-        The step past :meth:`handle` for the hottest counters: increments
-        land in a handle-local cell and fold into the registry instrument
-        when it is next read, so per-event cost is one slot add.  Only
-        counters have cells; gauges keep their handles.
-        """
-        metric = self.handle(name)
-        if not isinstance(metric, Counter):
-            raise TypeError(f"stat {name!r} is a {metric.kind}, not a counter")
-        return metric.cell()
-
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in self._metrics}
-
-    def snapshot(self) -> dict[str, float]:
-        """Plain-dict copy (kept for the old dataclasses' API)."""
-        return self.as_dict()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"{type(self).__name__}({fields})"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, StatsView):
-            return self.as_dict() == other.as_dict()
-        return NotImplemented

@@ -152,12 +152,10 @@ class AdmissionController:
         self._buckets: "OrderedDict[str, TokenBucket]" = OrderedDict()
         self._inflight = 0
         self.stats = AdmissionStats(registry, labels)
-        # admit() runs once per request; preresolved handles keep the hot
-        # path off the StatsView attribute protocol.
-        self._c_admitted = self.stats.cell("admitted")
-        self._c_shed_rate = self.stats.cell("shed_rate")
-        self._c_shed_concurrency = self.stats.cell("shed_concurrency")
-        self._c_shed_pressure = self.stats.cell("shed_pressure")
+        self._c_admitted = self.stats.handle("admitted")
+        self._c_shed_rate = self.stats.handle("shed_rate")
+        self._c_shed_concurrency = self.stats.handle("shed_concurrency")
+        self._c_shed_pressure = self.stats.handle("shed_pressure")
         self._g_inflight = self.stats.handle("inflight")
         self._g_tenants = self.stats.handle("tenants")
 

@@ -107,12 +107,10 @@ class ComputeNode:
             trace_node=name,
         )
         self.stats = ComputeStats(registry, labels)
-        # Preresolved counter handles for the per-request hot path (see
-        # StatsView.handle).
-        self._c_requests = self.stats.cell("requests")
-        self._c_failed = self.stats.cell("failed")
-        self._c_storage_round_trips = self.stats.cell("storage_round_trips")
-        self._c_busy_ms = self.stats.cell("busy_ms")
+        self._c_requests = self.stats.handle("requests")
+        self._c_failed = self.stats.handle("failed")
+        self._c_storage_round_trips = self.stats.handle("storage_round_trips")
+        self._c_busy_ms = self.stats.handle("busy_ms")
 
     @property
     def tracer(self):

@@ -52,11 +52,9 @@ class ContainerPool:
         #: expiry deadlines of idle warm containers (oldest first)
         self._warm: list[float] = []
         self.stats = ContainerStats(registry, labels)
-        # acquire() runs once per invocation; preresolved handles keep the
-        # counters off the StatsView attribute protocol.
-        self._c_cold_starts = self.stats.cell("cold_starts")
-        self._c_warm_starts = self.stats.cell("warm_starts")
-        self._c_expirations = self.stats.cell("expirations")
+        self._c_cold_starts = self.stats.handle("cold_starts")
+        self._c_warm_starts = self.stats.handle("warm_starts")
+        self._c_expirations = self.stats.handle("expirations")
         if registry is not None:
             registry.gauge(
                 "scheduler_containers_in_use", labels, fn=lambda: self._slots.in_use

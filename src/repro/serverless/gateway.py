@@ -53,11 +53,9 @@ class Gateway:
         self._next = 0
         self.log = log
         self.stats = GatewayStats(registry, {"node": name})
-        # _forward runs once per request; preresolved handles keep the
-        # hot-path increments off the StatsView attribute protocol.
-        self._c_forwarded = self.stats.cell("forwarded")
-        self._c_shed = self.stats.cell("shed")
-        self._c_skipped = self.stats.cell("skipped_dead_targets")
+        self._c_forwarded = self.stats.handle("forwarded")
+        self._c_shed = self.stats.handle("shed")
+        self._c_skipped = self.stats.handle("skipped_dead_targets")
         self._g_queue_depth = self.stats.handle("queue_depth")
         self.endpoint.on(ClientRequest, self._forward, spawn="fwd")
 

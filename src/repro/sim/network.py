@@ -172,14 +172,9 @@ class _Delivery:
         net = self.net
         message = self.message
         dst_host = self.dst_host
-        # Faults may have activated while the message was in flight.
-        if net._faults_active and (
-            dst_host.crashed or net.is_partitioned(message.src, message.dst)
+        if net._faults_active and net._dropped_in_flight(
+            message.src, message.dst, dst_host
         ):
-            stats = net.stats
-            stats.messages_dropped += 1
-            link = (message.src, message.dst)
-            stats.per_link_dropped[link] = stats.per_link_dropped.get(link, 0) + 1
             return
         stats = net.stats
         stats.messages_delivered += 1
@@ -218,13 +213,9 @@ class _BatchDelivery:
         net = self.net
         messages = self.messages
         dst_host = self.dst_host
-        src, dst = messages[0].src, messages[0].dst
-        if net._faults_active and (dst_host.crashed or net.is_partitioned(src, dst)):
-            stats = net.stats
-            stats.messages_dropped += 1
-            stats.per_link_dropped[(src, dst)] = (
-                stats.per_link_dropped.get((src, dst), 0) + 1
-            )
+        if net._faults_active and net._dropped_in_flight(
+            messages[0].src, messages[0].dst, dst_host
+        ):
             return
         stats = net.stats
         stats.messages_delivered += 1
@@ -378,6 +369,18 @@ class Network:
             stats.per_link_dropped[link] = stats.per_link_dropped.get(link, 0) + 1
             return True
         stats.per_link[link] = stats.per_link.get(link, 0) + 1
+        return False
+
+    def _dropped_in_flight(self, src: str, dst: str, dst_host: NetworkHost) -> bool:
+        """The delivery-time drop decision, made only while faults are
+        active (they may have started while the wire message flew): a
+        crashed destination or a cut link drops it, counted on the link."""
+        link = (src, dst)
+        if dst_host.crashed or link in self._partitions:
+            stats = self.stats
+            stats.messages_dropped += 1
+            stats.per_link_dropped[link] = stats.per_link_dropped.get(link, 0) + 1
+            return True
         return False
 
     def _refresh_faults(self) -> None:

@@ -29,10 +29,6 @@ class FuelMeter:
         """Fuel consumed so far."""
         return self._used
 
-    @property
-    def remaining(self) -> float:
-        return self._budget - self._used
-
     def consume(self, units: float) -> None:
         """Burn ``units`` fuel; raises :class:`FuelExhausted` past budget."""
         if units < 0:

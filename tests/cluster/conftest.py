@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.replication import ReplicationPipeline
 from repro.core import CollectionField, ObjectType, ValueField, method, readonly_method
 from repro.sim import Simulation
 
@@ -67,3 +68,30 @@ def run_ops(sim, cluster, ops, limit_ms=120_000):
     gate = sim.all_of(processes)
     values = sim.run_until_triggered(gate, limit=sim.now + limit_ms)
     return [values[p] for p in processes]
+
+
+class PipelineHarness:
+    """One shard's :class:`ReplicationPipeline` with a recording
+    transport and a mutable backup list."""
+
+    def __init__(self, backups=("b1", "b2"), **kwargs):
+        self.sim = Simulation(seed=7)
+        self.backups = list(backups)
+        self.frames = []  # (sim_now, targets, first_sequence, rounds)
+        self.pipeline = ReplicationPipeline(
+            self.sim,
+            0,
+            send_frame=self._record,
+            backups_fn=lambda: list(self.backups),
+            **kwargs,
+        )
+
+    def _record(self, targets, first, rounds):
+        self.frames.append((self.sim.now, list(targets), first, list(rounds)))
+
+    def submit_rounds(self, count):
+        return [self.pipeline.submit(b"x") for _ in range(count)]
+
+    def ack_all(self, through):
+        for backup in self.backups:
+            self.pipeline.on_ack(backup, through)

@@ -1,106 +1,84 @@
-"""Unit tests for group-commit replication: cumulative acks on the
-primary log and the per-shard :class:`ReplicationPipeline`."""
+"""Unit tests for group-commit replication: cumulative acks and the
+per-shard :class:`ReplicationPipeline`."""
 
 from repro.cluster.messages import ReplicateAck
-from repro.cluster.replication import PrimaryReplicationLog, ReplicationPipeline
-from repro.sim import Simulation
 
-from tests.cluster.conftest import build_cluster
+from tests.cluster.conftest import PipelineHarness, build_cluster
 
 
-def seeded_log(rounds=0):
-    log = PrimaryReplicationLog(0)
-    for _ in range(rounds):
-        log.next_sequence(b"x")
-    return log
-
-
-# -- cumulative acks on the log ---------------------------------------------
+# -- cumulative acks --------------------------------------------------------
 
 
 def test_record_ack_counts_duplicate_reacks_once():
     # Retransmission crossings re-deliver acks; the counter must only see
     # first-time (sequence, backup) pairs.
-    log = seeded_log(rounds=1)
-    assert log.record_cumulative_ack("b1", 1) is True
-    assert log.record_cumulative_ack("b1", 1) is False
-    assert log.record_cumulative_ack("b1", 1) is False
-    assert log.stats.acked == 1
-    assert log.acked_through == {"b1": 1}
+    h = PipelineHarness(backups=("b1",))
+    h.submit_rounds(1)
+    for _ in range(3):
+        h.pipeline.on_ack("b1", 1)
+    assert h.pipeline.stats.acked == 1
+    assert h.pipeline.acked_through == {"b1": 1}
 
 
 def test_record_ack_is_implicitly_cumulative():
     # Backups apply strictly in order, so an ack for 3 means 1 and 2
     # landed too (their acks may have been dropped on the wire).
-    log = seeded_log(rounds=3)
-    log.record_cumulative_ack("b1", 3)
-    assert log.acked_through["b1"] == 3
-    assert log.stats.acked == 3
-    log.record_cumulative_ack("b2", 1)
-    log.record_cumulative_ack("b2", 3)  # back-fills 2 and 3 only
-    assert log.stats.acked == 6
+    h = PipelineHarness()
+    h.submit_rounds(3)
+    h.pipeline.on_ack("b1", 3)
+    assert h.pipeline.acked_through["b1"] == 3
+    assert h.pipeline.stats.acked == 3
+    h.pipeline.on_ack("b2", 1)
+    h.pipeline.on_ack("b2", 3)  # back-fills 2 and 3 only
+    assert h.pipeline.stats.acked == 6
+    assert h.pipeline.settled_through == 3
 
 
 def test_record_cumulative_ack_rejects_stale_and_duplicate():
-    log = seeded_log(rounds=3)
-    assert log.record_cumulative_ack("b1", 2) is True
-    assert log.record_cumulative_ack("b1", 2) is False  # duplicate
-    assert log.record_cumulative_ack("b1", 1) is False  # reordered/stale
-    assert log.acked_through["b1"] == 2
-    assert log.stats.acked == 2  # back-fill counted each sequence once
+    h = PipelineHarness()
+    h.submit_rounds(3)
+    h.pipeline.on_ack("b1", 2)
+    h.pipeline.on_ack("b1", 2)  # duplicate
+    h.pipeline.on_ack("b1", 1)  # reordered/stale
+    assert h.pipeline.acked_through["b1"] == 2
+    assert h.pipeline.stats.acked == 2  # back-fill counted each sequence once
 
 
 def test_cumulative_ack_counts_only_assigned_unpruned_rounds():
-    log = seeded_log(rounds=4)
-    log.complete_through(2)  # 1-2 settled without this backup's ack
-    assert log.retained == 2
+    h = PipelineHarness()
+    h.submit_rounds(4)
+    h.pipeline.on_ack("b2", 1)
+    h.backups.remove("b1")  # 1-2 settle without b1's ack
+    h.pipeline.on_config_change()
+    h.pipeline.on_ack("b2", 2)
+    assert h.pipeline.settled_through == 2
+    assert len(h.pipeline.history) == 2
+    acked = h.pipeline.stats.acked
     # Only the rounds still in flight and actually assigned, 3 and 4,
     # are counted.
-    assert log.record_cumulative_ack("b1", 9) is True
-    assert log.acked_through["b1"] == 9
-    assert log.stats.acked == 2
+    h.pipeline.on_ack("b1", 9)
+    assert h.pipeline.acked_through["b1"] == 9
+    assert h.pipeline.stats.acked - acked == 2
 
 
 def test_cumulative_ack_below_pruned_watermark_is_noop():
-    log = seeded_log(rounds=3)
-    log.record_cumulative_ack("b1", 3)
-    log.complete_through(3)  # history pruned
-    assert log.record_cumulative_ack("b1", 2) is False
-    assert log.acked_through["b1"] == 3
-    assert log.retained == 0
+    h = PipelineHarness(backups=("b1",))
+    h.submit_rounds(3)
+    h.pipeline.on_ack("b1", 1)
+    h.pipeline.on_ack("b1", 3)  # settles everything: history pruned
+    acked = h.pipeline.stats.acked
+    h.pipeline.on_ack("b1", 2)
+    assert h.pipeline.acked_through["b1"] == 3
+    assert h.pipeline.stats.acked == acked
+    assert h.pipeline.settled_through == 3
+    assert h.pipeline.history == {}
 
 
 # -- the pipeline -----------------------------------------------------------
 
 
-class Harness:
-    """Pipeline + a recording transport and a mutable backup list."""
-
-    def __init__(self, backups=("b1", "b2"), **kwargs):
-        self.sim = Simulation(seed=7)
-        self.log = PrimaryReplicationLog(0)
-        self.backups = list(backups)
-        self.frames = []  # (sim_now, targets, first_sequence, rounds)
-        self.pipeline = ReplicationPipeline(
-            self.sim,
-            0,
-            self.log,
-            send_frame=self._record,
-            backups_fn=lambda: list(self.backups),
-            ack_timeout_ms=5.0,
-            **kwargs,
-        )
-
-    def _record(self, targets, first, rounds):
-        self.frames.append((self.sim.now, list(targets), first, list(rounds)))
-
-    def ack_all(self, through):
-        for backup in self.backups:
-            self.pipeline.on_ack(backup, through)
-
-
 def test_open_flush_ships_immediately_on_empty_pipe():
-    h = Harness()
+    h = PipelineHarness()
     event = h.pipeline.submit(b"round-1")
     assert [(f[2], len(f[3])) for f in h.frames] == [(1, 1)]
     assert not event.triggered
@@ -110,7 +88,7 @@ def test_open_flush_ships_immediately_on_empty_pipe():
 
 
 def test_rounds_coalesce_while_a_frame_is_in_flight():
-    h = Harness()
+    h = PipelineHarness()
     first = h.pipeline.submit(b"a")
     second = h.pipeline.submit(b"b")
     third = h.pipeline.submit(b"c")
@@ -127,7 +105,7 @@ def test_rounds_coalesce_while_a_frame_is_in_flight():
 
 
 def test_size_threshold_forces_flush():
-    h = Harness(max_rounds=2)
+    h = PipelineHarness(max_rounds=2)
     h.pipeline.submit(b"a")  # open flush
     h.pipeline.submit(b"b")
     h.pipeline.submit(b"c")  # hits max_rounds -> size flush
@@ -137,7 +115,7 @@ def test_size_threshold_forces_flush():
 
 def test_reply_released_only_at_full_watermark():
     # One lagging backup holds every parked reply at or above its gap.
-    h = Harness()
+    h = PipelineHarness()
     event = h.pipeline.submit(b"a")
     h.pipeline.on_ack("b1", 1)
     assert not event.triggered
@@ -146,7 +124,7 @@ def test_reply_released_only_at_full_watermark():
 
 
 def test_duplicate_and_reordered_acks_do_not_regress_watermark():
-    h = Harness()
+    h = PipelineHarness()
     events = [h.pipeline.submit(payload) for payload in (b"a", b"b", b"c")]
     h.ack_all(1)
     h.pipeline.flush("drain")
@@ -161,17 +139,17 @@ def test_duplicate_and_reordered_acks_do_not_regress_watermark():
 
 
 def test_ack_for_pruned_sequences_is_harmless():
-    h = Harness()
+    h = PipelineHarness()
     h.pipeline.submit(b"a")
     h.ack_all(1)
-    assert h.log.retained == 0  # settled history pruned
+    assert h.pipeline.history == {}  # settled history pruned
     h.ack_all(1)  # re-ack after prune
     assert h.pipeline.settled_through == 1
     assert h.pipeline.idle
 
 
 def test_backup_removed_mid_round_stops_gating_replies():
-    h = Harness()
+    h = PipelineHarness()
     event = h.pipeline.submit(b"a")
     h.pipeline.on_ack("b1", 1)
     assert not event.triggered  # b2 still owes an ack
@@ -182,7 +160,7 @@ def test_backup_removed_mid_round_stops_gating_replies():
 
 
 def test_all_backups_removed_settles_everything():
-    h = Harness()
+    h = PipelineHarness()
     event = h.pipeline.submit(b"a")
     h.backups.clear()
     h.pipeline.on_config_change()
@@ -190,7 +168,7 @@ def test_all_backups_removed_settles_everything():
 
 
 def test_config_change_drains_queued_rounds_to_new_membership():
-    h = Harness()
+    h = PipelineHarness()
     h.pipeline.submit(b"a")
     h.pipeline.submit(b"b")  # queued behind the in-flight frame
     h.backups.append("b3")
@@ -204,7 +182,7 @@ def test_config_change_drains_queued_rounds_to_new_membership():
 
 
 def test_fresh_backup_never_sent_does_not_hold_watermark():
-    h = Harness()
+    h = PipelineHarness()
     event = h.pipeline.submit(b"a")
     h.backups.append("b3")  # joined after the flush; needs state transfer
     h.pipeline.on_ack("b1", 1)
@@ -213,7 +191,7 @@ def test_fresh_backup_never_sent_does_not_hold_watermark():
 
 
 def test_barrier_parks_until_watermark_and_passes_when_quiescent():
-    h = Harness()
+    h = PipelineHarness()
     assert h.pipeline.barrier().triggered  # nothing outstanding
     h.pipeline.submit(b"a")
     barrier = h.pipeline.barrier()
@@ -223,14 +201,14 @@ def test_barrier_parks_until_watermark_and_passes_when_quiescent():
 
 
 def test_watchdog_retransmits_only_the_lagging_backup_with_backoff():
-    h = Harness()
+    h = PipelineHarness()
     h.pipeline.submit(b"a")
     h.pipeline.on_ack("b1", 1)  # b2 never answers
     h.sim.run(until=100.0)
     retries = [f for f in h.frames[1:]]
     assert retries and all(f[1] == ["b2"] for f in retries)
     assert all((f[2], f[3]) == (1, [b"a"]) for f in retries)
-    assert h.log.stats.retransmitted == len(retries)
+    assert h.pipeline.stats.retransmitted == len(retries)
     gaps = [b[0] - a[0] for a, b in zip(retries, retries[1:])]
     # Exponential backoff: strictly increasing gaps, capped at 8x + jitter.
     assert all(later > earlier for earlier, later in zip(gaps, gaps[1:])) or len(gaps) < 2
@@ -242,26 +220,26 @@ def test_retired_pipeline_ships_and_settles_nothing():
     # stale frames over the new primary's stream, must not drain queued
     # rounds, and must not release parked replies — even when every
     # straggler acks (or leaves the replica set) afterwards.
-    h = Harness()
+    h = PipelineHarness()
     event = h.pipeline.submit(b"a")  # open flush: in flight
     queued = h.pipeline.submit(b"b")  # queued behind it
     h.pipeline.retire()
     h.pipeline.on_config_change()  # NewConfig adoption after deposal
     h.ack_all(1)
-    assert h.log.acked_through == {"b1": 1, "b2": 1}  # facts still land
+    assert h.pipeline.acked_through == {"b1": 1, "b2": 1}  # facts still land
     assert not event.triggered and not queued.triggered
     h.backups.clear()  # even an emptied backup set settles nothing
     h.pipeline.on_config_change()
     h.sim.run(until=300.0)  # watchdog wakes and exits; no retransmission
     assert len(h.frames) == 1
-    assert h.log.stats.retransmitted == 0
+    assert h.pipeline.stats.retransmitted == 0
     assert not event.triggered
 
 
 def test_unretire_resumes_where_the_sequence_space_left_off():
     # Re-promotion: the kept queue drains to the new membership and the
     # recorded acks settle the pre-deposal rounds.
-    h = Harness()
+    h = PipelineHarness()
     first = h.pipeline.submit(b"a")
     h.pipeline.retire()
     second = h.pipeline.submit(b"b")  # queued while retired; no frame
@@ -275,7 +253,7 @@ def test_unretire_resumes_where_the_sequence_space_left_off():
 
 
 def test_watchdog_stops_once_settled_and_restarts_on_next_flush():
-    h = Harness()
+    h = PipelineHarness()
     h.pipeline.submit(b"a")
     h.sim.run(until=7.0)  # one watchdog wake with no progress
     h.ack_all(1)

@@ -1,8 +1,10 @@
 """Unit tests for primary/backup replication state machines."""
 
-from repro.cluster.replication import BackupApplier, PrimaryReplicationLog
+from repro.cluster.replication import BackupApplier
 from repro.core.storage import MemoryBackend
 from repro.kvstore.batch import WriteBatch, encode_round
+
+from tests.cluster.conftest import PipelineHarness
 
 
 def encoded(*writes):
@@ -16,33 +18,32 @@ def make_applier():
 
 
 def test_primary_assigns_increasing_sequences():
-    log = PrimaryReplicationLog(0)
-    s1 = log.next_sequence(b"a")
-    s2 = log.next_sequence(b"b")
-    assert (s1, s2) == (1, 2)
-    assert log.last_assigned == 2
+    h = PipelineHarness()
+    h.pipeline.submit(b"a")
+    h.pipeline.submit(b"b")
+    assert h.pipeline.history == {1: b"a", 2: b"b"}
+    assert h.pipeline.last_assigned == 2
 
 
 def test_primary_tracks_acks():
-    log = PrimaryReplicationLog(0)
-    sequence = log.next_sequence(b"x")
-    assert log.record_cumulative_ack("b1", sequence)
-    assert log.record_cumulative_ack("b2", sequence)
-    assert log.acked_through == {"b1": sequence, "b2": sequence}
-    assert log.stats.acked == 2
+    h = PipelineHarness()
+    h.submit_rounds(1)
+    h.ack_all(1)
+    assert h.pipeline.acked_through == {"b1": 1, "b2": 1}
+    assert h.pipeline.stats.acked == 2
 
 
 def test_primary_complete_through_drops_history():
-    log = PrimaryReplicationLog(0)
-    for _ in range(3):
-        log.next_sequence(b"x")
-    log.complete_through(2)
-    assert log.completed_through == 2
-    assert log.retained == 1
-    assert 3 in log.history and 1 not in log.history
+    h = PipelineHarness(backups=("b1",))
+    h.submit_rounds(3)
+    h.pipeline.on_ack("b1", 1)
+    h.pipeline.on_ack("b1", 2)
+    assert h.pipeline.settled_through == 2
+    assert list(h.pipeline.history) == [3]
     # Acks for the pruned prefix are facts, but no longer in-flight rounds.
-    log.record_cumulative_ack("b1", 3)
-    assert log.stats.acked == 1
+    acked = h.pipeline.stats.acked
+    h.pipeline.on_ack("b2", 3)
+    assert h.pipeline.stats.acked - acked == 1
 
 
 def applied_sequences(applied):

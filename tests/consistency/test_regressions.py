@@ -175,10 +175,10 @@ def test_completed_table_and_replication_log_stay_bounded():
     assert primary._completed.per_client_retained().get(client.name, 0) <= 1
     assert len(primary._completed) <= 2
     # every fully-acked sequence was forgotten
-    log = primary.pipelines[replica_set.shard_id].log
-    assert log.last_assigned >= 12
-    assert log.completed_through == log.last_assigned
-    assert log.retained == 0
+    pipeline = primary.pipelines[replica_set.shard_id]
+    assert pipeline.last_assigned >= 12
+    assert pipeline.settled_through == pipeline.last_assigned
+    assert pipeline.history == {}
 
 
 def test_ghost_duplicate_below_watermark_is_dropped():

@@ -8,14 +8,12 @@ import pytest
 from repro.obs import MetricsRegistry, StatsView
 
 
-def test_counter_inc_and_set():
+def test_counter_inc():
     registry = MetricsRegistry()
     counter = registry.counter("requests")
     counter.inc()
     counter.inc(4)
     assert counter.value == 5
-    counter.set(2)
-    assert counter.value == 2
 
 
 def test_get_or_create_is_keyed_by_name_and_labels():
@@ -80,75 +78,33 @@ class _DemoStats(StatsView):
 
 def test_stats_view_attribute_protocol():
     stats = _DemoStats()
-    stats.requests += 1
-    stats.requests += 1
-    stats.busy_ms += 1.5
-    stats.depth = 4
+    stats.handle("requests").inc()
+    stats.handle("requests").inc()
+    stats.handle("busy_ms").inc(1.5)
+    stats.handle("depth").set(4)
     assert stats.requests == 2
     assert isinstance(stats.requests, int)
     assert stats.busy_ms == pytest.approx(1.5)
     assert stats.depth == 4
     assert stats.as_dict() == {"requests": 2, "busy_ms": 1.5, "depth": 4}
-    assert stats.snapshot() == stats.as_dict()
     with pytest.raises(AttributeError):
         stats.nonexistent
     with pytest.raises(AttributeError):
-        stats.nonexistent = 1
+        stats.handle("nonexistent")
+
+
+def test_stats_view_attribute_write_raises_and_leaves_the_counter():
+    stats = _DemoStats()
+    stats.handle("requests").inc(3)
+    with pytest.raises(AttributeError, match=r"handle\('requests'\)"):
+        stats.requests = 1
+    assert stats.requests == 3
+    assert stats.handle("requests").value == 3
 
 
 def test_stats_view_shares_platform_registry():
     registry = MetricsRegistry()
     stats = _DemoStats(registry, labels={"node": "store-0"})
-    stats.requests += 3
+    stats.handle("requests").inc(3)
     metric = registry.get("demo_requests", {"node": "store-0"})
     assert metric is not None and metric.value == 3
-
-
-def test_stats_view_equality_and_repr():
-    a, b = _DemoStats(), _DemoStats()
-    assert a == b
-    a.requests += 1
-    assert a != b
-    assert "requests=1" in repr(a)
-
-
-def test_counter_cells_fold_lazily_on_read():
-    registry = MetricsRegistry()
-    counter = registry.counter("requests")
-    cell_a = counter.cell()
-    cell_b = counter.cell()
-    cell_a.inc()
-    cell_a.inc(3)
-    cell_b.inc(2)
-    counter.inc()  # direct increments still work alongside cells
-    assert counter.value == 7
-    # Reading folded the cells: they are empty, the total persists.
-    assert cell_a.n == 0 and cell_b.n == 0
-    assert counter.value == 7
-    cell_b.inc(5)
-    assert counter.value == 12
-
-
-def test_counter_set_discards_unfolded_cell_increments():
-    registry = MetricsRegistry()
-    counter = registry.counter("requests")
-    cell = counter.cell()
-    cell.inc(10)
-    counter.set(2)
-    # The pre-set cell increments must not resurface on the next fold.
-    assert counter.value == 2
-    cell.inc()
-    assert counter.value == 3
-
-
-def test_stats_view_cell_requires_counter():
-    registry = MetricsRegistry()
-    stats = _DemoStats(registry, labels={"node": "store-0"})
-    cell = stats.cell("requests")
-    cell.inc(2)
-    assert stats.requests == 2
-    # stats.x += 1 (read-fold + set) composes with concurrent cells
-    stats.requests += 1
-    assert stats.requests == 3
-    with pytest.raises(TypeError):
-        stats.cell("depth")

@@ -46,8 +46,26 @@ def test_constructor_options_count_defaults_and_keyword_only_parameters():
         "SimpleClient.__init__",
         "RpcStub.__init__",
         "Network.__init__",
+        "ReplicationPipeline.__init__",
     }
     assert all(int(line.split()[0]) > 0 for line in knobs)
+
+
+def test_replication_pipeline_options_match_its_signature():
+    import inspect
+
+    from repro.cluster.replication import ReplicationPipeline
+
+    text = size_report.report(REPO_ROOT, top=3)
+    counted = {
+        line.split()[1]: int(line.split()[0])
+        for line in text.splitlines()[text.splitlines().index("config fields (knobs):") + 1 :]
+    }
+    parameters = inspect.signature(ReplicationPipeline.__init__).parameters.values()
+    settable = sum(
+        p.default is not p.empty or p.kind is p.KEYWORD_ONLY for p in parameters
+    )
+    assert counted["ReplicationPipeline.__init__"] == settable
 
 
 def test_functions_are_named_by_module_and_qualified_name():

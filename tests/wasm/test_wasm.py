@@ -56,7 +56,6 @@ def test_fuel_counts_usage():
     meter.consume(30)
     meter.consume(20)
     assert meter.used == 50
-    assert meter.remaining == 50
 
 
 def test_fuel_exhaustion_traps():

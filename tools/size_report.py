@@ -32,6 +32,7 @@ CONSTRUCTORS = (
     ("serverless/client.py", "SimpleClient"),
     ("rpc/stub.py", "RpcStub"),
     ("sim/network.py", "Network"),
+    ("cluster/replication.py", "ReplicationPipeline"),
 )
 
 
