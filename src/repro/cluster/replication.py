@@ -17,21 +17,22 @@ from repro.kvstore.batch import WriteBatch, decode_round
 from repro.obs.registry import MetricsRegistry, StatsView
 
 
-class ReplicationStats(StatsView):
-    """Replication counters, per primary pipeline or backup applier.
+class PipelineStats(StatsView):
+    """A primary pipeline's replication counters.
 
     ``retransmitted`` counts retransmission rounds separately from
     ``shipped`` (which counts first-time sequence assignments only).
     """
 
     PREFIX = "replication"
-    COUNTERS = {
-        "shipped": 0,
-        "acked": 0,
-        "applied": 0,
-        "buffered_out_of_order": 0,
-        "retransmitted": 0,
-    }
+    COUNTERS = {"shipped": 0, "acked": 0, "retransmitted": 0}
+
+
+class ApplierStats(StatsView):
+    """A backup applier's replication counters."""
+
+    PREFIX = "replication"
+    COUNTERS = {"applied": 0, "buffered_out_of_order": 0}
 
 
 class BackupApplier:
@@ -52,7 +53,7 @@ class BackupApplier:
         self._apply = apply_fn
         self.applied_through = start_sequence
         self._pending: dict[int, bytes] = {}
-        self.stats = ReplicationStats(registry, labels)
+        self.stats = ApplierStats(registry, labels)
         self._c_applied = self.stats.handle("applied")
         self._c_buffered = self.stats.handle("buffered_out_of_order")
 
@@ -269,7 +270,7 @@ class ReplicationPipeline:
         #: sequence -> encoded round (:func:`~repro.kvstore.batch.encode_round`),
         #: kept for retransmission until the watermark settles it
         self.history: dict[int, bytes] = {}
-        self.stats = ReplicationStats(registry, labels)
+        self.stats = PipelineStats(registry, labels)
         self._c_shipped = self.stats.handle("shipped")
         self._c_acked = self.stats.handle("acked")
         #: (sequence, round payload) committed but not yet framed

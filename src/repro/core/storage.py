@@ -2,10 +2,10 @@
 
 Two implementations share one protocol:
 
-- :class:`MemoryBackend` — an ordered in-memory map (a dict plus a
-  per-object key index that is sorted only when a scan needs it).  The
-  cluster simulator uses it so benchmark runs are not dominated by host
-  disk I/O.
+- :class:`MemoryBackend` — an ordered in-memory map: per object (one
+  microshard), its keys and values in two parallel lists kept sorted.
+  The cluster simulator uses it so benchmark runs are not dominated by
+  host disk I/O.
 - :class:`KVBackend` — the real LSM database from :mod:`repro.kvstore`
   (the paper persists through LevelDB).  Integration tests and the
   durability examples use it.
@@ -58,31 +58,33 @@ class StorageBackend(Protocol):
 
 
 class MemoryBackend:
-    """Ordered in-memory storage: a dict plus a lazily sorted key index.
+    """Ordered in-memory storage: one sorted run per microshard.
 
     Keys are bucketed by their first ``OBJECT_PREFIX_WIDTH`` bytes: one
     bucket per object under the ``o/<oid>/`` layout, and whatever a key
     starts with otherwise — truncation preserves order, so buckets in
     prefix order, each in key order, are all keys in key order whatever
-    they look like (DESIGN.md §5n).  ``apply`` appends a new key to its
-    bucket unsorted; a bucket is sorted when an ``iterate``, a ``tail``
-    or a delete reaches it, the prefix list when a scan follows a new
-    bucket.
+    they look like (DESIGN.md §5n).  A bucket is two parallel lists, its
+    keys and their values, in key order at all times: ``get`` and
+    ``apply`` bisect the keys, and ``apply`` overwrites, inserts or
+    removes in place.  The list of bucket prefixes is sorted when a scan
+    follows a new bucket or a delete empties one.
 
-    ``iterate`` snapshots each bucket's pairs as it reaches the bucket and
-    looks the next bucket up afresh, so a generator left suspended across
-    an ``apply`` still yields strictly increasing keys: the rest of its
-    bucket as it was, every later bucket as it is when reached.
+    ``iterate`` copies each bucket's pairs in range as it reaches the
+    bucket and looks the next bucket up afresh, so a generator left
+    suspended across an ``apply`` still yields strictly increasing keys:
+    the rest of its bucket as it was, every later bucket as it is when
+    reached.
     """
 
     def __init__(self) -> None:
-        self._data: dict[bytes, bytes] = {}
-        #: bucket prefix -> its keys, in key order unless in ``_unsorted``
-        self._buckets: dict[bytes, list[bytes]] = {}
-        self._unsorted: set[bytes] = set()
+        #: bucket prefix -> (keys, values), parallel lists in key order;
+        #: a bucket is never empty
+        self._buckets: dict[bytes, tuple[list[bytes], list[bytes]]] = {}
         #: every bucket prefix, in order unless ``_prefixes_sorted`` is off
         self._prefixes: list[bytes] = []
         self._prefixes_sorted = True
+        self._count = 0
         # Plain ints, not registry instruments: `get` is the hottest call in
         # the simulator, so `register_gauges` exposes them as callbacks.
         self.gets = 0
@@ -92,7 +94,14 @@ class MemoryBackend:
 
     def get(self, key: bytes) -> Optional[bytes]:
         self.gets += 1
-        return self._data.get(key)
+        bucket = self._buckets.get(key[:OBJECT_PREFIX_WIDTH])
+        if bucket is None:
+            return None
+        keys = bucket[0]
+        at = bisect_left(keys, key)
+        if at < len(keys) and keys[at] == key:
+            return bucket[1][at]
+        return None
 
     def _ordered_prefixes(self) -> list[bytes]:
         if not self._prefixes_sorted:
@@ -100,49 +109,52 @@ class MemoryBackend:
             self._prefixes_sorted = True
         return self._prefixes
 
-    def _ordered_bucket(self, prefix: bytes) -> list[bytes]:
-        keys = self._buckets[prefix]
-        if prefix in self._unsorted:
-            keys.sort()
-            self._unsorted.discard(prefix)
-        return keys
-
     def apply(self, batch: WriteBatch) -> None:
-        data = self._data
         buckets = self._buckets
         put = ValueType.VALUE
-        puts = deletes = 0
+        width = OBJECT_PREFIX_WIDTH
+        puts = deletes = added = 0
+        # The bucket is resolved once per run of keys that share a prefix:
+        # a method writes only its own object, so a batch is almost always
+        # one bucket.  Only a full-width prefix is reused: a shorter key
+        # may be a proper prefix of the next one, in another bucket.
+        cached = None
         for kind, key, value in batch.items():
+            if cached is None or not key.startswith(cached):
+                prefix = key[:width]
+                bucket = buckets.get(prefix)
+                keys, values = ([], []) if bucket is None else bucket
+                cached = prefix if len(prefix) == width else None
+            at = bisect_left(keys, key)
+            found = at < len(keys) and keys[at] == key
             if kind is put:
                 puts += 1
-                if key not in data:
-                    prefix = key[:OBJECT_PREFIX_WIDTH]
-                    bucket = buckets.get(prefix)
-                    if bucket is None:
-                        buckets[prefix] = [key]
-                        self._prefixes.append(prefix)
-                        self._prefixes_sorted = False
-                    else:
-                        bucket.append(key)
-                        self._unsorted.add(prefix)
-                data[key] = value
+                if found:
+                    values[at] = value
+                    continue
+                if not keys:  # a new bucket, or one this batch emptied
+                    buckets[prefix] = (keys, values)
+                    self._prefixes.append(prefix)
+                    self._prefixes_sorted = False
+                keys.insert(at, key)
+                values.insert(at, value)
+                added += 1
                 continue
             deletes += 1
-            if key in data:
-                del data[key]
-                prefix = key[:OBJECT_PREFIX_WIDTH]
-                keys = self._ordered_bucket(prefix)
-                del keys[bisect_left(keys, key)]
+            if found:
+                del keys[at]
+                del values[at]
+                added -= 1
                 if not keys:
                     del buckets[prefix]
                     prefixes = self._ordered_prefixes()
                     del prefixes[bisect_left(prefixes, prefix)]
+        self._count += added
         self.applies += 1
         self.puts += puts
         self.deletes += deletes
 
     def iterate(self, start: bytes, end: Optional[bytes]) -> Iterator[tuple[bytes, bytes]]:
-        data = self._data
         first = start[:OBJECT_PREFIX_WIDTH]
         last = None if end is None else end[:OBJECT_PREFIX_WIDTH]
         at = bisect_left(self._ordered_prefixes(), first)
@@ -150,15 +162,14 @@ class MemoryBackend:
             prefix = self._prefixes[at]
             if last is not None and prefix > last:
                 return
-            keys = self._ordered_bucket(prefix)
+            keys, values = self._buckets[prefix]
             low = bisect_left(keys, start) if prefix == first else 0
             high = bisect_left(keys, end) if prefix == last else len(keys)
-            yield from [(key, data[key]) for key in keys[low:high]]
+            yield from list(zip(keys[low:high], values[low:high]))
             # an apply may have run while this generator was suspended
             at = bisect_right(self._ordered_prefixes(), prefix)
 
     def tail(self, start: bytes, end: Optional[bytes], limit: int) -> list[tuple[bytes, bytes]]:
-        data = self._data
         first = start[:OBJECT_PREFIX_WIDTH]
         last = None if end is None else end[:OBJECT_PREFIX_WIDTH]
         prefixes = self._ordered_prefixes()
@@ -169,19 +180,22 @@ class MemoryBackend:
             prefix = prefixes[at]
             if prefix < first:
                 break
-            keys = self._ordered_bucket(prefix)
+            keys, values = self._buckets[prefix]
             low = bisect_left(keys, start) if prefix == first else 0
             high = bisect_left(keys, end) if prefix == last else len(keys)
             low = max(low, high - (limit - len(out)))
-            out.extend((key, data[key]) for key in reversed(keys[low:high]))
+            out.extend(zip(reversed(keys[low:high]), reversed(values[low:high])))
         return out
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._count
 
     def size_bytes(self) -> int:
         """Total payload held, for placement/migration heuristics."""
-        return sum(len(k) + len(v) for k, v in self._data.items())
+        return sum(
+            sum(map(len, keys)) + sum(map(len, values))
+            for keys, values in self._buckets.values()
+        )
 
     def register_gauges(self, registry: MetricsRegistry, labels: dict) -> None:
         """Expose the op counters and the bytes held as ``kvstore_*``

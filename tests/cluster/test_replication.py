@@ -3,6 +3,7 @@
 from repro.cluster.replication import BackupApplier
 from repro.core.storage import MemoryBackend
 from repro.kvstore.batch import WriteBatch, encode_round
+from repro.obs import MetricsRegistry
 
 from tests.cluster.conftest import PipelineHarness
 
@@ -98,6 +99,22 @@ def test_stats():
     applier.receive(1, encoded((b"y", b"2")))
     assert applier.stats.applied == 2
     assert applier.stats.buffered_out_of_order == 1
+
+
+def test_each_role_registers_only_the_counters_it_writes():
+    pipeline_registry, applier_registry = MetricsRegistry(), MetricsRegistry()
+    PipelineHarness(registry=pipeline_registry, labels={"role": "primary"})
+    BackupApplier(0, "p", MemoryBackend().apply, registry=applier_registry)
+    assert set(pipeline_registry.families()) == {
+        "replication_shipped",
+        "replication_acked",
+        "replication_retransmitted",
+        "replication_flush_total",
+    }
+    assert set(applier_registry.families()) == {
+        "replication_applied",
+        "replication_buffered_out_of_order",
+    }
 
 
 def _overwrite(key, value):

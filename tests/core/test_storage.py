@@ -128,6 +128,11 @@ def test_index_constants_sit_around_the_bucket_width():
     assert {OBJECT_PREFIX_WIDTH - 1, OBJECT_PREFIX_WIDTH, OBJECT_PREFIX_WIDTH + 1} <= lengths
 
 
+def _assert_gets_match(backend, model):
+    for key in _KEYS:
+        assert backend.get(key) == model.get(key), key
+
+
 def _expected(model, start, end):
     return [
         (key, model[key])
@@ -155,14 +160,20 @@ _index_ops = st.lists(
 def test_index_matches_sorted_dict(ops, batch_size):
     """Random interleavings of put / delete / iterate over object-shaped
     keys, several ops to a batch: every scan yields exactly what
-    ``sorted(dict)`` restricted to ``[start, end)`` yields."""
+    ``sorted(dict)`` restricted to ``[start, end)`` yields, and after
+    every batch ``get`` returns what the dict holds for every key."""
     backend = MemoryBackend()
     model = {}
     batch = WriteBatch()
+
+    def apply_batch():
+        backend.apply(batch)
+        _assert_gets_match(backend, model)
+        return WriteBatch()
+
     for op, first, second in ops:
         if op == "scan":
-            backend.apply(batch)
-            batch = WriteBatch()
+            batch = apply_batch()
             assert list(backend.iterate(first, second)) == _expected(model, first, second)
             continue
         if op == "put":
@@ -172,9 +183,8 @@ def test_index_matches_sorted_dict(ops, batch_size):
             batch.delete(first)
             model.pop(first, None)
         if len(batch) >= batch_size:
-            backend.apply(batch)
-            batch = WriteBatch()
-    backend.apply(batch)
+            batch = apply_batch()
+    apply_batch()
     assert list(backend.iterate(b"", None)) == _expected(model, b"", None)
     assert len(backend) == len(model)
     assert backend.puts + backend.deletes == sum(1 for op, _f, _s in ops if op != "scan")
@@ -189,12 +199,15 @@ def test_index_matches_kv_backend(tmp_path_factory, ops):
         for op, first, second in ops:
             if op == "scan":
                 assert list(memory.iterate(first, second)) == list(kv.iterate(first, second))
-            elif op == "put":
+                continue
+            if op == "put":
                 memory.apply(batch_of((first, second)))
                 kv.apply(batch_of((first, second)))
             else:
                 memory.apply(batch_of((first,)))
                 kv.apply(batch_of((first,)))
+            for key in _KEYS:
+                assert memory.get(key) == kv.get(key), key
         assert list(memory.iterate(b"", None)) == list(kv.iterate(b"", None))
 
 
@@ -213,6 +226,21 @@ def test_index_bucket_emptied_then_recreated():
     assert [key for key, _ in backend.iterate(b"", None)] == sorted(
         [home + b"c/x", home + b"v/z", other + b"m"]
     )
+
+
+def test_index_short_key_then_the_longer_key_it_prefixes():
+    """One batch puts a key shorter than the bucket width, then a longer
+    key it is a proper prefix of (another bucket), then overwrites the
+    short key: each write lands in its own key's bucket."""
+    short = object_prefix(_OIDS[0])[:-1]
+    longer = short + b"/v/name"
+    assert len(short) < OBJECT_PREFIX_WIDTH < len(longer)
+    backend = MemoryBackend()
+    backend.apply(batch_of((short, b"1"), (longer, b"2"), (short, b"3")))
+    model = {short: b"3", longer: b"2"}
+    _assert_gets_match(backend, model)
+    assert list(backend.iterate(b"", None)) == _expected(model, b"", None)
+    assert len(backend) == 2
 
 
 def test_index_recorded_sequence_counters():
@@ -309,8 +337,7 @@ def _collection_range(oid, field=b"log"):
 @settings(max_examples=150, deadline=None)
 @given(_index_ops, st.integers(min_value=0, max_value=8))
 def test_memory_tail_matches_reversed_scan(ops, drawn):
-    """Each scan op asks for tails before anything iterates, so the
-    buckets the puts since the last scan appended to are still unsorted."""
+    """Each scan op asks for tails before any ``iterate`` of its range."""
     backend = MemoryBackend()
     model = {}
     for op, first, second in ops:
@@ -336,7 +363,7 @@ def test_memory_tail_after_unsorted_appends():
         backend.apply(batch_of((key, key[-2:])))
     start, end = _collection_range(_OIDS[0])
     newest = [(key, key[-2:]) for key in sorted(_collection_keys(_OIDS[0], 20), reverse=True)]
-    assert backend.tail(start, end, 3) == newest[:3]  # the first touch sorts the bucket
+    assert backend.tail(start, end, 3) == newest[:3]  # out-of-order puts inserted in place
     for n in _limits(20):
         assert backend.tail(start, end, n) == newest[:n]
     assert backend.tail(start, end, 20) == list(backend.iterate(start, end))[::-1]
