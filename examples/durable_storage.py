@@ -68,7 +68,7 @@ def main():
         assert value == 500
         runtime.invoke(oid, "bump")
         print(f"and it keeps counting: {runtime.invoke(oid, 'read')}")
-        print(f"block cache hit rate: {db.block_cache_stats.hit_rate:.2f}")
+        print(f"row cache hit rate: {db.row_cache_stats.hit_rate:.2f}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ It is a from-scratch LSM tree:
   tables, moves a table that overlaps nothing below it, and keeps only
   the newest version of each key;
 - point reads at the head consult a row cache, then the memtable, then
-  level files newest-first, through an LRU block cache;
+  level files newest-first, reading and decoding one block per table
+  they search (no block cache: decoded blocks are not kept);
 - a manifest records the live file set so ``DB.open`` recovers after a
   crash (WAL replay + manifest reload).
 

@@ -125,10 +125,11 @@ def shared_prefix_length(a: bytes, b: bytes) -> int:
 class Block:
     """A decoded block supporting binary-search seeks.
 
-    Decoding is eager: blocks are small (~4 KiB) and decoded blocks live in
-    the LRU block cache, so the decode cost is paid once per cache miss.
-    The seek keys are built on the first seek: a block decoded only to be
-    merged by compaction never needs them.
+    Decoding is eager: blocks are small (~4 KiB), and a reader decodes a
+    block on every read of it and keeps none, so a decoded block lives
+    only as long as the lookup or scan that asked for it.  The seek keys
+    are built on the first seek: a block decoded only to be merged by
+    compaction never needs them.
     """
 
     def __init__(self, records: list[InternalRecord]) -> None:

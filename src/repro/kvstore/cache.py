@@ -1,4 +1,9 @@
-"""LRU block cache shared by all SSTable readers of one DB."""
+"""Byte-budgeted LRU cache: the row cache in front of a DB's point reads.
+
+There is no block cache: an SSTable reader decodes every block it reads
+and keeps none (the simulation charges nothing for a local read, so a
+cache would save only the decode and hold many decoded blocks).
+"""
 
 from __future__ import annotations
 
@@ -70,8 +75,7 @@ class LRUCache:
     def discard(self, key: Hashable) -> None:
         """Drop ``key`` if cached (not counted as an eviction).
 
-        Used when compaction deletes an SSTable file: its reader discards
-        the blocks its index lists.
+        Used when a write touches a key: the row cache drops its row.
         """
         entry = self._entries.pop(key, None)
         if entry is not None:

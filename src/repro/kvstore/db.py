@@ -51,7 +51,6 @@ class DBOptions:
     """Tunables; defaults suit tests and simulation-scale datasets."""
 
     memtable_size_bytes: int = 4 * 1024 * 1024
-    block_cache_bytes: int = 8 * 1024 * 1024
     l0_compaction_trigger: int = 4
     level_base_bytes: int = 8 * 1024 * 1024
     level_multiplier: int = 10
@@ -90,7 +89,6 @@ class DB:
         self._versions = VersionSet(directory)
         self._mem = MemTable()
         self._wal: Optional[WALWriter] = None
-        self._block_cache = LRUCache(self.options.block_cache_bytes)
         # Point reads at the head sequence, found or not.  It sits in front
         # of the whole descent (memtable, L0 filters, one table per level)
         # and every write drops the keys it touches, so an entry is always
@@ -314,7 +312,7 @@ class DB:
         reader = self._tables.get(meta.number)
         if reader is None:
             path = os.path.join(self._dir, table_file_name(meta.number))
-            reader = SSTableReader(path, meta.number, cache=self._block_cache)
+            reader = SSTableReader(path)
             self._tables[meta.number] = reader
         return reader
 
@@ -455,12 +453,10 @@ class DB:
         return self._write_tables(pruned, MAX_TABLE_BYTES)
 
     def _remove_tables(self, numbers) -> None:
-        """Close, uncache and delete table files no version names any more."""
+        """Close and delete table files no version names any more."""
         for number in numbers:
-            # Only an opened reader can have put blocks in the cache.
             reader = self._tables.pop(number, None)
             if reader is not None:
-                reader.discard_cached_blocks()
                 reader.close()
             os.remove(os.path.join(self._dir, table_file_name(number)))
 
@@ -525,10 +521,6 @@ class DB:
     @property
     def last_sequence(self) -> int:
         return self._versions.last_sequence
-
-    @property
-    def block_cache_stats(self):
-        return self._block_cache.stats
 
     @property
     def row_cache_stats(self):

@@ -5,10 +5,12 @@ On-disk layout::
     [data block 0][data block 1]...[filter block][index block][footer]
 
 The index block maps each data block's *last* internal key to its file
-offset and size, so a point lookup binary-searches the index, reads one
-block (through the LRU cache), and binary-searches inside it.  The filter
-block is one bloom filter over every user key in the table.  The footer
-pins the index/filter locations and ends with a magic number.
+offset and size, so a point lookup binary-searches the index, reads and
+decodes one block, and binary-searches inside it.  Nothing is cached: a
+reader holds only its filter and index, and every block read is a seek,
+a read and a :meth:`Block.decode`.  The filter block is one bloom filter
+over every user key in the table.  The footer pins the index/filter
+locations and ends with a magic number.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Iterator, NamedTuple, Optional
 from repro.errors import CorruptionError
 from repro.kvstore.block import Block, BlockBuilder
 from repro.kvstore.bloom import BloomFilter, hash_key
-from repro.kvstore.cache import LRUCache
 from repro.kvstore.record import InternalRecord, record_sort_key
 from repro.kvstore.varint import decode_varint, encode_varint
 
@@ -162,10 +163,8 @@ class TableMeta:
 class SSTableReader:
     """Random and sequential access to one table file."""
 
-    def __init__(self, path: str, table_id: int, cache: Optional[LRUCache] = None) -> None:
+    def __init__(self, path: str) -> None:
         self._path = path
-        self._table_id = table_id
-        self._cache = cache
         self._file = open(path, "rb")
         self._load_footer()
 
@@ -202,25 +201,11 @@ class SSTableReader:
     def close(self) -> None:
         self._file.close()
 
-    def discard_cached_blocks(self) -> None:
-        """Drop this table's blocks from the cache (its file is going away)."""
-        if self._cache is not None:
-            for entry in self._index:
-                self._cache.discard((self._table_id, entry.offset))
-
     # -- block access ----------------------------------------------------
 
-    def _read_block(self, entry: _IndexEntry, fill_cache: bool = True) -> Block:
-        cache_key = (self._table_id, entry.offset)
-        if self._cache is not None:
-            cached = self._cache.get(cache_key)
-            if cached is not None:
-                return cached
+    def _read_block(self, entry: _IndexEntry) -> Block:
         self._file.seek(entry.offset)
-        block = Block.decode(self._file.read(entry.size))
-        if fill_cache and self._cache is not None:
-            self._cache.put(cache_key, block, charge=entry.size)
-        return block
+        return Block.decode(self._file.read(entry.size))
 
     # -- reads ------------------------------------------------------------
 
@@ -254,16 +239,9 @@ class SSTableReader:
         return None
 
     def __iter__(self) -> Iterator[InternalRecord]:
-        """Every record in sort order, one block in memory at a time.
-
-        This is the scan compaction and verification make: it uses blocks
-        that are already cached but leaves the ones it reads out of the
-        cache (LevelDB's ``fill_cache=false``), so a merge of whole tables
-        does not evict the blocks point reads are using.
-        """
-        return chain.from_iterable(
-            self._read_block(entry, fill_cache=False) for entry in self._index
-        )
+        """Every record in sort order, one block in memory at a time
+        (the scan compaction and verification make)."""
+        return chain.from_iterable(self._read_block(entry) for entry in self._index)
 
     def iterate_from(self, user_key: bytes, sequence: int) -> Iterator[InternalRecord]:
         """Records at/after ``(user_key, sequence)`` in sort order."""

@@ -53,7 +53,6 @@ def test_small_cuts_keep_levels_disjoint_and_reads_right(tmp_path_factory, ops):
     directory = str(tmp_path_factory.mktemp("cuts"))
     options = DBOptions(
         memtable_size_bytes=3000,
-        block_cache_bytes=16 * 1024,
         level_base_bytes=10_000,
         level_multiplier=3,
         l0_compaction_trigger=2,
@@ -101,22 +100,17 @@ def test_a_lone_table_is_moved_not_rewritten(tmp_path):
         (meta,) = tables_by_level(db)[0]
         path = os.path.join(directory, "%06d.sst" % meta.number)
         digest = sha256_file(path)
-        assert db.get(b"key007") == b"v" * 50  # opens the reader, caches a block
+        assert db.get(b"key007") == b"v" * 50  # opens the reader
         reader = db._tables[meta.number]
-        cached = len(db._block_cache)
-        assert cached > 0
 
         db.compact_range(0)
         assert db.level_file_counts()[:3] == [0, 1, 0]
         assert tables_by_level(db)[1] == [meta]
         assert (db.stats.compactions, db.stats.bytes_compacted) == (1, 0)
-        # Not closed, not uncached, not removed.
+        # Not closed, not removed.
         assert db._tables[meta.number] is reader and not reader._file.closed
-        assert len(db._block_cache) == cached
         assert sha256_file(path) == digest
-        hits = db.block_cache_stats.hits
         assert db.get(b"key008") == b"v" * 50
-        assert db.block_cache_stats.hits == hits + 1
 
         db.compact_range(1)
         assert db.level_file_counts()[:3] == [0, 0, 1]

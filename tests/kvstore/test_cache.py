@@ -1,4 +1,4 @@
-"""Unit tests for the LRU block cache."""
+"""Unit tests for the byte-budgeted LRU cache (the DB's row cache)."""
 
 import pytest
 

@@ -1,11 +1,14 @@
 """End-to-end tests for the DB facade."""
 
+import gc
 import os
+import tracemalloc
 
 import pytest
 
 from repro.errors import DBClosedError
 from repro.kvstore import DB, DBOptions, WriteBatch
+from repro.kvstore.db import ROW_CACHE_BYTES
 
 
 @pytest.fixture()
@@ -17,7 +20,6 @@ def db(tmp_path):
 def small_options(**overrides):
     defaults = dict(
         memtable_size_bytes=4096,
-        block_cache_bytes=64 * 1024,
         level_base_bytes=16 * 1024,
         l0_compaction_trigger=3,
     )
@@ -301,30 +303,26 @@ def test_failed_compaction_leaves_no_partial_table(tmp_path, monkeypatch, fail_i
         assert db.get(b"key03") == b"round-2"
 
 
-def test_compaction_reads_bypass_the_block_cache(tmp_path):
-    """A merge uses cached blocks but adds none (LevelDB's fill_cache=false),
-    and deleting its inputs drops exactly their blocks."""
-    options = small_options(l0_compaction_trigger=100, block_cache_bytes=1 << 20)
+def test_reads_retain_no_blocks(tmp_path):
+    """A scan and point reads keep no decoded blocks: what stays live
+    after them is the row cache, within its 1 MiB budget."""
+    options = DBOptions(memtable_size_bytes=256 * 1024)
     with DB.open(str(tmp_path / "db"), options) as db:
-        for round_number in range(3):
-            for i in range(200):
-                db.put(b"key%03d" % i, b"%d" % round_number * 40)
-            db.flush()
-        for i in range(0, 200, 7):
-            assert db.get(b"key%03d" % i) == b"2" * 40
-        cache = db._block_cache
-        cached_before = len(cache)
-        assert cached_before > 0
-        misses_before = cache.stats.misses
-        db.verify_integrity()
-        assert len(cache) == cached_before  # the scan decoded many blocks, kept none
-        assert cache.stats.misses > misses_before
-        hits_before = cache.stats.hits
-        db.compact_range(0)
-        assert cache.stats.hits > hits_before  # cached input blocks were used
-        assert len(cache) == 0 and cache.used_bytes == 0  # all inputs are gone
-        assert db.get(b"key008") == b"2" * 40  # not read above: past the row cache
-        assert len(cache) == 1
+        for i in range(20_000):
+            db.put(b"key%06d" % i, b"%06d" % i * 25)
+        db.flush()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert sum(1 for _ in db.iterate()) == 20_000
+            for i in range(0, 20_000, 20):
+                assert db.get(b"key%06d" % i) == b"%06d" % i * 25
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert grown <= ROW_CACHE_BYTES, f"{grown / 1024:.0f} KiB retained"
 
 
 def test_row_cache_never_serves_a_stale_row(tmp_path):

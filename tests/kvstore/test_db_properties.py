@@ -26,7 +26,6 @@ _op = st.one_of(
 def tiny_options():
     return DBOptions(
         memtable_size_bytes=512,
-        block_cache_bytes=16 * 1024,
         level_base_bytes=2 * 1024,
         l0_compaction_trigger=2,
     )

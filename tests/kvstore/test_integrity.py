@@ -157,7 +157,7 @@ def write_mutation_table(tmp_path):
 def scan_table(path, content):
     with open(path, "wb") as file:
         file.write(content)
-    reader = SSTableReader(path, table_id=1)
+    reader = SSTableReader(path)
     try:
         return list(reader)
     finally:

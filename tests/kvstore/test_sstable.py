@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import CorruptionError
-from repro.kvstore.cache import LRUCache
 from repro.kvstore.record import InternalRecord, MAX_SEQUENCE, ValueType
 from repro.kvstore.sstable import SSTableReader, SSTableWriter
 
@@ -27,7 +26,7 @@ def make_records(count, value_size=10):
 def test_point_reads(tmp_path):
     records = make_records(500)
     path, _meta = write_table(tmp_path, records)
-    reader = SSTableReader(path, table_id=1)
+    reader = SSTableReader(path)
     for record in records[::37]:
         found = reader.get(record.user_key, MAX_SEQUENCE)
         assert found is not None and found.value == record.value
@@ -50,7 +49,7 @@ def test_sequence_filtering(tmp_path):
         InternalRecord(b"k", 3, ValueType.VALUE, b"old"),
     ]
     path, _ = write_table(tmp_path, records)
-    reader = SSTableReader(path, table_id=1)
+    reader = SSTableReader(path)
     assert reader.get(b"k", MAX_SEQUENCE).value == b"new"
     assert reader.get(b"k", 5).value == b"old"
     assert reader.get(b"k", 1) is None
@@ -60,7 +59,7 @@ def test_sequence_filtering(tmp_path):
 def test_full_iteration_sorted(tmp_path):
     records = make_records(1000, value_size=50)
     path, _ = write_table(tmp_path, records)
-    reader = SSTableReader(path, table_id=1)
+    reader = SSTableReader(path)
     assert list(reader) == records
     reader.close()
 
@@ -68,7 +67,7 @@ def test_full_iteration_sorted(tmp_path):
 def test_iterate_from_mid_table(tmp_path):
     records = make_records(300)
     path, _ = write_table(tmp_path, records)
-    reader = SSTableReader(path, table_id=1)
+    reader = SSTableReader(path)
     tail = list(reader.iterate_from(b"key000150", MAX_SEQUENCE))
     assert tail == records[150:]
     reader.close()
@@ -94,26 +93,13 @@ def test_bad_magic_rejected(tmp_path):
         file.seek(-4, 2)
         file.write(b"\x00\x00\x00\x00")
     with pytest.raises(CorruptionError):
-        SSTableReader(path, table_id=1)
-
-
-def test_block_cache_hit_on_reread(tmp_path):
-    records = make_records(2000, value_size=20)
-    path, _ = write_table(tmp_path, records)
-    cache = LRUCache(1 << 20)
-    reader = SSTableReader(path, table_id=7, cache=cache)
-    reader.get(b"key000100", MAX_SEQUENCE)
-    misses_after_first = cache.stats.misses
-    reader.get(b"key000100", MAX_SEQUENCE)
-    assert cache.stats.hits >= 1
-    assert cache.stats.misses == misses_after_first
-    reader.close()
+        SSTableReader(path)
 
 
 def test_bloom_filter_skips_absent_keys(tmp_path):
     records = make_records(100)
     path, _ = write_table(tmp_path, records)
-    reader = SSTableReader(path, table_id=1)
+    reader = SSTableReader(path)
     hits = sum(reader.may_contain(b"absent-%d" % i) for i in range(1000))
     assert hits < 100  # mostly filtered out
     reader.close()
@@ -123,7 +109,7 @@ def test_multi_block_boundaries(tmp_path):
     # Values large enough to force many blocks; check keys at block edges.
     records = make_records(400, value_size=200)
     path, _ = write_table(tmp_path, records)
-    reader = SSTableReader(path, table_id=1)
+    reader = SSTableReader(path)
     for record in records:
         found = reader.get(record.user_key, MAX_SEQUENCE)
         assert found is not None, record.user_key

@@ -1,4 +1,5 @@
-"""``tools/mem_report.py``: file ownership, and one smoke-window report."""
+"""``tools/mem_report.py``: file ownership, and one smoke-window report
+(its per-phase peaks, live heap by owner and top lines)."""
 
 import importlib.util
 from pathlib import Path
@@ -27,3 +28,11 @@ def test_smoke_report_sections_and_owner_sum():
     assert abs(sum(float(line.split()[0]) for line in owners) - total) < 0.01 * len(owners)
     top = lines[top_start + 1 :]
     assert len(top) == 3 and all(":" in line.split()[2] for line in top)
+    # One traced peak per phase, in order; the measured window's peak is
+    # at least what is live when it ends.
+    peaks_start = lines.index("traced peak MiB by phase:")
+    peaks = [line.split(None, 1) for line in lines[peaks_start + 1 : peaks_start + 4]]
+    assert [name for _, name in peaks] == ["build + load", "warm-up", "measured window"]
+    assert all(float(size) > 0 for size, _ in peaks)
+    assert float(peaks[2][0]) >= total - 0.01
+    assert lines[peaks_start + 4] == ""

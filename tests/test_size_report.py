@@ -22,6 +22,7 @@ def test_report_sections_and_package_sum():
     functions = lines[lines.index("largest 3 functions:") + 1 :]
     assert all(":" in line for line in functions[:3])
     assert "ClusterConfig" in text and "ServerlessConfig" in text and "Calibration" in text
+    assert "DBOptions" in text
 
 
 def test_constructor_options_count_defaults_and_keyword_only_parameters():

@@ -7,11 +7,14 @@
 Runs one untraced pass of one ``benchmarks/ledger`` workload in this
 process (``benchmarks.ledger.child.run_pass``, with the windows the
 benchmark uses for ``--seconds``, or its ``--smoke`` windows) under
-``tracemalloc``.  When the measured window ends (the pass's second
-counter snapshot) it takes a heap snapshot and prints the live MiB per
-``repro.<package>``, the benchmark's own share (``benchmarks``) and the
-rest (``other``: the standard library and anything else), then the lines
-that allocated most of what is live.
+``tracemalloc``.  It prints the traced peak of each phase of the pass:
+build + load (up to the end of ``Dataset.load``), warm-up (up to the
+pass's first counter snapshot) and the measured window (up to its
+second), since a high-water mark set early stays in the peak RSS.  When
+the measured window ends it also takes a heap snapshot and prints the
+live MiB per ``repro.<package>``, the benchmark's own share
+(``benchmarks``) and the rest (``other``: the standard library and
+anything else), then the lines that allocated most of what is live.
 
 An allocation is charged to the line that made it (one frame deep): a
 value decoded by the replication codec counts under ``repro.kvstore``
@@ -52,30 +55,55 @@ def _where(filename: str) -> str:
     return str(path.relative_to(ROOT)) if path.is_relative_to(ROOT) else filename
 
 
+#: the phases of a pass, in order, each ending at a hook below
+PHASES = ("build + load", "warm-up", "measured window")
+
+
 @contextmanager
-def snapshot_at_window_end(layers) -> Iterator[list]:
-    """Take a tracemalloc snapshot when a pass reads its counters the
-    second time, i.e. when its measured window has ended."""
+def phase_hooks(layers, loadgen) -> Iterator[tuple[dict, list]]:
+    """Record the traced peak of each phase and snapshot the heap when the
+    measured window ends.
+
+    Build + load ends when ``Dataset.load`` returns, warm-up when the pass
+    reads its counters the first time and the measured window when it
+    reads them the second time; the peak is reset at each boundary.
+    Yields ``(peaks, taken)``: peak bytes by phase name, and the snapshot.
+    """
+    peaks: dict[str, int] = {}
     taken: list = []
     calls = 0
-    original = layers.snapshot
+    original_snapshot = layers.snapshot
+    original_load = loadgen.Dataset.load
+
+    def end_phase(name: str) -> None:
+        peaks[name] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+
+    def load(self, platform):
+        result = original_load(self, platform)
+        end_phase(PHASES[0])
+        return result
 
     def snapshot(*args, **kwargs):
         nonlocal calls
         calls += 1
+        if calls <= 2:
+            end_phase(PHASES[calls])
         if calls == 2:
             taken.append(tracemalloc.take_snapshot())
-        return original(*args, **kwargs)
+        return original_snapshot(*args, **kwargs)
 
     layers.snapshot = snapshot
+    loadgen.Dataset.load = load
     try:
-        yield taken
+        yield peaks, taken
     finally:
-        layers.snapshot = original
+        layers.snapshot = original_snapshot
+        loadgen.Dataset.load = original_load
 
 
 def report(workload: str, seed: int, seconds: float, smoke: bool, top: int) -> str:
-    from benchmarks.ledger import child, layers
+    from benchmarks.ledger import child, layers, loadgen
     from benchmarks.ledger.runner import windows
     from benchmarks.ledger.spec import WORKLOADS_BY_NAME
 
@@ -94,7 +122,7 @@ def report(workload: str, seed: int, seconds: float, smoke: bool, top: int) -> s
         }
         tracemalloc.start()
         try:
-            with snapshot_at_window_end(layers) as taken:
+            with phase_hooks(layers, loadgen) as (peaks, taken):
                 record = child.run_pass(request)
         finally:
             tracemalloc.stop()
@@ -109,8 +137,10 @@ def report(workload: str, seed: int, seconds: float, smoke: bool, top: int) -> s
         f"{record['jobs']} jobs, peak RSS {record['peak_rss_mb']:.1f} MiB (traced run)",
         f"live at the end of the measured window: {total / MIB:.2f} MiB traced",
         "",
-        "live MiB by owner:",
+        "traced peak MiB by phase:",
     ]
+    lines += [f"  {peaks[name] / MIB:8.2f}  {name}" for name in PHASES]
+    lines += ["", "live MiB by owner:"]
     for name, size in sorted(by_owner.items(), key=lambda item: -item[1]):
         lines.append(f"  {size / MIB:8.2f}  {size / total:6.1%}  {name}")
     lines += ["", f"top {top} allocating lines:"]

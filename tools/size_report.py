@@ -23,6 +23,7 @@ CONFIGS = (
     ("cluster/cluster.py", "ClusterConfig"),
     ("serverless/platform.py", "ServerlessConfig"),
     ("bench/calibration.py", "Calibration"),
+    ("kvstore/db.py", "DBOptions"),
 )
 
 #: (file under src/repro, class) whose ``__init__`` options are knobs too
