@@ -6,12 +6,12 @@ execution committed where, for the replay phase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
 
 from repro.core.invocation import InvocationResult
 from repro.core.runtime import LocalRuntime
 from repro.errors import InvocationError
-from repro.kvstore.batch import WriteBatch, encode_round
+from repro.kvstore.batch import Round, WriteBatch
 
 
 class ClusterNodeRuntime(LocalRuntime):
@@ -62,20 +62,19 @@ class ExecutionCapture:
     """What one top-level execution produced, for the replay phase."""
 
     #: committed batches per node name, in commit order; each node's list
-    #: is encoded once, as one replication round, when it is submitted
+    #: becomes one replication round when it is submitted
     batches: dict[str, list[WriteBatch]] = field(default_factory=dict)
     #: (owner node name, sub InvocationResult) for remote nested calls
     remote_dispatches: list[tuple[str, InvocationResult]] = field(default_factory=list)
 
-    def round_for(self, node_name: str) -> tuple[bytes, tuple]:
-        """``node_name``'s writes as one encoded round and the ids of the
-        objects they touched (``(b"", ())`` when it wrote nothing).  The
-        backups of this process apply these very batches when the payload
-        reaches them, instead of parsing it back."""
+    def round_for(self, node_name: str) -> Optional[Round]:
+        """``node_name``'s writes as one replication round (``None`` when
+        it wrote nothing).  The backups apply these very batches, which
+        are read-only from here on."""
         batches = self.batches.get(node_name)
         if not batches:
-            return b"", ()
-        return encode_round(batches)
+            return None
+        return Round.of(batches)
 
     def local_fuel(self, result: InvocationResult) -> float:
         """Fuel attributable to the executing node: everything except fuel

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.core.ids import ObjectId
+from repro.kvstore.batch import Round
 
 #: per-attempt reply deadline for control-plane RPCs (migration
 #: freeze/copy exchanges, coordinator command submission)
@@ -136,31 +137,19 @@ class ReplicateWritesRange:
     shard_id: int
     epoch: int
     first_sequence: int
-    #: one entry per replication round: its
-    #: :func:`~repro.kvstore.batch.encode_round` payload, from which the
-    #: backup also takes the round's dirty-object hints
-    rounds: list[bytes]
+    #: one :class:`~repro.kvstore.batch.Round` per sequence: the batches
+    #: the backup applies, the round's dirty-object hints and its size
+    rounds: list[Round]
     primary: str
     #: the primary's settlement watermark when the frame was built; the
     #: backup uses it to release reads fenced on settled sequences
     settled_through: int = 0
     #: replica-read lease duration granted by this frame (0 = no lease)
     lease_ms: float = 0.0
-    #: memoized wire size — frames are the heaviest payloads to size and
-    #: one frame object is sent to every behind backup
-    _size_memo: Optional[int] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def size(self) -> int:
-        memo = self._size_memo
-        if memo is not None:
-            return memo
-        # Frame header + a small per-round header + the round payloads,
-        # exactly the bytes that ship.
-        total = 48 + 8 * len(self.rounds) + sum(map(len, self.rounds))
-        self._size_memo = total
-        return total
+        # Frame header + a small per-round header + the rounds' wire sizes.
+        return 48 + 8 * len(self.rounds) + sum(round_.size for round_ in self.rounds)
 
 
 @dataclass

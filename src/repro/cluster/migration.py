@@ -28,7 +28,7 @@ from typing import Any
 from repro.cluster.messages import CONTROL_RPC_DEADLINE_MS, CoordCommand, CoordReply
 from repro.core.ids import ObjectId
 from repro.errors import ClusterError
-from repro.kvstore.batch import WriteBatch, encode_round
+from repro.kvstore.batch import Round, WriteBatch
 from repro.rpc import RpcStub
 
 
@@ -239,7 +239,7 @@ class NodeMigration:
         own_shard = node.led_shard()
         if own_shard is not None and batch:
             node.sim.process(
-                node.replicate_round(own_shard.shard_id, encode_round([batch])[0]),
+                node.replicate_round(own_shard.shard_id, Round.of([batch])),
                 name=f"{node.name}.migrate-repl",
             )
         ack = MigrateAck(message.object_id, True)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Optional
 
 from repro.cluster.replication import ACK_TIMEOUT_MS
+from repro.kvstore.batch import Round
 
 #: retransmission budget for RemoteCharge delivery to nested-call owners
 CHARGE_MAX_ATTEMPTS = 5
@@ -25,14 +26,14 @@ class RemoteCharge:
 
     charge_id: str
     fuel: float
-    #: the owner's writes as one encoded round (``b""`` when it wrote none)
-    payload: bytes
+    #: the owner's writes as one round (``None`` when it wrote none)
+    round: Optional[Round]
     sender: str
     #: originating request id, so the owner's settle span joins the trace
     trace_id: str = ""
 
     def size(self) -> int:
-        return 32 + len(self.payload)
+        return 32 + (self.round.size if self.round is not None else 0)
 
 
 @dataclass
@@ -71,7 +72,7 @@ class RemoteCharges:
             charge = RemoteCharge(
                 charge_id=f"{node.name}#{request_id}#{index}",
                 fuel=sub_result.total_fuel(),
-                payload=capture.round_for(owner_name)[0],
+                round=capture.round_for(owner_name),
                 sender=node.name,
                 trace_id=request_id,
             )
@@ -153,9 +154,9 @@ class RemoteCharges:
         try:
             yield from node.charge_cpu(message.fuel)
             own_shard = node.led_shard()
-            if message.payload and own_shard is not None:
+            if message.round is not None and own_shard is not None:
                 yield from node.replicate_round(
-                    own_shard.shard_id, message.payload, parent=span
+                    own_shard.shard_id, message.round, parent=span
                 )
             if message.charge_id in self._seen:
                 self._seen[message.charge_id] = True

@@ -15,7 +15,6 @@ from typing import Any, Optional
 from repro.cluster.coordinator import HEARTBEAT_INTERVAL_MS, HEARTBEAT_TIMEOUT_MS
 from repro.cluster.messages import ClientReply, ClientRequest, ReplicateWritesRange
 from repro.cluster.replication import ACK_TIMEOUT_MS
-from repro.kvstore.batch import decode_round
 
 #: replica-read lease duration (40 ms).  It sits two heartbeat intervals
 #: below the failure-detection timeout so a partitioned backup's lease
@@ -297,10 +296,9 @@ class ReplicaReads:
             # (or reset the state built up under the current one).
             return
         state = self._state_for(message.shard_id, message.primary)
-        for offset, payload in enumerate(message.rounds):
+        for offset, round_ in enumerate(message.rounds):
             sequence = message.first_sequence + offset
-            # The round's object ids come with its batches from the memo.
-            for obj in decode_round(payload)[1]:
+            for obj in round_.objects:
                 if state.dirty.get(obj, 0) < sequence:
                     state.dirty[obj] = sequence
         self._renew(state, message.lease_ms, message.settled_through)

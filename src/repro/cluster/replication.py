@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.cluster.messages import ReplicateAck
-from repro.kvstore.batch import WriteBatch, decode_round
+from repro.kvstore.batch import Round, WriteBatch
 from repro.obs.registry import MetricsRegistry, StatsView
 
 
@@ -52,37 +52,35 @@ class BackupApplier:
         self.primary = primary
         self._apply = apply_fn
         self.applied_through = start_sequence
-        self._pending: dict[int, bytes] = {}
+        self._pending: dict[int, Round] = {}
         self.stats = ApplierStats(registry, labels)
         self._c_applied = self.stats.handle("applied")
         self._c_buffered = self.stats.handle("buffered_out_of_order")
 
-    def receive(self, sequence: int, payload: bytes) -> list[tuple[int, bytes]]:
-        """Accept a replicated round; returns ``(sequence, payload)`` pairs
+    def receive(self, sequence: int, round_: Round) -> list[tuple[int, Optional[Round]]]:
+        """Accept a replicated round; returns ``(sequence, round)`` pairs
         applied right now — including sequences drained from the
         out-of-order buffer, whose writes the caller must still see (e.g.
-        for cache invalidation of the keys they wrote).
+        for cache invalidation of the keys they wrote).  Each round's
+        batches are the primary's own read-only batch objects, applied
+        one by one and in commit order.
 
         Duplicates (retransmissions) of already-applied sequences are not
-        reapplied but still reported (with an empty payload) so the
+        reapplied but still reported (with ``None`` for the round) so the
         primary gets a (re-)ack.
         """
         if sequence <= self.applied_through:
-            return [(sequence, b"")]  # duplicate: ack again, apply nothing
-        self._pending[sequence] = payload
-        applied: list[tuple[int, bytes]] = []
+            return [(sequence, None)]  # duplicate: ack again, apply nothing
+        self._pending[sequence] = round_
+        applied: list[tuple[int, Optional[Round]]] = []
         while self.applied_through + 1 in self._pending:
             next_sequence = self.applied_through + 1
-            next_payload = self._pending.pop(next_sequence)
-            # decode_round: the primary that encoded this round entered
-            # its batches in the memo, so every backup of the shard
-            # applies those read-only batches, one by one and in commit
-            # order, without parsing.
-            for batch in decode_round(next_payload)[0]:
+            next_round = self._pending.pop(next_sequence)
+            for batch in next_round.batches:
                 self._apply(batch)
             self.applied_through = next_sequence
             self._c_applied.inc()
-            applied.append((next_sequence, next_payload))
+            applied.append((next_sequence, next_round))
         if not applied:
             self._c_buffered.inc()
         return applied
@@ -249,7 +247,7 @@ class ReplicationPipeline:
         self,
         sim,
         shard_id: int,
-        send_frame: Callable[[list[str], int, list[bytes]], None],
+        send_frame: Callable[[list[str], int, list[Round]], None],
         backups_fn: Callable[[], list[str]],
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         flush_interval_ms: float = DEFAULT_FLUSH_INTERVAL_MS,
@@ -267,14 +265,14 @@ class ReplicationPipeline:
         self._next_sequence = 1
         #: backup name -> highest cumulatively-acked sequence
         self.acked_through: dict[str, int] = {}
-        #: sequence -> encoded round (:func:`~repro.kvstore.batch.encode_round`),
-        #: kept for retransmission until the watermark settles it
-        self.history: dict[int, bytes] = {}
+        #: sequence -> committed :class:`~repro.kvstore.batch.Round`, kept
+        #: for retransmission until the watermark settles it
+        self.history: dict[int, Round] = {}
         self.stats = PipelineStats(registry, labels)
         self._c_shipped = self.stats.handle("shipped")
         self._c_acked = self.stats.handle("acked")
-        #: (sequence, round payload) committed but not yet framed
-        self._pending: list[tuple[int, bytes]] = []
+        #: (sequence, round) committed but not yet framed
+        self._pending: list[tuple[int, Round]] = []
         self._pending_bytes = 0
         #: sequence -> park event for the client reply (ascending keys)
         self._waiters: dict[int, object] = {}
@@ -392,23 +390,22 @@ class ReplicationPipeline:
 
     # -- commit path -----------------------------------------------------------
 
-    def submit(self, payload: bytes, objects: tuple = ()):
-        """Enqueue a committed round (one :func:`encode_round` payload);
-        returns the event that fires once every sequence <= this round's
-        is acked by all live backups.  ``objects`` lists the ids of the
-        objects the round wrote, driving per-object read barriers here
-        (backups derive the same list from the payload)."""
+    def submit(self, round_: Round):
+        """Enqueue a committed round; returns the event that fires once
+        every sequence <= this round's is acked by all live backups.  The
+        round's objects drive per-object read barriers here (backups take
+        the same list from the round), and its wire size counts towards
+        the frame size flush."""
         sequence = self._next_sequence
         self._next_sequence += 1
-        self.history[sequence] = payload
+        self.history[sequence] = round_
         self._c_shipped.inc()
-        for obj in objects:
+        for obj in round_.objects:
             self._dirty_last[obj] = sequence
         event = self.sim.event(name=f"repl:{self._name}:{sequence}")
         self._waiters[sequence] = event
-        self._pending.append((sequence, payload))
-        # What ships is the encoded round, so that is what counts.
-        self._pending_bytes += len(payload)
+        self._pending.append((sequence, round_))
+        self._pending_bytes += round_.size
         if self._retired:
             # Deposed primary: the round is queued (and resumes on a
             # re-promotion) but nothing ships and no timer arms.
@@ -430,7 +427,7 @@ class ReplicationPipeline:
         if self._retired or not self._pending:
             return
         first = self._pending[0][0]
-        rounds = [payload for _sequence, payload in self._pending]
+        rounds = [round_ for _sequence, round_ in self._pending]
         self._pending.clear()
         self._pending_bytes = 0
         self._timer_generation += 1

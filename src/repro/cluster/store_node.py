@@ -38,7 +38,7 @@ from repro.cluster.replication import (
 )
 from repro.cluster.scheduler import ObjectLockTable
 from repro.errors import InvocationError, UnknownObjectError
-from repro.kvstore.batch import WriteBatch, decode_round, encode_round
+from repro.kvstore.batch import Round, WriteBatch
 from repro.obs.registry import StatsView
 from repro.rpc import RetryAfter, RpcEndpoint
 from repro.sim.core import Simulation
@@ -315,7 +315,7 @@ class StoreNode:
 
     def _invalidate_applied(
         self,
-        applied: list[tuple[int, bytes]],
+        applied: list[tuple[int, Optional[Round]]],
         direct_sequences: Optional[set] = None,
     ) -> None:
         if self.runtime.cache is None:
@@ -326,20 +326,19 @@ class StoreNode:
             # triggering message carried, silently skipping buffered
             # out-of-order sequences the applier drained along with it.
             applied = [
-                (sequence, payload)
-                for sequence, payload in applied
+                (sequence, round_)
+                for sequence, round_ in applied
                 if sequence in direct_sequences
             ]
         # Writes landed on this replica; cached read-only results that
         # depend on them must not be served stale.  The applier may have
         # drained buffered out-of-order sequences beyond the triggering
-        # message, so invalidate the keys of *every* applied round —
-        # through the shared decode memo, which the applier just warmed.
+        # message, so invalidate the keys of *every* applied round.
         written_keys: list[bytes] = []
-        for _sequence, payload in applied:
-            if not payload:
+        for _sequence, round_ in applied:
+            if round_ is None:
                 continue  # a duplicate: nothing was applied
-            for batch in decode_round(payload)[0]:
+            for batch in round_.batches:
                 written_keys.extend(key for _kind, key, _v in batch.items())
         if written_keys:
             self.runtime.cache.invalidate_keys(written_keys)
@@ -351,9 +350,9 @@ class StoreNode:
         duplicate or arrived ahead of a gap — because ``applied_through``
         is what tells the primary's watchdog which range to retransmit."""
         applier = self._applier_for(message.shard_id, message.primary)
-        applied: list[tuple[int, bytes]] = []
-        for offset, payload in enumerate(message.rounds):
-            applied.extend(applier.receive(message.first_sequence + offset, payload))
+        applied: list[tuple[int, Optional[Round]]] = []
+        for offset, round_ in enumerate(message.rounds):
+            applied.extend(applier.receive(message.first_sequence + offset, round_))
         self._invalidate_applied(
             applied,
             direct_sequences=set(
@@ -394,7 +393,7 @@ class StoreNode:
         return [b for b in replica_set.backups if b != self.name]
 
     def _send_range_frame(
-        self, shard_id: int, targets: list[str], first_sequence: int, rounds: list[bytes]
+        self, shard_id: int, targets: list[str], first_sequence: int, rounds: list[Round]
     ) -> None:
         message = ReplicateWritesRange(
             shard_id, self.epoch, first_sequence, rounds, self.name
@@ -446,12 +445,10 @@ class StoreNode:
             waiter, parent, "replicate", node=self.name, shard=shard_id, phase="watermark-wait"
         )
 
-    def replicate_round(self, shard_id: int, payload: bytes, parent=None):
-        """Replicate one encoded round through the shard's pipeline and
-        wait until every live backup acked it."""
-        waiter = self._pipeline_for(shard_id).submit(
-            payload, objects=decode_round(payload)[1]
-        )
+    def replicate_round(self, shard_id: int, round_: Round, parent=None):
+        """Replicate one round through the shard's pipeline and wait until
+        every live backup acked it."""
+        waiter = self._pipeline_for(shard_id).submit(round_)
         self._c_replication_rounds.inc()
         yield from self._pipeline_wait(shard_id, waiter, parent=parent)
 
@@ -464,7 +461,7 @@ class StoreNode:
             self.runtime.cache.invalidate_keys([key for _kind, key, _v in batch.items()])
         own_shard = self.led_shard()
         if own_shard is not None:
-            yield from self.replicate_round(own_shard.shard_id, encode_round([batch])[0])
+            yield from self.replicate_round(own_shard.shard_id, Round.of([batch]))
 
     def charge_cpu(self, fuel: float):
         """Occupy one core for ``fuel`` worth of simulated time."""
@@ -714,7 +711,7 @@ class StoreNode:
                 yield self.sim.all_of(charges)
 
             # Replication of this node's own writes.
-            own_payload, own_objects = capture.round_for(self.name)
+            own_round = capture.round_for(self.name)
             # Crash point: the write set is committed locally but has not
             # entered replication — the classic lost-update site.
             self._crash_point("pre-replicate")
@@ -727,8 +724,8 @@ class StoreNode:
             # released only once every sequence <= its own is acked by
             # all live backups (§4.2.1).
             waiter = None
-            if own_payload:
-                waiter = self._pipeline_for(shard_id).submit(own_payload, own_objects)
+            if own_round is not None:
+                waiter = self._pipeline_for(shard_id).submit(own_round)
                 self._c_replication_rounds.inc()
             self.locks.release(object_key)
             locked = False

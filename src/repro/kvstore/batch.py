@@ -3,17 +3,18 @@
 A :class:`WriteBatch` collects puts and deletes that the DB applies as one
 atomic, durable unit: the serialised batch is one WAL record, and either
 every operation in it is recovered or none is.  This is the primitive the
-LambdaObjects runtime commits invocation write sets through.
+LambdaObjects runtime commits invocation write sets through.  A
+:class:`Round` is the batches one invocation committed on a node, as the
+primary replicates them to its backups.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.errors import CorruptionError, ReadOnlyError
 from repro.kvstore.record import ValueType
-from repro.kvstore.varint import decode_varint, encode_varint
+from repro.kvstore.varint import decode_varint, encode_varint, varint_length
 
 
 class WriteBatch:
@@ -21,8 +22,8 @@ class WriteBatch:
 
     def __init__(self) -> None:
         self._ops: list[tuple[ValueType, bytes, bytes]] = []
-        #: set once the batch is in the round decode memo, where every
-        #: replica of this process applies the same object
+        #: set once the batch is part of a :class:`Round`, whose batch
+        #: objects every replica of this process applies
         self._shared = False
 
     @classmethod
@@ -65,7 +66,7 @@ class WriteBatch:
 
     def _check_private(self) -> None:
         if self._shared:
-            raise ReadOnlyError("write batch is shared through the decode memo; it is read-only")
+            raise ReadOnlyError("write batch is part of a replication round; it is read-only")
 
     def items(self) -> Iterator[tuple[ValueType, bytes, bytes]]:
         """Iterate ``(kind, key, value)`` in insertion order."""
@@ -129,11 +130,14 @@ def _encode_ops(ops: list) -> bytes:
 # -- replication rounds ----------------------------------------------------
 #
 # A replication round is every batch one invocation committed on a node,
-# shipped as one payload.  Retwis's Post writes one post into the
-# author's posts, the author's timeline and every follower's timeline,
-# and consecutive keys of one object share their ``o/<oid>/`` prefix, so
-# the round layout stores each long value once and each key as the bytes
-# it shares with the previous key plus a suffix:
+# shipped to the backups as one unit.  Backups of this process apply the
+# primary's batch objects themselves, so a round is never serialised: it
+# carries the batches, the objects they wrote and its wire size.  The size
+# is what the round layout below takes.  Retwis's Post writes one post
+# into the author's posts, the author's timeline and every follower's
+# timeline, and consecutive keys of one object share their ``o/<oid>/``
+# prefix, so the layout stores each long value once and each key as the
+# bytes it shares with the previous key plus a suffix:
 #
 #   varint batch count, then per batch a varint op count, then per op:
 #     kind byte (0 deletion, 1 put)
@@ -166,145 +170,50 @@ def _object_of(key: bytes) -> bytes:
     return key
 
 
-def encode_round(batches: list[WriteBatch]) -> tuple[bytes, tuple]:
-    """Encode one replication round: the payload in the round layout
-    above and, from the same walk, the sorted ids of the objects its keys
-    belong to (the per-object read-barrier and dirtiness hints).
+class Round(NamedTuple):
+    """One replication round, built once per committed round by :meth:`of`.
 
-    The batches enter the decode memo under the payload, so
-    :func:`decode_round` of these bytes in this process returns these
-    very batches without parsing; from here on they are SHARED and
-    refuse mutation.  Only bytes this function (or an earlier decode)
-    produced can hit the memo: a damaged or foreign payload is a
-    different key and is parsed with every check.
+    Its batches are the committed batch objects themselves, which every
+    backup of the shard applies in order; building the round makes them
+    read-only (``put`` and ``delete`` raise :class:`ReadOnlyError`).
     """
-    parts = [encode_varint(len(batches))]
-    table: dict[bytes, int] = {}
-    objects = set()
-    previous = b""
-    for batch in batches:
-        ops = batch._ops
-        parts.append(encode_varint(len(ops)))
-        for kind, key, value in ops:
-            shared = _shared_len(previous, key)
-            previous = key
-            objects.add(_object_of(key))
-            parts += (
-                b"\x01" if kind is ValueType.VALUE else b"\x00",
-                encode_varint(shared),
-                encode_varint(len(key) - shared),
-                key[shared:],
-            )
-            if kind is not ValueType.VALUE:
-                continue
-            if len(value) > VALUE_TABLE_MIN_LEN:
-                index = table.get(value)
-                if index is not None:
-                    parts.append(encode_varint(index << 1 | 1))
+
+    #: the committed batches, in commit order
+    batches: tuple
+    #: sorted ids of the objects the batches' keys belong to (the
+    #: per-object read-barrier and dirtiness hints)
+    objects: tuple
+    #: wire bytes of the round in the layout above
+    size: int
+
+    @classmethod
+    def of(cls, batches) -> "Round":
+        """The round of ``batches``, its objects and size from one walk."""
+        size = varint_length(len(batches))
+        table: dict[bytes, int] = {}
+        objects = set()
+        previous = b""
+        for batch in batches:
+            batch._shared = True
+            ops = batch._ops
+            size += varint_length(len(ops))
+            for kind, key, value in ops:
+                shared = _shared_len(previous, key)
+                previous = key
+                objects.add(_object_of(key))
+                suffix = len(key) - shared
+                size += 1 + varint_length(shared) + varint_length(suffix) + suffix
+                if kind is not ValueType.VALUE:
                     continue
-                table[value] = len(table)
-            parts += (encode_varint(len(value) << 1), value)
-    payload = b"".join(parts)
-    objects = tuple(sorted(objects))
-    _remember(payload, (tuple(batches), objects))
-    return payload, objects
-
-
-def decode_round(data: bytes) -> tuple[tuple, tuple]:
-    """``(batches, objects)`` of a round payload, memoised across
-    identical payloads; raises ``CorruptionError`` on damage.
-
-    The batches are SHARED: they can be iterated and applied to storage,
-    and raise :class:`ReadOnlyError` on ``put`` or ``delete``.
-    ``objects`` is what :func:`encode_round` returned for the same round.
-    """
-    entry = _DECODE_MEMO.get(data)
-    if entry is None:
-        entry = _parse_round(data)
-        _remember(data, entry)
-    return entry
-
-
-def _parse_round(data: bytes) -> tuple[tuple, tuple]:
-    size = len(data)
-    table: list[bytes] = []
-    objects = set()
-    batches = []
-    previous = b""
-    count, pos = decode_varint(data, 0)
-    for _ in range(count):
-        op_count, pos = decode_varint(data, pos)
-        ops = []
-        for _ in range(op_count):
-            if pos >= size:
-                raise CorruptionError("replication round truncated (missing op)")
-            kind_byte = data[pos]
-            pos += 1
-            if kind_byte > 1:
-                raise CorruptionError(f"replication round has bad op kind {kind_byte}")
-            kind = ValueType(kind_byte)
-            shared, pos = decode_varint(data, pos)
-            if shared > len(previous):
-                raise CorruptionError(
-                    f"replication round key shares {shared} bytes of a "
-                    f"{len(previous)}-byte previous key"
-                )
-            suffix_len, pos = decode_varint(data, pos)
-            suffix = data[pos : pos + suffix_len]
-            if len(suffix) != suffix_len:
-                raise CorruptionError("replication round truncated (short key)")
-            pos += suffix_len
-            key = previous[:shared] + suffix
-            previous = key
-            objects.add(_object_of(key))
-            if kind is ValueType.DELETION:
-                ops.append((kind, key, b""))
-                continue
-            tag, pos = decode_varint(data, pos)
-            if tag & 1:
-                index = tag >> 1
-                if index >= len(table):
-                    raise CorruptionError(
-                        f"replication round refers to value {index} of {len(table)}"
-                    )
-                value = table[index]
-            else:
-                value_len = tag >> 1
-                value = data[pos : pos + value_len]
-                if len(value) != value_len:
-                    raise CorruptionError("replication round truncated (short value)")
-                pos += value_len
-                if value_len > VALUE_TABLE_MIN_LEN:
-                    table.append(value)
-            ops.append((kind, key, value))
-        batches.append(WriteBatch.from_ops(ops))
-    if pos != size:
-        raise CorruptionError("replication round has trailing garbage")
-    return tuple(batches), tuple(sorted(objects))
-
-
-#: bounded memo of decoded rounds keyed by their payload.  Replication
-#: fans one frame out to every backup and re-reads applied payloads
-#: during cache invalidation and lease absorption, all in the process
-#: that encoded them, so the batches behind a payload are looked up, not
-#: re-parsed; bytes objects cache their own hash, making hits one dict
-#: probe.  Bounded by dropping the older half when full: payload reuse is
-#: bursty and short-lived (encode to the last backup's apply), so what a
-#: backup has yet to apply is among the newest entries and an LRU order
-#: would buy nothing more.  An entry is a whole invocation's writes (a
-#: Post's holds one batch per follower), so the bound is small; a miss
-#: only costs a parse.
-_DECODE_MEMO: dict[bytes, tuple[tuple, tuple]] = {}
-_DECODE_MEMO_MAX = 64
-
-
-def _remember(payload: bytes, entry: tuple[tuple, tuple]) -> None:
-    for batch in entry[0]:
-        batch._shared = True
-    if len(_DECODE_MEMO) >= _DECODE_MEMO_MAX:
-        for stale in list(islice(_DECODE_MEMO, _DECODE_MEMO_MAX // 2)):
-            del _DECODE_MEMO[stale]
-    _DECODE_MEMO[payload] = entry
+                length = len(value)
+                if length > VALUE_TABLE_MIN_LEN:
+                    index = table.get(value)
+                    if index is not None:
+                        size += varint_length(index << 1 | 1)
+                        continue
+                    table[value] = len(table)
+                size += varint_length(length << 1) + length
+        return cls(tuple(batches), tuple(sorted(objects)), size)
 
 
 def _check_bytes(label: str, data: bytes) -> None:

@@ -127,14 +127,11 @@ class Block:
 
     Decoding is eager: blocks are small (~4 KiB), and a reader decodes a
     block on every read of it and keeps none, so a decoded block lives
-    only as long as the lookup or scan that asked for it.  The seek keys
-    are built on the first seek: a block decoded only to be merged by
-    compaction never needs them.
+    only as long as the lookup or scan that asked for it.
     """
 
     def __init__(self, records: list[InternalRecord]) -> None:
         self._records = records
-        self._keys: Optional[list[tuple[bytes, int]]] = None
 
     @classmethod
     def decode(cls, data: bytes) -> "Block":
@@ -196,10 +193,9 @@ class Block:
 
     def seek(self, user_key: bytes, sequence: int) -> int:
         """Index of the first record at/after ``(user_key, sequence)``."""
-        keys = self._keys
-        if keys is None:
-            keys = self._keys = [(record[0], -record[1]) for record in self._records]
-        return bisect.bisect_left(keys, record_sort_key(user_key, sequence))
+        return bisect.bisect_left(
+            self._records, record_sort_key(user_key, sequence), key=InternalRecord.sort_key
+        )
 
     def get(self, user_key: bytes, sequence: int) -> Optional[InternalRecord]:
         """Newest record for ``user_key`` visible at ``sequence``, if any."""

@@ -7,8 +7,10 @@ On-disk layout::
 The index block maps each data block's *last* internal key to its file
 offset and size, so a point lookup binary-searches the index, reads and
 decodes one block, and binary-searches inside it.  Nothing is cached: a
-reader holds only its filter and index, and every block read is a seek,
-a read and a :meth:`Block.decode`.  The filter block is one bloom filter
+reader holds only its filter and index (one sorted list of
+``(last_user_key, -last_sequence, offset, size)`` tuples, bisected with
+``(user_key, -sequence)`` probes), and every block read is a seek, a read
+and a :meth:`Block.decode`.  The filter block is one bloom filter
 over every user key in the table.  The footer pins the index/filter
 locations and ends with a magic number.
 """
@@ -20,7 +22,7 @@ import os
 import struct
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from repro.errors import CorruptionError
 from repro.kvstore.block import Block, BlockBuilder
@@ -34,30 +36,29 @@ TARGET_BLOCK_SIZE = 4096
 _INDEX_TAIL = struct.Struct(">QQQ")  # last sequence, block offset, block size
 
 
-class _IndexEntry(NamedTuple):
-    last_user_key: bytes
-    last_sequence: int
-    offset: int
-    size: int
+#: one data block's index entry: ``(last_user_key, -last_sequence, offset,
+#: size)``, which sorts after exactly the ``(user_key, -sequence)`` probes
+#: at or before the block's last record
+IndexEntry = tuple[bytes, int, int, int]
 
 
-def _encode_index(entries: list[_IndexEntry]) -> bytes:
+def _encode_index(entries: list[IndexEntry]) -> bytes:
     parts = [encode_varint(len(entries))]
-    for key, sequence, offset, size in entries:
-        parts += (encode_varint(len(key)), key, _INDEX_TAIL.pack(sequence, offset, size))
+    for key, neg_sequence, offset, size in entries:
+        parts += (encode_varint(len(key)), key, _INDEX_TAIL.pack(-neg_sequence, offset, size))
     return b"".join(parts)
 
 
-def _decode_index(data: bytes) -> list[_IndexEntry]:
-    entries: list[_IndexEntry] = []
+def _decode_index(data: bytes) -> list[IndexEntry]:
+    entries: list[IndexEntry] = []
     count, pos = decode_varint(data, 0)
     for _ in range(count):
         key_len, pos = decode_varint(data, pos)
         tail_at = pos + key_len
         if tail_at + _INDEX_TAIL.size > len(data):
             raise CorruptionError("index entry truncated")
-        key = bytes(data[pos:tail_at])
-        entries.append(_IndexEntry(key, *_INDEX_TAIL.unpack_from(data, tail_at)))
+        sequence, offset, size = _INDEX_TAIL.unpack_from(data, tail_at)
+        entries.append((data[pos:tail_at], -sequence, offset, size))
         pos = tail_at + _INDEX_TAIL.size
     if pos != len(data):
         raise CorruptionError("index block has trailing garbage")
@@ -71,7 +72,7 @@ class SSTableWriter:
         self._path = path
         self._file = open(path, "wb")
         self._block = BlockBuilder()
-        self._index: list[_IndexEntry] = []
+        self._index: list[IndexEntry] = []
         self._keys: list[bytes] = []
         #: bytes written to the file so far (finished blocks only), which
         #: is what compaction cuts its output tables by
@@ -105,7 +106,7 @@ class SSTableWriter:
         data = self._block.finish()
         last = self._last_record
         assert last is not None
-        self._index.append(_IndexEntry(last[0], last[1], self.file_bytes, len(data)))
+        self._index.append((last[0], -last[1], self.file_bytes, len(data)))
         self._file.write(data)
         self.file_bytes += len(data)
         self._block.reset()
@@ -190,22 +191,22 @@ class SSTableReader:
         self._filter = BloomFilter.decode(self._file.read(filter_size))
         self._index = _decode_index(self._file.read(index_size))
         block_offset = 0
-        for entry in self._index:
-            if entry.offset != block_offset:
+        for _key, _neg_sequence, offset, size in self._index:
+            if offset != block_offset:
                 raise CorruptionError(f"{self._path}: index blocks are not contiguous")
-            block_offset += entry.size
+            block_offset += size
         if block_offset != filter_off:
             raise CorruptionError(f"{self._path}: index does not cover the data blocks")
-        self._index_keys = [record_sort_key(e.last_user_key, e.last_sequence) for e in self._index]
 
     def close(self) -> None:
         self._file.close()
 
     # -- block access ----------------------------------------------------
 
-    def _read_block(self, entry: _IndexEntry) -> Block:
-        self._file.seek(entry.offset)
-        return Block.decode(self._file.read(entry.size))
+    def _read_block(self, entry: IndexEntry) -> Block:
+        _key, _neg_sequence, offset, size = entry
+        self._file.seek(offset)
+        return Block.decode(self._file.read(size))
 
     # -- reads ------------------------------------------------------------
 
@@ -226,7 +227,7 @@ class SSTableReader:
         if not self._filter.may_contain_hash(key_hash):
             return None
         probe = record_sort_key(user_key, sequence)
-        block_index = bisect.bisect_left(self._index_keys, probe)
+        block_index = bisect.bisect_left(self._index, probe)
         if block_index >= len(self._index):
             return None
         record = self._read_block(self._index[block_index]).get(user_key, sequence)
@@ -246,7 +247,7 @@ class SSTableReader:
     def iterate_from(self, user_key: bytes, sequence: int) -> Iterator[InternalRecord]:
         """Records at/after ``(user_key, sequence)`` in sort order."""
         probe = record_sort_key(user_key, sequence)
-        block_index = bisect.bisect_left(self._index_keys, probe)
+        block_index = bisect.bisect_left(self._index, probe)
         if block_index >= len(self._index):
             return
         block = self._read_block(self._index[block_index])

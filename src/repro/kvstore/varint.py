@@ -22,6 +22,11 @@ def encode_varint(value: int) -> bytes:
     return bytes(out)
 
 
+def varint_length(value: int) -> int:
+    """Bytes :func:`encode_varint` takes for a non-negative ``value``."""
+    return (value.bit_length() + 6) // 7 or 1
+
+
 def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode a varint from ``data`` at ``offset``.
 

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.replication import ReplicationPipeline
 from repro.core import CollectionField, ObjectType, ValueField, method, readonly_method
+from repro.kvstore.batch import Round, WriteBatch
 from repro.sim import Simulation
 
 
@@ -70,6 +71,16 @@ def run_ops(sim, cluster, ops, limit_ms=120_000):
     return [values[p] for p in processes]
 
 
+def tagged(tag: bytes) -> Round:
+    """A one-put round standing for a committed write set named ``tag``."""
+    return Round.of([WriteBatch().put(tag, b"")])
+
+
+def tags(rounds) -> list[bytes]:
+    """The tags of :func:`tagged` rounds, in order."""
+    return [round_.objects[0] for round_ in rounds]
+
+
 class PipelineHarness:
     """One shard's :class:`ReplicationPipeline` with a recording
     transport and a mutable backup list."""
@@ -90,7 +101,7 @@ class PipelineHarness:
         self.frames.append((self.sim.now, list(targets), first, list(rounds)))
 
     def submit_rounds(self, count):
-        return [self.pipeline.submit(b"x") for _ in range(count)]
+        return [self.pipeline.submit(tagged(b"x")) for _ in range(count)]
 
     def ack_all(self, through):
         for backup in self.backups:

@@ -3,7 +3,7 @@ per-shard :class:`ReplicationPipeline`."""
 
 from repro.cluster.messages import ReplicateAck
 
-from tests.cluster.conftest import PipelineHarness, build_cluster
+from tests.cluster.conftest import PipelineHarness, build_cluster, tagged, tags
 
 
 # -- cumulative acks --------------------------------------------------------
@@ -79,7 +79,7 @@ def test_cumulative_ack_below_pruned_watermark_is_noop():
 
 def test_open_flush_ships_immediately_on_empty_pipe():
     h = PipelineHarness()
-    event = h.pipeline.submit(b"round-1")
+    event = h.pipeline.submit(tagged(b"round-1"))
     assert [(f[2], len(f[3])) for f in h.frames] == [(1, 1)]
     assert not event.triggered
     h.ack_all(1)
@@ -89,16 +89,16 @@ def test_open_flush_ships_immediately_on_empty_pipe():
 
 def test_rounds_coalesce_while_a_frame_is_in_flight():
     h = PipelineHarness()
-    first = h.pipeline.submit(b"a")
-    second = h.pipeline.submit(b"b")
-    third = h.pipeline.submit(b"c")
+    first = h.pipeline.submit(tagged(b"a"))
+    second = h.pipeline.submit(tagged(b"b"))
+    third = h.pipeline.submit(tagged(b"c"))
     # Only the open flush went out; b and c are queued behind it.
     assert len(h.frames) == 1
     h.ack_all(1)
     # The drained pipe triggers one combined frame: sequences 2..3.
     assert len(h.frames) == 2
     _now, targets, start, rounds = h.frames[1]
-    assert (start, rounds) == (2, [b"b", b"c"])
+    assert (start, tags(rounds)) == (2, [b"b", b"c"])
     assert first.triggered and not second.triggered and not third.triggered
     h.ack_all(3)
     assert second.triggered and third.triggered
@@ -106,9 +106,9 @@ def test_rounds_coalesce_while_a_frame_is_in_flight():
 
 def test_size_threshold_forces_flush():
     h = PipelineHarness(max_rounds=2)
-    h.pipeline.submit(b"a")  # open flush
-    h.pipeline.submit(b"b")
-    h.pipeline.submit(b"c")  # hits max_rounds -> size flush
+    h.pipeline.submit(tagged(b"a"))  # open flush
+    h.pipeline.submit(tagged(b"b"))
+    h.pipeline.submit(tagged(b"c"))  # hits max_rounds -> size flush
     assert [f[2] for f in h.frames] == [1, 2]
     assert h.pipeline.highest_flushed == 3
 
@@ -116,7 +116,7 @@ def test_size_threshold_forces_flush():
 def test_reply_released_only_at_full_watermark():
     # One lagging backup holds every parked reply at or above its gap.
     h = PipelineHarness()
-    event = h.pipeline.submit(b"a")
+    event = h.pipeline.submit(tagged(b"a"))
     h.pipeline.on_ack("b1", 1)
     assert not event.triggered
     h.pipeline.on_ack("b2", 1)
@@ -125,7 +125,7 @@ def test_reply_released_only_at_full_watermark():
 
 def test_duplicate_and_reordered_acks_do_not_regress_watermark():
     h = PipelineHarness()
-    events = [h.pipeline.submit(payload) for payload in (b"a", b"b", b"c")]
+    events = [h.pipeline.submit(tagged(tag)) for tag in (b"a", b"b", b"c")]
     h.ack_all(1)
     h.pipeline.flush("drain")
     h.ack_all(3)
@@ -140,7 +140,7 @@ def test_duplicate_and_reordered_acks_do_not_regress_watermark():
 
 def test_ack_for_pruned_sequences_is_harmless():
     h = PipelineHarness()
-    h.pipeline.submit(b"a")
+    h.pipeline.submit(tagged(b"a"))
     h.ack_all(1)
     assert h.pipeline.history == {}  # settled history pruned
     h.ack_all(1)  # re-ack after prune
@@ -150,7 +150,7 @@ def test_ack_for_pruned_sequences_is_harmless():
 
 def test_backup_removed_mid_round_stops_gating_replies():
     h = PipelineHarness()
-    event = h.pipeline.submit(b"a")
+    event = h.pipeline.submit(tagged(b"a"))
     h.pipeline.on_ack("b1", 1)
     assert not event.triggered  # b2 still owes an ack
     h.backups.remove("b2")  # failover/migration dropped it
@@ -161,7 +161,7 @@ def test_backup_removed_mid_round_stops_gating_replies():
 
 def test_all_backups_removed_settles_everything():
     h = PipelineHarness()
-    event = h.pipeline.submit(b"a")
+    event = h.pipeline.submit(tagged(b"a"))
     h.backups.clear()
     h.pipeline.on_config_change()
     assert event.triggered
@@ -169,8 +169,8 @@ def test_all_backups_removed_settles_everything():
 
 def test_config_change_drains_queued_rounds_to_new_membership():
     h = PipelineHarness()
-    h.pipeline.submit(b"a")
-    h.pipeline.submit(b"b")  # queued behind the in-flight frame
+    h.pipeline.submit(tagged(b"a"))
+    h.pipeline.submit(tagged(b"b"))  # queued behind the in-flight frame
     h.backups.append("b3")
     h.pipeline.on_config_change()
     # The drain flush ships to the veterans; b3 gets a full-range frame
@@ -183,7 +183,7 @@ def test_config_change_drains_queued_rounds_to_new_membership():
 
 def test_fresh_backup_never_sent_does_not_hold_watermark():
     h = PipelineHarness()
-    event = h.pipeline.submit(b"a")
+    event = h.pipeline.submit(tagged(b"a"))
     h.backups.append("b3")  # joined after the flush; needs state transfer
     h.pipeline.on_ack("b1", 1)
     h.pipeline.on_ack("b2", 1)
@@ -193,7 +193,7 @@ def test_fresh_backup_never_sent_does_not_hold_watermark():
 def test_barrier_parks_until_watermark_and_passes_when_quiescent():
     h = PipelineHarness()
     assert h.pipeline.barrier().triggered  # nothing outstanding
-    h.pipeline.submit(b"a")
+    h.pipeline.submit(tagged(b"a"))
     barrier = h.pipeline.barrier()
     assert not barrier.triggered
     h.ack_all(1)
@@ -202,12 +202,12 @@ def test_barrier_parks_until_watermark_and_passes_when_quiescent():
 
 def test_watchdog_retransmits_only_the_lagging_backup_with_backoff():
     h = PipelineHarness()
-    h.pipeline.submit(b"a")
+    h.pipeline.submit(tagged(b"a"))
     h.pipeline.on_ack("b1", 1)  # b2 never answers
     h.sim.run(until=100.0)
     retries = [f for f in h.frames[1:]]
     assert retries and all(f[1] == ["b2"] for f in retries)
-    assert all((f[2], f[3]) == (1, [b"a"]) for f in retries)
+    assert all((f[2], tags(f[3])) == (1, [b"a"]) for f in retries)
     assert h.pipeline.stats.retransmitted == len(retries)
     gaps = [b[0] - a[0] for a, b in zip(retries, retries[1:])]
     # Exponential backoff: strictly increasing gaps, capped at 8x + jitter.
@@ -221,8 +221,8 @@ def test_retired_pipeline_ships_and_settles_nothing():
     # rounds, and must not release parked replies — even when every
     # straggler acks (or leaves the replica set) afterwards.
     h = PipelineHarness()
-    event = h.pipeline.submit(b"a")  # open flush: in flight
-    queued = h.pipeline.submit(b"b")  # queued behind it
+    event = h.pipeline.submit(tagged(b"a"))  # open flush: in flight
+    queued = h.pipeline.submit(tagged(b"b"))  # queued behind it
     h.pipeline.retire()
     h.pipeline.on_config_change()  # NewConfig adoption after deposal
     h.ack_all(1)
@@ -240,9 +240,9 @@ def test_unretire_resumes_where_the_sequence_space_left_off():
     # Re-promotion: the kept queue drains to the new membership and the
     # recorded acks settle the pre-deposal rounds.
     h = PipelineHarness()
-    first = h.pipeline.submit(b"a")
+    first = h.pipeline.submit(tagged(b"a"))
     h.pipeline.retire()
-    second = h.pipeline.submit(b"b")  # queued while retired; no frame
+    second = h.pipeline.submit(tagged(b"b"))  # queued while retired; no frame
     assert len(h.frames) == 1
     h.pipeline.unretire()
     h.pipeline.on_config_change()
@@ -254,14 +254,14 @@ def test_unretire_resumes_where_the_sequence_space_left_off():
 
 def test_watchdog_stops_once_settled_and_restarts_on_next_flush():
     h = PipelineHarness()
-    h.pipeline.submit(b"a")
+    h.pipeline.submit(tagged(b"a"))
     h.sim.run(until=7.0)  # one watchdog wake with no progress
     h.ack_all(1)
     h.sim.run(until=60.0)
     settled_frames = len(h.frames)
     h.sim.run(until=200.0)
     assert len(h.frames) == settled_frames  # no zombie watchdog traffic
-    event = h.pipeline.submit(b"b")
+    event = h.pipeline.submit(tagged(b"b"))
     h.ack_all(2)
     assert event.triggered
 

@@ -11,6 +11,7 @@ from repro.cluster.messages import (
 )
 from repro.cluster.migration import MigrateObject
 from repro.core import ObjectId
+from repro.kvstore.batch import Round, WriteBatch
 
 OID = ObjectId.from_name("msg-test")
 
@@ -50,8 +51,16 @@ def test_reply_size_includes_value_and_error():
 
 def test_replicate_writes_size_sums_batches():
     # Frame header, an 8-byte header per round, then the round payloads.
-    message = ReplicateWritesRange(0, 1, 1, [b"x" * 30, b"z" * 5], "p")
-    assert message.size() == 48 + 2 * 8 + 35
+    rounds = [
+        Round.of([WriteBatch().put(b"o/aa/x", b"x" * 30)]),
+        Round.of([WriteBatch().put(b"o/aa/z", b"z" * 5), WriteBatch().delete(b"o/bb/z")]),
+    ]
+    message = ReplicateWritesRange(0, 1, 1, rounds, "p")
+    assert message.size() == 48 + 2 * 8 + rounds[0].size + rounds[1].size
+    # A round is its counts, then per op a kind, two key lengths, the key
+    # bytes not shared with the previous key and (puts) a value tag and
+    # the value: the deletion shares ``o/`` with the put before it.
+    assert [round_.size for round_ in rounds] == [2 + (3 + 6 + 1 + 30), 3 + (3 + 6 + 1 + 5) + (3 + 4)]
     assert ReplicateAck(0, 1, "b").size() == 32
 
 

@@ -2,15 +2,15 @@
 
 from repro.cluster.replication import BackupApplier
 from repro.core.storage import MemoryBackend
-from repro.kvstore.batch import WriteBatch, encode_round
+from repro.kvstore.batch import Round, WriteBatch
 from repro.obs import MetricsRegistry
 
-from tests.cluster.conftest import PipelineHarness
+from tests.cluster.conftest import PipelineHarness, tagged, tags
 
 
 def encoded(*writes):
-    """One encoded round of one batch per ``(key, value)`` write."""
-    return encode_round([WriteBatch().put(key, value) for key, value in writes])[0]
+    """One round of one batch per ``(key, value)`` write."""
+    return Round.of([WriteBatch().put(key, value) for key, value in writes])
 
 
 def make_applier():
@@ -20,9 +20,10 @@ def make_applier():
 
 def test_primary_assigns_increasing_sequences():
     h = PipelineHarness()
-    h.pipeline.submit(b"a")
-    h.pipeline.submit(b"b")
-    assert h.pipeline.history == {1: b"a", 2: b"b"}
+    h.pipeline.submit(tagged(b"a"))
+    h.pipeline.submit(tagged(b"b"))
+    assert list(h.pipeline.history) == [1, 2]
+    assert tags(h.pipeline.history.values()) == [b"a", b"b"]
     assert h.pipeline.last_assigned == 2
 
 
@@ -82,7 +83,7 @@ def test_backup_acks_duplicates_without_reapplying():
     applier, backend = make_applier()
     applier.receive(1, encoded((b"k", b"v1")))
     backend.apply(_overwrite(b"k", b"local"))
-    assert applier.receive(1, encoded((b"k", b"v1"))) == [(1, b"")]
+    assert applier.receive(1, encoded((b"k", b"v1"))) == [(1, None)]
     assert backend.get(b"k") == b"local"  # duplicate did not reapply
 
 

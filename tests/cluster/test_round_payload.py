@@ -1,10 +1,12 @@
-"""A replication round on the wire: one encoded payload per round.
+"""A replication round on the wire: one :class:`~repro.kvstore.batch.Round`
+per committed write set, sized by the round layout.
 
 Retwis's Post writes one post into the author's posts, the author's
-timeline and every follower's timeline.  The round layout
-(:func:`repro.kvstore.batch.encode_round`) ships that value once and
-every later copy as a back-reference, so a frame grows with the number
-of followers by their keys, not by their copies of the post.
+timeline and every follower's timeline.  The round layout (spelled out
+by the reference encoder in :mod:`tests.kvstore.round_oracle`) ships
+that value once and every later copy as a back-reference, so a frame
+grows with the number of followers by their keys, not by their copies
+of the post.
 """
 
 from repro.apps.bank import account_type
@@ -13,9 +15,9 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.messages import ReplicateWritesRange
 from repro.cluster.migration import Migrator
 from repro.core.ids import ObjectId
-from repro.kvstore import batch as batch_module
-from repro.kvstore.batch import decode_round
 from repro.sim import Simulation
+
+from tests.kvstore.round_oracle import encode_round
 
 #: long enough that one copy per follower would dominate the frame
 TEXT = "".join(f"{i:04d}" for i in range(250))
@@ -49,16 +51,18 @@ def _post_frames(followers: int) -> list:
 
 def test_a_post_ships_its_text_once_per_round():
     frames = _post_frames(followers=6)
-    rounds = [payload for message in frames for payload in message.payload.rounds]
+    rounds = [round_ for message in frames for round_ in message.payload.rounds]
     assert len(rounds) == 1  # the post is one invocation: one round
-    (payload,) = rounds
+    (round_,) = rounds
     # Eight copies are written (posts, own timeline, six followers) ...
-    batches, objects = decode_round(payload)
-    written = [value for batch in batches for _kind, _key, value in batch.items()]
+    written = [value for batch in round_.batches for _kind, _key, value in batch.items()]
     assert sum(TEXT.encode() in value for value in written) == 8
-    assert len(objects) == 7
+    assert len(round_.objects) == 7
     # ... and the text crosses the wire once.
+    payload, objects = encode_round(round_.batches)
     assert payload.count(TEXT.encode()) == 1
+    assert round_.size == len(payload)
+    assert round_.objects == objects
 
 
 def test_frame_bytes_grow_by_less_than_the_text_per_follower():
@@ -75,11 +79,12 @@ def test_frame_size_is_the_header_plus_the_round_payloads():
     assert frames
     for message in frames:
         frame = message.payload
-        expected = 48 + 8 * len(frame.rounds) + sum(len(p) for p in frame.rounds)
+        payloads = [encode_round(round_.batches)[0] for round_ in frame.rounds]
+        expected = 48 + 8 * len(frame.rounds) + sum(map(len, payloads))
         assert frame.size() == message.size_bytes == expected
 
 
-def test_a_migration_drop_reaches_backups_through_the_round_memo(monkeypatch):
+def test_a_migration_drop_reaches_backups_as_the_committed_batch(monkeypatch):
     sim = Simulation(seed=71)
     cluster = Cluster(sim, ClusterConfig(seed=71, num_storage_nodes=4, num_shards=2))
     cluster.register_type(account_type())
@@ -87,18 +92,30 @@ def test_a_migration_drop_reaches_backups_through_the_round_memo(monkeypatch):
     a = cluster.create_object("Account", initial={"balance": 100})
     cluster.run_invoke(cluster.client("payer"), a, "withdraw", 40)
     source = cluster.bootstrap_shard_map.shard_for(a)
-    assert cluster.nodes[source.primary].dump_object_state(a)
-    parsed = []
-    original = batch_module._parse_round
+    primary = cluster.nodes[source.primary]
+    assert primary.dump_object_state(a)
+    committed = []
+    commit_local = primary.commit_local
     monkeypatch.setattr(
-        batch_module, "_parse_round", lambda data: parsed.append(data) or original(data)
+        primary, "commit_local", lambda batch: committed.append(batch) or commit_local(batch)
     )
+    applied = {name: [] for name in source.backups}
+    for name in source.backups:
+        applier = cluster.nodes[name].backup_appliers[source.shard_id]
+        apply = applier._apply
+        monkeypatch.setattr(
+            applier, "_apply", lambda batch, seen=applied[name], apply=apply: (
+                seen.append(batch) or apply(batch)
+            )
+        )
 
     move = sim.process(Migrator(cluster).migrate(a, (source.shard_id + 1) % 2))
     sim.run_until_triggered(move, limit=sim.now + 10_000)
     assert cluster.quiesce()
     # The source primary deleted the object through commit_local, and
-    # every backup applied the batch the primary encoded: no parse.
-    assert parsed == []
+    # every backup applied that very batch object.
+    (drop,) = committed
+    for name in source.backups:
+        assert any(batch is drop for batch in applied[name])
     for name in (source.primary, *source.backups):
         assert cluster.nodes[name].dump_object_state(a) == []

@@ -23,7 +23,7 @@ from repro.core import (
     readonly_method,
 )
 from repro.core.fields import encode_value
-from repro.kvstore.batch import WriteBatch, encode_round
+from repro.kvstore.batch import Round, WriteBatch
 from repro.sim import Simulation
 
 
@@ -66,7 +66,7 @@ def drive_out_of_order_drain(cluster, backup, primary_name, oid_a, oid_b):
     def encoded_write(oid, value):
         batch = WriteBatch()
         batch.put(keyspace.value_key(oid, "value"), encode_value(value))
-        return encode_round([batch])[0]
+        return Round.of([batch])
 
     shard_id = cluster.current_config()[1].shard_for(oid_a).shard_id
     backup._on_replicate_range(ReplicateWritesRange(

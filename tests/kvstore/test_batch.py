@@ -5,9 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import CorruptionError, ReadOnlyError
-from repro.kvstore import batch as batch_module
-from repro.kvstore.batch import WriteBatch, decode_round, encode_round
+from repro.kvstore.batch import Round, WriteBatch
 from repro.kvstore.record import ValueType
+
+from tests.kvstore.round_oracle import encode_round
 
 
 def test_put_delete_recorded_in_order():
@@ -120,13 +121,16 @@ def _items(batches) -> list:
 def test_round_stores_a_repeated_value_once():
     batches = _post_round()
     expected = _items(batches)
-    payload, objects = encode_round(batches)
+    payload, oracle_objects = encode_round(batches)
     assert payload.count(_POST) == 1
-    assert objects == (b"aa", b"bb")
-    batch_module._DECODE_MEMO.clear()
-    decoded, decoded_objects = decode_round(payload)
-    assert _items(decoded) == expected
-    assert decoded_objects == objects
+    round_ = Round.of(batches)
+    assert round_.size == len(payload)
+    # Three copies of the post cost one copy plus two back-references:
+    # less than two copies and every key in full.
+    keys = [key for ops in expected for _kind, key, _value in ops]
+    assert round_.size < 2 * len(_POST) + sum(map(len, keys))
+    assert round_.objects == oracle_objects == (b"aa", b"bb")
+    assert _items(round_.batches) == expected
 
 
 def test_round_keys_share_their_prefix_with_the_previous_key():
@@ -134,14 +138,15 @@ def test_round_keys_share_their_prefix_with_the_previous_key():
     batch = WriteBatch()
     for key in keys:
         batch.put(key, b"v")
-    payload, objects = encode_round([batch])
-    assert objects == (b"f" * 32,)
+    payload, _objects = encode_round([batch])
+    round_ = Round.of([batch])
+    assert round_.objects == (b"f" * 32,)
     # The first key ships whole; later ones ship only what follows the
     # 37 bytes ``o/<oid>/v/`` they share with the key before them.  Beyond
     # the keys: two counts, and per op a kind, two lengths, a value tag
     # and the one-byte value.
     assert payload.count(b"f" * 32) == 1
-    assert len(payload) == sum(map(len, keys)) - 2 * 37 + 2 + 3 * 5
+    assert round_.size == len(payload) == sum(map(len, keys)) - 2 * 37 + 2 + 3 * 5
 
 
 _round_keys = st.builds(
@@ -152,6 +157,7 @@ _round_keys = st.builds(
 _round_values = st.one_of(
     st.sampled_from([b"", b"12345678", b"123456789", b"a repeated long value"]),
     st.binary(max_size=40),
+    st.binary(min_size=60, max_size=200),  # two-byte length tags
 )
 _round_ops = st.tuples(st.booleans(), _round_keys, _round_values)
 
@@ -168,39 +174,33 @@ def test_round_trip_property(spec):
                 batch.delete(key)
         batches.append(batch)
     expected = _items(batches)
-    payload, objects = encode_round(batches)
-    batch_module._DECODE_MEMO.pop(payload)  # parse, not the memo
-    decoded, decoded_objects = decode_round(payload)
-    assert _items(decoded) == expected
-    assert decoded_objects == objects
+    payload, oracle_objects = encode_round(batches)
+    round_ = Round.of(batches)
+    assert round_.size == len(payload)
+    assert round_.objects == oracle_objects
+    assert _items(round_.batches) == expected
     # Object ids: the ``<oid>`` of ``o/<oid>/`` keys, else the key itself.
     keys = [key for ops in expected for _kind, key, _value in ops]
-    assert set(objects) == {
+    assert set(round_.objects) == {
         key[2 : key.index(b"/", 2)] if key[:2] == b"o/" and b"/" in key[2:] else key
         for key in keys
     }
 
 
-@pytest.mark.parametrize(
-    "damaged, reason",
-    [
-        (b"\x01\x02\x00\x00\x01a", "missing op"),
-        (b"\x01\x01\x00\x00\x05ab", "short key"),
-        (b"\x01\x01\x01\x00\x01a\x0aab", "short value"),
-        (b"\x01\x01\x01\x00\x01a", "truncated varint"),
-        (b"\x01\x01\x09\x00\x01a", "bad op kind"),
-        (b"\x01\x02\x00\x00\x01a\x00\x02\x00", "shares 2 bytes of a 1-byte"),
-        (b"\x01\x01\x01\x00\x01a\x01", "refers to value 0 of 0"),
-        (b"\x00x", "trailing garbage"),
-    ],
-)
-def test_decode_round_rejects_damage(damaged, reason):
-    with pytest.raises(CorruptionError, match=reason):
-        decode_round(damaged)
-    assert damaged not in batch_module._DECODE_MEMO
+def test_round_size_counts_back_references_past_the_one_byte_tag():
+    # 70 distinct long values fill the table past index 63, whose
+    # back-reference tag ``index << 1 | 1`` no longer fits one byte.
+    values = [b"value-%03d-long" % i for i in range(70)]
+    first = WriteBatch()
+    second = WriteBatch()
+    for i, value in enumerate(values):
+        first.put(b"o/aa/c/a/%03d" % i, value)
+        second.put(b"o/bb/c/b/%03d" % i, value)
+    payload, _objects = encode_round([first, second])
+    assert Round.of([first, second]).size == len(payload)
 
 
-# -- the decode memo ---------------------------------------------------------
+# -- read-only batches -------------------------------------------------------
 
 
 def _sample_batch(tag: bytes) -> WriteBatch:
@@ -216,59 +216,17 @@ def _assert_read_only(batch: WriteBatch) -> None:
     assert list(batch.items()) == before
 
 
-def test_encode_round_enters_the_batches_under_its_own_payload():
-    first, second = _sample_batch(b"own"), WriteBatch().put(b"o/aa/m", b"User")
-    payload, objects = encode_round([first, second])
-    assert objects == (b"aa", b"memo/gone", b"memo/own", b"memo/z")
-    # A backup in this process gets the committed batches themselves: no parse.
-    batches, _objects = decode_round(payload)
-    assert batches[0] is first and batches[1] is second
-    assert decode_round(bytes(bytearray(payload)))[0] is batches  # equal bytes, other object
-
-
 def test_shared_batches_refuse_mutation():
     committed = _sample_batch(b"committed")
-    encode_round([committed])
+    round_ = Round.of([committed])
+    assert round_.batches[0] is committed
     _assert_read_only(committed)
-    payload, _objects = encode_round([_sample_batch(b"decoded")])
-    batch_module._DECODE_MEMO.pop(payload)
-    (decoded,), _objects = decode_round(payload)
-    _assert_read_only(decoded)
 
 
 def test_decode_stays_private_and_mutable():
     shared = _sample_batch(b"private")
-    encode_round([shared])
+    Round.of([shared])
     private = WriteBatch.decode(shared.encode())
     assert private is not shared
     private.put(b"k", b"v").delete(b"memo/z")
     assert len(shared) == 3  # the shared one is untouched
-
-
-def test_equal_payloads_share_one_memo_entry():
-    batch_module._DECODE_MEMO.clear()  # bounded by clearing: start well below the bound
-    first, second = _sample_batch(b"twin"), _sample_batch(b"twin")
-    payload, _ = encode_round([first])
-    again, _ = encode_round([second])
-    assert again == payload
-    assert len(batch_module._DECODE_MEMO) == 1
-    assert _items(decode_round(payload)[0]) == [list(first.items())]
-
-
-def test_damaged_payload_misses_the_memo():
-    batches = _post_round()
-    expected = _items(batches)
-    payload, _ = encode_round(batches)
-    memoised = decode_round(payload)[0]
-    with pytest.raises(CorruptionError):
-        decode_round(payload[:-1])
-    # Whatever byte is damaged, the memoised batches never come back.
-    for position in range(len(payload)):
-        damaged = bytearray(payload)
-        damaged[position] ^= 0x01
-        try:
-            decoded, _objects = decode_round(bytes(damaged))
-        except CorruptionError:
-            continue
-        assert decoded is not memoised
-        assert _items(decoded) != expected

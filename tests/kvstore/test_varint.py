@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import CorruptionError
-from repro.kvstore.varint import decode_varint, encode_varint
+from repro.kvstore.varint import decode_varint, encode_varint, varint_length
 
 
 @pytest.mark.parametrize(
@@ -21,6 +21,7 @@ from repro.kvstore.varint import decode_varint, encode_varint
 def test_known_encodings(value, encoded):
     assert encode_varint(value) == encoded
     assert decode_varint(encoded) == (value, len(encoded))
+    assert varint_length(value) == len(encoded)
 
 
 def test_negative_rejected():
@@ -68,3 +69,8 @@ def test_every_truncation_raises_corruption(value):
     for cut in range(len(encoded)):
         with pytest.raises(CorruptionError):
             decode_varint(encoded[:cut])
+
+
+@given(st.integers(min_value=0, max_value=2**70))
+def test_varint_length_matches_the_encoding(value):
+    assert varint_length(value) == len(encode_varint(value))
