@@ -49,7 +49,12 @@ class ClusterNodeRuntime(LocalRuntime):
         self._commit(parent_ctx, reason="pre-nested")
         capture = self.node.cluster.capture
         result = owner.runtime.invoke_detailed(
-            object_id, method, *args, _depth=parent_ctx.depth + 1, _internal=True
+            object_id,
+            method,
+            *args,
+            _depth=parent_ctx.depth + 1,
+            _internal=True,
+            _caller=parent_ctx.writeset,
         )
         parent_ctx.sub_results.append(result)
         if capture is not None:

@@ -17,6 +17,12 @@ price, and every value marshalled into the guest is charged to the
 context's own :class:`~repro.wasm.MemoryMeter`; exhausting either traps,
 and a trap aborts the invocation with its buffered writes discarded.
 
+Every write goes through the invocation's write set, whose
+:meth:`~repro.core.writeset.WriteSet.put` swaps an encoded value for the
+first equal one the request wrote.  The request's table of those values
+is held by its write sets only: no attribute or method of the context
+returns it, so a guest can neither read nor seed it.
+
 Method-call sugar mirrors the paper's pseudocode: attribute access for a
 declared method returns a dispatcher, so ``self.store_post(...)`` and
 ``self.get_object(oid).store_post(...)`` both work.

@@ -79,7 +79,9 @@ def encode_value(value: Any) -> bytes:
 
     JSON with sorted keys and compact separators: equal values always
     produce equal bytes, which the read-set hashing in the consistent
-    cache depends on.  Tuples become lists (JSON has no tuple).
+    cache depends on, and so does the sharing of a request's equal values
+    as one object (:meth:`~repro.core.writeset.WriteSet.put`).  Tuples
+    become lists (JSON has no tuple).
     """
     kind = type(value)
     if kind is str:

@@ -78,6 +78,9 @@ class LocalRuntime:
         #: encoded meta value -> the type name it decodes to (one entry
         #: per type name ever stored; ``type_of`` runs per invocation)
         self._type_names: dict[bytes, str] = {}
+        #: type name -> its encoded meta value, one object per registered
+        #: type for every object created here
+        self._type_metas: dict[str, bytes] = {}
         self._id_rng = random.Random(seed)
         #: PRNG exposed to guests via ctx.random()
         self.guest_rng = random.Random(seed + 1)
@@ -112,6 +115,7 @@ class LocalRuntime:
     def register_type(self, object_type: ObjectType) -> None:
         """Register (or replace) an object type by name."""
         self._types[object_type.name] = object_type
+        self._type_metas[object_type.name] = encode_value(object_type.name)
 
     def type_named(self, name: str) -> ObjectType:
         try:
@@ -147,18 +151,28 @@ class LocalRuntime:
         Split out from :meth:`create_object` so a replicated platform can
         encode the initial state once and apply the same batch to every
         replica member (see ``Cluster.create_object``) instead of
-        re-encoding per member.
+        re-encoding per member.  Equal values in the batch are one
+        ``bytes`` object, as in a request's writes (see
+        :class:`~repro.core.writeset.WriteSet`), and the meta value is the
+        one encoded when the type was registered.
         """
         object_type = self.type_named(type_name)
+        meta = self._type_metas[type_name]
+        values = {meta: meta}
+
+        def encoded(value: Any) -> bytes:
+            data = encode_value(value)
+            return values.setdefault(data, data)
+
         batch = WriteBatch()
-        batch.put(keyspace.meta_key(oid), encode_value(type_name))
+        batch.put(keyspace.meta_key(oid), meta)
         initial = dict(initial or {})
         for spec in object_type.fields.values():
             provided = initial.pop(spec.name, None)
             if spec.kind == FieldKind.VALUE:
                 value = provided if provided is not None else spec.default
                 if value is not None:
-                    batch.put(keyspace.value_key(oid, spec.name), encode_value(value))
+                    batch.put(keyspace.value_key(oid, spec.name), encoded(value))
             elif provided is not None:
                 entries = (
                     provided.items()
@@ -167,13 +181,10 @@ class LocalRuntime:
                 )
                 count = 0
                 for entry_key, value in entries:
-                    batch.put(
-                        keyspace.collection_key(oid, spec.name, entry_key),
-                        encode_value(value),
-                    )
+                    batch.put(keyspace.collection_key(oid, spec.name, entry_key), encoded(value))
                     count += 1
                 if not isinstance(provided, dict):
-                    batch.put(keyspace.counter_key(oid, spec.name), encode_value(count))
+                    batch.put(keyspace.counter_key(oid, spec.name), encoded(count))
         if initial:
             object_type.field(next(iter(initial)))  # raises UnknownFieldError
         return batch
@@ -234,8 +245,12 @@ class LocalRuntime:
         *args: Any,
         _depth: int = 0,
         _internal: bool = False,
+        _caller: Optional[WriteSet] = None,
     ) -> InvocationResult:
-        """Invoke a method and return the full :class:`InvocationResult`."""
+        """Invoke a method and return the full :class:`InvocationResult`.
+
+        A nested invocation passes its caller's write set as ``_caller``,
+        so the whole request writes through one value table."""
         if _depth > MAX_CALL_DEPTH:
             raise InvocationError(
                 f"call depth exceeded {MAX_CALL_DEPTH} (cycle of nested invocations?)"
@@ -279,7 +294,12 @@ class LocalRuntime:
             fuel = FuelMeter(self._fuel_budget if self._fuel_budget else FuelMeter.UNLIMITED)
             # Read tracking exists for the consistent cache; skip the
             # per-read digesting entirely when the cache is off.
-            writeset = WriteSet(self.storage.get, track_reads=self.cache is not None)
+            track_reads = self.cache is not None
+            writeset = (
+                WriteSet(self.storage.get, track_reads)
+                if _caller is None
+                else _caller.nested(self.storage.get, track_reads)
+            )
             ctx = InvocationContext(
                 runtime=self,
                 object_id=object_id,
@@ -333,7 +353,12 @@ class LocalRuntime:
         self._commit(parent_ctx, reason="pre-nested")
         self._c_nested_invocations.inc()
         result = self.invoke_detailed(
-            object_id, method, *args, _depth=parent_ctx.depth + 1, _internal=True
+            object_id,
+            method,
+            *args,
+            _depth=parent_ctx.depth + 1,
+            _internal=True,
+            _caller=parent_ctx.writeset,
         )
         parent_ctx.sub_results.append(result)
         return result.value

@@ -6,6 +6,16 @@ state.  At invocation end the buffer becomes one atomic
 :class:`~repro.kvstore.batch.WriteBatch`.  The set also records the keys
 and value digests the invocation *read*, which the consistent cache uses
 as its validity condition (paper §4.2.2).
+
+Every guest write reaches the store through :meth:`WriteSet.put`, so
+that is where a request's equal values become one object: the first
+encoded value written with given contents is kept in a table every
+invocation of the request shares, and a later equal value is swapped for
+it.  A Post's timeline entries in every follower, committed on one node
+or several, are then one ``bytes`` object in every replica's store and
+memtable, which apply the committed batch objects by reference.  The
+table lives in the request's write sets alone, never in the guest's
+:class:`~repro.core.context.InvocationContext`, and dies with the request.
 """
 
 from __future__ import annotations
@@ -20,7 +30,12 @@ _TOMBSTONE = object()
 
 
 class WriteSet:
-    """Invocation-local buffered writes plus the observed read set."""
+    """Invocation-local buffered writes plus the observed read set.
+
+    A root invocation's write set starts a request's value table on its
+    first write; :meth:`nested` hands the same table to each invocation
+    the request nests, on this node or another.
+    """
 
     def __init__(
         self,
@@ -28,6 +43,9 @@ class WriteSet:
         track_reads: bool = True,
     ) -> None:
         self._backing_get = backing_get
+        #: encoded value -> the first equal value written in the request;
+        #: ``None`` until the request writes or nests
+        self._values: Optional[dict[bytes, bytes]] = None
         #: key -> bytes or ``_TOMBSTONE``; a dict keeps first-write order
         self._writes: dict[bytes, object] = {}
         self._reads: dict[bytes, bytes] = {}
@@ -52,8 +70,13 @@ class WriteSet:
     # -- writes ------------------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> None:
-        """Buffer a write; visible to this invocation's own reads."""
-        self._writes[key] = bytes(value)
+        """Buffer a write; visible to this invocation's own reads.  The
+        value buffered is the request's first value equal to it."""
+        value = bytes(value)
+        values = self._values
+        if values is None:
+            values = self._values = {}
+        self._writes[key] = values.setdefault(value, value)
 
     def delete(self, key: bytes) -> None:
         """Buffer a deletion."""
@@ -80,6 +103,18 @@ class WriteSet:
             if key.startswith(prefix):
                 result[key] = None if buffered is _TOMBSTONE else buffered  # type: ignore[assignment]
         return result
+
+    def nested(
+        self, backing_get: Callable[[bytes], Optional[bytes]], track_reads: bool
+    ) -> "WriteSet":
+        """A write set for an invocation this one nests, in the same
+        request: its own buffer and read set over ``backing_get`` (the
+        owner's store), and this write set's value table."""
+        if self._values is None:
+            self._values = {}
+        child = WriteSet(backing_get, track_reads)
+        child._values = self._values
+        return child
 
     # -- inspection -------------------------------------------------------
 
@@ -110,6 +145,7 @@ class WriteSet:
         return WriteBatch.from_ops(ops)
 
     def clear(self) -> None:
-        """Drop buffered writes and the read set (used at commit points)."""
+        """Drop buffered writes and the read set (used at commit points);
+        the request's value table stays."""
         self._writes.clear()
         self._reads.clear()

@@ -8,6 +8,7 @@ shaped like the last line ``benchmarks/ledger/run.py`` prints.
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,34 @@ def test_report_fails_only_on_seed_determined_differences(capsys):
     change[0]["correct"] = False
     assert bench_pairs.report(spec, parent, change) == 1
     assert "change run 1 did not verify" in capsys.readouterr().out
+
+
+def test_cpu_seconds_are_summarised_as_informational(capsys):
+    spec = {"end_to_end": [{"name": "host_jobs_per_s", "unit": "jobs/s", "better": "higher"}]}
+    parent = [result(1000.0) for _ in range(4)]
+    change = [result(1000.0) for _ in range(4)]
+    for run, cpu_s in zip(parent + change, [10.0, 11.0, 12.0, 13.0, 9.0, 10.5, 12.5, 11.0]):
+        run[bench_pairs.CPU_FIELD] = cpu_s
+    assert bench_pairs.report(spec, parent, change) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("cpu_s (s, lower is better; informational, not a benchmark metric)")
+    assert lines[at + 1] == "  parent  median 11.5  q1-q3 10.75-12.25"
+    assert lines[at + 2] == "  change  median 10.75  q1-q3 10.125-11.375"
+    assert "change better in 3 and worse in 1 of 4 pairs" in lines[at + 3]
+    assert lines[at + 3].endswith("no gain may be claimed")
+    # Results without the field (canned or older runs) print no CPU block.
+    for run in parent:
+        del run[bench_pairs.CPU_FIELD]
+    bench_pairs.report(spec, parent, change)
+    assert "cpu_s" not in capsys.readouterr().out
+
+
+def test_run_once_adds_the_cpu_seconds_of_the_command(tmp_path):
+    busy = "sum(range(3_000_000)); print('{\"metrics\": {}}')"
+    args = bench_pairs.argparse.Namespace(workload="w", seed=1)
+    run = bench_pairs.run_once(tmp_path, [sys.executable, "-c", busy], args, 1)
+    assert run["metrics"] == {}
+    assert 0.0 < run[bench_pairs.CPU_FIELD] < 30.0
 
 
 @pytest.mark.parametrize("pairs", ["0", "-1"])

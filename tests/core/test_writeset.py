@@ -106,6 +106,40 @@ def test_clear_resets_everything():
     assert ws.written_keys() == []
 
 
+def _copy(value: bytes) -> bytes:
+    """An equal ``bytes`` object that is not ``value`` itself."""
+    copy = bytes(bytearray(value))
+    assert copy is not value
+    return copy
+
+
+def test_equal_values_are_buffered_as_the_first_one():
+    ws, _ = make_writeset({})
+    first = _copy(b"post text")
+    ws.put(b"a", first)
+    ws.put(b"b", _copy(first))
+    ws.put(b"c", b"other")
+    values = {key: value for _kind, key, value in ws.to_batch().items()}
+    assert values[b"a"] is first and values[b"b"] is first
+    assert ws.get(b"b") is first and values[b"c"] == b"other"
+
+
+def test_a_nested_write_set_shares_the_table_across_commits():
+    root, backing = make_writeset({})
+    first = _copy(b"post text")
+    root.put(b"a", first)
+    root.clear()  # the caller commits before its nested call
+    child = root.nested(backing.get, track_reads=True)
+    child.put(b"b", _copy(first))
+    assert child.get(b"b") is first
+    root.put(b"c", _copy(first))
+    assert root.get(b"c") is first
+    # A new request starts its own table.
+    other, _ = make_writeset({})
+    other.put(b"d", _copy(first))
+    assert other.get(b"d") is not first
+
+
 @given(
     st.lists(
         st.tuples(st.booleans(), st.binary(min_size=1, max_size=4), st.binary(max_size=8)),

@@ -1,5 +1,6 @@
 """``tools/mem_report.py``: file ownership, and one smoke-window report
-(its per-phase peaks, live heap by owner and top lines)."""
+(its per-phase peaks, live heap by owner, the first replica's value
+counts and top lines)."""
 
 import importlib.util
 from pathlib import Path
@@ -23,7 +24,8 @@ def test_smoke_report_sections_and_owner_sum():
     lines = text.splitlines()
     total = float(lines[1].split(":")[1].split()[0])
     top_start = lines.index("top 3 allocating lines:")
-    owners = lines[lines.index("live MiB by owner:") + 1 : top_start - 1]
+    owners_start = lines.index("live MiB by owner:") + 1
+    owners = lines[owners_start : lines.index("", owners_start)]
     assert {line.split()[2] for line in owners} >= {"repro.core", "benchmarks"}
     assert abs(sum(float(line.split()[0]) for line in owners) - total) < 0.01 * len(owners)
     top = lines[top_start + 1 :]
@@ -36,3 +38,10 @@ def test_smoke_report_sections_and_owner_sum():
     assert all(float(size) > 0 for size, _ in peaks)
     assert float(peaks[2][0]) >= total - 0.01
     assert lines[peaks_start + 4] == ""
+    # The first replica's values, objects and contents, in that order.
+    (counts,) = [line for line in lines if line.startswith("values in the first replica's")]
+    assert counts.startswith("values in the first replica's store (storage-0): ")
+    stored, objects, contents = (
+        int(part.split()[0].replace(",", "")) for part in counts.split(": ")[1].split(", ")
+    )
+    assert stored >= objects >= contents > 0

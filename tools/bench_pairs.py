@@ -13,6 +13,17 @@ distance between the medians against the parent's interquartile range:
 a gain may be claimed when the change wins at least nine tenths of the
 pairs *and* the medians are further apart than that range.
 
+Beside the wall clock it prints each run's CPU seconds: the user and
+system time of the benchmark command and of every process it waited for
+(a ``resource.getrusage(RUSAGE_CHILDREN)`` delta around the run), with
+the same quartiles and pairs won.  CPU time is informational, and the
+benchmark's wall-clock metrics stay the basis of any claim: it takes out
+the time a process waits for a core on a shared box, but not all of the
+box's noise.  On a shared 2-core box three identical ``agg_durable_writes``
+passes took 13.4-16.3 s of wall time for the measured window while three
+others took 9.96-10.36 s of process CPU, and a later batch of the same
+passes still spread 9.9-13.4 s in CPU.
+
 Everything simulated is a function of the seed, so the tool exits
 non-zero when ``attempted``, ``failed`` or any ``sim_*`` / ``wire_*``
 metric differs between any two runs: a change that moves one of those is
@@ -23,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -34,6 +46,8 @@ WIN_SHARE = 0.9
 #: result fields and metric prefixes that must not differ between runs
 EXACT_FIELDS = ("attempted", "failed")
 EXACT_PREFIXES = ("sim_", "wire_")
+#: the field :func:`run_once` adds to a result: the CPU seconds of the run
+CPU_FIELD = "cpu_s"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -95,17 +109,44 @@ def exact_differences(results: list[tuple[str, dict]]) -> list[str]:
     return problems
 
 
+def _children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(checkout: Path, command: list[str], args: argparse.Namespace, seconds) -> dict:
     """One measurement in ``checkout``; the result object is the last line
-    the benchmark prints."""
+    the benchmark prints, plus the run's CPU seconds under
+    :data:`CPU_FIELD`."""
     argv = command + [
         "--workload", args.workload, "--seed", str(args.seed),
         "--seconds", str(seconds), "--trace", "0",
     ]  # fmt: skip
+    cpu_before = _children_cpu_s()
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    cpu_s = _children_cpu_s() - cpu_before
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} failed in {checkout}:\n{done.stdout}{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    result[CPU_FIELD] = cpu_s
+    return result
+
+
+def print_summary(title: str, parent: list[float], change: list[float], better: str) -> None:
+    """The quartiles, pairs won and claim verdict of one metric."""
+    summary = summarise(parent, change, better)
+    p_q1, p_median, p_q3 = summary["parent"]
+    c_q1, c_median, c_q3 = summary["change"]
+    print(title)
+    print(f"  parent  median {p_median:.6g}  q1-q3 {p_q1:.6g}-{p_q3:.6g}")
+    print(f"  change  median {c_median:.6g}  q1-q3 {c_q1:.6g}-{c_q3:.6g}")
+    print(
+        f"  change/parent {summary['ratio']:.3f}; change better in {summary['won']} and "
+        f"worse in {summary['lost']} of {summary['pairs']} pairs; medians apart by "
+        f"{summary['median_gain']:.6g} (positive is better) against a parent "
+        f"interquartile range of {summary['parent_iqr']:.6g}: "
+        f"{'a gain may be claimed' if summary['claimable'] else 'no gain may be claimed'}"
+    )
 
 
 def report(spec: dict, parent: list[dict], change: list[dict]) -> int:
@@ -114,22 +155,18 @@ def report(spec: dict, parent: list[dict], change: list[dict]) -> int:
         name = entry["name"]
         if name.startswith(EXACT_PREFIXES):
             continue
-        summary = summarise(
+        print_summary(
+            f"{name} ({entry['unit']}, {entry['better']} is better)",
             [run["metrics"][name]["value"] for run in parent],
             [run["metrics"][name]["value"] for run in change],
             entry["better"],
         )
-        p_q1, p_median, p_q3 = summary["parent"]
-        c_q1, c_median, c_q3 = summary["change"]
-        print(f"{name} ({entry['unit']}, {entry['better']} is better)")
-        print(f"  parent  median {p_median:.6g}  q1-q3 {p_q1:.6g}-{p_q3:.6g}")
-        print(f"  change  median {c_median:.6g}  q1-q3 {c_q1:.6g}-{c_q3:.6g}")
-        print(
-            f"  change/parent {summary['ratio']:.3f}; change better in {summary['won']} and "
-            f"worse in {summary['lost']} of {summary['pairs']} pairs; medians apart by "
-            f"{summary['median_gain']:.6g} (positive is better) against a parent "
-            f"interquartile range of {summary['parent_iqr']:.6g}: "
-            f"{'a gain may be claimed' if summary['claimable'] else 'no gain may be claimed'}"
+    if all(CPU_FIELD in run for run in parent + change):
+        print_summary(
+            f"{CPU_FIELD} (s, lower is better; informational, not a benchmark metric)",
+            [run[CPU_FIELD] for run in parent],
+            [run[CPU_FIELD] for run in change],
+            "lower",
         )
     labelled = [(f"parent run {i + 1}", run) for i, run in enumerate(parent)]
     labelled += [(f"change run {i + 1}", run) for i, run in enumerate(change)]
@@ -169,6 +206,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 for name, entry in result["metrics"].items()
                 if not name.startswith(EXACT_PREFIXES)
             }
+            host[CPU_FIELD] = round(result[CPU_FIELD], 3)
             print(f"pair {pair} {side}: {host}", flush=True)
     return report(spec, runs["parent"], runs["change"])
 

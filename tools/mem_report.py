@@ -15,6 +15,10 @@ the measured window ends it also takes a heap snapshot and prints the
 live MiB per ``repro.<package>``, the benchmark's own share
 (``benchmarks``) and the rest (``other``: the standard library and
 anything else), then the lines that allocated most of what is live.
+It also counts the values the first replica's store holds then (a
+durable store: its memtable, since the rest is on disk), the distinct
+``bytes`` objects among them and their distinct contents: equal values
+that are separate objects are memory a store pays for twice.
 
 An allocation is charged to the line that made it (one frame deep): a
 value decoded by the replication codec counts under ``repro.kvstore``
@@ -55,6 +59,30 @@ def _where(filename: str) -> str:
     return str(path.relative_to(ROOT)) if path.is_relative_to(ROOT) else filename
 
 
+def first_store(platform):
+    """``(name, store)`` of the platform's first replica."""
+    if hasattr(platform, "storage_nodes"):  # the disaggregated baseline
+        node = platform.storage_nodes[0]
+        return node.name, node.backend
+    name, node = next(iter(platform.nodes.items()))
+    return name, node.runtime.storage
+
+
+def value_counts(store) -> tuple[str, int, int, int]:
+    """What a store holds in memory, and its values, distinct value
+    objects and distinct contents."""
+    from repro.kvstore.record import ValueType
+
+    db = getattr(store, "db", None)
+    if db is None:
+        where = "store"
+        values = [value for _key, value in store.iterate(b"", None)]
+    else:
+        where = "memtable"
+        values = [record.value for record in db._mem if record.kind is ValueType.VALUE]
+    return where, len(values), len({id(value) for value in values}), len(set(values))
+
+
 #: the phases of a pass, in order, each ending at a hook below
 PHASES = ("build + load", "warm-up", "measured window")
 
@@ -67,7 +95,8 @@ def phase_hooks(layers, loadgen) -> Iterator[tuple[dict, list]]:
     Build + load ends when ``Dataset.load`` returns, warm-up when the pass
     reads its counters the first time and the measured window when it
     reads them the second time; the peak is reset at each boundary.
-    Yields ``(peaks, taken)``: peak bytes by phase name, and the snapshot.
+    Yields ``(peaks, taken)``: peak bytes by phase name, and the snapshot
+    followed by the first replica's :func:`value_counts`.
     """
     peaks: dict[str, int] = {}
     taken: list = []
@@ -91,6 +120,8 @@ def phase_hooks(layers, loadgen) -> Iterator[tuple[dict, list]]:
             end_phase(PHASES[calls])
         if calls == 2:
             taken.append(tracemalloc.take_snapshot())
+            name, store = first_store(args[1])
+            taken.append((name, *value_counts(store)))
         return original_snapshot(*args, **kwargs)
 
     layers.snapshot = snapshot
@@ -143,6 +174,12 @@ def report(workload: str, seed: int, seconds: float, smoke: bool, top: int) -> s
     lines += ["", "live MiB by owner:"]
     for name, size in sorted(by_owner.items(), key=lambda item: -item[1]):
         lines.append(f"  {size / MIB:8.2f}  {size / total:6.1%}  {name}")
+    node, where, values, objects, contents = taken[1]
+    lines += [
+        "",
+        f"values in the first replica's {where} ({node}): {values:,} stored, "
+        f"{objects:,} distinct objects, {contents:,} distinct contents",
+    ]
     lines += ["", f"top {top} allocating lines:"]
     for stat in heap.statistics("lineno")[:top]:
         frame = stat.traceback[0]
