@@ -23,15 +23,24 @@ validates four properties:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Any, Iterable, Optional
 
 from repro.cluster.store_node import COMPLETED_CAP
 from repro.core.ids import ObjectId
-from repro.core.linearizability import History, check_linearizable, register_model
+from repro.core.linearizability import (
+    HistoryRecorder,
+    RecordedInvocation,
+    check_linearizable,
+    register_model,
+)
 
-from repro.chaos.history import HistoryRecorder, RecordedInvocation
+#: the register model's methods (the chaos workload's ``Register`` type)
+READ_METHODS = ("read",)
+WRITE_METHODS = ("write",)
+#: subset enumeration of maybe-applied writes is 2^n — cap n
+MAX_INCOMPLETE_WRITES = 6
 
 
 @dataclass
@@ -76,18 +85,8 @@ class ConsistencyReport:
 class ConsistencyChecker:
     """Validates a quiesced cluster plus its recorded client history."""
 
-    def __init__(
-        self,
-        cluster: Any,
-        read_methods: tuple[str, ...] = ("read",),
-        write_methods: tuple[str, ...] = ("write",),
-        max_incomplete_writes: int = 6,
-    ) -> None:
+    def __init__(self, cluster: Any) -> None:
         self.cluster = cluster
-        self.read_methods = read_methods
-        self.write_methods = write_methods
-        #: subset enumeration of maybe-applied writes is 2^n — cap n
-        self.max_incomplete_writes = max_incomplete_writes
 
     # -- entry point --------------------------------------------------------
 
@@ -130,14 +129,10 @@ class ConsistencyChecker:
     ) -> Optional[Violation]:
         completed = [r for r in records if r.completed]
         maybe_writes = [
-            r
-            for r in records
-            if not r.completed and r.method in self.write_methods
+            r for r in records if not r.completed and r.method in WRITE_METHODS
         ]
         unknown = [
-            r
-            for r in completed
-            if r.method not in self.read_methods + self.write_methods
+            r for r in completed if r.method not in READ_METHODS + WRITE_METHODS
         ]
         if unknown:
             return Violation(
@@ -145,39 +140,28 @@ class ConsistencyChecker:
                 object_id,
                 f"register model cannot interpret method {unknown[0].method!r}",
             )
-        if len(maybe_writes) > self.max_incomplete_writes:
+        if len(maybe_writes) > MAX_INCOMPLETE_WRITES:
             return Violation(
                 "linearizability",
                 object_id,
                 f"{len(maybe_writes)} incomplete writes exceed the "
-                f"checkable bound of {self.max_incomplete_writes}",
+                f"checkable bound of {MAX_INCOMPLETE_WRITES}",
             )
 
         initial_state, apply_fn = register_model(
             {object_id: initial_value} if initial_value is not None else None
         )
         # An incomplete write may have taken effect at any point after its
-        # invocation; materialise it as completing after every finite time
-        # so it constrains nothing in the real-time order.
+        # invocation; re-time it as completing after every finite time so
+        # it constrains nothing in the real-time order.
         horizon = 1.0 + max(
             [r.return_at for r in completed]
             + [r.invoke_at for r in records]
             + [0.0]
         )
-        for included in self._write_subsets(maybe_writes):
-            history = History()
-            for record in completed:
-                kind = "read" if record.method in self.read_methods else "write"
-                op = history.begin(
-                    record.client, kind, object_id, record.args, record.invoke_at
-                )
-                history.finish(op, record.return_at, record.result)
-            for record in included:
-                op = history.begin(
-                    record.client, "write", object_id, record.args, record.invoke_at
-                )
-                history.finish(op, horizon, None)
-            if check_linearizable(history, initial_state, apply_fn):
+        retimed = [replace(r, return_at=horizon, error=None) for r in maybe_writes]
+        for included in self._write_subsets(retimed):
+            if check_linearizable(completed + list(included), initial_state, apply_fn):
                 return None
         return Violation(
             "linearizability",

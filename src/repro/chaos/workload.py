@@ -4,7 +4,10 @@ The consistency tests and the chaos-soak benchmark all run the same
 shape: N clients hammer K register objects with reads and uniquely-valued
 writes while a :class:`~repro.chaos.nemesis.Nemesis` injects faults; the
 run is then calmed, quiesced, and handed to the
-:class:`~repro.chaos.checker.ConsistencyChecker`.
+:class:`~repro.chaos.checker.ConsistencyChecker`.  Every client records
+into one :class:`~repro.core.linearizability.HistoryRecorder`, whose
+records are what the checker's register model reads: the ``Register``
+type's ``read``/``write`` methods are the model's own.
 
 Registers (not counters) are used deliberately: writes are idempotent, so
 the workload stays checkable even across a primary failover, where the
@@ -18,11 +21,11 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.chaos.checker import ConsistencyChecker, ConsistencyReport
-from repro.chaos.history import HistoryRecorder
 from repro.chaos.nemesis import Nemesis, NemesisConfig
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import ObjectType, ValueField, method, readonly_method
 from repro.core.ids import ObjectId
+from repro.core.linearizability import HistoryRecorder
 from repro.errors import InvocationFailed, RequestTimeout
 from repro.sim import Simulation
 
@@ -58,9 +61,8 @@ class ScenarioResult:
     #: per-client count of invocations that exhausted their retries
     gave_up: dict[str, int] = field(default_factory=dict)
 
-    def check(self, **checker_kwargs: Any) -> ConsistencyReport:
-        checker = ConsistencyChecker(self.cluster, **checker_kwargs)
-        return checker.check(
+    def check(self) -> ConsistencyReport:
+        return ConsistencyChecker(self.cluster).check(
             recorder=self.recorder,
             object_ids=self.object_ids,
             initial=self.initial,

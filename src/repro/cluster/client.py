@@ -80,8 +80,9 @@ class ClusterClient:
         #: backups that recently rejected a read, mapped to the sim time
         #: their routing penalty expires
         self._penalty: dict[str, float] = {}
-        #: optional chaos-harness HistoryRecorder: every invocation is
-        #: logged as (invoke_at, return_at, object, method, args, result)
+        #: optional repro.core.linearizability.HistoryRecorder: every
+        #: invocation is logged as (invoke_at, return_at, object, method,
+        #: args, result), the records check_linearizable reads
         self.recorder = recorder
         # Unmatched mailbox payloads are stale replies to abandoned
         # attempts (every wait in this client is strictly sequential), so

@@ -37,7 +37,12 @@ from repro.core.context import InvocationContext, ObjectProxy
 from repro.core.fields import CollectionField, FieldKind, FieldSpec, ValueField
 from repro.core.ids import ObjectId
 from repro.core.invocation import InvocationResult, InvocationStats
-from repro.core.linearizability import History, Operation, check_linearizable, register_model
+from repro.core.linearizability import (
+    HistoryRecorder,
+    RecordedInvocation,
+    check_linearizable,
+    register_model,
+)
 from repro.core.method import method, readonly_method
 from repro.core.object_type import ObjectType
 from repro.core.runtime import LocalRuntime
@@ -48,7 +53,7 @@ __all__ = [
     "CollectionField",
     "FieldKind",
     "FieldSpec",
-    "History",
+    "HistoryRecorder",
     "InvocationContext",
     "InvocationResult",
     "InvocationStats",
@@ -58,7 +63,7 @@ __all__ = [
     "ObjectId",
     "ObjectProxy",
     "ObjectType",
-    "Operation",
+    "RecordedInvocation",
     "ResultCache",
     "StorageBackend",
     "ValueField",

@@ -1,126 +1,160 @@
-"""History recording and a linearizability checker.
+"""Client history recording and a linearizability checker.
 
 LambdaObjects promise *invocation linearizability* (paper §3.1): committed
 invocations are atomic, isolated, and respect real time.  To test that the
 distributed layer actually delivers it, clients record each invocation as
-an :class:`Operation` with start/finish timestamps; the checker then
-searches for a legal sequential order consistent with real time
-(Wing & Gong's algorithm with memoisation on (remaining-ops, state)).
+a :class:`RecordedInvocation` with its real-time interval — including
+invocations that never returned (timeouts, crashes), which may or may not
+have taken effect.  :class:`HistoryRecorder` plugs into
+:class:`~repro.cluster.client.ClusterClient` via its ``recorder=``
+argument; one recorder shared by all clients of a run orders the history
+by simulated time.  The checker then searches for a legal sequential
+order consistent with real time (Wing & Gong's algorithm with memoisation
+on (remaining-ops, state)).
 
 The checker is model-agnostic: you supply a *sequential specification* —
 a function ``apply(state, op) -> (ok, new_state)`` over hashable states.
-:func:`register_model` builds the common per-key read/write-register spec
-used by the cluster tests.
+:func:`register_model` builds the common per-object read/write-register
+spec used by the cluster tests and the chaos checker.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Callable, Hashable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Hashable, Iterable, Optional
 
 from repro.errors import ReproError
 
-ApplyFn = Callable[[Hashable, "Operation"], tuple[bool, Hashable]]
+ApplyFn = Callable[[Hashable, "RecordedInvocation"], tuple[bool, Hashable]]
 
 
 @dataclass
-class Operation:
-    """One client-observed operation with its real-time interval."""
+class RecordedInvocation:
+    """One client-observed invocation with its real-time interval."""
 
+    op_id: int
     client: str
-    kind: str
-    target: str
+    object_id: str
+    method: str
     args: tuple
-    start: float
-    end: float = float("inf")
+    invoke_at: float
+    return_at: float = float("inf")
     result: Any = None
-    op_id: int = dataclass_field(default=-1)
+    error: Optional[str] = None
 
     @property
     def completed(self) -> bool:
-        return self.end != float("inf")
+        """Whether the client observed a successful reply."""
+        return self.return_at != float("inf") and self.error is None
 
 
-class History:
-    """Collects concurrent operations for later checking."""
+class HistoryRecorder:
+    """Collects every invocation issued by participating clients."""
 
     def __init__(self) -> None:
-        self._operations: list[Operation] = []
+        self._records: list[RecordedInvocation] = []
         self._ids = itertools.count()
 
-    def begin(self, client: str, kind: str, target: str, args: tuple, start: float) -> Operation:
-        """Record an operation's invocation; complete it with :meth:`finish`."""
-        op = Operation(client, kind, target, tuple(args), start, op_id=next(self._ids))
-        self._operations.append(op)
-        return op
+    def begin(
+        self, client: str, object_id: str, method: str, args: tuple, invoke_at: float
+    ) -> RecordedInvocation:
+        """Record an invocation; complete it with :meth:`finish` or :meth:`fail`."""
+        record = RecordedInvocation(
+            op_id=next(self._ids),
+            client=client,
+            object_id=object_id,
+            method=method,
+            args=tuple(args),
+            invoke_at=invoke_at,
+        )
+        self._records.append(record)
+        return record
 
-    def finish(self, op: Operation, end: float, result: Any) -> None:
-        """Record an operation's response."""
-        if end < op.start:
-            raise ReproError(f"operation ends before it starts ({end} < {op.start})")
-        op.end = end
-        op.result = result
+    def finish(self, record: RecordedInvocation, return_at: float, result: Any) -> None:
+        """Record an invocation's successful reply."""
+        if return_at < record.invoke_at:
+            raise ReproError(
+                f"invocation returns before it starts ({return_at} < {record.invoke_at})"
+            )
+        record.return_at = return_at
+        record.result = result
 
-    def operations(self) -> list[Operation]:
-        return list(self._operations)
+    def fail(self, record: RecordedInvocation, return_at: float, error: str) -> None:
+        """The invocation definitively failed *or* gave up retrying.
 
-    def completed_operations(self) -> list[Operation]:
-        """Operations that received a response.
-
-        Incomplete operations (client crashed / timed out) may or may not
-        have taken effect; this simplified checker drops them, so tests
-        must only assert on histories whose operations all completed.
+        A "gave up"/timeout failure is ambiguous — the request may still
+        have executed server-side — so a failed record is not
+        :attr:`~RecordedInvocation.completed`, while it records when the
+        client stopped caring.
         """
-        return [op for op in self._operations if op.completed]
+        record.return_at = return_at
+        record.error = error
+
+    def invocations(self) -> list[RecordedInvocation]:
+        return list(self._records)
+
+    def incomplete(self) -> list[RecordedInvocation]:
+        """Invocations with no successful response (timed out or errored);
+        their effects may or may not have been applied."""
+        return [r for r in self._records if not r.completed]
+
+    def by_object(self) -> dict[str, list[RecordedInvocation]]:
+        grouped: dict[str, list[RecordedInvocation]] = {}
+        for record in self._records:
+            grouped.setdefault(record.object_id, []).append(record)
+        return grouped
 
     def __len__(self) -> int:
-        return len(self._operations)
+        return len(self._records)
 
 
 def register_model(initial: Optional[dict[str, Any]] = None) -> tuple[Hashable, ApplyFn]:
-    """Sequential spec for per-target read/write registers.
+    """Sequential spec for per-object read/write registers.
 
-    Operations: ``kind="write"`` with ``args=(value,)`` always succeeds;
-    ``kind="read"`` succeeds iff ``result`` equals the register's current
-    value (``None`` for never-written targets).
+    Invocations: ``method="write"`` with ``args=(value,)`` always
+    succeeds; ``method="read"`` succeeds iff ``result`` equals the
+    register's current value (``None`` for never-written objects).
     """
     state: Hashable = frozenset((initial or {}).items())
 
-    def apply(current: Hashable, op: Operation) -> tuple[bool, Hashable]:
+    def apply(current: Hashable, op: RecordedInvocation) -> tuple[bool, Hashable]:
         mapping = dict(current)  # type: ignore[arg-type]
-        if op.kind == "write":
-            mapping[op.target] = op.args[0]
+        if op.method == "write":
+            mapping[op.object_id] = op.args[0]
             return True, frozenset(mapping.items())
-        if op.kind == "read":
-            return mapping.get(op.target) == op.result, current
-        raise ReproError(f"register model cannot apply op kind {op.kind!r}")
+        if op.method == "read":
+            return mapping.get(op.object_id) == op.result, current
+        raise ReproError(f"register model cannot apply method {op.method!r}")
 
     return state, apply
 
 
 def check_linearizable(
-    history: History,
+    history: Iterable[RecordedInvocation],
     initial_state: Hashable,
     apply_fn: ApplyFn,
     max_states: int = 2_000_000,
 ) -> bool:
-    """Whether a legal linearisation of ``history`` exists.
+    """Whether a legal linearisation of the completed invocations exists.
 
+    Incomplete invocations may or may not have taken effect; this checker
+    drops them, so a caller that must account for them (the chaos
+    checker's maybe-applied writes) passes them in re-timed as completed.
     Exhaustive search with memoisation; exponential in the worst case, so
     keep test histories modest (tens of concurrent operations).
     ``max_states`` bounds the search as a safety valve — exceeding it
     raises rather than returning a wrong answer.
     """
-    operations = history.completed_operations()
+    operations = [op for op in history if op.completed]
     if not operations:
         return True
 
     explored: set[tuple[frozenset, Hashable]] = set()
     budget = [max_states]
 
-    def precedes(a: Operation, b: Operation) -> bool:
-        return a.end < b.start
+    def precedes(a: RecordedInvocation, b: RecordedInvocation) -> bool:
+        return a.return_at < b.invoke_at
 
     def search(remaining: frozenset, state: Hashable) -> bool:
         if not remaining:

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from repro.chaos.checker import ConsistencyChecker, ConsistencyReport
-from repro.chaos.history import HistoryRecorder
 from repro.chaos.workload import register_type
 from repro.cluster import Cluster, ClusterConfig
+from repro.core.linearizability import HistoryRecorder
 from repro.errors import InvocationFailed, RequestTimeout, SimulationError
 from repro.mc.policy import McPolicy, SleepBlocked, TraceLimit
 from repro.sim import Simulation

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import ObjectId
-from repro.core.linearizability import check_linearizable
+from repro.core.linearizability import HistoryRecorder, check_linearizable
 from repro.sim import Simulation
 
 from tests.cluster.conftest import build_cluster, counter_type, run_ops
@@ -97,29 +97,28 @@ def test_linearizable_history_under_message_loss():
     sim, cluster = build_cluster(seed=19)
     cluster.net.drop_probability = 0.1
     oid = cluster.create_object("Counter")
-    from repro.core.linearizability import History
-
-    history = History()
-    clients = [cluster.client(f"c{i}", request_timeout_ms=40.0) for i in range(4)]
+    history = HistoryRecorder()
+    clients = [
+        cluster.client(f"c{i}", request_timeout_ms=40.0, recorder=history)
+        for i in range(4)
+    ]
 
     def load(client, count):
         rng = sim.rng(f"chaos.{client.name}")
         for _ in range(count):
             yield sim.timeout(rng.uniform(0, 1.0))
-            kind = "increment" if rng.random() < 0.5 else "read"
-            op = history.begin(client.name, kind, "counter", (1,) if kind == "increment" else (), sim.now)
-            if kind == "increment":
-                value = yield from client.invoke(oid, "increment", 1)
+            if rng.random() < 0.5:
+                yield from client.invoke(oid, "increment", 1)
             else:
-                value = yield from client.invoke(oid, "read")
-            history.finish(op, sim.now, value)
+                yield from client.invoke(oid, "read")
 
     processes = [sim.process(load(client, 3)) for client in clients]
     sim.run_until_triggered(sim.all_of(processes), limit=600_000)
 
     def apply_fn(state, op):
-        if op.kind == "increment":
+        if op.method == "increment":
             return op.result == state + 1, state + 1
         return op.result == state, state
 
-    assert check_linearizable(history, 0, apply_fn)
+    assert len(history) == 12
+    assert check_linearizable(history.invocations(), 0, apply_fn)

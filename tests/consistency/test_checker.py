@@ -4,10 +4,10 @@ A checker that cannot detect violations proves nothing — each detector
 is exercised against a hand-built violation as well as a clean run.
 """
 
-from repro.chaos import ConsistencyChecker, HistoryRecorder
+from repro.chaos import ConsistencyChecker
 from repro.cluster import Cluster, ClusterConfig
 from repro.chaos.workload import register_type
-from repro.core import keyspace
+from repro.core import HistoryRecorder, keyspace
 from repro.core.fields import encode_value
 from repro.kvstore.batch import WriteBatch
 from repro.sim import Simulation
@@ -131,6 +131,32 @@ def test_incomplete_write_may_or_may_not_apply():
     ])
     report = checker.check_linearizability(contradictory, initial={"obj": 0})
     assert not report.ok
+
+
+def test_flags_a_method_the_register_model_cannot_interpret():
+    sim, cluster = build_cluster()
+    recorder = make_recorder([
+        ("a", "obj", "write", ("x",), 0.0, 1.0, "x"),
+        ("a", "obj", "increment", (1,), 2.0, 3.0, 1),
+    ])
+    report = ConsistencyChecker(cluster).check_linearizability(recorder)
+    assert [v.kind for v in report.violations] == ["linearizability"]
+    assert "cannot interpret method 'increment'" in report.violations[0].detail
+
+
+def test_flags_more_incomplete_writes_than_it_can_enumerate():
+    sim, cluster = build_cluster()
+    # seven writes that never returned: 2^7 completions is past the bound
+    recorder = make_recorder([
+        ("a", "obj", "write", (f"lost-{i}",), float(i), None, None) for i in range(7)
+    ] + [("b", "obj", "read", (), 10.0, 11.0, 0)])
+    report = ConsistencyChecker(cluster).check_linearizability(
+        recorder, initial={"obj": 0}
+    )
+    assert [v.kind for v in report.violations] == ["linearizability"]
+    assert "7 incomplete writes exceed the checkable bound of 6" in (
+        report.violations[0].detail
+    )
 
 
 def test_detects_unquiesced_bookkeeping():

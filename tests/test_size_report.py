@@ -41,15 +41,19 @@ def test_constructor_options_count_defaults_and_keyword_only_parameters():
     assert size_report._init_options(tree, "C") == 0
     text = size_report.report(REPO_ROOT, top=3)
     knobs = text.splitlines()[text.splitlines().index("config fields (knobs):") + 1 :]
-    assert {line.split()[1] for line in knobs} >= {
+    counted = {line.split()[1]: int(line.split()[0]) for line in knobs}
+    assert set(counted) >= {
         "LocalRuntime.__init__",
         "ClusterClient.__init__",
         "SimpleClient.__init__",
         "RpcStub.__init__",
         "Network.__init__",
         "ReplicationPipeline.__init__",
+        "ConsistencyChecker.__init__",
     }
-    assert all(int(line.split()[0]) > 0 for line in knobs)
+    # the checker takes only the cluster; every other entry has options
+    assert counted.pop("ConsistencyChecker.__init__") == 0
+    assert all(count > 0 for count in counted.values())
 
 
 def test_replication_pipeline_options_match_its_signature():

@@ -34,6 +34,7 @@ CONSTRUCTORS = (
     ("rpc/stub.py", "RpcStub"),
     ("sim/network.py", "Network"),
     ("cluster/replication.py", "ReplicationPipeline"),
+    ("chaos/checker.py", "ConsistencyChecker"),
 )
 
 
